@@ -41,6 +41,7 @@ from .solver import (
     NodeLimitReached,
     SearchConfig,
     SearchStats,
+    decide,
     decide_isomorphism,
     decide_retraction,
     enumerate_homomorphisms,
@@ -48,6 +49,7 @@ from .solver import (
     find_homomorphism,
     find_left_factor,
     find_right_factor,
+    verify_witness,
 )
 from .encodings import (
     DecodeError,

@@ -13,13 +13,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .algebra import (
-    AlgebraError,
-    Mapping,
-    compose,
-    is_homomorphism,
-    validate_algebra,
-)
+from .algebra import AlgebraError, validate_algebra
 from .encodings import (
     encode_magma,
     encode_semigroup,
@@ -29,7 +23,7 @@ from .encodings import (
     make_rf_instance,
     make_semilattice_X,
 )
-from .fcore import FCORE_METHODS, InapplicableReport, abelian_fcore, brute_fcore, _run_method
+from .fcore import FCORE_METHODS, InapplicableReport, brute_fcore, _run_method
 from .graphs import graph_catalog, graph_hom, subgraph_embedding
 from .io import (
     FormatError,
@@ -45,12 +39,11 @@ from .solver import (
     NodeLimitReached,
     SearchConfig,
     SearchStats,
-    decide_isomorphism,
-    decide_retraction,
-    find_factorization,
+    decide,
     find_homomorphism,
     find_left_factor,
     find_right_factor,
+    verify_witness,
 )
 from .varieties import sample_fcore_instances
 
@@ -63,7 +56,6 @@ _BENCH_BUDGET = {"reductions": 4, "fcores": 16}
 class CommandResult:
     outcome: str  # yes | no | unknown | error
     witness_paths: list[str] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
 
 
 def _parse_encoding(spec: str):
@@ -112,94 +104,23 @@ def cmd_encode(args) -> CommandResult:
     if extra_map is not None and args.map_out:
         write_mapping(extra_map, args.map_out)
         paths.append(args.map_out)
-    return CommandResult("yes", paths, {"size": alg.size})
-
-
-def _verify_witness(inst, g=None, h=None) -> bool:
-    """Shared by decide (before reporting) and the verify command."""
-    if inst.kind == "hom":
-        return g is not None and is_homomorphism(g, inst.X, inst.Y)
-    if inst.kind == "right-factor":
-        return (
-            g is not None
-            and is_homomorphism(g, inst.X, inst.Y)
-            and compose(inst.h, g) == inst.f
-        )
-    if inst.kind == "left-factor":
-        return (
-            h is not None
-            and is_homomorphism(h, inst.Y, inst.Z)
-            and compose(h, inst.g) == inst.f
-        )
-    if inst.kind == "full-factor":
-        return (
-            g is not None
-            and h is not None
-            and is_homomorphism(g, inst.X, inst.Y)
-            and is_homomorphism(h, inst.Y, inst.Z)
-            and compose(h, g) == inst.f
-        )
-    if inst.kind == "retraction":
-        return (
-            g is not None
-            and h is not None
-            and is_homomorphism(g, inst.X, inst.Y)
-            and is_homomorphism(h, inst.Y, inst.X)
-            and compose(h, g) == Mapping.identity(inst.X.size)
-        )
-    if inst.kind == "isomorphism":
-        if g is None or not is_homomorphism(g, inst.X, inst.Y):
-            return False
-        if len(set(g.values)) != inst.Y.size or inst.X.size != inst.Y.size:
-            return False
-        inverse = [0] * inst.Y.size
-        for i, v in enumerate(g.values):
-            inverse[v] = i
-        return is_homomorphism(Mapping(inst.Y.size, inst.X.size, inverse), inst.Y, inst.X)
-    raise AlgebraError(f"unknown kind {inst.kind!r}")
+    return CommandResult("yes", paths)
 
 
 def cmd_decide(args) -> CommandResult:
     inst = read_instance(args.instance)
-    inst.validate()
-    stats = SearchStats()
-    cfg = SearchConfig(node_limit=args.node_limit)
-    g = h = None
-    if inst.kind == "hom":
-        g = find_homomorphism(inst.X, inst.Y, cfg, stats=stats)
-        found = g is not None
-    elif inst.kind == "right-factor":
-        g = find_right_factor(inst, cfg, stats=stats)
-        found = g is not None
-    elif inst.kind == "left-factor":
-        h = find_left_factor(inst, cfg, stats=stats)
-        found = h is not None
-    elif inst.kind == "full-factor":
-        pair = find_factorization(inst, cfg, stats=stats)
-        found = pair is not None
-        if found:
-            g, h = pair
-    elif inst.kind == "retraction":
-        pair = decide_retraction(inst.X, inst.Y, cfg, stats=stats)
-        found = pair is not None
-        if found:
-            g, h = pair
-    elif inst.kind == "isomorphism":
-        g = decide_isomorphism(inst.X, inst.Y, cfg, stats=stats)
-        found = g is not None
-    else:
-        raise AlgebraError(f"unknown kind {inst.kind!r}")
-    if not found:
-        return CommandResult("no", [], {"nodes": stats.nodes})
-    if not _verify_witness(inst, g, h):
+    pair = decide(inst, SearchConfig(node_limit=args.node_limit))
+    if pair is None:
+        return CommandResult("no")
+    if not verify_witness(inst, *pair):
         raise AlgebraError("internal error: witness failed re-verification")
     paths = []
-    for name, m in (("g", g), ("h", h)):
+    for name, m in zip("gh", pair):
         if m is not None:
             path = f"{args.witness}.{name}.map"
             write_mapping(m, path)
             paths.append(path)
-    return CommandResult("yes", paths, {"nodes": stats.nodes})
+    return CommandResult("yes", paths)
 
 
 def cmd_fcore(args) -> CommandResult:
@@ -207,17 +128,10 @@ def cmd_fcore(args) -> CommandResult:
         raise AlgebraError(f"unknown method {args.method!r}")
     x = read_algebra(args.algebra)
     f = read_mapping(args.f)
-    stats = SearchStats()
+    res = _run_method(args.method, x, f, None)
     inapplicable = None
-    if args.method == "abelian":
-        res = abelian_fcore(x, f, stats=stats)
-        if isinstance(res, InapplicableReport):
-            inapplicable = res.reason
-            res = res.fallback
-    elif args.method == "brute":
-        res = brute_fcore(x, f, stats=stats)
-    else:
-        res = _run_method(args.method, x, f, None, stats)
+    if isinstance(res, InapplicableReport):
+        inapplicable, res = res.reason, res.fallback
     lines = [
         f"method {args.method}",
         f"input-size {x.size}",
@@ -243,11 +157,7 @@ def cmd_fcore(args) -> CommandResult:
         fh.write("\n".join(lines) + "\n")
     if oracle_note is False:
         raise AlgebraError("specialized core size disagrees with the brute oracle")
-    return CommandResult(
-        "yes",
-        [retraction_path, core_path, report_path],
-        {"core_size": len(res.image), "nodes": stats.nodes},
-    )
+    return CommandResult("yes", [retraction_path, core_path, report_path])
 
 
 def cmd_verify(args) -> CommandResult:
@@ -255,8 +165,7 @@ def cmd_verify(args) -> CommandResult:
     inst.validate()
     g = read_mapping(args.g) if args.g else None
     h = read_mapping(args.h) if args.h else None
-    ok = _verify_witness(inst, g, h)
-    return CommandResult("yes" if ok else "no", [], {})
+    return CommandResult("yes" if verify_witness(inst, g, h) else "no")
 
 
 def _bench_reductions(max_size, rows):
@@ -327,10 +236,8 @@ def _bench_fcores(max_size, rows):
             t0 = time.perf_counter()
             res = _run_method(variety, x, f, z, stats)
             marker = ""
-            if variety == "abelian":
-                direct = abelian_fcore(x, f, z)
-                if isinstance(direct, InapplicableReport):
-                    marker = "inapplicable:"
+            if isinstance(res, InapplicableReport):
+                marker, res = "inapplicable:", res.fallback
             oracle = brute_fcore(x, f, z)
             ms = int((time.perf_counter() - t0) * 1000)
             rows.append(
@@ -361,7 +268,7 @@ def cmd_bench(args) -> CommandResult:
         fh.write("\n".join(lines) + "\n")
     if disagreements:
         raise AlgebraError(f"{disagreements} disagreement rows in {args.out}")
-    return CommandResult("yes", [args.out], {"rows": len(rows)})
+    return CommandResult("yes", [args.out])
 
 
 def _build_parser():
@@ -406,9 +313,6 @@ def _build_parser():
     ben.add_argument("--suite", required=True, choices=("reductions", "fcores"))
     ben.add_argument("--max-size", dest="max_size", type=int, required=True)
     ben.add_argument("--out", required=True)
-    ben.add_argument("--jobs", type=int, default=1,
-                     help="accepted for interface stability; rows are computed "
-                          "sequentially and outputs do not depend on it")
     ben.set_defaults(func=cmd_bench)
     return parser
 

@@ -18,18 +18,17 @@ from .algebra import (
     FiniteAlgebra,
     Mapping,
     SizeMismatch,
-    compose,
     induced_subalgebra,
     is_homomorphism,
     is_retraction_respecting,
 )
 from .solver import (
-    DEFAULT_CONFIG,
     FactorizationInstance,
     InstanceError,
     _Engine,
     _Problem,
     find_right_factor,
+    verify_witness,
 )
 from .varieties import (
     boolean_atoms,
@@ -105,7 +104,7 @@ def _find_nonidentity_retraction(x: FiniteAlgebra, fvals, *, stats=None):
                 continue
             domains = [set(d) for d in base]
             domains[moved] = {target}
-            eng = _Engine(problem, domains, order="mrv", hooks=(_idem_hook,), stats=stats)
+            eng = _Engine(problem, domains, hooks=(_idem_hook,), stats=stats)
             for sol in eng.solutions():
                 r = Mapping(n, n, sol)
                 f = Mapping(n, max(max(fvals) + 1, 1), fvals)
@@ -354,7 +353,7 @@ def abelian_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
     domains = [set(fibers[fvals[v]]) for v in range(x.size)]
     for k in kernel:
         domains[k] = {zero}
-    eng = _Engine(problem, domains, order="mrv", hooks=(_idem_hook,), stats=stats)
+    eng = _Engine(problem, domains, hooks=(_idem_hook,), stats=stats)
     for sol in eng.solutions():
         retraction = Mapping(x.size, x.size, sol)
         if not is_retraction_respecting(retraction, x, f):
@@ -368,7 +367,7 @@ def abelian_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
     )
 
 
-def _run_method(method, x, f, z, stats):
+def _run_method(method, x, f, z, stats=None):
     if method == "brute":
         return brute_fcore(x, f, z, stats=stats)
     if method == "gset":
@@ -378,8 +377,7 @@ def _run_method(method, x, f, z, stats):
     if method == "boolean":
         return boolean_fcore(x, f, z)
     if method == "abelian":
-        res = abelian_fcore(x, f, z, stats=stats)
-        return res.fallback if isinstance(res, InapplicableReport) else res
+        return abelian_fcore(x, f, z, stats=stats)
     raise AlgebraError(f"unknown f-core method {method!r}")
 
 
@@ -391,7 +389,6 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
     replace X by its f-core; solve the restricted instance; reassemble the
     witness as the core solution precomposed with the retraction.
     """
-    cfg = cfg or DEFAULT_CONFIG
     inst.validate()
     if inst.kind != "right-factor":
         raise InstanceError(f"expected a right-factor instance, got {inst.kind}")
@@ -405,6 +402,8 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
     f_res = Mapping(inst.X.size, z_res.size, tuple(z_idx[v] for v in f.values))
     h_res = Mapping(y_res.size, z_res.size, tuple(z_idx[h.values[y]] for y in y_keep))
     res = _run_method(fcore_method, inst.X, f_res, z_res, stats)
+    if isinstance(res, InapplicableReport):
+        res = res.fallback
     image = list(res.image)
     pos = {e: i for i, e in enumerate(image)}
     f_core = Mapping(len(image), z_res.size, tuple(f_res.values[e] for e in image))
@@ -420,6 +419,6 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
         inst.Y.size,
         tuple(y_keep[g_core.values[pos[rvals[v]]]] for v in range(inst.X.size)),
     )
-    if not is_homomorphism(g, inst.X, inst.Y) or compose(inst.h, g) != inst.f:
+    if not verify_witness(inst, g):
         raise AssertionError("reassembled right factor fails verification")
     return g

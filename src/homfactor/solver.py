@@ -7,6 +7,11 @@ tuple are assigned, the image of the result collapses to a single value.
 Unary operations therefore propagate in chains, which the encodings rely on
 heavily. Exceeding a configured node limit raises NodeLimitReached: an
 explicit "unknown" outcome, distinct from an exhaustive "no".
+
+What each instance kind means lives here and nowhere else: decide dispatches
+on the kind, full factors and retractions share one combined search over g-
+and h-variables, and every witness an entry point returns has passed
+verify_witness, the single per-kind check.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ __all__ = [
     "find_factorization",
     "decide_retraction",
     "decide_isomorphism",
+    "decide",
+    "verify_witness",
 ]
 
 KINDS = ("hom", "right-factor", "left-factor", "full-factor", "retraction", "isomorphism")
@@ -54,18 +61,11 @@ class InstanceError(AlgebraError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    variable_order: str = "mrv"  # "mrv" | "lexicographic"
     node_limit: int | None = None
-    witness_limit: int = 1
-    combined_full_factor: bool = True  # False: enumerate h, then solve right-factors
 
     def __post_init__(self):
-        if self.variable_order not in ("mrv", "lexicographic"):
-            raise ValueError(f"unknown variable order {self.variable_order!r}")
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be positive")
-        if self.witness_limit < 1:
-            raise ValueError("witness_limit must be positive")
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -368,7 +368,7 @@ def _initial_domains(a, b, domains):
     return doms
 
 
-def _hom_engine(a, b, cfg, domains, stats, *, all_different=False):
+def _hom_engine(a, b, cfg, domains, stats, *, order="mrv", all_different=False):
     doms = _initial_domains(a, b, domains)
     if doms is None:
         return None
@@ -377,89 +377,73 @@ def _hom_engine(a, b, cfg, domains, stats, *, all_different=False):
     return _Engine(
         problem,
         doms,
-        order=cfg.variable_order,
-        node_limit=cfg.node_limit,
+        order=order,
+        node_limit=(cfg or DEFAULT_CONFIG).node_limit,
         all_different=all_different,
         stats=stats,
     )
 
 
-def find_homomorphism(a, b, cfg=None, *, domains=None, stats=None):
-    """First homomorphism a -> b within the per-element domains, or None.
+def _search_hom(a, b, cfg, stats, *, domains=None, all_different=False):
+    """First homomorphism a -> b the search finds, not yet re-verified."""
+    eng = _hom_engine(a, b, cfg, domains, stats, all_different=all_different)
+    sol = None if eng is None else next(eng.solutions(), None)
+    return None if sol is None else Mapping(a.size, b.size, sol)
 
-    None means exhaustive refutation; hitting a configured node limit raises
-    NodeLimitReached instead of answering.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    if a.signature != b.signature:
-        raise SignatureMismatch("algebras do not share a signature")
-    eng = _hom_engine(a, b, cfg, domains, stats)
-    if eng is None:
+
+def verify_witness(inst: FactorizationInstance, g=None, h=None) -> bool:
+    """True iff g and/or h witness a "yes" for inst; the map the kind does
+    not solve for is ignored. The instance itself is assumed valid."""
+    x, y, kind = inst.X, inst.Y, inst.kind
+    if kind in ("hom", "right-factor", "isomorphism"):
+        if g is None or not is_homomorphism(g, x, y):
+            return False
+        if kind == "right-factor":
+            return compose(inst.h, g) == inst.f
+        if kind == "isomorphism":
+            if len(set(g.values)) != y.size or x.size != y.size:
+                return False
+            inverse = [0] * y.size
+            for i, v in enumerate(g.values):
+                inverse[v] = i
+            return is_homomorphism(Mapping(y.size, x.size, inverse), y, x)
+        return True
+    if kind == "left-factor":
+        return h is not None and is_homomorphism(h, y, inst.Z) and compose(h, inst.g) == inst.f
+    if kind in ("full-factor", "retraction"):
+        z, f = (inst.Z, inst.f) if kind == "full-factor" else (x, Mapping.identity(x.size))
+        return (
+            g is not None
+            and h is not None
+            and is_homomorphism(g, x, y)
+            and is_homomorphism(h, y, z)
+            and compose(h, g) == f
+        )
+    raise InstanceError(f"unknown kind {kind!r}")
+
+
+def _verified(inst, g, h):
+    """(g, h) once verify_witness accepts it; None when the search found none."""
+    if g is None and h is None:
         return None
-    for sol in eng.solutions():
-        m = Mapping(a.size, b.size, sol)
-        if not is_homomorphism(m, a, b):
-            raise AssertionError("search produced a non-homomorphism")
-        return m
-    return None
+    if not verify_witness(inst, g, h):
+        raise AssertionError(f"search produced a witness that fails the {inst.kind} check")
+    return g, h
 
 
-def enumerate_homomorphisms(a, b, limit, *, cfg=None, stats=None):
-    """Distinct homomorphisms in lexicographic order, up to limit."""
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
-    base = cfg or DEFAULT_CONFIG
-    cfg = SearchConfig(
-        variable_order="lexicographic",
-        node_limit=base.node_limit,
-        witness_limit=limit,
-    )
-    if a.signature != b.signature:
-        raise SignatureMismatch("algebras do not share a signature")
-    eng = _hom_engine(a, b, cfg, None, stats)
-    out = []
-    if eng is None:
-        return out
-    for sol in eng.solutions():
-        m = Mapping(a.size, b.size, sol)
-        if not is_homomorphism(m, a, b):
-            raise AssertionError("search produced a non-homomorphism")
-        out.append(m)
-        if len(out) >= limit:
-            break
-    return out
+def _solve_hom(inst, cfg, stats, domains=None):
+    return _verified(inst, _search_hom(inst.X, inst.Y, cfg, stats, domains=domains), None)
 
 
-def find_right_factor(inst: FactorizationInstance, cfg=None, *, stats=None):
-    """Homomorphism g: X -> Y with h∘g = f, or None.
-
-    Each variable's initial domain is the h-fiber over f(x), so the
-    composition identity holds by construction on any witness.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    inst.validate()
-    if inst.kind != "right-factor":
-        raise InstanceError(f"expected a right-factor instance, got {inst.kind}")
+def _solve_right_factor(inst, cfg, stats):
     fibers = {}
     for z in set(inst.f.values):
         fibers[z] = {y for y in range(inst.Y.size) if inst.h.values[y] == z}
     domains = [fibers[inst.f.values[x]] for x in range(inst.X.size)]
-    g = find_homomorphism(inst.X, inst.Y, cfg, domains=domains, stats=stats)
-    if g is not None and compose(inst.h, g) != inst.f:
-        raise AssertionError("right-factor witness fails h∘g = f")
-    return g
+    return _solve_hom(inst, cfg, stats, domains)
 
 
-def find_left_factor(inst: FactorizationInstance, cfg=None, *, stats=None):
-    """Homomorphism h: Y -> Z with h∘g = f, or None.
-
-    The partial assignment h(g(x)) := f(x) is seeded first and the instance
-    is rejected immediately when g identifies points that f separates.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    inst.validate()
-    if inst.kind != "left-factor":
-        raise InstanceError(f"expected a left-factor instance, got {inst.kind}")
+def _solve_left_factor(inst, cfg, stats):
     seeds = {}
     for x in range(inst.X.size):
         y, z = inst.g.values[x], inst.f.values[x]
@@ -469,10 +453,7 @@ def find_left_factor(inst: FactorizationInstance, cfg=None, *, stats=None):
         {seeds[y]} if y in seeds else set(range(inst.Z.size))
         for y in range(inst.Y.size)
     ]
-    h = find_homomorphism(inst.Y, inst.Z, cfg, domains=domains, stats=stats)
-    if h is not None and compose(h, inst.g) != inst.f:
-        raise AssertionError("left-factor witness fails h∘g = f")
-    return h
+    return _verified(inst, None, _search_hom(inst.Y, inst.Z, cfg, stats, domains=domains))
 
 
 def _channel_hook(n_x, f_values):
@@ -491,119 +472,133 @@ def _channel_hook(n_x, f_values):
     return hook
 
 
-def _combined_engine(x, y, z, f_values, cfg, stats):
-    n_x, n_y = x.size, y.size
-    problem = _Problem(n_x + n_y)
-    problem.add_hom_constraints(x, y, offset=0)
-    problem.add_hom_constraints(y, z, offset=n_x)
-    g_dom = [set(range(n_y)) for _ in range(n_x)]
-    if _all_unary(x.signature):
-        ac = _unary_consistent_domains(x, y)
-        if ac is None:
-            return None
-        g_dom = [d & a for d, a in zip(g_dom, ac)]
-    h_dom = [set(range(z.size)) for _ in range(n_y)]
-    if _all_unary(y.signature):
-        ac = _unary_consistent_domains(y, z)
-        if ac is None:
-            return None
-        h_dom = [d & a for d, a in zip(h_dom, ac)]
-    return _Engine(
+def _solve_factor_pair(inst, cfg, stats):
+    """One combined search over g- and h-variables with the channeling
+    constraint; a retraction is the full factor of the identity with Z = X."""
+    x, y = inst.X, inst.Y
+    z = inst.Z if inst.Z is not None else x
+    f_values = inst.f.values if inst.f is not None else tuple(range(x.size))
+    g_dom = _initial_domains(x, y, None)
+    h_dom = None if g_dom is None else _initial_domains(y, z, None)
+    if h_dom is None:
+        return None
+    problem = _Problem(x.size + y.size)
+    problem.add_hom_constraints(x, y)
+    problem.add_hom_constraints(y, z, offset=x.size)
+    eng = _Engine(
         problem,
         g_dom + h_dom,
-        order=cfg.variable_order,
-        node_limit=cfg.node_limit,
-        hooks=(_channel_hook(n_x, f_values),),
+        node_limit=(cfg or DEFAULT_CONFIG).node_limit,
+        hooks=(_channel_hook(x.size, f_values),),
         stats=stats,
+    )
+    sol = next(eng.solutions(), None)
+    if sol is None:
+        return None
+    return _verified(
+        inst, Mapping(x.size, y.size, sol[: x.size]), Mapping(y.size, z.size, sol[x.size:])
     )
 
 
-def _verify_pair(inst, g, h):
-    if not is_homomorphism(g, inst.X, inst.Y):
-        raise AssertionError("search produced a non-homomorphism g")
-    if not is_homomorphism(h, inst.Y, inst.Z):
-        raise AssertionError("search produced a non-homomorphism h")
-    if compose(h, g) != inst.f:
-        raise AssertionError("witness pair fails h∘g = f")
+def _solve_isomorphism(inst, cfg, stats):
+    if inst.X.size != inst.Y.size:
+        return None
+    g = _search_hom(inst.X, inst.Y, cfg, stats, all_different=True)
+    return _verified(inst, g, None)
+
+
+_SOLVERS = {
+    "hom": _solve_hom,
+    "right-factor": _solve_right_factor,
+    "left-factor": _solve_left_factor,
+    "full-factor": _solve_factor_pair,
+    "retraction": _solve_factor_pair,
+    "isomorphism": _solve_isomorphism,
+}
+
+
+def decide(inst: FactorizationInstance, cfg=None, *, stats=None):
+    """Decide any instance kind: (g, h) with the map the kind does not solve
+    for set to None, or None for an exhaustive "no".
+
+    The instance is validated once. Hitting a configured node limit raises
+    NodeLimitReached instead of answering.
+    """
+    inst.validate()
+    return _SOLVERS[inst.kind](inst, cfg, stats)
+
+
+def _expect(inst, *kinds):
+    if inst.kind not in kinds:
+        raise InstanceError(f"expected a {kinds[0]} instance, got {inst.kind}")
+    return inst
+
+
+def _algebra_pair(kind, a, b):
+    if a.signature != b.signature:
+        raise SignatureMismatch("algebras do not share a signature")
+    return FactorizationInstance(kind, a, b)
+
+
+def find_homomorphism(a, b, cfg=None, *, domains=None, stats=None):
+    """First homomorphism a -> b within the per-element domains, or None.
+
+    None means exhaustive refutation; hitting a configured node limit raises
+    NodeLimitReached instead of answering.
+    """
+    pair = _solve_hom(_algebra_pair("hom", a, b), cfg, stats, domains)
+    return None if pair is None else pair[0]
+
+
+def enumerate_homomorphisms(a, b, limit, *, cfg=None, stats=None):
+    """Distinct homomorphisms in lexicographic order, up to limit."""
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+    inst = _algebra_pair("hom", a, b)
+    eng = _hom_engine(a, b, cfg, None, stats, order="lexicographic")
+    if eng is None:
+        return []
+    return [
+        _verified(inst, Mapping(a.size, b.size, sol), None)[0]
+        for sol in itertools.islice(eng.solutions(), limit)
+    ]
+
+
+def find_right_factor(inst: FactorizationInstance, cfg=None, *, stats=None):
+    """Homomorphism g: X -> Y with h∘g = f, or None.
+
+    Each variable's initial domain is the h-fiber over f(x), so the
+    composition identity holds by construction on any witness.
+    """
+    pair = decide(_expect(inst, "right-factor"), cfg, stats=stats)
+    return None if pair is None else pair[0]
+
+
+def find_left_factor(inst: FactorizationInstance, cfg=None, *, stats=None):
+    """Homomorphism h: Y -> Z with h∘g = f, or None.
+
+    The partial assignment h(g(x)) := f(x) is seeded first and the instance
+    is rejected immediately when g identifies points that f separates.
+    """
+    pair = decide(_expect(inst, "left-factor"), cfg, stats=stats)
+    return None if pair is None else pair[1]
 
 
 def find_factorization(inst: FactorizationInstance, cfg=None, *, stats=None):
     """Pair (g, h) with f = h∘g, or None.
 
-    Default strategy is one combined search over g- and h-variables with the
-    channeling constraint; cfg.combined_full_factor=False switches to
-    enumerating h and solving the induced right-factor instances.
+    One combined search over g- and h-variables with the channeling
+    constraint h(g(x)) = f(x). A retraction instance is accepted too.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    inst.validate()
-    if inst.kind not in ("full-factor", "retraction"):
-        raise InstanceError(f"expected a full-factor instance, got {inst.kind}")
-    f = inst.f if inst.f is not None else Mapping.identity(inst.X.size)
-    z = inst.Z if inst.Z is not None else inst.X
-    if not cfg.combined_full_factor:
-        return _factorize_by_enumeration(inst, f, z, cfg, stats)
-    eng = _combined_engine(inst.X, inst.Y, z, f.values, cfg, stats)
-    if eng is None:
-        return None
-    for sol in eng.solutions():
-        g = Mapping(inst.X.size, inst.Y.size, sol[: inst.X.size])
-        h = Mapping(inst.Y.size, z.size, sol[inst.X.size:])
-        probe = FactorizationInstance("full-factor", inst.X, inst.Y, z, f=f)
-        _verify_pair(probe, g, h)
-        return g, h
-    return None
-
-
-def _factorize_by_enumeration(inst, f, z, cfg, stats):
-    inner = SearchConfig(
-        variable_order=cfg.variable_order, node_limit=cfg.node_limit
-    )
-    for h in enumerate_homomorphisms(inst.Y, z, limit=z.size**inst.Y.size, stats=stats):
-        sub = FactorizationInstance(
-            "right-factor", inst.X, inst.Y, z, f=f, h=h
-        )
-        g = find_right_factor(sub, inner, stats=stats)
-        if g is not None:
-            return g, h
-    return None
+    return decide(_expect(inst, "full-factor", "retraction"), cfg, stats=stats)
 
 
 def decide_retraction(x: FiniteAlgebra, y: FiniteAlgebra, cfg=None, *, stats=None):
     """Pair (g: X->Y, h: Y->X) with h∘g = id_X, or None."""
-    cfg = cfg or DEFAULT_CONFIG
-    if x.signature != y.signature:
-        raise SignatureMismatch("algebras do not share a signature")
-    eng = _combined_engine(x, y, x, tuple(range(x.size)), cfg, stats)
-    if eng is None:
-        return None
-    for sol in eng.solutions():
-        g = Mapping(x.size, y.size, sol[: x.size])
-        h = Mapping(y.size, x.size, sol[x.size:])
-        probe = FactorizationInstance(
-            "full-factor", x, y, x, f=Mapping.identity(x.size)
-        )
-        _verify_pair(probe, g, h)
-        return g, h
-    return None
+    return _solve_factor_pair(_algebra_pair("retraction", x, y), cfg, stats)
 
 
 def decide_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra, cfg=None, *, stats=None):
     """Bijective homomorphism with homomorphic inverse, or None."""
-    cfg = cfg or DEFAULT_CONFIG
-    if a.signature != b.signature:
-        raise SignatureMismatch("algebras do not share a signature")
-    if a.size != b.size:
-        return None
-    eng = _hom_engine(a, b, cfg, None, stats, all_different=True)
-    if eng is None:
-        return None
-    for sol in eng.solutions():
-        m = Mapping(a.size, b.size, sol)
-        inverse = [0] * b.size
-        for i, v in enumerate(sol):
-            inverse[v] = i
-        inv = Mapping(b.size, a.size, inverse)
-        if is_homomorphism(m, a, b) and is_homomorphism(inv, b, a):
-            return m
-        raise AssertionError("bijective witness has a non-homomorphic inverse")
-    return None
+    pair = _solve_isomorphism(_algebra_pair("isomorphism", a, b), cfg, stats)
+    return None if pair is None else pair[0]

@@ -1,6 +1,8 @@
+import pytest
+
 from homfactor.algebra import Mapping
 from homfactor.cli import main
-from homfactor.encodings import make_rf_instance, make_unary_lf_instance
+from homfactor.encodings import encode_semigroup, make_rf_instance, make_unary_lf_instance
 from homfactor.graphs import Graph, complete_graph, cycle_graph
 from homfactor.io import (
     read_algebra,
@@ -11,7 +13,8 @@ from homfactor.io import (
     write_instance,
     write_mapping,
 )
-from homfactor.varieties import make_abelian
+from homfactor.solver import FactorizationInstance, decide, verify_witness
+from homfactor.varieties import make_abelian, make_gset
 
 
 def run(*argv):
@@ -157,6 +160,50 @@ def test_verify_detects_perturbation(tmp_path):
     write_mapping(Mapping(3, 2, (0, 1, 0)), tmp_path / "tiny.map")
     assert run("verify", "--instance", str(tmp_path / "i.instance"),
                "--g", str(tmp_path / "tiny.map")) == 2
+
+
+def _yes_instance(kind):
+    # On trivial actions every map is a homomorphism, so a changed entry in a
+    # factor or isomorphism witness is caught only by the kind's own condition.
+    t2, t3 = make_gset([(0, 1)]), make_gset([(0, 1, 2)])
+    f = Mapping(3, 2, (0, 1, 0))
+    if kind == "hom":
+        return FactorizationInstance(
+            "hom", encode_semigroup(cycle_graph(4))[0], encode_semigroup(complete_graph(2))[0]
+        )
+    if kind == "right-factor":
+        return FactorizationInstance(kind, t3, t2, t2, f=f, h=Mapping.identity(2))
+    if kind == "left-factor":
+        return FactorizationInstance(kind, t3, t2, t2, f=f, g=f)
+    if kind == "full-factor":
+        return FactorizationInstance(kind, t2, t3, t2, f=Mapping.identity(2))
+    if kind == "retraction":
+        return FactorizationInstance(kind, t2, t3)
+    return FactorizationInstance("isomorphism", t2, t2)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["hom", "right-factor", "left-factor", "full-factor", "retraction", "isomorphism"],
+)
+def test_verify_witness_per_kind(tmp_path, kind):
+    inst = _yes_instance(kind)
+    pair = decide(inst)
+    assert pair is not None and verify_witness(inst, *pair)
+    side = 0 if pair[0] is not None else 1
+    values = list(pair[side].values)
+    values[0] = (values[0] + 1) % pair[side].cod_size
+    bad = list(pair)
+    bad[side] = Mapping(pair[side].dom_size, pair[side].cod_size, values)
+    assert not verify_witness(inst, *bad)
+    write_instance(inst, tmp_path / "i.instance")
+    for witness, rc in ((pair, 0), (bad, 1)):
+        argv = ["verify", "--instance", str(tmp_path / "i.instance")]
+        for name, m in zip("gh", witness):
+            if m is not None:
+                write_mapping(m, tmp_path / f"{name}.map")
+                argv += [f"--{name}", str(tmp_path / f"{name}.map")]
+        assert run(*argv) == rc
 
 
 def test_decide_reruns_are_byte_identical(tmp_path):

@@ -11,6 +11,7 @@ from homfactor.encodings import (
     make_semilattice_X,
 )
 from homfactor.graphs import complete_graph, cycle_graph, graph_hom, graph_retract, path_graph
+from homfactor.varieties import make_abelian, make_gset
 from homfactor.solver import (
     FactorizationInstance,
     InstanceError,
@@ -113,16 +114,43 @@ def test_full_factor_through_self(gadgets):
     assert compose(h, g) == f
 
 
-def test_full_factor_fallback_strategy_agrees(gadgets):
-    z = gadgets.target_semigroup
-    f = Mapping.constant(5, 5, 0)
-    inst = FactorizationInstance("full-factor", z, z, z, f=f)
-    combined = find_factorization(inst)
-    fallback = find_factorization(inst, SearchConfig(combined_full_factor=False))
-    assert (combined is None) == (fallback is None)
-    for pair in (combined, fallback):
-        g, h = pair
-        assert compose(h, g) == f
+def _brute_factors(x, y, z):
+    """Every composite h∘g over the full map spaces X -> Y -> Z."""
+    hs = brute_homs(y, z)
+    return {compose(h, g) for g in brute_homs(x, y) for h in hs}
+
+
+def _small_triples(gadgets):
+    z5, xk1 = gadgets.target_semigroup, encode_semigroup(complete_graph(1))[0]
+    c4, c2, c2f = make_gset([(1, 2, 3, 0)]), make_gset([(1, 0)]), make_gset([(1, 0, 2)])
+    z2, z4, z22 = make_abelian([2]), make_abelian([4]), make_abelian([2, 2])
+    return [
+        (z5, xk1, z5), (xk1, z5, xk1), (z4, z22, z4), (z22, z4, z22), (z4, z2, z4),
+        (c4, c2f, c4), (c4, c2, c2f), (c2f, make_gset([(0, 1)]), c2f),
+    ]
+
+
+def test_full_factor_matches_brute_force(gadgets):
+    for x, y, z in _small_triples(gadgets):
+        composites = _brute_factors(x, y, z)
+        for f in brute_homs(x, z):
+            pair = find_factorization(FactorizationInstance("full-factor", x, y, z, f=f))
+            assert (pair is not None) == (f in composites)
+            if pair is not None:
+                assert compose(pair[1], pair[0]) == f
+
+
+def test_retraction_matches_brute_force(gadgets):
+    pairs = [(x, y) for x, y, _ in _small_triples(gadgets)]
+    z2, z22 = make_abelian([2]), make_abelian([2, 2])
+    c2, c22 = make_gset([(1, 0)]), make_gset([(1, 0, 3, 2)])
+    pairs += [(z2, z22), (c2, c22), (gadgets.target_semigroup, gadgets.target_semigroup)]
+    answers = set()
+    for x, y in pairs:
+        expected = Mapping.identity(x.size) in _brute_factors(x, y, x)
+        assert (decide_retraction(x, y) is not None) == expected
+        answers.add(expected)
+    assert answers == {True, False}
 
 
 def test_full_factor_matches_graph_retract():
