@@ -278,16 +278,17 @@ def induced_subalgebra(a: FiniteAlgebra, subset) -> tuple[FiniteAlgebra, dict[in
     if elems[0] < 0 or elems[-1] >= a.size:
         raise AlgebraError("subset element out of range")
     index = {old: new for new, old in enumerate(elems)}
-    for name, arity in a.signature.ops:
-        for tup in itertools.product(elems, repeat=arity):
-            v = a.apply(name, *tup)
-            if v not in index:
-                raise ClosureError(f"not closed: {name}{tup} = {v} is outside the subset")
+    lookup = np.zeros(a.size, dtype=np.int64)
+    lookup[elems] = np.arange(len(elems))
     tables = {}
     for name, arity in a.signature.ops:
-        tables[name] = [
-            index[a.apply(name, *tup)] for tup in itertools.product(elems, repeat=arity)
-        ]
+        values = a.nd(name)[np.ix_(*[elems] * arity)]
+        outside = np.flatnonzero(~np.isin(values, elems))
+        if outside.size:  # report the lexicographically first violating tuple
+            tup = tuple(elems[i] for i in np.unravel_index(outside[0], values.shape))
+            v = int(values.flat[outside[0]])
+            raise ClosureError(f"not closed: {name}{tup} = {v} is outside the subset")
+        tables[name] = lookup[values]
     labels = tuple(a.labels[e] for e in elems) if a.labels else None
     return FiniteAlgebra(a.signature, len(elems), tables, labels), index
 

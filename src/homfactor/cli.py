@@ -168,63 +168,53 @@ def cmd_verify(args) -> CommandResult:
     return CommandResult("yes" if verify_witness(inst, g, h) else "no")
 
 
+def _rf_row(g, h, stats):
+    inst = make_rf_instance(g, h)
+    answer = find_right_factor(inst, stats=stats) is not None
+    return (inst.X.size, inst.Y.size, inst.Z.size), answer, graph_hom(g, h) is not None
+
+
+def _magma_row(g, h, stats):
+    ga, _ = encode_magma(g)
+    ha, _ = encode_magma(h)
+    answer = find_homomorphism(ga, ha, stats=stats) is not None
+    # the magma encoding mirrors *injective* strong homomorphisms,
+    # i.e. induced subgraph embeddings
+    oracle = subgraph_embedding(g, h, induced=True) is not None
+    return (ga.size, ha.size, "-"), answer, oracle
+
+
+def _unary_row(g, h, stats):
+    dg, dh = g.as_directed(), h.as_directed()
+    ga, _ = encode_unary(dg)
+    ha, _ = encode_unary(dh)
+    answer = find_homomorphism(ga, ha, stats=stats) is not None
+    return (ga.size, ha.size, "-"), answer, graph_hom(dg, dh) is not None
+
+
+def _lf_row(g, h, stats):
+    inst = make_lf_instance(g, h)
+    answer = find_left_factor(inst, stats=stats) is not None
+    return (inst.X.size, inst.Y.size, inst.Z.size), answer, graph_hom(h, g) is not None
+
+
 def _bench_reductions(max_size, rows):
     undirected = graph_catalog(1, max_size)
     small = [g for g in undirected if g.n >= 2]
-    connected = [g for g in undirected if g.n >= 2 and g.is_connected()]
-    for i, g in enumerate(undirected):
-        for j, h in enumerate(undirected):
-            stats = SearchStats()
-            t0 = time.perf_counter()
-            inst = make_rf_instance(g, h)
-            answer = find_right_factor(inst, stats=stats) is not None
-            oracle = graph_hom(g, h) is not None
-            ms = int((time.perf_counter() - t0) * 1000)
-            rows.append(
-                (f"rf:{i}:{j}", "right-factor", inst.X.size, inst.Y.size,
-                 inst.Z.size, answer, oracle, stats.nodes, ms)
-            )
-    for i, g in enumerate(small):
-        for j, h in enumerate(small):
-            stats = SearchStats()
-            t0 = time.perf_counter()
-            ga, _ = encode_magma(g)
-            ha, _ = encode_magma(h)
-            answer = find_homomorphism(ga, ha, stats=stats) is not None
-            # the magma encoding mirrors *injective* strong homomorphisms,
-            # i.e. induced subgraph embeddings
-            oracle = subgraph_embedding(g, h, induced=True) is not None
-            ms = int((time.perf_counter() - t0) * 1000)
-            rows.append(
-                (f"magma:{i}:{j}", "hom", ga.size, ha.size, "-", answer, oracle,
-                 stats.nodes, ms)
-            )
-    for i, g in enumerate(undirected):
-        for j, h in enumerate(undirected):
-            stats = SearchStats()
-            t0 = time.perf_counter()
-            dg, dh = g.as_directed(), h.as_directed()
-            ga, _ = encode_unary(dg)
-            ha, _ = encode_unary(dh)
-            answer = find_homomorphism(ga, ha, stats=stats) is not None
-            oracle = graph_hom(dg, dh) is not None
-            ms = int((time.perf_counter() - t0) * 1000)
-            rows.append(
-                (f"unary:{i}:{j}", "hom", ga.size, ha.size, "-", answer, oracle,
-                 stats.nodes, ms)
-            )
-    for i, g in enumerate(connected):
-        for j, h in enumerate(connected):
-            stats = SearchStats()
-            t0 = time.perf_counter()
-            inst = make_lf_instance(g, h)
-            answer = find_left_factor(inst, stats=stats) is not None
-            oracle = graph_hom(h, g) is not None
-            ms = int((time.perf_counter() - t0) * 1000)
-            rows.append(
-                (f"lf:{i}:{j}", "left-factor", inst.X.size, inst.Y.size,
-                 inst.Z.size, answer, oracle, stats.nodes, ms)
-            )
+    connected = [g for g in small if g.is_connected()]
+    for prefix, kind, graphs, run in (
+        ("rf", "right-factor", undirected, _rf_row),
+        ("magma", "hom", small, _magma_row),
+        ("unary", "hom", undirected, _unary_row),
+        ("lf", "left-factor", connected, _lf_row),
+    ):
+        for i, g in enumerate(graphs):
+            for j, h in enumerate(graphs):
+                stats = SearchStats()
+                t0 = time.perf_counter()
+                sizes, answer, oracle = run(g, h, stats)
+                ms = int((time.perf_counter() - t0) * 1000)
+                rows.append((f"{prefix}:{i}:{j}", kind, *sizes, answer, oracle, stats.nodes, ms))
 
 
 def _bench_fcores(max_size, rows):

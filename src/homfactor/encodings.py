@@ -20,7 +20,8 @@ decoded back into vertex maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,9 +81,14 @@ class Legend:
 
     kind: str
     entries: tuple[tuple, ...]
+    _index: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {role: i for i, role in enumerate(self.entries)})
 
     def role_index(self) -> dict[tuple, int]:
-        return {role: i for i, role in enumerate(self.entries)}
+        """Element of every role; one dict per legend, shared, not to be mutated."""
+        return self._index
 
     def vertices(self) -> list[int]:
         return sorted(v for role in self.entries if role[0] == "vertex-copy" and role[2] == 1 for v in (role[1],))
@@ -245,7 +251,9 @@ class Gadgets:
     two_point_legend: Legend
 
 
+@functools.cache
 def make_gadgets() -> Gadgets:
+    """The gadget algebras, built once; every table is read-only."""
     target_labels = ("0", "a", "b", "b2", "c")
     nonzero = {(1, 1): 4, (1, 2): 4, (2, 1): 4, (2, 2): 3}
     target = FiniteAlgebra.from_function(

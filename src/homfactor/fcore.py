@@ -285,6 +285,8 @@ def boolean_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra) -> FCoreResult
     the least representative. The retraction is the inverse-image map of
     that atom function, so its image is a copy of the target.
     """
+    if z is None:
+        raise AlgebraError("the boolean method needs the target algebra Z")
     for name, alg in (("algebra", x), ("target", z)):
         problems = validate_boolean(alg)
         if problems:

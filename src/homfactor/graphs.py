@@ -135,15 +135,18 @@ def is_strong_graph_hom(phi, g: Graph, h: Graph) -> bool:
     return True
 
 
-def _homs(g: Graph, h: Graph, *, strong=False, injective=False, induced=False, seed=None):
+def _homs(g: Graph, h: Graph, *, strong=False, injective=False, induced=False,
+          seed=None, allowed=None):
     """Yield all edge-preserving maps in lexicographic order.
 
     strong: both directions of the edge condition; induced (with injective):
-    non-edges must map to non-edges; seed: dict of pinned values.
+    non-edges must map to non-edges; seed: dict of pinned values; allowed:
+    the vertices of h that unpinned vertices may map to (default: all).
     """
     phi = [-1] * g.n
     used = [False] * h.n
     seed = seed or {}
+    values = range(h.n) if allowed is None else sorted(allowed)
 
     def consistent(v, w):
         for u in range(g.n):
@@ -169,11 +172,7 @@ def _homs(g: Graph, h: Graph, *, strong=False, injective=False, induced=False, s
         if v == g.n:
             yield tuple(phi)
             return
-        if v in seed:
-            candidates = [seed[v]]
-        else:
-            candidates = range(h.n)
-        for w in candidates:
+        for w in [seed[v]] if v in seed else values:
             if injective and used[w]:
                 continue
             if consistent(v, w):
@@ -218,45 +217,12 @@ def graph_retract(g: Graph, h: Graph):
     return None
 
 
-def _retracts_onto(g: Graph, subset) -> bool:
-    """Is there a hom g -> g with image inside subset fixing subset pointwise?"""
-    seed = {v: v for v in subset}
-    sub = set(subset)
-    phi = [-1] * g.n
-
-    def consistent(v, w):
-        for u in range(g.n):
-            x = phi[u]
-            if x < 0:
-                continue
-            if (u, v) in g.edges and (x, w) not in g.edges:
-                return False
-            if (v, u) in g.edges and (w, x) not in g.edges:
-                return False
-        if (v, v) in g.edges and (w, w) not in g.edges:
-            return False
-        return True
-
-    def rec(v):
-        if v == g.n:
-            return True
-        candidates = [seed[v]] if v in seed else sorted(sub)
-        for w in candidates:
-            if consistent(v, w):
-                phi[v] = w
-                if rec(v + 1):
-                    return True
-                phi[v] = -1
-        return False
-
-    return rec(0)
-
-
 def graph_core(g: Graph) -> Graph:
     """Minimum-size retract, reindexed; ties broken by least vertex set."""
     for size in range(1, g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
-            if _retracts_onto(g, subset):
+            # a retraction onto subset: a hom g -> g fixing it, image inside it
+            if next(_homs(g, g, seed={v: v for v in subset}, allowed=subset), None) is not None:
                 index = {v: i for i, v in enumerate(subset)}
                 edges = {
                     (index[u], index[v])

@@ -8,6 +8,7 @@ trusted from a manifest. Samplers are deterministic given a seed.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -59,62 +60,48 @@ def gset_signature(m: int) -> Signature:
     return Signature(tuple((f"g{k}", 1) for k in range(m)))
 
 
+def _digits(shape) -> np.ndarray:
+    """Digits of every element of a product of cyclic factors, one column each.
+
+    Returns an int array of shape (len(shape), size): column x holds the
+    digits of element x in mixed radix over ``shape``, most significant
+    digit first; ``np.ravel_multi_index(digits, shape)`` encodes back.
+    Abelian groups (``make_abelian``) number their elements this way, so
+    row i is the coordinate in the i-th cyclic factor. Vector spaces
+    (``make_vspace``, ``vspace_hom``) number F_p^d in base p with the
+    *least* significant digit first: coordinate i of element x is row
+    d-1-i of ``_digits((p,) * d)``.
+    """
+    return np.indices(shape).reshape(len(shape), math.prod(shape))
+
+
 def make_abelian(orders) -> FiniteAlgebra:
-    """Direct product of cyclic groups, elements in mixed-radix order."""
+    """Direct product of cyclic groups, elements numbered as in ``_digits``."""
     orders = tuple(int(o) for o in orders)
-    size = 1
-    for o in orders:
-        size *= o
-
-    def decode(x):
-        out = []
-        for o in reversed(orders):
-            out.append(x % o)
-            x //= o
-        return tuple(reversed(out))
-
-    def encode(t):
-        x = 0
-        for v, o in zip(t, orders):
-            x = x * o + v
-        return x
-
-    def add(x, y):
-        return encode(tuple((a + b) % o for a, b, o in zip(decode(x), decode(y), orders)))
-
-    def neg(x):
-        return encode(tuple((-a) % o for a, o in zip(decode(x), orders)))
-
-    return FiniteAlgebra.from_function(
-        ABELIAN_SIGNATURE, size, {"add": add, "neg": neg, "zero": lambda: 0}
-    )
+    digits = _digits(orders)
+    mod = np.array(orders)[:, None]
+    add = (digits[:, :, None] + digits[:, None, :]) % mod[:, :, None]
+    tables = {
+        "add": np.ravel_multi_index(tuple(add), orders),
+        "neg": np.ravel_multi_index(tuple(-digits % mod), orders),
+        "zero": [0],
+    }
+    return FiniteAlgebra(ABELIAN_SIGNATURE, digits.shape[1], tables)
 
 
 def make_vspace(p: int, d: int) -> FiniteAlgebra:
-    """F_p^d with one scalar operation per field element; base-p coordinates."""
-    size = p**d
+    """F_p^d with one scalar operation per field element, numbered as in ``_digits``.
 
-    def decode(x):
-        out = []
-        for _ in range(d):
-            out.append(x % p)
-            x //= p
-        return out
-
-    def encode(t):
-        x = 0
-        for v in reversed(t):
-            x = x * p + v
-        return x
-
-    funcs = {
-        "add": lambda x, y: encode([(a + b) % p for a, b in zip(decode(x), decode(y))]),
-        "neg": lambda x: encode([(-a) % p for a in decode(x)]),
-        "zero": lambda: 0,
-    }
+    Every operation acts digit by digit, so the abelian tables of (p,)*d are
+    the vector-space tables whichever digit is taken as least significant.
+    """
+    shape = (p,) * d
+    base = make_abelian(shape)
+    digits = _digits(shape)
+    tables = dict(base.tables)
     for k in range(p):
-        funcs[f"s{k}"] = (lambda k: lambda x: encode([(k * a) % p for a in decode(x)]))(k)
-    return FiniteAlgebra.from_function(vspace_signature(p), size, funcs)
+        tables[f"s{k}"] = np.ravel_multi_index(tuple(k * digits % p), shape)
+    return FiniteAlgebra(vspace_signature(p), base.size, tables)
 
 
 def make_boolean(k: int) -> FiniteAlgebra:
@@ -345,25 +332,10 @@ def vspace_hom(p: int, d_from: int, d_to: int, matrix) -> tuple[Mapping, FiniteA
     """Linear map F_p^d_from -> F_p^d_to given by a d_to x d_from matrix."""
     x = make_vspace(p, d_from)
     z = make_vspace(p, d_to)
-
-    def decode(v, d):
-        out = []
-        for _ in range(d):
-            out.append(v % p)
-            v //= p
-        return out
-
-    def encode(t):
-        v = 0
-        for a in reversed(t):
-            v = v * p + a
-        return v
-
-    values = []
-    for e in range(x.size):
-        coords = decode(e, d_from)
-        img = [sum(matrix[r][c] * coords[c] for c in range(d_from)) % p for r in range(d_to)]
-        values.append(encode(img))
+    coords = _digits((p,) * d_from)[::-1]  # coordinate c is row c
+    image = np.asarray(matrix, dtype=np.int64).reshape(d_to, d_from) @ coords % p
+    # broadcast: into F_p^0 every element ravels to the one scalar 0
+    values = np.broadcast_to(np.ravel_multi_index(tuple(image[::-1]), (p,) * d_to), x.size)
     m = Mapping(x.size, z.size, values)
     if not is_homomorphism(m, x, z):
         raise AlgebraError("matrix does not define a linear map")
@@ -444,20 +416,8 @@ def _sample_abelian(rng: random.Random, max_size: int):
         z_orders = [quotients[i] for i in keep]
         z = make_abelian(z_orders)
 
-        def decode(v, orders=orders):
-            out = []
-            for o in reversed(orders):
-                out.append(v % o)
-                v //= o
-            return list(reversed(out))
-
-        values = []
-        for e in range(x.size):
-            coords = decode(e)
-            img = 0
-            for i in keep:
-                img = img * quotients[i] + coords[i] % quotients[i]
-            values.append(img)
+        digits = _digits(orders)[keep] % np.array(z_orders)[:, None]
+        values = np.ravel_multi_index(tuple(digits), z_orders).tolist()
         f = Mapping(x.size, z.size, values)
         if not is_homomorphism(f, x, z):
             raise AssertionError("sampled abelian quotient is not a homomorphism")

@@ -14,7 +14,7 @@ from homfactor.io import (
     write_mapping,
 )
 from homfactor.solver import FactorizationInstance, decide, verify_witness
-from homfactor.varieties import make_abelian, make_gset
+from homfactor.varieties import make_abelian, make_boolean, make_gset
 
 
 def run(*argv):
@@ -230,6 +230,18 @@ def test_fcore_command(tmp_path):
              "--f", str(tmp_path / "f.map"), "--method", "mystery",
              "--out-prefix", str(tmp_path / "core"))
     assert rc == 2
+
+
+def test_fcore_boolean_needs_target(tmp_path, capsys):
+    write_algebra(make_boolean(2), tmp_path / "b.alg")
+    write_mapping(Mapping.identity(4), tmp_path / "id.map")
+    rc = run("fcore", "--algebra", str(tmp_path / "b.alg"),
+             "--f", str(tmp_path / "id.map"), "--method", "boolean",
+             "--out-prefix", str(tmp_path / "core"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: the boolean method needs the target algebra Z" in err
+    assert "Traceback" not in err
 
 
 def test_fcore_brute_certifies(tmp_path):

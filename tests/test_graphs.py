@@ -88,6 +88,21 @@ def test_graph_core_examples():
     assert graphs_isomorphic(graph_core(path_graph(4)), K2)
 
 
+def _least_endomorphism_image(g):
+    """Exhaustive scan of all n**n vertex maps; the core's size is the least image."""
+    return min(
+        len(set(phi))
+        for phi in itertools.product(range(g.n), repeat=g.n)
+        if is_graph_hom(phi, g, g)
+    )
+
+
+def test_graph_core_size_is_least_endomorphism_image():
+    digraphs = [g for n in range(1, 4) for g in enumerate_graphs(n, directed=True)]
+    for g in graph_catalog(1, 5) + digraphs:
+        assert graph_core(g).n == _least_endomorphism_image(g), g
+
+
 def test_graph_core_idempotent():
     for g in graph_catalog(1, 4):
         core = graph_core(g)

@@ -1,5 +1,9 @@
+import itertools
+
 from homfactor.algebra import FiniteAlgebra, is_homomorphism
 from homfactor.varieties import (
+    _ABELIAN_POOL,
+    ABELIAN_SIGNATURE,
     boolean_atoms,
     boolean_hom,
     gset_orbits,
@@ -14,6 +18,7 @@ from homfactor.varieties import (
     validate_gset,
     validate_vspace,
     vspace_hom,
+    vspace_signature,
 )
 
 
@@ -72,6 +77,64 @@ def test_vspace_hom_matrix():
     f, x, z = vspace_hom(2, 3, 2, [[1, 0, 1], [0, 1, 1]])
     assert is_homomorphism(f, x, z)
     assert len(f.image) == 4
+
+
+def test_abelian_numbering_is_mixed_radix_most_significant_first():
+    # element x is the x-th tuple of itertools.product, i.e. mixed radix
+    # with the first coordinate most significant
+    for orders in _ABELIAN_POOL:
+        elems = list(itertools.product(*(range(o) for o in orders)))
+        index = {t: x for x, t in enumerate(elems)}
+        expected = FiniteAlgebra.from_function(
+            ABELIAN_SIGNATURE,
+            len(elems),
+            {
+                "add": lambda x, y: index[
+                    tuple((a + b) % o for a, b, o in zip(elems[x], elems[y], orders))
+                ],
+                "neg": lambda x: index[tuple(-a % o for a, o in zip(elems[x], orders))],
+                "zero": lambda: 0,
+            },
+        )
+        assert make_abelian(orders) == expected, orders
+
+
+def _base_p(x, p, d):
+    """Coordinates of x in F_p^d, least significant digit first."""
+    return tuple(x // p**i % p for i in range(d))
+
+
+def test_vspace_numbering_is_base_p_least_significant_first():
+    for p, d in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)):
+        index = {_base_p(x, p, d): x for x in range(p**d)}
+
+        def scale(k):
+            return lambda x: index[tuple(k * a % p for a in _base_p(x, p, d))]
+
+        funcs = {
+            "add": lambda x, y: index[
+                tuple((a + b) % p for a, b in zip(_base_p(x, p, d), _base_p(y, p, d)))
+            ],
+            "neg": lambda x: index[tuple(-a % p for a in _base_p(x, p, d))],
+            "zero": lambda: 0,
+        }
+        funcs.update({f"s{k}": scale(k) for k in range(p)})
+        expected = FiniteAlgebra.from_function(vspace_signature(p), p**d, funcs)
+        assert make_vspace(p, d) == expected, (p, d)
+
+
+def test_vspace_hom_values():
+    # column c of the matrix is the image of the c-th unit vector, p**c
+    assert vspace_hom(2, 2, 1, [[1, 0]])[0].values == (0, 1, 0, 1)
+    assert vspace_hom(2, 2, 1, [[0, 1]])[0].values == (0, 0, 1, 1)
+    assert vspace_hom(2, 1, 3, [[1], [0], [1]])[0].values == (0, 5)
+    assert vspace_hom(3, 2, 2, [[1, 2], [0, 1]])[0].values == (0, 1, 2, 5, 3, 4, 7, 8, 6)
+    for p, d_from, d_to, matrix in ((2, 3, 2, [[1, 0, 1], [0, 1, 1]]), (3, 2, 1, [[2, 1]])):
+        f = vspace_hom(p, d_from, d_to, matrix)[0]
+        for x in range(p**d_from):
+            coords = _base_p(x, p, d_from)
+            image = [sum(m * c for m, c in zip(row, coords)) % p for row in matrix]
+            assert _base_p(f(x), p, d_to) == tuple(image)
 
 
 def test_samplers_are_deterministic_and_valid():
