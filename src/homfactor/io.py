@@ -110,6 +110,8 @@ def parse_algebra(text: str) -> FiniteAlgebra:
     while t.peek() is not None:
         t.expect("op")
         name = t.next()
+        if name in tables:
+            raise FormatError(f"algebra: duplicate operation {name!r}")
         arity = t.next_int()
         if arity < 0:
             raise FormatError(f"algebra: negative arity for {name!r}")

@@ -1,11 +1,16 @@
-"""Backtracking search with forward checking for homomorphism factorization.
+"""Root arc consistency plus backtracking with forward checking for
+homomorphism factorization.
 
 One constraint engine drives every variant. Variables are elements of the
 source carrier(s), values are elements of the target carrier(s), and each
 operation table contributes functional constraints: once the arguments of a
 tuple are assigned, the image of the result collapses to a single value.
 Unary operations therefore propagate in chains, which the encodings rely on
-heavily. Exceeding a configured node limit raises NodeLimitReached: an
+heavily. Before any branching, one numpy routine, _consistent_domains,
+prunes the domains to arc consistency in both directions (input support and
+output image): over operations of arity at most 1 for single-map searches,
+and at most 2, joined by the channel h(g(x)) = f(x), for the combined g/h
+search. Exceeding a configured node limit raises NodeLimitReached: an
 explicit "unknown" outcome, distinct from an exhaustive "no".
 
 What each instance kind means lives here and nowhere else: decide dispatches
@@ -16,6 +21,7 @@ verify_witness, the single per-kind check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -74,6 +80,7 @@ DEFAULT_CONFIG = SearchConfig()
 @dataclass
 class SearchStats:
     nodes: int = 0
+    root_pruned: int = 0  # (element, value) pairs removed before branching
 
 
 @dataclass(frozen=True)
@@ -331,52 +338,113 @@ class _Engine:
             self._undo(mark)
 
 
-def _all_unary(sig) -> bool:
-    return bool(sig.ops) and all(a == 1 for _, a in sig.ops)
+_BLOCK_BYTES = 1 << 24  # cap on the binary input-support temporary
 
 
-def _unary_consistent_domains(a: FiniteAlgebra, b: FiniteAlgebra):
-    """Arc-consistent initial domains for all-unary signatures.
+def _incidence(values, n):
+    """Float32 one-hot matrix M[i, values[i]] = 1: a product with it
+    gathers or counts along a table in one matrix multiply."""
+    m = np.zeros((len(values), n), dtype=np.float32)
+    m[np.arange(len(values)), values] = 1
+    return m
 
-    Iterates D[x,y] &= D[opA(x), opB(y)] to a fixpoint; a sound restriction
-    that collapses the encodings' element classes before any branching.
-    Returns None when some row empties (no homomorphism).
+
+def _revise_nullary(ca, cb, d):
+    d = d.copy()
+    d[ca, np.arange(d.shape[1]) != cb] = False
+    return d
+
+
+def _keep_images(d, reach, pre):
+    """Output image: value c of z survives only if every tuple t with
+    op_A(t) = z has some value tuple op_B sends to c (reach[t, c])."""
+    return d & ~(pre @ (~reach).astype(np.float32) > 0)
+
+
+def _revise_unary(ta, tb, pre, img_b, d):
+    d = d & d.take(ta, axis=0).take(tb, axis=1)  # input support
+    return _keep_images(d, d.astype(np.float32) @ img_b > 0, pre)
+
+
+def _revise_binary(ta, tb, pre, img_b, d):
+    na, nb = d.shape
+    df = d.astype(np.float32)
+    # input support: u of x1 needs, for every x2, some v in D[x2] with
+    # tb[u, v] in D[ta[x1, x2]]; position 2 the same way round
+    sup1 = np.empty_like(d)
+    sup2 = np.ones_like(d)
+    step = max(1, _BLOCK_BYTES // (4 * na * nb * nb))
+    for lo in range(0, na, step):
+        # s[x1, x2, u, v] = D[ta[x1, x2], tb[u, v]]
+        s = d.take(ta[lo:lo + step], axis=0).take(tb, axis=2).astype(np.float32)
+        sup1[lo:lo + step] = ((s @ df[None, :, :, None])[..., 0] > 0).all(axis=1)
+        sup2 &= ((df[lo:lo + step, None, None, :] @ s)[:, :, 0, :] > 0).all(axis=0)
+    d = d & sup1 & sup2
+    df = d.astype(np.float32)
+    # reach[x1, x2, c]: some (u, v) in D[x1] x D[x2] has tb[u, v] = c
+    by_u = (df @ img_b).reshape(na, nb, nb)  # [x2, u, c]
+    reach = df @ by_u.transpose(1, 0, 2).reshape(nb, na * nb)
+    return _keep_images(d, reach.reshape(na * na, nb) > 0, pre)
+
+
+def _revision(ta, tb, arity, na, nb):
+    """The revision step of one operation as a function of the domains."""
+    if arity == 0:
+        return functools.partial(_revise_nullary, int(ta[0]), int(tb[0]))
+    pre = _incidence(ta, na).T  # pre[z, t] = 1 iff op_A(t) = z
+    if arity == 1:
+        return functools.partial(_revise_unary, ta, tb, pre, _incidence(tb, nb))
+    # img_b[v, (u, c)] = 1 iff tb[u, v] = c
+    img_b = _incidence(tb, nb).reshape(nb, nb, nb).transpose(1, 0, 2).reshape(nb, nb * nb)
+    return functools.partial(_revise_binary, ta.reshape(na, na), tb.reshape(nb, nb),
+                             pre, img_b)
+
+
+def _consistent_domains(a, b, d, max_arity, *, stats=None):
+    """Root arc consistency for homomorphisms a -> b from the domains d.
+
+    d is an (a.size, b.size) bool matrix. Every operation of arity at most
+    max_arity is revised to a fixpoint in both directions: input support
+    (each value of an argument has a consistent partner for every other
+    argument) and output image (each value of a result is the image of a
+    value tuple of every argument tuple that produces it). The pruning is
+    sound, so arities of 3 or more are simply left to the search. Returns
+    the pruned matrix, or None when some element's domain empties.
     """
-    d = np.ones((a.size, b.size), dtype=bool)
-    ops = [(a.table(n), b.table(n)) for n, _ in a.signature.ops]
+    revisions = [
+        _revision(a.table(name), b.table(name), arity, a.size, b.size)
+        for name, arity in a.signature.ops
+        if arity <= max_arity
+    ]
+    before = int(d.sum())
     while True:
         prev = d
-        for ta, tb in ops:
-            d = d & d[ta][:, tb]
-        if np.array_equal(d, prev):
+        for revise in revisions:
+            d = revise(d)
+        alive = d.any(axis=1).all()
+        if not alive or np.array_equal(d, prev):
             break
-    if not d.any(axis=1).all():
-        return None
-    return [set(np.nonzero(row)[0].tolist()) for row in d]
+    if stats is not None:
+        stats.root_pruned += before - int(d.sum())
+    return d if alive else None
 
 
-def _initial_domains(a, b, domains):
-    if domains is not None:
-        doms = [set(d) for d in domains]
-    else:
-        doms = [set(range(b.size)) for _ in range(a.size)]
-    if _all_unary(a.signature):
-        ac = _unary_consistent_domains(a, b)
-        if ac is None:
-            return None
-        doms = [d & acd for d, acd in zip(doms, ac)]
-    return doms
+def _domain_sets(d):
+    values = range(d.shape[1])
+    return [set(itertools.compress(values, row)) for row in d.tolist()]
 
 
-def _hom_engine(a, b, cfg, domains, stats, *, order="mrv", all_different=False):
-    doms = _initial_domains(a, b, domains)
-    if doms is None:
+def _hom_engine(a, b, cfg, d, stats, *, order="mrv", all_different=False):
+    if d is None:
+        d = np.ones((a.size, b.size), dtype=bool)
+    d = _consistent_domains(a, b, d, 1, stats=stats)
+    if d is None:
         return None
     problem = _Problem(a.size)
     problem.add_hom_constraints(a, b)
     return _Engine(
         problem,
-        doms,
+        _domain_sets(d),
         order=order,
         node_limit=(cfg or DEFAULT_CONFIG).node_limit,
         all_different=all_different,
@@ -384,9 +452,9 @@ def _hom_engine(a, b, cfg, domains, stats, *, order="mrv", all_different=False):
     )
 
 
-def _search_hom(a, b, cfg, stats, *, domains=None, all_different=False):
+def _search_hom(a, b, cfg, stats, *, d=None, all_different=False):
     """First homomorphism a -> b the search finds, not yet re-verified."""
-    eng = _hom_engine(a, b, cfg, domains, stats, all_different=all_different)
+    eng = _hom_engine(a, b, cfg, d, stats, all_different=all_different)
     sol = None if eng is None else next(eng.solutions(), None)
     return None if sol is None else Mapping(a.size, b.size, sol)
 
@@ -431,16 +499,14 @@ def _verified(inst, g, h):
     return g, h
 
 
-def _solve_hom(inst, cfg, stats, domains=None):
-    return _verified(inst, _search_hom(inst.X, inst.Y, cfg, stats, domains=domains), None)
+def _solve_hom(inst, cfg, stats, d=None):
+    return _verified(inst, _search_hom(inst.X, inst.Y, cfg, stats, d=d), None)
 
 
 def _solve_right_factor(inst, cfg, stats):
-    fibers = {}
-    for z in set(inst.f.values):
-        fibers[z] = {y for y in range(inst.Y.size) if inst.h.values[y] == z}
-    domains = [fibers[inst.f.values[x]] for x in range(inst.X.size)]
-    return _solve_hom(inst, cfg, stats, domains)
+    # g(x) ranges over the h-fiber over f(x)
+    d = np.array(inst.f.values)[:, None] == np.array(inst.h.values)[None, :]
+    return _solve_hom(inst, cfg, stats, d)
 
 
 def _solve_left_factor(inst, cfg, stats):
@@ -449,11 +515,11 @@ def _solve_left_factor(inst, cfg, stats):
         y, z = inst.g.values[x], inst.f.values[x]
         if seeds.setdefault(y, z) != z:
             return None
-    domains = [
-        {seeds[y]} if y in seeds else set(range(inst.Z.size))
-        for y in range(inst.Y.size)
-    ]
-    return _verified(inst, None, _search_hom(inst.Y, inst.Z, cfg, stats, domains=domains))
+    d = np.ones((inst.Y.size, inst.Z.size), dtype=bool)
+    for y, z in seeds.items():
+        d[y] = False
+        d[y, z] = True
+    return _verified(inst, None, _search_hom(inst.Y, inst.Z, cfg, stats, d=d))
 
 
 def _channel_hook(n_x, f_values):
@@ -478,16 +544,23 @@ def _solve_factor_pair(inst, cfg, stats):
     x, y = inst.X, inst.Y
     z = inst.Z if inst.Z is not None else x
     f_values = inst.f.values if inst.f is not None else tuple(range(x.size))
-    g_dom = _initial_domains(x, y, None)
-    h_dom = None if g_dom is None else _initial_domains(y, z, None)
-    if h_dom is None:
+    dh = _consistent_domains(y, z, np.ones((y.size, z.size), dtype=bool), 2, stats=stats)
+    if dh is None:
+        return None
+    # channel: g(x) = y forces h(y) = f(x); dh does not depend on g, so
+    # pruning g once against it is already a fixpoint
+    channel = dh[:, list(f_values)].T
+    if stats is not None:
+        stats.root_pruned += x.size * y.size - int(channel.sum())
+    dg = _consistent_domains(x, y, channel, 2, stats=stats)
+    if dg is None:
         return None
     problem = _Problem(x.size + y.size)
     problem.add_hom_constraints(x, y)
     problem.add_hom_constraints(y, z, offset=x.size)
     eng = _Engine(
         problem,
-        g_dom + h_dom,
+        _domain_sets(dg) + _domain_sets(dh),
         node_limit=(cfg or DEFAULT_CONFIG).node_limit,
         hooks=(_channel_hook(x.size, f_values),),
         stats=stats,
@@ -546,7 +619,12 @@ def find_homomorphism(a, b, cfg=None, *, domains=None, stats=None):
     None means exhaustive refutation; hitting a configured node limit raises
     NodeLimitReached instead of answering.
     """
-    pair = _solve_hom(_algebra_pair("hom", a, b), cfg, stats, domains)
+    d = None
+    if domains is not None:
+        d = np.zeros((a.size, b.size), dtype=bool)
+        for v, dom in enumerate(domains):
+            d[v, list(dom)] = True
+    pair = _solve_hom(_algebra_pair("hom", a, b), cfg, stats, d)
     return None if pair is None else pair[0]
 
 

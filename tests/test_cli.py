@@ -115,6 +115,17 @@ def test_decide_exit_codes(tmp_path):
     assert rc == 2
 
 
+def test_decide_rejects_duplicate_operation(tmp_path, capsys):
+    (tmp_path / "dup.alg").write_text("algebra 2\nop m 1\n0 1\nop m 1\n1 0\n")
+    (tmp_path / "dup.instance").write_text("instance hom\nX dup.alg\nY dup.alg\n")
+    rc = run("decide", "--instance", str(tmp_path / "dup.instance"),
+             "--witness", str(tmp_path / "w"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "duplicate operation 'm'" in err and "Traceback" not in err
+    assert not (tmp_path / "w.g.map").exists()
+
+
 def test_decide_hom_instance_semigroups(tmp_path):
     # homomorphisms between semigroup encodings always exist
     from homfactor.encodings import encode_semigroup

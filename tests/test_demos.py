@@ -20,3 +20,4 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("homfactor-demo-*")), "demo left its scratch directory"

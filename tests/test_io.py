@@ -45,6 +45,12 @@ def test_algebra_parse_errors():
         parse_algebra("nonsense 2\n")
 
 
+def test_algebra_rejects_duplicate_operation():
+    # a repeated name would silently drop the first table
+    with pytest.raises(FormatError, match="algebra: duplicate operation 'm'"):
+        parse_algebra("algebra 2\nop m 1\n0 1\nop m 1\n1 0\n")
+
+
 def test_mapping_roundtrip():
     m = Mapping(3, 5, (4, 0, 2))
     assert parse_mapping(format_mapping(m)) == m

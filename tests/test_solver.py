@@ -1,16 +1,27 @@
+import numpy as np
 import pytest
 
 from conftest import brute_homs
 
 from homfactor.algebra import Mapping, SignatureMismatch, compose, is_homomorphism
 from homfactor.encodings import (
+    encode_magma,
     encode_semigroup,
     encode_unary,
+    lift_nary,
     make_gadgets,
     make_rf_instance,
     make_semilattice_X,
 )
-from homfactor.graphs import complete_graph, cycle_graph, graph_hom, graph_retract, path_graph
+from homfactor.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    graph_catalog,
+    graph_hom,
+    graph_retract,
+    path_graph,
+)
 from homfactor.varieties import make_abelian, make_gset
 from homfactor.solver import (
     FactorizationInstance,
@@ -18,6 +29,7 @@ from homfactor.solver import (
     NodeLimitReached,
     SearchConfig,
     SearchStats,
+    _consistent_domains,
     decide_isomorphism,
     decide_retraction,
     enumerate_homomorphisms,
@@ -324,3 +336,76 @@ def test_isomorphism_of_permuted_encodings():
     assert iso is not None
     assert is_homomorphism(iso, base, twisted)
     assert len(set(iso.values)) == n
+
+
+# ---------------------------------------------------------------- root consistency
+
+
+def test_root_consistency_keeps_every_homomorphism(gadgets):
+    # from full and from seeded random domains: every homomorphism that
+    # fits the start survives, and None means that none fits
+    rng = np.random.default_rng(7)
+    algs = [  # operations of arity 0, 1 and 2
+        gadgets.target_semigroup, gadgets.source_semigroup, gadgets.flat_semilattice,
+        gadgets.two_point_unary, make_abelian([2]), make_abelian([4]), make_abelian([2, 2]),
+        make_gset([(1, 0)]), make_gset([(1, 0, 2)]), make_gset([(1, 2, 3, 0)]),
+        make_gset([(1, 0, 3, 2)]),
+    ]
+    algs += [encode_semigroup(g)[0] for g in graph_catalog(1, 3)]
+    algs += [encode_magma(g)[0] for g in graph_catalog(2, 3)]
+    algs += [encode_unary(g)[0] for g in graph_catalog(1, 3, directed=True)]
+    pairs, refuted, pruned = 0, set(), set()
+    for a in algs:
+        for b in algs:
+            if a.signature != b.signature or b.size**a.size > 20_000:
+                continue
+            pairs += 1
+            rows = np.arange(a.size)
+            homs = [m.values for m in brute_homs(a, b)]
+            starts = [np.ones((a.size, b.size), dtype=bool)]
+            starts += [rng.random((a.size, b.size)) < 0.7 for _ in range(3)]
+            for d0 in starts:
+                fits = [v for v in homs if d0[rows, v].all()]
+                for max_arity in (1, 2):
+                    d = _consistent_domains(a, b, d0, max_arity)
+                    key = (max(arity for _, arity in a.signature.ops), max_arity)
+                    if d is None:
+                        assert fits == [], (a, b, max_arity)
+                        refuted.add(key)
+                        continue
+                    assert (d <= d0).all()
+                    for v in fits:
+                        assert d[rows, v].all(), (a, b, max_arity, v)
+                    if (d != d0).any():
+                        pruned.add(key)
+    # the routine must actually prune and refute, binary operations
+    # included, or the checks above prove nothing
+    assert pairs >= 100
+    assert {(1, 1), (2, 2)} <= refuted and {(1, 1), (2, 1), (2, 2)} <= pruned
+
+
+def test_root_consistency_leaves_arity_three_to_the_search(gadgets):
+    # the lifted pairs of test_lift_preserves_homomorphisms reach the search
+    # with their domains untouched
+    z, src = gadgets.target_semigroup, gadgets.source_semigroup
+    for a, b in ((z, z), (z, src), (src, z)):
+        full = np.ones((a.size, b.size), dtype=bool)
+        d = _consistent_domains(lift_nary(a, 3), lift_nary(b, 3), full, 2)
+        assert np.array_equal(d, full)
+
+
+def test_retraction_matches_graph_retract_on_small_catalog():
+    graphs = graph_catalog(2, 3)
+    encs = [encode_semigroup(g)[0] for g in graphs]
+    for g, x in zip(graphs, encs):
+        for h, y in zip(graphs, encs):
+            assert (decide_retraction(x, y) is not None) == (graph_retract(g, h) is not None)
+
+
+def test_retraction_refuted_within_node_guard():
+    # K4 onto the edgeless graph: 14,833 nodes with forward checking alone
+    x, _ = encode_semigroup(complete_graph(4))
+    y, _ = encode_semigroup(Graph.undirected(4, []))
+    stats = SearchStats()
+    assert decide_retraction(x, y, SearchConfig(node_limit=500), stats=stats) is None
+    assert stats.root_pruned > 0
