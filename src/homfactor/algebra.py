@@ -121,9 +121,6 @@ class FiniteAlgebra:
             idx = idx * self.size + a
         return int(self.tables[name][idx])
 
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else str(i)
-
     def __eq__(self, other):
         if not isinstance(other, FiniteAlgebra):
             return NotImplemented

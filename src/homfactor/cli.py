@@ -128,7 +128,8 @@ def cmd_fcore(args) -> CommandResult:
         raise AlgebraError(f"unknown method {args.method!r}")
     x = read_algebra(args.algebra)
     f = read_mapping(args.f)
-    res = _run_method(args.method, x, f, None)
+    cfg = SearchConfig(node_limit=args.node_limit)
+    res = _run_method(args.method, x, f, None, cfg)
     inapplicable = None
     if isinstance(res, InapplicableReport):
         inapplicable, res = res.reason, res.fallback
@@ -142,7 +143,7 @@ def cmd_fcore(args) -> CommandResult:
         lines.append(f"inapplicable {inapplicable}; reporting brute fallback")
     oracle_note = None
     if args.verify and res.method != "brute":
-        oracle = brute_fcore(x, f)
+        oracle = brute_fcore(x, f, cfg=cfg)
         agree = len(oracle.image) == len(res.image)
         oracle_note = agree
         lines.append(f"oracle-core-size {len(oracle.image)}")
@@ -224,7 +225,7 @@ def _bench_fcores(max_size, rows):
         ):
             stats = SearchStats()
             t0 = time.perf_counter()
-            res = _run_method(variety, x, f, z, stats)
+            res = _run_method(variety, x, f, z, stats=stats)
             marker = ""
             if isinstance(res, InapplicableReport):
                 marker, res = "inapplicable:", res.fallback
@@ -291,6 +292,8 @@ def _build_parser():
     fc.add_argument("--out-prefix", dest="out_prefix", required=True)
     fc.add_argument("--verify", action="store_true",
                     help="cross-check specialized methods against the brute oracle")
+    fc.add_argument("--node-limit", type=int, default=None,
+                    help="search nodes per f-core computation; exit 3 when exhausted")
     fc.set_defaults(func=cmd_fcore)
 
     ver = sub.add_parser("verify", help="verify witness files against an instance")

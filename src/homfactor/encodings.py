@@ -317,14 +317,6 @@ def make_rf_instance(g: Graph, h: Graph) -> FactorizationInstance:
     return inst
 
 
-def _mark_isolated(legend: Legend, w: int) -> Legend:
-    entries = tuple(
-        ("distinguished", "w") if role == ("vertex-copy", w, 1) else role
-        for role in legend.entries
-    )
-    return Legend(legend.kind, entries)
-
-
 def _source_into_semigroup(source, alg, legend, w):
     """Map 0,b,b2,c to their namesakes, a to the isolated vertex, a2 to its pair."""
     idx = legend.role_index()

@@ -4,14 +4,24 @@ An f-core of X is a minimal image of an idempotent endomorphism r with
 f∘r = f. The brute method runs a decremental loop: search for any
 non-identity f-respecting retraction of the current algebra, restrict to
 its fixed points, repeat; the final failed search is the exhaustive
-certificate that nothing smaller remains from there. The variety-specific
-methods compute a (not certified) retraction directly and are anchored to
-the brute oracle by the test suite, never trusted on their own.
+certificate that nothing smaller remains from there. Each step is one
+incremental search on the shared solver: the constraints are built and the
+f-fiber domains propagated once, then each element m in ascending order
+gets one search with m's own value removed, and a failed search fixes m
+for the rest of the step. The variety-specific methods compute a (not
+certified) retraction directly and are anchored to the brute oracle by the
+test suite, never trusted on their own.
+
+brute_fcore, is_fcore and abelian_fcore take a SearchConfig whose node
+limit counts the nodes of every search one call makes; running out raises
+NodeLimitReached, never a smaller or a wrong answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import (
     AlgebraError,
@@ -21,12 +31,13 @@ from .algebra import (
     induced_subalgebra,
     is_homomorphism,
     is_retraction_respecting,
+    validate_algebra,
 )
 from .solver import (
     FactorizationInstance,
     InstanceError,
-    _Engine,
-    _Problem,
+    _budget,
+    _find_retraction,
     find_right_factor,
     verify_witness,
 )
@@ -74,6 +85,10 @@ class InapplicableReport:
 
 
 def _check_f(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None, what="f"):
+    for name, alg in (("algebra", x), ("target", z)):
+        problems = [] if alg is None else validate_algebra(alg)
+        if problems:
+            raise AlgebraError(f"{name} is malformed: " + "; ".join(problems))
     if f.dom_size != x.size:
         raise SizeMismatch(f"{what} has domain {f.dom_size}, algebra has size {x.size}")
     if z is not None:
@@ -83,47 +98,27 @@ def _check_f(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None, what="f"):
             raise AlgebraError(f"{what} is not a homomorphism")
 
 
-def _idem_hook(eng, var, val):
-    # image elements of an idempotent map are fixed points
-    return eng.force(val, val)
+def _fibers(fvals):
+    """Domain matrix of f-respecting maps: v may go to w iff f(v) = f(w)."""
+    fv = np.asarray(fvals)
+    return fv[:, None] == fv[None, :]
 
 
-def _find_nonidentity_retraction(x: FiniteAlgebra, fvals, *, stats=None):
-    """First f-respecting non-identity retraction in seeded (moved element,
-    target) lexicographic order, or None after exhaustive refutation."""
-    n = x.size
-    problem = _Problem(n)
-    problem.add_hom_constraints(x, x)
-    fibers = {}
-    for v in range(n):
-        fibers.setdefault(fvals[v], []).append(v)
-    base = [fibers[fvals[v]] for v in range(n)]
-    for moved in range(n):
-        for target in base[moved]:
-            if target == moved:
-                continue
-            domains = [set(d) for d in base]
-            domains[moved] = {target}
-            eng = _Engine(problem, domains, hooks=(_idem_hook,), stats=stats)
-            for sol in eng.solutions():
-                r = Mapping(n, n, sol)
-                f = Mapping(n, max(max(fvals) + 1, 1), fvals)
-                if not is_retraction_respecting(r, x, f):
-                    raise AssertionError("retraction search returned a bad witness")
-                return r
-    return None
+def _nonidentity_retraction(x: FiniteAlgebra, f: Mapping, stats, stop):
+    """An f-respecting non-identity retraction moving the least element any
+    moves, or None after exhaustive refutation."""
+    r = _find_retraction(x, _fibers(f.values), stats, stop, moving=True)
+    if r is not None and not is_retraction_respecting(r, x, f):
+        raise AssertionError("retraction search returned a bad witness")
+    return r
 
 
-def brute_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
-                *, stats=None) -> FCoreResult:
-    """Decremental minimization down to a certified f-core."""
-    _check_f(x, f, z)
+def _brute(x: FiniteAlgebra, f: Mapping, stats, stop) -> FCoreResult:
     total = Mapping.identity(x.size)
     elems = list(range(x.size))
-    cur = x
-    cur_f = tuple(f.values)
+    cur, cur_f = x, f
     while True:
-        r_sub = _find_nonidentity_retraction(cur, cur_f, stats=stats)
+        r_sub = _nonidentity_retraction(cur, cur_f, stats, stop)
         if r_sub is None:
             break
         lift = list(range(x.size))
@@ -134,16 +129,22 @@ def brute_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
             raise AssertionError("composite of f-respecting retractions went bad")
         elems = [elems[pos] for pos in range(len(elems)) if r_sub.values[pos] == pos]
         cur, _ = induced_subalgebra(x, elems)
-        cur_f = tuple(f.values[e] for e in elems)
-    core, _ = induced_subalgebra(x, elems)
-    return FCoreResult(total, tuple(elems), core, True, "brute")
+        cur_f = Mapping(len(elems), f.cod_size, tuple(f.values[e] for e in elems))
+    return FCoreResult(total, tuple(elems), cur, True, "brute")
+
+
+def brute_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
+                cfg=None, *, stats=None) -> FCoreResult:
+    """Decremental minimization down to a certified f-core."""
+    _check_f(x, f, z)
+    return _brute(x, f, *_budget(cfg, stats))
 
 
 def is_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
-             *, stats=None) -> bool:
+             cfg=None, *, stats=None) -> bool:
     """True iff only the identity retraction respects f (exhaustive search)."""
     _check_f(x, f, z)
-    return _find_nonidentity_retraction(x, tuple(f.values), stats=stats) is None
+    return _nonidentity_retraction(x, f, *_budget(cfg, stats)) is None
 
 
 def _orbit_map(o1, o2, ops, fvals):
@@ -332,46 +333,40 @@ def boolean_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra) -> FCoreResult
 
 
 def abelian_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
-                  *, stats=None):
+                  cfg=None, *, stats=None):
     """Retraction onto a complement of the kernel of f, when one exists.
 
     Searches for an idempotent endomorphism killing exactly the kernel; a
     witness splits X as kernel ⊕ image with the image a copy of the target.
     When the kernel is not a direct summand the construction is
-    inapplicable and the brute result is returned inside the report.
+    inapplicable and the brute result is returned inside the report; the
+    splitting search and the brute fallback share one node budget.
     """
     problems = validate_abelian(x)
     if problems:
         raise AlgebraError("not a valid abelian group: " + "; ".join(problems))
     _check_f(x, f, z)
+    stats, stop = _budget(cfg, stats)
     zero = int(x.table("zero")[0])
-    fvals = f.values
-    kernel = [v for v in range(x.size) if fvals[v] == fvals[zero]]
-    problem = _Problem(x.size)
-    problem.add_hom_constraints(x, x)
-    fibers = {}
-    for v in range(x.size):
-        fibers.setdefault(fvals[v], []).append(v)
-    domains = [set(fibers[fvals[v]]) for v in range(x.size)]
-    for k in kernel:
-        domains[k] = {zero}
-    eng = _Engine(problem, domains, hooks=(_idem_hook,), stats=stats)
-    for sol in eng.solutions():
-        retraction = Mapping(x.size, x.size, sol)
-        if not is_retraction_respecting(retraction, x, f):
-            raise AssertionError("splitting search returned a bad witness")
-        image = sorted(e for e in range(x.size) if sol[e] == e)
-        core, _ = induced_subalgebra(x, image)
-        return FCoreResult(retraction, tuple(image), core, False, "abelian")
-    fallback = brute_fcore(x, f, z, stats=stats)
-    return InapplicableReport(
-        "abelian", "kernel of f is not a direct summand", fallback
-    )
+    d = _fibers(f.values)
+    kernel = d[zero].copy()
+    d[kernel] = False
+    d[kernel, zero] = True
+    retraction = _find_retraction(x, d, stats, stop)
+    if retraction is None:
+        return InapplicableReport(
+            "abelian", "kernel of f is not a direct summand", _brute(x, f, stats, stop)
+        )
+    if not is_retraction_respecting(retraction, x, f):
+        raise AssertionError("splitting search returned a bad witness")
+    image = sorted(e for e in range(x.size) if retraction.values[e] == e)
+    core, _ = induced_subalgebra(x, image)
+    return FCoreResult(retraction, tuple(image), core, False, "abelian")
 
 
-def _run_method(method, x, f, z, stats=None):
+def _run_method(method, x, f, z, cfg=None, stats=None):
     if method == "brute":
-        return brute_fcore(x, f, z, stats=stats)
+        return brute_fcore(x, f, z, cfg, stats=stats)
     if method == "gset":
         return gset_fcore(x, f, z)
     if method == "vspace":
@@ -379,7 +374,7 @@ def _run_method(method, x, f, z, stats=None):
     if method == "boolean":
         return boolean_fcore(x, f, z)
     if method == "abelian":
-        return abelian_fcore(x, f, z, stats=stats)
+        return abelian_fcore(x, f, z, cfg, stats=stats)
     raise AlgebraError(f"unknown f-core method {method!r}")
 
 
@@ -403,7 +398,7 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
     y_res, _ = induced_subalgebra(inst.Y, y_keep)
     f_res = Mapping(inst.X.size, z_res.size, tuple(z_idx[v] for v in f.values))
     h_res = Mapping(y_res.size, z_res.size, tuple(z_idx[h.values[y]] for y in y_keep))
-    res = _run_method(fcore_method, inst.X, f_res, z_res, stats)
+    res = _run_method(fcore_method, inst.X, f_res, z_res, cfg, stats)
     if isinstance(res, InapplicableReport):
         res = res.fallback
     image = list(res.image)

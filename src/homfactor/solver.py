@@ -11,7 +11,12 @@ prunes the domains to arc consistency in both directions (input support and
 output image): over operations of arity at most 1 for single-map searches,
 and at most 2, joined by the channel h(g(x)) = f(x), for the combined g/h
 search. Exceeding a configured node limit raises NodeLimitReached: an
-explicit "unknown" outcome, distinct from an exhaustive "no".
+explicit "unknown" outcome, distinct from an exhaustive "no". The limit
+counts the nodes of one decision, across every search it runs.
+
+The f-core module runs its retraction searches through _find_retraction,
+one incremental engine per decremental step, and never builds an engine
+itself.
 
 What each instance kind means lives here and nowhere else: decide dispatches
 on the kind, full factors and retractions share one combined search over g-
@@ -179,24 +184,22 @@ class _Problem:
 
 
 class _Engine:
-    """One backtracking run over a _Problem with its own domains and trail."""
+    """Backtracking over a _Problem with its own domains and trail. After
+    root(), first_without and settle run several searches from one shared
+    base state."""
 
-    def __init__(self, problem, domains, *, order="mrv", node_limit=None,
-                 all_different=False, hooks=(), stats=None):
+    def __init__(self, problem, domains, stats, *, order="mrv", stop=None,
+                 all_different=False, hooks=()):
         self.p = problem
         self.dom = [set(d) for d in domains]
         self.order = order
-        self.node_limit = node_limit
+        self.stop = stop  # stats.nodes may not pass it; see _budget
         self.all_diff = all_different
         self.hooks = tuple(hooks)
         self.stats = stats
         self.trail = []
         self.done = [False] * problem.n_vars
         self.queue = []
-        self.nodes = 0
-
-    def value(self, v):
-        return next(iter(self.dom[v]))
 
     def force(self, var, val) -> bool:
         d = self.dom[var]
@@ -309,16 +312,35 @@ class _Engine:
                 best = (size, v)
         return None if best is None else best[1]
 
+    def root(self) -> bool:
+        """Propagate the initial domains; False when they admit no solution."""
+        if not all(self.dom):
+            return False
+        self.queue = [v for v in range(self.p.n_vars) if len(self.dom[v]) == 1]
+        return self.propagate()
+
     def solutions(self):
         """Yield complete assignments; with lexicographic order they arrive
         in lexicographic order of the value vector."""
-        for d in self.dom:
-            if not d:
-                return
-        self.queue = [v for v in range(self.p.n_vars) if len(self.dom[v]) == 1]
-        if not self.propagate():
-            return
-        yield from self._solve()
+        if self.root():
+            yield from self._solve()
+
+    def first_without(self, var, val):
+        """First solution from the current state with val removed from
+        var's domain, or None after an exhaustive search; the state is
+        restored either way."""
+        mark = len(self.trail)
+        self.queue = []
+        sol = None
+        if self.remove(var, val) and self.propagate():
+            sol = next(self._solve(), None)
+        self._undo(mark)
+        return sol
+
+    def settle(self, var, val) -> bool:
+        """Force var := val for every later search; False on a wipeout."""
+        self.queue = []
+        return self.force(var, val) and self.propagate()
 
     def _solve(self):
         var = self._pick()
@@ -326,11 +348,9 @@ class _Engine:
             yield tuple(next(iter(self.dom[v])) for v in range(self.p.n_vars))
             return
         for val in sorted(self.dom[var]):
-            self.nodes += 1
-            if self.stats is not None:
-                self.stats.nodes += 1
-            if self.node_limit is not None and self.nodes > self.node_limit:
-                raise NodeLimitReached(f"node limit {self.node_limit} exceeded")
+            self.stats.nodes += 1
+            if self.stop is not None and self.stats.nodes > self.stop:
+                raise NodeLimitReached("node limit exceeded")
             mark = len(self.trail)
             self.queue = []
             if self.force(var, val) and self.propagate():
@@ -434,7 +454,17 @@ def _domain_sets(d):
     return [set(itertools.compress(values, row)) for row in d.tolist()]
 
 
+def _budget(cfg, stats):
+    """The stats every search of one decision counts its nodes in, and the
+    node count past which that decision raises NodeLimitReached (None: no
+    limit). Searches that share them share one node budget."""
+    stats = SearchStats() if stats is None else stats
+    limit = (cfg or DEFAULT_CONFIG).node_limit
+    return stats, None if limit is None else stats.nodes + limit
+
+
 def _hom_engine(a, b, cfg, d, stats, *, order="mrv", all_different=False):
+    stats, stop = _budget(cfg, stats)
     if d is None:
         d = np.ones((a.size, b.size), dtype=bool)
     d = _consistent_domains(a, b, d, 1, stats=stats)
@@ -442,14 +472,8 @@ def _hom_engine(a, b, cfg, d, stats, *, order="mrv", all_different=False):
         return None
     problem = _Problem(a.size)
     problem.add_hom_constraints(a, b)
-    return _Engine(
-        problem,
-        _domain_sets(d),
-        order=order,
-        node_limit=(cfg or DEFAULT_CONFIG).node_limit,
-        all_different=all_different,
-        stats=stats,
-    )
+    return _Engine(problem, _domain_sets(d), stats, order=order, stop=stop,
+                   all_different=all_different)
 
 
 def _search_hom(a, b, cfg, stats, *, d=None, all_different=False):
@@ -457,6 +481,39 @@ def _search_hom(a, b, cfg, stats, *, d=None, all_different=False):
     eng = _hom_engine(a, b, cfg, d, stats, all_different=all_different)
     sol = None if eng is None else next(eng.solutions(), None)
     return None if sol is None else Mapping(a.size, b.size, sol)
+
+
+def _idem_hook(eng, var, val):
+    # image elements of an idempotent map are fixed points
+    return eng.force(val, val)
+
+
+def _find_retraction(x, d, stats, stop, *, moving=False):
+    """First idempotent endomorphism of x within the bool domain matrix d
+    (d[v, w]: v may go to w), or None after an exhaustive search; not yet
+    re-verified. stats and stop come from _budget.
+
+    With moving set, the identity does not count. The engine is built and
+    propagated once; then, for each element m in ascending order, one
+    search runs with m's own value removed. A failed search is exhaustive,
+    so no such map moves m: it is undone and m is fixed for every later
+    search. The map found therefore moves the least element any moves.
+    """
+    d = _consistent_domains(x, x, d, 1, stats=stats)
+    if d is None:
+        return None
+    problem = _Problem(x.size)
+    problem.add_hom_constraints(x, x)
+    eng = _Engine(problem, _domain_sets(d), stats, stop=stop, hooks=(_idem_hook,))
+    sol = None
+    if not moving:
+        sol = next(eng.solutions(), None)
+    elif eng.root():
+        for m in range(x.size):
+            sol = eng.first_without(m, m)
+            if sol is not None or not eng.settle(m, m):
+                break
+    return None if sol is None else Mapping(x.size, x.size, sol)
 
 
 def verify_witness(inst: FactorizationInstance, g=None, h=None) -> bool:
@@ -541,6 +598,7 @@ def _channel_hook(n_x, f_values):
 def _solve_factor_pair(inst, cfg, stats):
     """One combined search over g- and h-variables with the channeling
     constraint; a retraction is the full factor of the identity with Z = X."""
+    stats, stop = _budget(cfg, stats)
     x, y = inst.X, inst.Y
     z = inst.Z if inst.Z is not None else x
     f_values = inst.f.values if inst.f is not None else tuple(range(x.size))
@@ -550,21 +608,15 @@ def _solve_factor_pair(inst, cfg, stats):
     # channel: g(x) = y forces h(y) = f(x); dh does not depend on g, so
     # pruning g once against it is already a fixpoint
     channel = dh[:, list(f_values)].T
-    if stats is not None:
-        stats.root_pruned += x.size * y.size - int(channel.sum())
+    stats.root_pruned += x.size * y.size - int(channel.sum())
     dg = _consistent_domains(x, y, channel, 2, stats=stats)
     if dg is None:
         return None
     problem = _Problem(x.size + y.size)
     problem.add_hom_constraints(x, y)
     problem.add_hom_constraints(y, z, offset=x.size)
-    eng = _Engine(
-        problem,
-        _domain_sets(dg) + _domain_sets(dh),
-        node_limit=(cfg or DEFAULT_CONFIG).node_limit,
-        hooks=(_channel_hook(x.size, f_values),),
-        stats=stats,
-    )
+    eng = _Engine(problem, _domain_sets(dg) + _domain_sets(dh), stats, stop=stop,
+                  hooks=(_channel_hook(x.size, f_values),))
     sol = next(eng.solutions(), None)
     if sol is None:
         return None

@@ -2,14 +2,15 @@
 
 brute_homs enumerates every map of the full function space and filters by
 the homomorphism definition directly; it shares no code with the search
-engine and anchors the solver's completeness claims.
+engine and anchors the solver's completeness claims. brute_min_retraction_image
+does the same for f-cores.
 """
 
 import itertools
 
 import pytest
 
-from homfactor.algebra import Mapping, is_homomorphism
+from homfactor.algebra import Mapping, is_homomorphism, is_retraction_respecting
 
 
 def brute_homs(a, b, cap=2_000_000):
@@ -23,6 +24,23 @@ def brute_homs(a, b, cap=2_000_000):
         if is_homomorphism(m, a, b):
             out.append(m)
     return out
+
+
+def brute_min_retraction_image(x, f):
+    """Independent oracle: scan all |X|^|X| endomaps for f-respecting
+    retractions and return the least image size. Idempotence and f∘r = f
+    are checked in plain Python first, so that only their survivors pay for
+    the full is_retraction_respecting check."""
+    best = x.size
+    fv = f.values
+    for values in itertools.product(range(x.size), repeat=x.size):
+        if len(set(values)) >= best or any(
+            values[w] != w or fv[v] != fv[w] for v, w in enumerate(values)
+        ):
+            continue
+        if is_retraction_respecting(Mapping(x.size, x.size, values), x, f):
+            best = len(set(values))
+    return best
 
 
 def brute_hom_exists_pruned(a, b):

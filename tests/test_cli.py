@@ -270,6 +270,24 @@ def test_fcore_brute_certifies(tmp_path):
     assert f"core-size {x.size}" in report
 
 
+def test_fcore_node_limit_exits_unknown(tmp_path, capsys):
+    from homfactor.encodings import make_fcore_instance
+
+    for name, graph in (("k5", complete_graph(5)), ("edgeless", Graph.undirected(3, []))):
+        x, _, f = make_fcore_instance(graph)
+        write_algebra(x, tmp_path / f"{name}.alg")
+        write_mapping(f, tmp_path / f"{name}.map")
+        argv = ["fcore", "--algebra", str(tmp_path / f"{name}.alg"),
+                "--f", str(tmp_path / f"{name}.map"), "--method", "brute",
+                "--out-prefix", str(tmp_path / name)]
+        capsys.readouterr()
+        assert run(*argv, "--node-limit", "1") == 3
+        assert capsys.readouterr().err == "unknown: node limit reached before a decision\n"
+        assert not list(tmp_path.glob(f"{name}.*.*"))
+        assert run(*argv, "--node-limit", "1000") == 0
+        assert (tmp_path / f"{name}.report.txt").exists()
+
+
 def test_fcore_verify_flag(tmp_path):
     from homfactor.varieties import vspace_hom
 

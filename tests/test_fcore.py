@@ -1,9 +1,9 @@
-import itertools
-
 import pytest
+from conftest import brute_min_retraction_image
 
 from homfactor.algebra import (
     AlgebraError,
+    FiniteAlgebra,
     Mapping,
     compose,
     induced_subalgebra,
@@ -23,7 +23,13 @@ from homfactor.fcore import (
     vspace_fcore,
 )
 from homfactor.graphs import complete_graph, cycle_graph
-from homfactor.solver import FactorizationInstance, find_right_factor
+from homfactor.solver import (
+    FactorizationInstance,
+    NodeLimitReached,
+    SearchConfig,
+    SearchStats,
+    find_right_factor,
+)
 from homfactor.varieties import (
     boolean_atoms,
     boolean_hom,
@@ -34,17 +40,6 @@ from homfactor.varieties import (
     sample_rf_instances,
     vspace_hom,
 )
-
-
-def brute_min_retraction_image(x, f):
-    """Independent oracle: scan all |X|^|X| endomaps for f-respecting
-    retractions and return the least image size."""
-    best = x.size
-    for values in itertools.product(range(x.size), repeat=x.size):
-        r = Mapping(x.size, x.size, values)
-        if is_retraction_respecting(r, x, f):
-            best = min(best, len(set(values)))
-    return best
 
 
 # ---------------------------------------------------------------- brute
@@ -79,6 +74,47 @@ def test_brute_rejects_non_homomorphism():
     z4 = make_abelian([4])
     with pytest.raises(AlgebraError):
         brute_fcore(z4, Mapping(4, 2, (0, 0, 0, 1)), make_abelian([2]))
+
+
+def test_fcore_entry_points_validate_algebras():
+    bad = FiniteAlgebra([("u", 1)], 2, {"u": [0, 5]})
+    good = FiniteAlgebra([("u", 1)], 2, {"u": [0, 1]})
+    for call in (brute_fcore, is_fcore):
+        with pytest.raises(AlgebraError, match="malformed"):
+            call(bad, Mapping.identity(2))
+        with pytest.raises(AlgebraError, match="malformed"):
+            call(good, Mapping.identity(2), bad)
+
+
+def test_node_limit_is_unknown_not_an_answer():
+    x, z, f = make_fcore_instance(complete_graph(5))
+    for call in (brute_fcore, is_fcore):
+        with pytest.raises(NodeLimitReached):
+            call(x, f, z, SearchConfig(node_limit=1))
+    assert is_fcore(x, f, z, SearchConfig(node_limit=1000))
+
+
+def test_node_limit_counts_every_search_of_one_call():
+    # rows 10, 14 and 20 take two decremental steps that each search, and
+    # the first step alone needs more than half of the call's nodes
+    samples = sample_fcore_instances("gset", 21, 16, seed=3)
+    for x, z, f in (samples[10], samples[14], samples[20]):
+        stats = SearchStats()
+        res = brute_fcore(x, f, z, stats=stats)
+        again = brute_fcore(x, f, z, SearchConfig(node_limit=stats.nodes))
+        assert again.retraction == res.retraction
+        with pytest.raises(NodeLimitReached):
+            brute_fcore(x, f, z, SearchConfig(node_limit=stats.nodes - 1))
+    # the brute fallback of an inapplicable abelian_fcore is held to the budget
+    x, z = make_abelian([2, 4]), make_abelian([2])
+    f = Mapping(8, 2, tuple(v % 2 for v in range(8)))
+    stats = SearchStats()
+    assert isinstance(abelian_fcore(x, f, z, stats=stats), InapplicableReport)
+    assert stats.nodes > 1
+    assert isinstance(abelian_fcore(x, f, z, SearchConfig(node_limit=stats.nodes)),
+                      InapplicableReport)
+    with pytest.raises(NodeLimitReached):
+        abelian_fcore(x, f, z, SearchConfig(node_limit=stats.nodes - 1))
 
 
 def test_is_fcore_examples():
