@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from homfactor.encodings import (
     make_gadgets,
     make_rf_instance,
     make_semilattice_X,
+    make_unary_lf_instance,
 )
 from homfactor.graphs import (
     Graph,
@@ -409,3 +412,63 @@ def test_retraction_refuted_within_node_guard():
     stats = SearchStats()
     assert decide_retraction(x, y, SearchConfig(node_limit=500), stats=stats) is None
     assert stats.root_pruned > 0
+
+
+def _digest(witnesses):
+    return hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16]
+
+
+def _values(*maps):
+    return tuple(None if m is None else m.values for m in maps)
+
+
+def _pinned_runs():
+    """(total nodes, witness digest, yes answers, decisions) per slice."""
+    out = {}
+    graphs = graph_catalog(2, 3)
+    encs = [encode_semigroup(g)[0] for g in graphs]
+    stats, ws = SearchStats(), []
+    for x in encs:
+        for y in encs:
+            pair = decide_retraction(x, y, stats=stats)
+            ws.append(None if pair is None else _values(*pair))
+    out["retraction"] = (stats.nodes, _digest(ws), sum(w is not None for w in ws), len(ws))
+    digraphs = graph_catalog(2, 4, directed=True, connected=True)[::9]
+    unary = [encode_unary(g, theorem_grade=True)[0] for g in digraphs]
+    runs = {
+        "hom": lambda i, j, s: find_homomorphism(unary[i], unary[j], stats=s),
+        "left-factor": lambda i, j, s: find_left_factor(
+            make_unary_lf_instance(digraphs[i], digraphs[j]), stats=s
+        ),
+        "isomorphism": lambda i, j, s: decide_isomorphism(unary[i], unary[j], stats=s),
+    }
+    pairs = [(i, j) for i in range(len(digraphs)) for j in range(len(digraphs))]
+    for kind, run in runs.items():
+        stats = SearchStats()
+        ws = [_values(run(i, j, stats)) for i, j in pairs]
+        out[kind] = (stats.nodes, _digest(ws), sum(w != (None,) for w in ws), len(ws))
+    graphs = graph_catalog(1, 3)
+    stats = SearchStats()
+    ws = [_values(find_right_factor(make_rf_instance(g, h), stats=stats))
+          for g in graphs for h in graphs]
+    out["right-factor"] = (stats.nodes, _digest(ws), sum(w != (None,) for w in ws), len(ws))
+    for orders in ([2, 2], [2, 4]):
+        a = make_abelian(orders)
+        stats = SearchStats()
+        homs = enumerate_homomorphisms(a, a, 1000, stats=stats)
+        out[f"enumerate {orders}"] = (stats.nodes, _digest([m.values for m in homs]), len(homs))
+    return out
+
+
+def test_node_counts_pinned():
+    # measured before the bitmask engine replaced the set-based one: the
+    # same variable order, value order and propagation give the same counts
+    assert _pinned_runs() == {
+        "retraction": (300, "296bbcf2e7933d42", 9, 36),
+        "hom": (6908, "3285469154fc6099", 261, 576),
+        "left-factor": (6908, "a8d18c83058e56d5", 261, 576),
+        "isomorphism": (315, "8752c13ec126ace3", 24, 576),
+        "right-factor": (92, "5a43934c1faddbea", 34, 49),
+        "enumerate [2, 2]": (20, "7d0bec6bf8ba1865", 16),
+        "enumerate [2, 4]": (40, "029403dde433db5e", 32),
+    }
