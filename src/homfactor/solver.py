@@ -153,62 +153,146 @@ class FactorizationInstance:
             raise InstanceError("; ".join(problems))
 
 
-class _Problem:
-    """Immutable constraint data shared by every engine run on one instance."""
+# Propagator kinds. When variable v is fixed to a value a, each constraint
+# on v is checked through v's compiled entry (kind, i, j, tab, aux): the
+# other variables of the constraint and target tables indexed by a.
+_FORCE = 0  # (o, -, vals, -): every input is v, so o := vals[a]
+_PRE = 1  # (x, -, pre, -): v is the output of a tuple of x alone; x within pre[a]
+_ROW = 2  # (o, w, rows, pres): w fills the other input, o the output: rows[a][w] = o
+_FIX = 3  # (w, -, fixes, -): w fills the other input and is the output
+_PAIR = 4  # (x1, x2, pre1, pre2): v is the output of the tuple (x1, x2)
+_TABLE = 5  # (inputs, o, table, strides): arity 3 or more, checked generically
 
-    __slots__ = ("n_vars", "constraints", "by_var")
+
+def _masks(b):
+    """Python int bitmasks over the last axis of a bool array (bit y set iff
+    b[..., y]), as nested lists: the engine's domain representation."""
+    packed = np.packbits(b, axis=-1, bitorder="little")
+    width = packed.shape[-1]
+    if width <= 8:
+        words = np.zeros(packed.shape[:-1] + (8,), dtype=np.uint8)
+        words[..., :width] = packed
+        return words.view("<u8")[..., 0].tolist()
+    data = packed.tobytes()
+    flat = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    return np.array(flat, dtype=object).reshape(packed.shape[:-1]).tolist()
+
+
+def _preimages(values, nb):
+    """pre[..., c]: mask of the positions y of the last axis with values[..., y] = c."""
+    pre = np.zeros(values.shape[:-1] + (nb,), dtype=object)
+    lead = [i[..., None] for i in np.indices(values.shape[:-1], sparse=True)]
+    np.add.at(pre, (*lead, values), np.array([1 << y for y in range(values.shape[-1])],
+                                             dtype=object))
+    return pre.tolist()
+
+
+def _slot2(code):
+    """Entry slot of a binary incidence from the bits v = x1, v = x2, o = x2,
+    o = x1 and x1 = x2."""
+    p1, p2, o2, o1, same = (code >> k & 1 for k in range(5))
+    if p1 and p2:
+        return 0
+    if p1:
+        return 2 if o2 else 1
+    if p2:
+        return 4 if o1 else 3
+    return 5 if same else 6
+
+
+_SLOTS2 = np.array([_slot2(code) for code in range(32)])
+_KINDS2 = (_FORCE, _ROW, _FIX, _ROW, _FIX, _PRE, _PAIR)
+
+
+def _entries(arity, tb, nb, var, xs, o):
+    """The compiled entries of one operation, one per (variable, tuple)
+    incidence in the order of var; xs and o give each incidence's tuple
+    inputs and output, tb the target's table."""
+    if arity == 0:
+        return [(_FORCE, w, 0, [int(tb[0])] * nb, None) for w in o.tolist()]
+    if arity >= 3:
+        strides = tuple(nb ** (arity - 1 - i) for i in range(arity))
+        return list(zip(itertools.repeat(_TABLE), map(tuple, xs.T.tolist()), o.tolist(),
+                        itertools.repeat(tb.tolist()), itertools.repeat(strides)))
+    if arity == 1:
+        into = xs[0] == var  # v is the input, else only the output
+        tabs = (_preimages(tb, nb), tb.tolist())
+        return list(zip(np.where(into, _FORCE, _PRE).tolist(),
+                        np.where(into, o, xs[0]).tolist(), itertools.repeat(0),
+                        map(tabs.__getitem__, into.tolist()), itertools.repeat(None)))
+    x1, x2 = xs
+    slot = _SLOTS2[(x1 == var) + 2 * (x2 == var) + 4 * (o == x2) + 8 * (o == x1)
+                   + 16 * (x1 == x2)]
+    cols = np.arange(len(var))
+    first = np.stack([o, o, x2, o, x1, x1, x1])[slot, cols]
+    second = np.stack([o, x2, o, x1, o, o, x2])[slot, cols]
+    t = tb.reshape(nb, nb)
+    diag, pre1, pre2 = np.diagonal(t), _preimages(t, nb), _preimages(t.T, nb)
+    tabs = (diag.tolist(), t.tolist(), _masks(t == np.arange(nb)), t.T.tolist(),
+            _masks(t.T == np.arange(nb)), _preimages(diag, nb), pre1)
+    auxs = (None, pre1, None, pre2, None, None, pre2)
+    slots = slot.tolist()
+    return list(zip(map(_KINDS2.__getitem__, slots), first.tolist(), second.tolist(),
+                    map(tabs.__getitem__, slots), map(auxs.__getitem__, slots)))
+
+
+class _Problem:
+    """Immutable constraint data shared by every engine run on one instance:
+    per variable, its compiled entries in ascending constraint order."""
+
+    __slots__ = ("n_vars", "props")
 
     def __init__(self, n_vars):
         self.n_vars = n_vars
-        self.constraints = []  # (inputs, out, flat_table, strides)
-        self.by_var = [[] for _ in range(n_vars)]
-
-    def add_table_constraint(self, inputs, out, flat_table, base):
-        k = len(inputs)
-        strides = tuple(base ** (k - 1 - i) for i in range(k))
-        ci = len(self.constraints)
-        self.constraints.append((tuple(inputs), int(out), flat_table, strides))
-        for v in set(inputs) | {out}:
-            self.by_var[v].append(ci)
+        self.props = [[] for _ in range(n_vars)]
 
     def add_hom_constraints(self, a: FiniteAlgebra, b: FiniteAlgebra, offset=0):
-        """For every tuple x̄: value(op_A(x̄)) == op_B(values of x̄)."""
-        base = b.size
+        """For every tuple x̄: value(op_A(x̄)) == op_B(values of x̄), for the
+        variables offset .. offset + a.size - 1."""
+        bound = np.arange(a.size + 1)
         for name, arity in a.signature.ops:
             ta = a.table(name)
-            tb = b.table(name).tolist()
-            for idx, tup in enumerate(itertools.product(range(a.size), repeat=arity)):
-                self.add_table_constraint(
-                    [offset + t for t in tup], offset + int(ta[idx]), tb, base
-                )
+            cols = np.arange(ta.size)
+            xs = np.indices((a.size,) * arity).reshape(arity, ta.size)
+            inc = np.zeros((a.size, ta.size), dtype=bool)  # [element, tuple]
+            inc[ta, cols] = True
+            for x in xs:
+                inc[x, cols] = True
+            var, t = np.nonzero(inc)  # by element, then ascending tuple
+            entries = _entries(arity, b.table(name), b.size, var + offset,
+                               xs[:, t] + offset, ta[t] + offset)
+            cut = np.searchsorted(var, bound).tolist()
+            for v in range(a.size):
+                self.props[offset + v] += entries[cut[v]:cut[v + 1]]
 
 
 class _Engine:
-    """Backtracking over a _Problem with its own domains and trail. After
-    root(), first_without and settle run several searches from one shared
-    base state."""
+    """Backtracking over a _Problem with its own domains and trail. A
+    domain is an int bitmask over the target carrier. After root(),
+    first_without and settle run several searches from one shared base
+    state."""
 
     def __init__(self, problem, domains, stats, *, order="mrv", stop=None,
                  all_different=False, hooks=()):
         self.p = problem
-        self.dom = [set(d) for d in domains]
+        self.dom = list(domains)
         self.order = order
         self.stop = stop  # stats.nodes may not pass it; see _budget
         self.all_diff = all_different
         self.hooks = tuple(hooks)
         self.stats = stats
-        self.trail = []
-        self.done = [False] * problem.n_vars
+        self.trail = []  # (var, mask before the change)
+        self.done = [False] * problem.n_vars  # singleton already propagated
+        self.done_log = []  # the done variables, in the order they were done
         self.queue = []
 
     def force(self, var, val) -> bool:
         d = self.dom[var]
-        if val not in d:
+        if not d >> val & 1:
             return False
-        if len(d) > 1:
-            removed = d.difference({val})
-            self.trail.append((var, removed))
-            d.intersection_update({val})
+        if d & (d - 1):
+            self.trail.append((var, d))
+            self.dom[var] = 1 << val
             self.queue.append(var)
         elif not self.done[var]:
             self.queue.append(var)
@@ -216,78 +300,84 @@ class _Engine:
 
     def remove(self, var, val) -> bool:
         d = self.dom[var]
-        if val in d:
-            if len(d) == 1:
+        if d >> val & 1:
+            if not d & (d - 1):
                 return False
-            d.discard(val)
-            self.trail.append((var, {val}))
-            if len(d) == 1:
+            self.trail.append((var, d))
+            d ^= 1 << val
+            self.dom[var] = d
+            if not d & (d - 1):
                 self.queue.append(var)
         return True
-
-    def _undo(self, mark):
-        while len(self.trail) > mark:
-            item = self.trail.pop()
-            if item[0] == "done":
-                self.done[item[1]] = False
-            else:
-                var, removed = item
-                self.dom[var] |= removed
-
-    def _check_constraint(self, ci) -> bool:
-        ins, out, table, strides = self.p.constraints[ci]
-        idx_fixed = 0
-        free_var = -1
-        free_stride = 0
-        for pos, w in enumerate(ins):
-            dw = self.dom[w]
-            if len(dw) == 1:
-                idx_fixed += next(iter(dw)) * strides[pos]
-            elif w == free_var:
-                free_stride += strides[pos]
-            elif free_var == -1:
-                free_var = w
-                free_stride = strides[pos]
-            else:
-                return True  # two distinct free inputs: checked later
-        if free_var == -1:
-            return self.force(out, table[idx_fixed])
-        dfree = self.dom[free_var]
-        if free_var == out:
-            allowed = {y for y in dfree if table[idx_fixed + y * free_stride] == y}
-            return self._restrict(free_var, allowed)
-        dout = self.dom[out]
-        allowed_y = set()
-        allowed_out = set()
-        for y in dfree:
-            v = table[idx_fixed + y * free_stride]
-            if v in dout:
-                allowed_y.add(y)
-                allowed_out.add(v)
-        if not self._restrict(free_var, allowed_y):
-            return False
-        return self._restrict(out, allowed_out)
 
     def _restrict(self, var, allowed) -> bool:
         d = self.dom[var]
         if not allowed:
             return False
-        if len(allowed) < len(d):
-            removed = d.difference(allowed)
-            self.trail.append((var, removed))
-            d.intersection_update(allowed)
-            if len(d) == 1:
+        if allowed != d:
+            self.trail.append((var, d))
+            self.dom[var] = allowed
+            if not allowed & (allowed - 1):
                 self.queue.append(var)
         return True
 
+    def _mark(self):
+        return len(self.trail), len(self.done_log)
+
+    def _undo(self, mark):
+        trail, dom = self.trail, self.dom
+        while len(trail) > mark[0]:
+            var, old = trail.pop()
+            dom[var] = old
+        log, done = self.done_log, self.done
+        while len(log) > mark[1]:
+            done[log.pop()] = False
+
+    def _check_table(self, ins, out, table, strides) -> bool:
+        idx_fixed = 0
+        free_var = -1
+        free_stride = 0
+        for w, stride in zip(ins, strides):
+            dw = self.dom[w]
+            if not dw & (dw - 1):
+                idx_fixed += (dw.bit_length() - 1) * stride
+            elif w == free_var:
+                free_stride += stride
+            elif free_var == -1:
+                free_var = w
+                free_stride = stride
+            else:
+                return True  # two distinct free inputs: checked later
+        if free_var == -1:
+            return self.force(out, table[idx_fixed])
+        rest = self.dom[free_var]
+        dout = self.dom[out]
+        allowed_y = allowed_out = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = table[idx_fixed + (low.bit_length() - 1) * free_stride]
+            if free_var == out:
+                if low >> v & 1:
+                    allowed_y |= low
+            elif dout >> v & 1:
+                allowed_y |= low
+                allowed_out |= 1 << v
+        if not self._restrict(free_var, allowed_y):
+            return False
+        return free_var == out or self._restrict(out, allowed_out)
+
     def propagate(self) -> bool:
-        while self.queue:
-            v = self.queue.pop()
-            if self.done[v] or len(self.dom[v]) != 1:
+        dom, done, trail, queue = self.dom, self.done, self.trail, self.queue
+        props = self.p.props
+        while queue:
+            v = queue.pop()
+            d = dom[v]
+            if done[v] or d & (d - 1):
                 continue
-            self.done[v] = True
-            self.trail.append(("done", v))
-            a = next(iter(self.dom[v]))
+            done[v] = True
+            self.done_log.append(v)
+            a = d.bit_length() - 1
             if self.all_diff:
                 for w in range(self.p.n_vars):
                     if w != v and not self.remove(w, a):
@@ -295,28 +385,109 @@ class _Engine:
             for hook in self.hooks:
                 if not hook(self, v, a):
                     return False
-            for ci in self.p.by_var[v]:
-                if not self._check_constraint(ci):
+            for kind, i, j, tab, aux in props[v]:
+                if kind == _FORCE:
+                    val = tab[a]
+                elif kind == _ROW:
+                    dw = dom[j]
+                    if not dw & (dw - 1):
+                        val = tab[a][dw.bit_length() - 1]
+                    else:
+                        # j free: keep the values whose image is in i's domain
+                        do = dom[i]
+                        if not do & (do - 1):
+                            ay = dw & aux[a][do.bit_length() - 1]
+                            ao = do if ay else 0
+                        else:
+                            row = tab[a]
+                            ay = ao = 0
+                            rest = dw
+                            while rest:
+                                low = rest & -rest
+                                rest ^= low
+                                c = row[low.bit_length() - 1]
+                                if do >> c & 1:
+                                    ay |= low
+                                    ao |= 1 << c
+                        if not ay:
+                            return False
+                        if ay != dw:
+                            trail.append((j, dw))
+                            dom[j] = ay
+                            if not ay & (ay - 1):
+                                queue.append(j)
+                        if ao != do:
+                            trail.append((i, do))
+                            dom[i] = ao
+                            if not ao & (ao - 1):
+                                queue.append(i)
+                        continue
+                else:
+                    if kind == _PRE or kind == _FIX:
+                        dx = dom[i]
+                        m = dx & tab[a]
+                        if kind == _FIX and m and not dx & (dx - 1):
+                            if not done[i]:
+                                queue.append(i)
+                            continue
+                    elif kind == _PAIR:
+                        d1, d2 = dom[i], dom[j]
+                        if d1 & (d1 - 1):
+                            if d2 & (d2 - 1):
+                                continue  # two free inputs: checked later
+                            m = d1 & aux[d2.bit_length() - 1][a]
+                            dx = d1
+                        elif d2 & (d2 - 1):
+                            m = d2 & tab[d1.bit_length() - 1][a]
+                            dx = d2
+                            i = j
+                        elif tab[d1.bit_length() - 1][a] & d2:
+                            continue
+                        else:
+                            return False
+                    elif self._check_table(i, j, tab, aux):
+                        continue
+                    else:
+                        return False
+                    # restrict i to m; v's own domain needs no change
+                    if m != dx:
+                        if not m:
+                            return False
+                        trail.append((i, dx))
+                        dom[i] = m
+                        if not m & (m - 1):
+                            queue.append(i)
+                    continue
+                # force i := val
+                do = dom[i]
+                if not do >> val & 1:
                     return False
+                if do & (do - 1):
+                    trail.append((i, do))
+                    dom[i] = 1 << val
+                    queue.append(i)
+                elif not done[i]:
+                    queue.append(i)
         return True
 
     def _pick(self):
+        done = self.done
+        if self.order == "lexicographic":
+            return next((v for v in range(self.p.n_vars) if not done[v]), None)
         best = None
-        for v in range(self.p.n_vars):
-            if self.done[v]:
-                continue
-            if self.order == "lexicographic":
-                return v
-            size = len(self.dom[v])
-            if best is None or size < best[0]:
-                best = (size, v)
-        return None if best is None else best[1]
+        size = 0
+        for v, d in enumerate(self.dom):
+            if not done[v]:
+                c = d.bit_count()
+                if best is None or c < size:
+                    best, size = v, c
+        return best
 
     def root(self) -> bool:
         """Propagate the initial domains; False when they admit no solution."""
         if not all(self.dom):
             return False
-        self.queue = [v for v in range(self.p.n_vars) if len(self.dom[v]) == 1]
+        self.queue[:] = [v for v, d in enumerate(self.dom) if not d & (d - 1)]
         return self.propagate()
 
     def solutions(self):
@@ -329,8 +500,8 @@ class _Engine:
         """First solution from the current state with val removed from
         var's domain, or None after an exhaustive search; the state is
         restored either way."""
-        mark = len(self.trail)
-        self.queue = []
+        mark = self._mark()
+        self.queue.clear()
         sol = None
         if self.remove(var, val) and self.propagate():
             sol = next(self._solve(), None)
@@ -339,21 +510,24 @@ class _Engine:
 
     def settle(self, var, val) -> bool:
         """Force var := val for every later search; False on a wipeout."""
-        self.queue = []
+        self.queue.clear()
         return self.force(var, val) and self.propagate()
 
     def _solve(self):
         var = self._pick()
         if var is None:
-            yield tuple(next(iter(self.dom[v])) for v in range(self.p.n_vars))
+            yield tuple(d.bit_length() - 1 for d in self.dom)
             return
-        for val in sorted(self.dom[var]):
+        rest = self.dom[var]
+        while rest:
+            low = rest & -rest
+            rest ^= low
             self.stats.nodes += 1
             if self.stop is not None and self.stats.nodes > self.stop:
                 raise NodeLimitReached("node limit exceeded")
-            mark = len(self.trail)
-            self.queue = []
-            if self.force(var, val) and self.propagate():
+            mark = self._mark()
+            self.queue.clear()
+            if self.force(var, low.bit_length() - 1) and self.propagate():
                 yield from self._solve()
             self._undo(mark)
 
@@ -449,11 +623,6 @@ def _consistent_domains(a, b, d, max_arity, *, stats=None):
     return d if alive else None
 
 
-def _domain_sets(d):
-    values = range(d.shape[1])
-    return [set(itertools.compress(values, row)) for row in d.tolist()]
-
-
 def _budget(cfg, stats):
     """The stats every search of one decision counts its nodes in, and the
     node count past which that decision raises NodeLimitReached (None: no
@@ -472,7 +641,7 @@ def _hom_engine(a, b, cfg, d, stats, *, order="mrv", all_different=False):
         return None
     problem = _Problem(a.size)
     problem.add_hom_constraints(a, b)
-    return _Engine(problem, _domain_sets(d), stats, order=order, stop=stop,
+    return _Engine(problem, _masks(d), stats, order=order, stop=stop,
                    all_different=all_different)
 
 
@@ -504,7 +673,7 @@ def _find_retraction(x, d, stats, stop, *, moving=False):
         return None
     problem = _Problem(x.size)
     problem.add_hom_constraints(x, x)
-    eng = _Engine(problem, _domain_sets(d), stats, stop=stop, hooks=(_idem_hook,))
+    eng = _Engine(problem, _masks(d), stats, stop=stop, hooks=(_idem_hook,))
     sol = None
     if not moving:
         sol = next(eng.solutions(), None)
@@ -615,7 +784,7 @@ def _solve_factor_pair(inst, cfg, stats):
     problem = _Problem(x.size + y.size)
     problem.add_hom_constraints(x, y)
     problem.add_hom_constraints(y, z, offset=x.size)
-    eng = _Engine(problem, _domain_sets(dg) + _domain_sets(dh), stats, stop=stop,
+    eng = _Engine(problem, _masks(dg) + _masks(dh), stats, stop=stop,
                   hooks=(_channel_hook(x.size, f_values),))
     sol = next(eng.solutions(), None)
     if sol is None:
