@@ -157,10 +157,10 @@ class FactorizationInstance:
 # on v is checked through v's compiled entry (kind, i, j, tab, aux): the
 # other variables of the constraint and target tables indexed by a.
 _FORCE = 0  # (o, -, vals, -): every input is v, so o := vals[a]
-_PRE = 1  # (x, -, pre, -): v is the output of a tuple of x alone; x within pre[a]
-_ROW = 2  # (o, w, rows, pres): w fills the other input, o the output: rows[a][w] = o
-_FIX = 3  # (w, -, fixes, -): w fills the other input and is the output
-_PAIR = 4  # (x1, x2, pre1, pre2): v is the output of the tuple (x1, x2)
+_ROW = 1  # (o, w, rows, pres): w fills the other input, o the output: rows[a][w] = o
+_PAIR = 2  # (x1, x2, pre1, pre2): v is the output of the tuple (x1, x2)
+_PRE = 3  # (x, -, pre, -): v is the output of a tuple of x alone; x within pre[a]
+_FIX = 4  # (w, -, fixes, -): w fills the other input and is the output
 _TABLE = 5  # (inputs, o, table, strides): arity 3 or more, checked generically
 
 
@@ -215,25 +215,28 @@ def _entries(arity, tb, nb, var, xs, o):
         return list(zip(itertools.repeat(_TABLE), map(tuple, xs.T.tolist()), o.tolist(),
                         itertools.repeat(tb.tolist()), itertools.repeat(strides)))
     if arity == 1:
-        into = xs[0] == var  # v is the input, else only the output
-        tabs = (_preimages(tb, nb), tb.tolist())
-        return list(zip(np.where(into, _FORCE, _PRE).tolist(),
-                        np.where(into, o, xs[0]).tolist(), itertools.repeat(0),
-                        map(tabs.__getitem__, into.tolist()), itertools.repeat(None)))
-    x1, x2 = xs
-    slot = _SLOTS2[(x1 == var) + 2 * (x2 == var) + 4 * (o == x2) + 8 * (o == x1)
-                   + 16 * (x1 == x2)]
-    cols = np.arange(len(var))
-    first = np.stack([o, o, x2, o, x1, x1, x1])[slot, cols]
-    second = np.stack([o, x2, o, x1, o, o, x2])[slot, cols]
-    t = tb.reshape(nb, nb)
-    diag, pre1, pre2 = np.diagonal(t), _preimages(t, nb), _preimages(t.T, nb)
-    tabs = (diag.tolist(), t.tolist(), _masks(t == np.arange(nb)), t.T.tolist(),
-            _masks(t.T == np.arange(nb)), _preimages(diag, nb), pre1)
-    auxs = (None, pre1, None, pre2, None, None, pre2)
-    slots = slot.tolist()
-    return list(zip(map(_KINDS2.__getitem__, slots), first.tolist(), second.tolist(),
-                    map(tabs.__getitem__, slots), map(auxs.__getitem__, slots)))
+        slot = (xs[0] != var).view(np.int8)  # 0: v is the input; 1: v is only the output
+        kinds, tabs, auxs = (_FORCE, _PRE), (tb.tolist(), _preimages(tb, nb)), (None, None)
+        first = np.where(slot, xs[0], o)
+        second = first
+    else:
+        x1, x2 = xs
+        slot = _SLOTS2[(x1 == var) + 2 * (x2 == var) + 4 * (o == x2) + 8 * (o == x1)
+                       + 16 * (x1 == x2)]
+        cols = np.arange(len(var))
+        first = np.stack([o, o, x2, o, x1, x1, x1])[slot, cols]
+        second = np.stack([o, x2, o, x1, o, o, x2])[slot, cols]
+        t = tb.reshape(nb, nb)
+        diag, pre1, pre2 = np.diagonal(t), _preimages(t, nb), _preimages(t.T, nb)
+        kinds = _KINDS2
+        tabs = (diag.tolist(), t.tolist(), _masks(t == np.arange(nb)), t.T.tolist(),
+                _masks(t.T == np.arange(nb)), _preimages(diag, nb), pre1)
+        auxs = (None, pre1, None, pre2, None, None, pre2)
+    shared = np.empty((2, len(kinds)), dtype=object)  # the target tables of each slot
+    for k in range(len(kinds)):
+        shared[0, k], shared[1, k] = tabs[k], auxs[k]
+    return list(zip(np.array(kinds)[slot].tolist(), first.tolist(), second.tolist(),
+                    *shared[:, slot].tolist()))
 
 
 class _Problem:
@@ -326,12 +329,13 @@ class _Engine:
 
     def _undo(self, mark):
         trail, dom = self.trail, self.dom
-        while len(trail) > mark[0]:
-            var, old = trail.pop()
+        for var, old in reversed(trail[mark[0]:]):
             dom[var] = old
+        del trail[mark[0]:]
         log, done = self.done_log, self.done
-        while len(log) > mark[1]:
-            done[log.pop()] = False
+        for var in log[mark[1]:]:
+            done[var] = False
+        del log[mark[1]:]
 
     def _check_table(self, ins, out, table, strides) -> bool:
         idx_fixed = 0
@@ -369,105 +373,105 @@ class _Engine:
 
     def propagate(self) -> bool:
         dom, done, trail, queue = self.dom, self.done, self.trail, self.queue
-        props = self.p.props
+        props, hooks, log = self.p.props, self.hooks, self.done_log
         while queue:
             v = queue.pop()
             d = dom[v]
             if done[v] or d & (d - 1):
                 continue
             done[v] = True
-            self.done_log.append(v)
+            log.append(v)
             a = d.bit_length() - 1
             if self.all_diff:
                 for w in range(self.p.n_vars):
                     if w != v and not self.remove(w, a):
                         return False
-            for hook in self.hooks:
+            for hook in hooks:
                 if not hook(self, v, a):
                     return False
             for kind, i, j, tab, aux in props[v]:
-                if kind == _FORCE:
-                    val = tab[a]
-                elif kind == _ROW:
-                    dw = dom[j]
-                    if not dw & (dw - 1):
+                if kind <= _ROW:  # ends in i := val unless the row input is free
+                    if kind == _ROW:
+                        dw = dom[j]
+                        if dw & (dw - 1):
+                            # j free: keep the values whose image is in i's domain
+                            do = dom[i]
+                            if not do & (do - 1):
+                                ay = dw & aux[a][do.bit_length() - 1]
+                                if not ay:
+                                    return False
+                                ao = do
+                            else:
+                                row = tab[a]
+                                ay = ao = 0
+                                rest = dw
+                                while rest:
+                                    low = rest & -rest
+                                    rest ^= low
+                                    c = row[low.bit_length() - 1]
+                                    if do >> c & 1:
+                                        ay |= low
+                                        ao |= 1 << c
+                                if not ay:
+                                    return False
+                            if ay != dw:
+                                trail.append((j, dw))
+                                dom[j] = ay
+                                if not ay & (ay - 1):
+                                    queue.append(j)
+                            if ao != do:
+                                trail.append((i, do))
+                                dom[i] = ao
+                                if not ao & (ao - 1):
+                                    queue.append(i)
+                            continue
                         val = tab[a][dw.bit_length() - 1]
                     else:
-                        # j free: keep the values whose image is in i's domain
-                        do = dom[i]
-                        if not do & (do - 1):
-                            ay = dw & aux[a][do.bit_length() - 1]
-                            ao = do if ay else 0
-                        else:
-                            row = tab[a]
-                            ay = ao = 0
-                            rest = dw
-                            while rest:
-                                low = rest & -rest
-                                rest ^= low
-                                c = row[low.bit_length() - 1]
-                                if do >> c & 1:
-                                    ay |= low
-                                    ao |= 1 << c
-                        if not ay:
-                            return False
-                        if ay != dw:
-                            trail.append((j, dw))
-                            dom[j] = ay
-                            if not ay & (ay - 1):
-                                queue.append(j)
-                        if ao != do:
-                            trail.append((i, do))
-                            dom[i] = ao
-                            if not ao & (ao - 1):
-                                queue.append(i)
-                        continue
-                else:
-                    if kind == _PRE or kind == _FIX:
-                        dx = dom[i]
-                        m = dx & tab[a]
-                        if kind == _FIX and m and not dx & (dx - 1):
-                            if not done[i]:
-                                queue.append(i)
-                            continue
-                    elif kind == _PAIR:
-                        d1, d2 = dom[i], dom[j]
-                        if d1 & (d1 - 1):
-                            if d2 & (d2 - 1):
-                                continue  # two free inputs: checked later
-                            m = d1 & aux[d2.bit_length() - 1][a]
-                            dx = d1
-                        elif d2 & (d2 - 1):
-                            m = d2 & tab[d1.bit_length() - 1][a]
-                            dx = d2
-                            i = j
-                        elif tab[d1.bit_length() - 1][a] & d2:
-                            continue
-                        else:
-                            return False
-                    elif self._check_table(i, j, tab, aux):
+                        val = tab[a]
+                    do = dom[i]
+                    if not do >> val & 1:
+                        return False
+                    if do & (do - 1):
+                        trail.append((i, do))
+                        dom[i] = 1 << val
+                        queue.append(i)
+                    elif not done[i]:
+                        queue.append(i)
+                    continue
+                # the rest end in restricting one variable x to m
+                if kind == _PAIR:
+                    d1, d2 = dom[i], dom[j]
+                    if d1 & (d1 - 1):
+                        if d2 & (d2 - 1):
+                            continue  # two free inputs: checked later
+                        x, dx, m = i, d1, d1 & aux[d2.bit_length() - 1][a]
+                    elif d2 & (d2 - 1):
+                        x, dx, m = j, d2, d2 & tab[d1.bit_length() - 1][a]
+                    elif tab[d1.bit_length() - 1][a] & d2:
                         continue
                     else:
                         return False
-                    # restrict i to m; v's own domain needs no change
-                    if m != dx:
-                        if not m:
-                            return False
-                        trail.append((i, dx))
-                        dom[i] = m
-                        if not m & (m - 1):
-                            queue.append(i)
+                elif kind == _PRE:
+                    x, dx = i, dom[i]
+                    m = dx & tab[a]
+                elif kind == _FIX:
+                    x, dx = i, dom[i]
+                    m = dx & tab[a]
+                    if m and not dx & (dx - 1):
+                        if not done[x]:
+                            queue.append(x)
+                        continue
+                elif self._check_table(i, j, tab, aux):
                     continue
-                # force i := val
-                do = dom[i]
-                if not do >> val & 1:
+                else:
                     return False
-                if do & (do - 1):
-                    trail.append((i, do))
-                    dom[i] = 1 << val
-                    queue.append(i)
-                elif not done[i]:
-                    queue.append(i)
+                if m != dx:
+                    if not m:
+                        return False
+                    trail.append((x, dx))
+                    dom[x] = m
+                    if not m & (m - 1):
+                        queue.append(x)
         return True
 
     def _pick(self):
