@@ -39,6 +39,7 @@ from .solver import (
     NodeLimitReached,
     SearchConfig,
     SearchStats,
+    _budget,
     decide,
     find_homomorphism,
     find_left_factor,
@@ -129,7 +130,7 @@ def cmd_fcore(args) -> CommandResult:
     x = read_algebra(args.algebra)
     f = read_mapping(args.f)
     cfg = SearchConfig(node_limit=args.node_limit)
-    res = _run_method(args.method, x, f, None, cfg)
+    res = _run_method(args.method, x, f, None, _budget(cfg, None))
     inapplicable = None
     if isinstance(res, InapplicableReport):
         inapplicable, res = res.reason, res.fallback
@@ -225,7 +226,7 @@ def _bench_fcores(max_size, rows):
         ):
             stats = SearchStats()
             t0 = time.perf_counter()
-            res = _run_method(variety, x, f, z, stats=stats)
+            res = _run_method(variety, x, f, z, _budget(None, stats))
             marker = ""
             if isinstance(res, InapplicableReport):
                 marker, res = "inapplicable:", res.fallback

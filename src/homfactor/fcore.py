@@ -12,9 +12,10 @@ for the rest of the step. The variety-specific methods compute a (not
 certified) retraction directly and are anchored to the brute oracle by the
 test suite, never trusted on their own.
 
-brute_fcore, is_fcore and abelian_fcore take a SearchConfig whose node
-limit counts the nodes of every search one call makes; running out raises
-NodeLimitReached, never a smaller or a wrong answer.
+brute_fcore, is_fcore, abelian_fcore and fixed_z_right_factor take a
+SearchConfig whose node limit counts the nodes of every search one call
+makes; running out raises NodeLimitReached, never a smaller or a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .solver import (
     FactorizationInstance,
     InstanceError,
     _budget,
+    _decide,
     _find_retraction,
-    find_right_factor,
     verify_witness,
 )
 from .varieties import (
@@ -104,21 +105,21 @@ def _fibers(fvals):
     return fv[:, None] == fv[None, :]
 
 
-def _nonidentity_retraction(x: FiniteAlgebra, f: Mapping, stats, stop):
+def _nonidentity_retraction(x: FiniteAlgebra, f: Mapping, budget):
     """An f-respecting non-identity retraction moving the least element any
     moves, or None after exhaustive refutation."""
-    r = _find_retraction(x, _fibers(f.values), stats, stop, moving=True)
+    r = _find_retraction(x, _fibers(f.values), budget, moving=True)
     if r is not None and not is_retraction_respecting(r, x, f):
         raise AssertionError("retraction search returned a bad witness")
     return r
 
 
-def _brute(x: FiniteAlgebra, f: Mapping, stats, stop) -> FCoreResult:
+def _brute(x: FiniteAlgebra, f: Mapping, budget) -> FCoreResult:
     total = Mapping.identity(x.size)
     elems = list(range(x.size))
     cur, cur_f = x, f
     while True:
-        r_sub = _nonidentity_retraction(cur, cur_f, stats, stop)
+        r_sub = _nonidentity_retraction(cur, cur_f, budget)
         if r_sub is None:
             break
         lift = list(range(x.size))
@@ -137,14 +138,14 @@ def brute_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
                 cfg=None, *, stats=None) -> FCoreResult:
     """Decremental minimization down to a certified f-core."""
     _check_f(x, f, z)
-    return _brute(x, f, *_budget(cfg, stats))
+    return _brute(x, f, _budget(cfg, stats))
 
 
 def is_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
              cfg=None, *, stats=None) -> bool:
     """True iff only the identity retraction respects f (exhaustive search)."""
     _check_f(x, f, z)
-    return _nonidentity_retraction(x, f, *_budget(cfg, stats)) is None
+    return _nonidentity_retraction(x, f, _budget(cfg, stats)) is None
 
 
 def _orbit_map(o1, o2, ops, fvals):
@@ -342,20 +343,23 @@ def abelian_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
     inapplicable and the brute result is returned inside the report; the
     splitting search and the brute fallback share one node budget.
     """
+    return _abelian(x, f, z, _budget(cfg, stats))
+
+
+def _abelian(x, f, z, budget):
     problems = validate_abelian(x)
     if problems:
         raise AlgebraError("not a valid abelian group: " + "; ".join(problems))
     _check_f(x, f, z)
-    stats, stop = _budget(cfg, stats)
     zero = int(x.table("zero")[0])
     d = _fibers(f.values)
     kernel = d[zero].copy()
     d[kernel] = False
     d[kernel, zero] = True
-    retraction = _find_retraction(x, d, stats, stop)
+    retraction = _find_retraction(x, d, budget)
     if retraction is None:
         return InapplicableReport(
-            "abelian", "kernel of f is not a direct summand", _brute(x, f, stats, stop)
+            "abelian", "kernel of f is not a direct summand", _brute(x, f, budget)
         )
     if not is_retraction_respecting(retraction, x, f):
         raise AssertionError("splitting search returned a bad witness")
@@ -364,9 +368,12 @@ def abelian_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
     return FCoreResult(retraction, tuple(image), core, False, "abelian")
 
 
-def _run_method(method, x, f, z, cfg=None, stats=None):
+def _run_method(method, x, f, z, budget):
+    """One f-core method; the brute and abelian searches count their nodes
+    in budget, from solver._budget."""
     if method == "brute":
-        return brute_fcore(x, f, z, cfg, stats=stats)
+        _check_f(x, f, z)
+        return _brute(x, f, budget)
     if method == "gset":
         return gset_fcore(x, f, z)
     if method == "vspace":
@@ -374,7 +381,7 @@ def _run_method(method, x, f, z, cfg=None, stats=None):
     if method == "boolean":
         return boolean_fcore(x, f, z)
     if method == "abelian":
-        return abelian_fcore(x, f, z, cfg, stats=stats)
+        return _abelian(x, f, z, budget)
     raise AlgebraError(f"unknown f-core method {method!r}")
 
 
@@ -384,7 +391,8 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
 
     Pipeline: require im(f) ⊆ im(h) and restrict the target to im(f);
     replace X by its f-core; solve the restricted instance; reassemble the
-    witness as the core solution precomposed with the retraction.
+    witness as the core solution precomposed with the retraction. The f-core
+    step and the restricted search share one node budget.
     """
     inst.validate()
     if inst.kind != "right-factor":
@@ -398,7 +406,8 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
     y_res, _ = induced_subalgebra(inst.Y, y_keep)
     f_res = Mapping(inst.X.size, z_res.size, tuple(z_idx[v] for v in f.values))
     h_res = Mapping(y_res.size, z_res.size, tuple(z_idx[h.values[y]] for y in y_keep))
-    res = _run_method(fcore_method, inst.X, f_res, z_res, cfg, stats)
+    budget = _budget(cfg, stats)
+    res = _run_method(fcore_method, inst.X, f_res, z_res, budget)
     if isinstance(res, InapplicableReport):
         res = res.fallback
     image = list(res.image)
@@ -407,9 +416,10 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
     sub = FactorizationInstance(
         "right-factor", res.core_algebra, y_res, z_res, f=f_core, h=h_res
     )
-    g_core = find_right_factor(sub, cfg, stats=stats)
-    if g_core is None:
+    pair = _decide(sub, budget)
+    if pair is None:
         return None
+    g_core = pair[0]
     rvals = res.retraction.values
     g = Mapping(
         inst.X.size,

@@ -40,6 +40,7 @@ from .algebra import (
     SizeMismatch,
     compose,
     is_homomorphism,
+    validate_algebra,
 )
 
 __all__ = [
@@ -88,6 +89,16 @@ class SearchStats:
     root_pruned: int = 0  # (element, value) pairs removed before branching
 
 
+def _malformed(named):
+    """One line per (name, algebra) pair whose tables validate_algebra rejects."""
+    out = []
+    for name, alg in named:
+        problems = validate_algebra(alg)
+        if problems:
+            out.append(f"{name} is malformed: " + "; ".join(problems))
+    return out
+
+
 @dataclass(frozen=True)
 class FactorizationInstance:
     """One decision problem: which of f = h∘g is unknown depends on kind."""
@@ -108,6 +119,9 @@ class FactorizationInstance:
         algebras = [("X", self.X), ("Y", self.Y)]
         if self.Z is not None:
             algebras.append(("Z", self.Z))
+        out = _malformed(algebras)
+        if out:
+            return out
         sig = self.X.signature
         for name, alg in algebras:
             if alg.signature != sig:
@@ -628,16 +642,17 @@ def _consistent_domains(a, b, d, max_arity, *, stats=None):
 
 
 def _budget(cfg, stats):
-    """The stats every search of one decision counts its nodes in, and the
-    node count past which that decision raises NodeLimitReached (None: no
-    limit). Searches that share them share one node budget."""
+    """The budget of one decision: the stats every one of its searches
+    counts its nodes in, and the node count past which it raises
+    NodeLimitReached (None: no limit). Searches that get the same budget
+    share one node limit."""
     stats = SearchStats() if stats is None else stats
     limit = (cfg or DEFAULT_CONFIG).node_limit
     return stats, None if limit is None else stats.nodes + limit
 
 
-def _hom_engine(a, b, cfg, d, stats, *, order="mrv", all_different=False):
-    stats, stop = _budget(cfg, stats)
+def _hom_engine(a, b, budget, d, *, order="mrv", all_different=False):
+    stats, stop = budget
     if d is None:
         d = np.ones((a.size, b.size), dtype=bool)
     d = _consistent_domains(a, b, d, 1, stats=stats)
@@ -649,9 +664,9 @@ def _hom_engine(a, b, cfg, d, stats, *, order="mrv", all_different=False):
                    all_different=all_different)
 
 
-def _search_hom(a, b, cfg, stats, *, d=None, all_different=False):
+def _search_hom(a, b, budget, *, d=None, all_different=False):
     """First homomorphism a -> b the search finds, not yet re-verified."""
-    eng = _hom_engine(a, b, cfg, d, stats, all_different=all_different)
+    eng = _hom_engine(a, b, budget, d, all_different=all_different)
     sol = None if eng is None else next(eng.solutions(), None)
     return None if sol is None else Mapping(a.size, b.size, sol)
 
@@ -661,10 +676,10 @@ def _idem_hook(eng, var, val):
     return eng.force(val, val)
 
 
-def _find_retraction(x, d, stats, stop, *, moving=False):
+def _find_retraction(x, d, budget, *, moving=False):
     """First idempotent endomorphism of x within the bool domain matrix d
     (d[v, w]: v may go to w), or None after an exhaustive search; not yet
-    re-verified. stats and stop come from _budget.
+    re-verified. budget comes from _budget.
 
     With moving set, the identity does not count. The engine is built and
     propagated once; then, for each element m in ascending order, one
@@ -672,6 +687,7 @@ def _find_retraction(x, d, stats, stop, *, moving=False):
     so no such map moves m: it is undone and m is fixed for every later
     search. The map found therefore moves the least element any moves.
     """
+    stats, stop = budget
     d = _consistent_domains(x, x, d, 1, stats=stats)
     if d is None:
         return None
@@ -729,17 +745,17 @@ def _verified(inst, g, h):
     return g, h
 
 
-def _solve_hom(inst, cfg, stats, d=None):
-    return _verified(inst, _search_hom(inst.X, inst.Y, cfg, stats, d=d), None)
+def _solve_hom(inst, budget, d=None):
+    return _verified(inst, _search_hom(inst.X, inst.Y, budget, d=d), None)
 
 
-def _solve_right_factor(inst, cfg, stats):
+def _solve_right_factor(inst, budget):
     # g(x) ranges over the h-fiber over f(x)
     d = np.array(inst.f.values)[:, None] == np.array(inst.h.values)[None, :]
-    return _solve_hom(inst, cfg, stats, d)
+    return _solve_hom(inst, budget, d)
 
 
-def _solve_left_factor(inst, cfg, stats):
+def _solve_left_factor(inst, budget):
     seeds = {}
     for x in range(inst.X.size):
         y, z = inst.g.values[x], inst.f.values[x]
@@ -749,7 +765,7 @@ def _solve_left_factor(inst, cfg, stats):
     for y, z in seeds.items():
         d[y] = False
         d[y, z] = True
-    return _verified(inst, None, _search_hom(inst.Y, inst.Z, cfg, stats, d=d))
+    return _verified(inst, None, _search_hom(inst.Y, inst.Z, budget, d=d))
 
 
 def _channel_hook(n_x, f_values):
@@ -768,10 +784,10 @@ def _channel_hook(n_x, f_values):
     return hook
 
 
-def _solve_factor_pair(inst, cfg, stats):
+def _solve_factor_pair(inst, budget):
     """One combined search over g- and h-variables with the channeling
     constraint; a retraction is the full factor of the identity with Z = X."""
-    stats, stop = _budget(cfg, stats)
+    stats, stop = budget
     x, y = inst.X, inst.Y
     z = inst.Z if inst.Z is not None else x
     f_values = inst.f.values if inst.f is not None else tuple(range(x.size))
@@ -798,10 +814,10 @@ def _solve_factor_pair(inst, cfg, stats):
     )
 
 
-def _solve_isomorphism(inst, cfg, stats):
+def _solve_isomorphism(inst, budget):
     if inst.X.size != inst.Y.size:
         return None
-    g = _search_hom(inst.X, inst.Y, cfg, stats, all_different=True)
+    g = _search_hom(inst.X, inst.Y, budget, all_different=True)
     return _verified(inst, g, None)
 
 
@@ -822,8 +838,13 @@ def decide(inst: FactorizationInstance, cfg=None, *, stats=None):
     The instance is validated once. Hitting a configured node limit raises
     NodeLimitReached instead of answering.
     """
+    return _decide(inst, _budget(cfg, stats))
+
+
+def _decide(inst, budget):
+    """decide within a budget from _budget, which later searches may share."""
     inst.validate()
-    return _SOLVERS[inst.kind](inst, cfg, stats)
+    return _SOLVERS[inst.kind](inst, budget)
 
 
 def _expect(inst, *kinds):
@@ -835,6 +856,9 @@ def _expect(inst, *kinds):
 def _algebra_pair(kind, a, b):
     if a.signature != b.signature:
         raise SignatureMismatch("algebras do not share a signature")
+    problems = _malformed([("first algebra", a), ("second algebra", b)])
+    if problems:
+        raise AlgebraError("; ".join(problems))
     return FactorizationInstance(kind, a, b)
 
 
@@ -849,7 +873,7 @@ def find_homomorphism(a, b, cfg=None, *, domains=None, stats=None):
         d = np.zeros((a.size, b.size), dtype=bool)
         for v, dom in enumerate(domains):
             d[v, list(dom)] = True
-    pair = _solve_hom(_algebra_pair("hom", a, b), cfg, stats, d)
+    pair = _solve_hom(_algebra_pair("hom", a, b), _budget(cfg, stats), d)
     return None if pair is None else pair[0]
 
 
@@ -858,7 +882,7 @@ def enumerate_homomorphisms(a, b, limit, *, cfg=None, stats=None):
     if limit < 1:
         raise ValueError("limit must be at least 1")
     inst = _algebra_pair("hom", a, b)
-    eng = _hom_engine(a, b, cfg, None, stats, order="lexicographic")
+    eng = _hom_engine(a, b, _budget(cfg, stats), None, order="lexicographic")
     if eng is None:
         return []
     return [
@@ -898,10 +922,10 @@ def find_factorization(inst: FactorizationInstance, cfg=None, *, stats=None):
 
 def decide_retraction(x: FiniteAlgebra, y: FiniteAlgebra, cfg=None, *, stats=None):
     """Pair (g: X->Y, h: Y->X) with h∘g = id_X, or None."""
-    return _solve_factor_pair(_algebra_pair("retraction", x, y), cfg, stats)
+    return _solve_factor_pair(_algebra_pair("retraction", x, y), _budget(cfg, stats))
 
 
 def decide_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra, cfg=None, *, stats=None):
     """Bijective homomorphism with homomorphic inverse, or None."""
-    pair = _solve_isomorphism(_algebra_pair("isomorphism", a, b), cfg, stats)
+    pair = _solve_isomorphism(_algebra_pair("isomorphism", a, b), _budget(cfg, stats))
     return None if pair is None else pair[0]

@@ -117,6 +117,18 @@ def test_node_limit_counts_every_search_of_one_call():
         abelian_fcore(x, f, z, SearchConfig(node_limit=stats.nodes - 1))
 
 
+def test_fixed_z_right_factor_counts_one_budget():
+    # the f-core step takes 7, 15 and 7 nodes here, the restricted
+    # right-factor search 1, 10 and 6: only a shared budget stops at the sum
+    samples = sample_rf_instances("gset", 12, 16, seed=7)
+    for inst in (samples[0], samples[1], samples[9]):
+        stats = SearchStats()
+        expected = fixed_z_right_factor(inst, "brute", stats=stats)
+        assert fixed_z_right_factor(inst, "brute", SearchConfig(node_limit=stats.nodes)) == expected
+        with pytest.raises(NodeLimitReached):
+            fixed_z_right_factor(inst, "brute", SearchConfig(node_limit=stats.nodes - 1))
+
+
 def test_is_fcore_examples():
     x, z, f = make_fcore_instance(complete_graph(4))
     assert is_fcore(x, f, z)

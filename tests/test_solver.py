@@ -5,7 +5,14 @@ import pytest
 
 from conftest import brute_homs
 
-from homfactor.algebra import Mapping, SignatureMismatch, compose, is_homomorphism
+from homfactor.algebra import (
+    AlgebraError,
+    FiniteAlgebra,
+    Mapping,
+    SignatureMismatch,
+    compose,
+    is_homomorphism,
+)
 from homfactor.encodings import (
     encode_magma,
     encode_semigroup,
@@ -33,6 +40,7 @@ from homfactor.solver import (
     SearchConfig,
     SearchStats,
     _consistent_domains,
+    decide,
     decide_isomorphism,
     decide_retraction,
     enumerate_homomorphisms,
@@ -412,6 +420,28 @@ def test_retraction_refuted_within_node_guard():
     stats = SearchStats()
     assert decide_retraction(x, y, SearchConfig(node_limit=500), stats=stats) is None
     assert stats.root_pruned > 0
+
+
+def test_entry_points_validate_algebras():
+    bad = FiniteAlgebra([("u", 1)], 2, {"u": [0, 5]})
+    good = FiniteAlgebra([("u", 1)], 2, {"u": [0, 1]})
+    ident = Mapping.identity(2)
+    calls = [
+        lambda: find_homomorphism(bad, good),
+        lambda: find_homomorphism(good, bad),
+        lambda: enumerate_homomorphisms(good, bad, 3),
+        lambda: decide_retraction(bad, good),
+        lambda: decide_retraction(good, bad),
+        lambda: decide_isomorphism(good, bad),
+        lambda: decide(FactorizationInstance("hom", bad, good)),
+        lambda: find_right_factor(
+            FactorizationInstance("right-factor", good, good, bad, f=ident, h=ident)
+        ),
+        lambda: find_factorization(FactorizationInstance("retraction", bad, good)),
+    ]
+    for call in calls:
+        with pytest.raises(AlgebraError, match="malformed"):
+            call()
 
 
 def _digest(witnesses):
