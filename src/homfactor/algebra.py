@@ -199,10 +199,12 @@ def validate_algebra(alg: FiniteAlgebra) -> list[str]:
             problems.append(
                 f"table for {name!r} has {t.size} entries, expected {expected}"
             )
-        if t.size and (t.min() < 0 or t.max() >= alg.size):
+        # tables are int64, so a negative entry reads as a huge unsigned one
+        if t.size and t.view(np.uint64).max() >= alg.size:
             problems.append(f"table for {name!r} has entries outside [0, {alg.size})")
+    names = alg.signature.names
     for name in alg.tables:
-        if name not in alg.signature.names:
+        if name not in names:
             problems.append(f"table for {name!r} not in signature")
     if alg.labels is not None:
         if len(alg.labels) != alg.size:

@@ -14,6 +14,14 @@ search. Exceeding a configured node limit raises NodeLimitReached: an
 explicit "unknown" outcome, distinct from an exhaustive "no". The limit
 counts the nodes of one decision, across every search it runs.
 
+Every domain is a Python int bitmask over the target carrier, converted
+once from the root routine's bool matrix. The constraints are compiled with
+numpy into per-variable propagators: for each variable and each tuple it
+occurs in, one entry naming the tuple's other variables and the target
+table sliced by the variable's value, so that a binary table with one
+argument fixed becomes a row lookup. propagate runs the entries inline, in
+ascending constraint order, with a stack of newly fixed variables.
+
 The f-core module runs its retraction searches through _find_retraction,
 one incremental engine per decremental step, and never builds an engine
 itself.
@@ -21,9 +29,9 @@ itself.
 What each instance kind means lives here and nowhere else: decide dispatches
 on the kind, full factors and retractions share one combined search over g-
 and h-variables, and every witness an entry point returns has passed
-verify_witness, the single per-kind check.
+verify_witness, the single per-kind check. Every entry point validates its
+algebras first, so a malformed table raises AlgebraError.
 """
-
 from __future__ import annotations
 
 import functools
@@ -352,6 +360,9 @@ class _Engine:
         del log[mark[1]:]
 
     def _check_table(self, ins, out, table, strides) -> bool:
+        """One constraint of arity 3 or more: with every input fixed, force
+        the output; with one free input (repeats allowed), keep the values
+        whose image lies in the output's domain, and the images."""
         idx_fixed = 0
         free_var = -1
         free_stride = 0
