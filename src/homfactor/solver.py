@@ -32,6 +32,7 @@ and h-variables, and every witness an entry point returns has passed
 verify_witness, the single per-kind check. Every entry point validates its
 algebras first, so a malformed table raises AlgebraError.
 """
+
 from __future__ import annotations
 
 import functools

@@ -40,6 +40,8 @@ from homfactor.solver import (
     SearchConfig,
     SearchStats,
     _consistent_domains,
+    _masks,
+    _preimages,
     decide,
     decide_isomorphism,
     decide_retraction,
@@ -442,6 +444,27 @@ def test_entry_points_validate_algebras():
     for call in calls:
         with pytest.raises(AlgebraError, match="malformed"):
             call()
+
+
+def test_bitmask_conversion_matches_reference():
+    # domains of up to 64 values take one path, wider ones another
+    rng = np.random.default_rng(0)
+    for width in (1, 7, 8, 9, 63, 64, 65, 130):
+        rows = rng.random((2, 3, width)) < 0.5
+        masks = _masks(rows)
+        for i, j in np.ndindex(2, 3):
+            assert masks[i][j] == sum(1 << int(y) for y in np.flatnonzero(rows[i, j]))
+        values = rng.integers(0, 5, (3, width))
+        pre = _preimages(values, 5)
+        for i, c in np.ndindex(3, 5):
+            assert pre[i][c] == sum(1 << int(y) for y in np.flatnonzero(values[i] == c))
+
+
+def test_search_over_a_wide_target():
+    # 72 target values: domains wider than one machine word
+    a, b = make_abelian([2]), make_abelian([2, 36])
+    assert enumerate_homomorphisms(a, b, 1000) == brute_homs(a, b)
+    assert find_homomorphism(make_abelian([4]), b) is not None
 
 
 def _digest(witnesses):
