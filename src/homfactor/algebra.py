@@ -150,7 +150,11 @@ class Mapping:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        # tuple() of a list allocates the tuple at its final size; of a
+        # generator it grows one and frees it into CPython's cache for that
+        # size, which keeps up to 2,000 tuples per size between full garbage
+        # collections (a few MB of peak memory in a long run)
+        object.__setattr__(self, "values", tuple([int(v) for v in self.values]))
         if self.dom_size < 1 or self.cod_size < 1:
             raise AlgebraError("mapping carrier sizes must be positive")
         if len(self.values) != self.dom_size:
@@ -247,7 +251,7 @@ def compose(outer: Mapping, inner: Mapping) -> Mapping:
             f"{inner.dom_size}->{inner.cod_size}"
         )
     return Mapping(
-        inner.dom_size, outer.cod_size, tuple(outer.values[v] for v in inner.values)
+        inner.dom_size, outer.cod_size, [outer.values[v] for v in inner.values]
     )
 
 

@@ -125,12 +125,12 @@ def _brute(x: FiniteAlgebra, f: Mapping, budget) -> FCoreResult:
         lift = list(range(x.size))
         for pos, e in enumerate(elems):
             lift[e] = elems[r_sub.values[pos]]
-        total = Mapping(x.size, x.size, tuple(lift[v] for v in total.values))
+        total = Mapping(x.size, x.size, [lift[v] for v in total.values])
         if not is_retraction_respecting(total, x, f):
             raise AssertionError("composite of f-respecting retractions went bad")
         elems = [elems[pos] for pos in range(len(elems)) if r_sub.values[pos] == pos]
         cur, _ = induced_subalgebra(x, elems)
-        cur_f = Mapping(len(elems), f.cod_size, tuple(f.values[e] for e in elems))
+        cur_f = Mapping(len(elems), f.cod_size, [f.values[e] for e in elems])
     return FCoreResult(total, tuple(elems), cur, True, "brute")
 
 

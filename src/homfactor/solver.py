@@ -546,7 +546,7 @@ class _Engine:
     def _solve(self):
         var = self._pick()
         if var is None:
-            yield tuple(d.bit_length() - 1 for d in self.dom)
+            yield tuple([d.bit_length() - 1 for d in self.dom])
             return
         rest = self.dom[var]
         while rest:

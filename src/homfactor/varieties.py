@@ -261,7 +261,7 @@ def validate_gset(alg: FiniteAlgebra) -> list[str]:
         problems.append("no identity operation")
     for t1 in fset:
         for t2 in fset:
-            if tuple(t1[v] for v in t2) not in fset:
+            if tuple([t1[v] for v in t2]) not in fset:
                 problems.append("operations are not closed under composition")
                 return problems
     return problems
