@@ -398,6 +398,10 @@ class _Engine:
         return free_var == out or self._restrict(out, allowed_out)
 
     def propagate(self) -> bool:
+        """Propagate the queued variables to a fixpoint; False on a wipeout.
+        The queue is a stack, a variable's entries run in ascending
+        constraint order, and forcing a queued singleton queues it again:
+        node counts depend on all three (see test_node_counts_pinned)."""
         dom, done, trail, queue = self.dom, self.done, self.trail, self.queue
         props, hooks, log = self.p.props, self.hooks, self.done_log
         while queue:
