@@ -39,7 +39,6 @@ from .solver import (
     FactorizationInstance,
     InstanceError,
     NodeLimitReached,
-    SearchConfig,
     SearchStats,
     decide,
     decide_isomorphism,

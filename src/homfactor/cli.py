@@ -37,9 +37,7 @@ from .io import (
 )
 from .solver import (
     NodeLimitReached,
-    SearchConfig,
     SearchStats,
-    _budget,
     decide,
     find_homomorphism,
     find_left_factor,
@@ -110,7 +108,7 @@ def cmd_encode(args) -> CommandResult:
 
 def cmd_decide(args) -> CommandResult:
     inst = read_instance(args.instance)
-    pair = decide(inst, SearchConfig(node_limit=args.node_limit))
+    pair = decide(inst, stats=SearchStats(node_limit=args.node_limit))
     if pair is None:
         return CommandResult("no")
     if not verify_witness(inst, *pair):
@@ -129,8 +127,7 @@ def cmd_fcore(args) -> CommandResult:
         raise AlgebraError(f"unknown method {args.method!r}")
     x = read_algebra(args.algebra)
     f = read_mapping(args.f)
-    cfg = SearchConfig(node_limit=args.node_limit)
-    res = _run_method(args.method, x, f, None, _budget(cfg, None))
+    res = _run_method(args.method, x, f, None, SearchStats(node_limit=args.node_limit))
     inapplicable = None
     if isinstance(res, InapplicableReport):
         inapplicable, res = res.reason, res.fallback
@@ -144,7 +141,7 @@ def cmd_fcore(args) -> CommandResult:
         lines.append(f"inapplicable {inapplicable}; reporting brute fallback")
     oracle_note = None
     if args.verify and res.method != "brute":
-        oracle = brute_fcore(x, f, cfg=cfg)
+        oracle = brute_fcore(x, f, stats=SearchStats(node_limit=args.node_limit))
         agree = len(oracle.image) == len(res.image)
         oracle_note = agree
         lines.append(f"oracle-core-size {len(oracle.image)}")
@@ -226,7 +223,7 @@ def _bench_fcores(max_size, rows):
         ):
             stats = SearchStats()
             t0 = time.perf_counter()
-            res = _run_method(variety, x, f, z, _budget(None, stats))
+            res = _run_method(variety, x, f, z, stats)
             marker = ""
             if isinstance(res, InapplicableReport):
                 marker, res = "inapplicable:", res.fallback

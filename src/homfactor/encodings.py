@@ -312,9 +312,7 @@ def make_rf_instance(g: Graph, h: Graph) -> FactorizationInstance:
             raise EncodingError(f"{name} is not a homomorphism onto the target")
         if len(m.image) != z.size:
             raise EncodingError(f"{name} is not surjective; encode at least one vertex")
-    inst = FactorizationInstance("right-factor", xg, yh, z, f=f, h=hmap)
-    inst.validate()
-    return inst
+    return FactorizationInstance("right-factor", xg, yh, z, f=f, h=hmap)
 
 
 def _source_into_semigroup(source, alg, legend, w):
@@ -356,9 +354,7 @@ def make_lf_instance(g: Graph, h: Graph) -> FactorizationInstance:
     for name, alg, m in (("f", xg, f), ("g", yh, gmap)):
         if not is_homomorphism(m, source, alg):
             raise EncodingError(f"{name} is not a homomorphism from the source")
-    inst = FactorizationInstance("left-factor", source, yh, xg, f=f, g=gmap)
-    inst.validate()
-    return inst
+    return FactorizationInstance("left-factor", source, yh, xg, f=f, g=gmap)
 
 
 def make_unary_lf_instance(h: Graph, j: Graph) -> FactorizationInstance:
@@ -385,9 +381,7 @@ def make_unary_lf_instance(h: Graph, j: Graph) -> FactorizationInstance:
     for name, alg, m in (("f", z, f), ("g", y, gmap)):
         if not is_homomorphism(m, x, alg):
             raise EncodingError(f"{name} is not a homomorphism from the source")
-    inst = FactorizationInstance("left-factor", x, y, z, f=f, g=gmap)
-    inst.validate()
-    return inst
+    return FactorizationInstance("left-factor", x, y, z, f=f, g=gmap)
 
 
 def lift_nary(s: FiniteAlgebra, n: int) -> FiniteAlgebra:

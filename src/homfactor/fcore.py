@@ -12,9 +12,9 @@ for the rest of the step. The variety-specific methods compute a (not
 certified) retraction directly and are anchored to the brute oracle by the
 test suite, never trusted on their own.
 
-brute_fcore, is_fcore, abelian_fcore and fixed_z_right_factor take a
-SearchConfig whose node limit counts the nodes of every search one call
-makes; running out raises NodeLimitReached, never a smaller or a wrong
+brute_fcore, is_fcore, abelian_fcore and fixed_z_right_factor count the
+nodes of every search one call makes in the SearchStats they are given;
+passing its node_limit raises NodeLimitReached, never a smaller or a wrong
 answer.
 """
 
@@ -37,9 +37,8 @@ from .algebra import (
 from .solver import (
     FactorizationInstance,
     InstanceError,
-    _budget,
-    _decide,
     _find_retraction,
+    decide,
     verify_witness,
 )
 from .varieties import (
@@ -85,18 +84,18 @@ class InapplicableReport:
     fallback: FCoreResult
 
 
-def _check_f(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None, what="f"):
+def _check_f(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None):
     for name, alg in (("algebra", x), ("target", z)):
         problems = [] if alg is None else validate_algebra(alg)
         if problems:
             raise AlgebraError(f"{name} is malformed: " + "; ".join(problems))
     if f.dom_size != x.size:
-        raise SizeMismatch(f"{what} has domain {f.dom_size}, algebra has size {x.size}")
+        raise SizeMismatch(f"f has domain {f.dom_size}, algebra has size {x.size}")
     if z is not None:
         if f.cod_size != z.size:
-            raise SizeMismatch(f"{what} has codomain {f.cod_size}, target has size {z.size}")
+            raise SizeMismatch(f"f has codomain {f.cod_size}, target has size {z.size}")
         if not is_homomorphism(f, x, z):
-            raise AlgebraError(f"{what} is not a homomorphism")
+            raise AlgebraError("f is not a homomorphism")
 
 
 def _fibers(fvals):
@@ -105,21 +104,21 @@ def _fibers(fvals):
     return fv[:, None] == fv[None, :]
 
 
-def _nonidentity_retraction(x: FiniteAlgebra, f: Mapping, budget):
+def _nonidentity_retraction(x: FiniteAlgebra, f: Mapping, stats):
     """An f-respecting non-identity retraction moving the least element any
     moves, or None after exhaustive refutation."""
-    r = _find_retraction(x, _fibers(f.values), budget, moving=True)
+    r = _find_retraction(x, _fibers(f.values), stats, moving=True)
     if r is not None and not is_retraction_respecting(r, x, f):
         raise AssertionError("retraction search returned a bad witness")
     return r
 
 
-def _brute(x: FiniteAlgebra, f: Mapping, budget) -> FCoreResult:
+def _brute(x: FiniteAlgebra, f: Mapping, stats) -> FCoreResult:
     total = Mapping.identity(x.size)
     elems = list(range(x.size))
     cur, cur_f = x, f
     while True:
-        r_sub = _nonidentity_retraction(cur, cur_f, budget)
+        r_sub = _nonidentity_retraction(cur, cur_f, stats)
         if r_sub is None:
             break
         lift = list(range(x.size))
@@ -134,18 +133,18 @@ def _brute(x: FiniteAlgebra, f: Mapping, budget) -> FCoreResult:
     return FCoreResult(total, tuple(elems), cur, True, "brute")
 
 
-def brute_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
-                cfg=None, *, stats=None) -> FCoreResult:
+def brute_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, *,
+                stats=None) -> FCoreResult:
     """Decremental minimization down to a certified f-core."""
     _check_f(x, f, z)
-    return _brute(x, f, _budget(cfg, stats))
+    return _brute(x, f, stats)
 
 
-def is_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
-             cfg=None, *, stats=None) -> bool:
+def is_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, *,
+             stats=None) -> bool:
     """True iff only the identity retraction respects f (exhaustive search)."""
     _check_f(x, f, z)
-    return _nonidentity_retraction(x, f, _budget(cfg, stats)) is None
+    return _nonidentity_retraction(x, f, stats) is None
 
 
 def _orbit_map(o1, o2, ops, fvals):
@@ -333,8 +332,8 @@ def boolean_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra) -> FCoreResult
     return FCoreResult(retraction, tuple(image), core, False, "boolean")
 
 
-def abelian_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
-                  cfg=None, *, stats=None):
+def abelian_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, *,
+                  stats=None):
     """Retraction onto a complement of the kernel of f, when one exists.
 
     Searches for an idempotent endomorphism killing exactly the kernel; a
@@ -343,10 +342,6 @@ def abelian_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None,
     inapplicable and the brute result is returned inside the report; the
     splitting search and the brute fallback share one node budget.
     """
-    return _abelian(x, f, z, _budget(cfg, stats))
-
-
-def _abelian(x, f, z, budget):
     problems = validate_abelian(x)
     if problems:
         raise AlgebraError("not a valid abelian group: " + "; ".join(problems))
@@ -356,10 +351,10 @@ def _abelian(x, f, z, budget):
     kernel = d[zero].copy()
     d[kernel] = False
     d[kernel, zero] = True
-    retraction = _find_retraction(x, d, budget)
+    retraction = _find_retraction(x, d, stats)
     if retraction is None:
         return InapplicableReport(
-            "abelian", "kernel of f is not a direct summand", _brute(x, f, budget)
+            "abelian", "kernel of f is not a direct summand", _brute(x, f, stats)
         )
     if not is_retraction_respecting(retraction, x, f):
         raise AssertionError("splitting search returned a bad witness")
@@ -368,12 +363,11 @@ def _abelian(x, f, z, budget):
     return FCoreResult(retraction, tuple(image), core, False, "abelian")
 
 
-def _run_method(method, x, f, z, budget):
+def _run_method(method, x, f, z, stats):
     """One f-core method; the brute and abelian searches count their nodes
-    in budget, from solver._budget."""
+    in stats."""
     if method == "brute":
-        _check_f(x, f, z)
-        return _brute(x, f, budget)
+        return brute_fcore(x, f, z, stats=stats)
     if method == "gset":
         return gset_fcore(x, f, z)
     if method == "vspace":
@@ -381,12 +375,12 @@ def _run_method(method, x, f, z, budget):
     if method == "boolean":
         return boolean_fcore(x, f, z)
     if method == "abelian":
-        return _abelian(x, f, z, budget)
+        return abelian_fcore(x, f, z, stats=stats)
     raise AlgebraError(f"unknown f-core method {method!r}")
 
 
-def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute",
-                         cfg=None, *, stats=None):
+def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute", *,
+                         stats=None):
     """Right-factor decision through the f-core of X.
 
     Pipeline: require im(f) ⊆ im(h) and restrict the target to im(f);
@@ -406,8 +400,7 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
     y_res, _ = induced_subalgebra(inst.Y, y_keep)
     f_res = Mapping(inst.X.size, z_res.size, tuple(z_idx[v] for v in f.values))
     h_res = Mapping(y_res.size, z_res.size, tuple(z_idx[h.values[y]] for y in y_keep))
-    budget = _budget(cfg, stats)
-    res = _run_method(fcore_method, inst.X, f_res, z_res, budget)
+    res = _run_method(fcore_method, inst.X, f_res, z_res, stats)
     if isinstance(res, InapplicableReport):
         res = res.fallback
     image = list(res.image)
@@ -416,7 +409,7 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
     sub = FactorizationInstance(
         "right-factor", res.core_algebra, y_res, z_res, f=f_core, h=h_res
     )
-    pair = _decide(sub, budget)
+    pair = decide(sub, stats=stats)
     if pair is None:
         return None
     g_core = pair[0]

@@ -10,9 +10,10 @@ heavily. Before any branching, one numpy routine, _consistent_domains,
 prunes the domains to arc consistency in both directions (input support and
 output image): over operations of arity at most 1 for single-map searches,
 and at most 2, joined by the channel h(g(x)) = f(x), for the combined g/h
-search. Exceeding a configured node limit raises NodeLimitReached: an
-explicit "unknown" outcome, distinct from an exhaustive "no". The limit
-counts the nodes of one decision, across every search it runs.
+search. The one search budget is SearchStats: every search counts its
+nodes in the SearchStats it is given, and once they pass its node_limit it
+raises NodeLimitReached, an explicit "unknown" outcome, distinct from an
+exhaustive "no". Searches that share one SearchStats share its limit.
 
 Every domain is a Python int bitmask over the target carrier, converted
 once from the root routine's bool matrix. The constraints are compiled with
@@ -55,7 +56,6 @@ from .algebra import (
 __all__ = [
     "NodeLimitReached",
     "InstanceError",
-    "SearchConfig",
     "SearchStats",
     "FactorizationInstance",
     "find_homomorphism",
@@ -80,22 +80,24 @@ class InstanceError(AlgebraError):
     """A FactorizationInstance fails its invariants."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+@dataclass
+class SearchStats:
+    """The search budget and counters of one or more decisions.
+
+    Every search given this object counts its nodes here and raises
+    NodeLimitReached once nodes passes node_limit (None: no limit). The
+    limit counts every node in the object, not only those since the call
+    began, so decisions that share one SearchStats share its limit; a fresh
+    object gives one decision the whole limit.
+    """
+
+    nodes: int = 0
+    root_pruned: int = 0  # (element, value) pairs removed before branching
     node_limit: int | None = None
 
     def __post_init__(self):
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be positive")
-
-
-DEFAULT_CONFIG = SearchConfig()
-
-
-@dataclass
-class SearchStats:
-    nodes: int = 0
-    root_pruned: int = 0  # (element, value) pairs removed before branching
 
 
 def _malformed(named):
@@ -298,15 +300,15 @@ class _Engine:
     first_without and settle run several searches from one shared base
     state."""
 
-    def __init__(self, problem, domains, stats, *, order="mrv", stop=None,
-                 all_different=False, hooks=()):
+    def __init__(self, problem, domains, stats, *, order="mrv", all_different=False,
+                 hooks=()):
         self.p = problem
         self.dom = list(domains)
         self.order = order
-        self.stop = stop  # stats.nodes may not pass it; see _budget
+        self.stats = SearchStats() if stats is None else stats
+        self.stop = self.stats.node_limit  # stats.nodes may not pass it
         self.all_diff = all_different
         self.hooks = tuple(hooks)
-        self.stats = stats
         self.trail = []  # (var, mask before the change)
         self.done = [False] * problem.n_vars  # singleton already propagated
         self.done_log = []  # the done variables, in the order they were done
@@ -657,18 +659,7 @@ def _consistent_domains(a, b, d, max_arity, *, stats=None):
     return d if alive else None
 
 
-def _budget(cfg, stats):
-    """The budget of one decision: the stats every one of its searches
-    counts its nodes in, and the node count past which it raises
-    NodeLimitReached (None: no limit). Searches that get the same budget
-    share one node limit."""
-    stats = SearchStats() if stats is None else stats
-    limit = (cfg or DEFAULT_CONFIG).node_limit
-    return stats, None if limit is None else stats.nodes + limit
-
-
-def _hom_engine(a, b, budget, d, *, order="mrv", all_different=False):
-    stats, stop = budget
+def _hom_engine(a, b, stats, d, *, order="mrv", all_different=False):
     if d is None:
         d = np.ones((a.size, b.size), dtype=bool)
     d = _consistent_domains(a, b, d, 1, stats=stats)
@@ -676,13 +667,12 @@ def _hom_engine(a, b, budget, d, *, order="mrv", all_different=False):
         return None
     problem = _Problem(a.size)
     problem.add_hom_constraints(a, b)
-    return _Engine(problem, _masks(d), stats, order=order, stop=stop,
-                   all_different=all_different)
+    return _Engine(problem, _masks(d), stats, order=order, all_different=all_different)
 
 
-def _search_hom(a, b, budget, *, d=None, all_different=False):
+def _search_hom(a, b, stats, *, d=None, all_different=False):
     """First homomorphism a -> b the search finds, not yet re-verified."""
-    eng = _hom_engine(a, b, budget, d, all_different=all_different)
+    eng = _hom_engine(a, b, stats, d, all_different=all_different)
     sol = None if eng is None else next(eng.solutions(), None)
     return None if sol is None else Mapping(a.size, b.size, sol)
 
@@ -692,10 +682,10 @@ def _idem_hook(eng, var, val):
     return eng.force(val, val)
 
 
-def _find_retraction(x, d, budget, *, moving=False):
+def _find_retraction(x, d, stats, *, moving=False):
     """First idempotent endomorphism of x within the bool domain matrix d
     (d[v, w]: v may go to w), or None after an exhaustive search; not yet
-    re-verified. budget comes from _budget.
+    re-verified. The search counts its nodes in stats (None: uncounted).
 
     With moving set, the identity does not count. The engine is built and
     propagated once; then, for each element m in ascending order, one
@@ -703,13 +693,12 @@ def _find_retraction(x, d, budget, *, moving=False):
     so no such map moves m: it is undone and m is fixed for every later
     search. The map found therefore moves the least element any moves.
     """
-    stats, stop = budget
     d = _consistent_domains(x, x, d, 1, stats=stats)
     if d is None:
         return None
     problem = _Problem(x.size)
     problem.add_hom_constraints(x, x)
-    eng = _Engine(problem, _masks(d), stats, stop=stop, hooks=(_idem_hook,))
+    eng = _Engine(problem, _masks(d), stats, hooks=(_idem_hook,))
     sol = None
     if not moving:
         sol = next(eng.solutions(), None)
@@ -761,17 +750,17 @@ def _verified(inst, g, h):
     return g, h
 
 
-def _solve_hom(inst, budget, d=None):
-    return _verified(inst, _search_hom(inst.X, inst.Y, budget, d=d), None)
+def _solve_hom(inst, stats, d=None):
+    return _verified(inst, _search_hom(inst.X, inst.Y, stats, d=d), None)
 
 
-def _solve_right_factor(inst, budget):
+def _solve_right_factor(inst, stats):
     # g(x) ranges over the h-fiber over f(x)
     d = np.array(inst.f.values)[:, None] == np.array(inst.h.values)[None, :]
-    return _solve_hom(inst, budget, d)
+    return _solve_hom(inst, stats, d)
 
 
-def _solve_left_factor(inst, budget):
+def _solve_left_factor(inst, stats):
     seeds = {}
     for x in range(inst.X.size):
         y, z = inst.g.values[x], inst.f.values[x]
@@ -781,7 +770,7 @@ def _solve_left_factor(inst, budget):
     for y, z in seeds.items():
         d[y] = False
         d[y, z] = True
-    return _verified(inst, None, _search_hom(inst.Y, inst.Z, budget, d=d))
+    return _verified(inst, None, _search_hom(inst.Y, inst.Z, stats, d=d))
 
 
 def _channel_hook(n_x, f_values):
@@ -800,10 +789,9 @@ def _channel_hook(n_x, f_values):
     return hook
 
 
-def _solve_factor_pair(inst, budget):
+def _solve_factor_pair(inst, stats):
     """One combined search over g- and h-variables with the channeling
     constraint; a retraction is the full factor of the identity with Z = X."""
-    stats, stop = budget
     x, y = inst.X, inst.Y
     z = inst.Z if inst.Z is not None else x
     f_values = inst.f.values if inst.f is not None else tuple(range(x.size))
@@ -813,14 +801,15 @@ def _solve_factor_pair(inst, budget):
     # channel: g(x) = y forces h(y) = f(x); dh does not depend on g, so
     # pruning g once against it is already a fixpoint
     channel = dh[:, list(f_values)].T
-    stats.root_pruned += x.size * y.size - int(channel.sum())
+    if stats is not None:
+        stats.root_pruned += x.size * y.size - int(channel.sum())
     dg = _consistent_domains(x, y, channel, 2, stats=stats)
     if dg is None:
         return None
     problem = _Problem(x.size + y.size)
     problem.add_hom_constraints(x, y)
     problem.add_hom_constraints(y, z, offset=x.size)
-    eng = _Engine(problem, _masks(dg) + _masks(dh), stats, stop=stop,
+    eng = _Engine(problem, _masks(dg) + _masks(dh), stats,
                   hooks=(_channel_hook(x.size, f_values),))
     sol = next(eng.solutions(), None)
     if sol is None:
@@ -830,10 +819,10 @@ def _solve_factor_pair(inst, budget):
     )
 
 
-def _solve_isomorphism(inst, budget):
+def _solve_isomorphism(inst, stats):
     if inst.X.size != inst.Y.size:
         return None
-    g = _search_hom(inst.X, inst.Y, budget, all_different=True)
+    g = _search_hom(inst.X, inst.Y, stats, all_different=True)
     return _verified(inst, g, None)
 
 
@@ -847,20 +836,15 @@ _SOLVERS = {
 }
 
 
-def decide(inst: FactorizationInstance, cfg=None, *, stats=None):
+def decide(inst: FactorizationInstance, *, stats=None):
     """Decide any instance kind: (g, h) with the map the kind does not solve
     for set to None, or None for an exhaustive "no".
 
-    The instance is validated once. Hitting a configured node limit raises
-    NodeLimitReached instead of answering.
+    The instance is validated once. Once the search nodes counted in stats
+    pass stats.node_limit, NodeLimitReached is raised instead of an answer.
     """
-    return _decide(inst, _budget(cfg, stats))
-
-
-def _decide(inst, budget):
-    """decide within a budget from _budget, which later searches may share."""
     inst.validate()
-    return _SOLVERS[inst.kind](inst, budget)
+    return _SOLVERS[inst.kind](inst, stats)
 
 
 def _expect(inst, *kinds):
@@ -878,27 +862,22 @@ def _algebra_pair(kind, a, b):
     return FactorizationInstance(kind, a, b)
 
 
-def find_homomorphism(a, b, cfg=None, *, domains=None, stats=None):
-    """First homomorphism a -> b within the per-element domains, or None.
+def find_homomorphism(a, b, *, stats=None):
+    """First homomorphism a -> b, or None.
 
-    None means exhaustive refutation; hitting a configured node limit raises
-    NodeLimitReached instead of answering.
+    None means exhaustive refutation. Once the search nodes counted in stats
+    pass stats.node_limit, NodeLimitReached is raised instead of an answer.
     """
-    d = None
-    if domains is not None:
-        d = np.zeros((a.size, b.size), dtype=bool)
-        for v, dom in enumerate(domains):
-            d[v, list(dom)] = True
-    pair = _solve_hom(_algebra_pair("hom", a, b), _budget(cfg, stats), d)
+    pair = _solve_hom(_algebra_pair("hom", a, b), stats)
     return None if pair is None else pair[0]
 
 
-def enumerate_homomorphisms(a, b, limit, *, cfg=None, stats=None):
+def enumerate_homomorphisms(a, b, limit, *, stats=None):
     """Distinct homomorphisms in lexicographic order, up to limit."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
     inst = _algebra_pair("hom", a, b)
-    eng = _hom_engine(a, b, _budget(cfg, stats), None, order="lexicographic")
+    eng = _hom_engine(a, b, stats, None, order="lexicographic")
     if eng is None:
         return []
     return [
@@ -907,41 +886,41 @@ def enumerate_homomorphisms(a, b, limit, *, cfg=None, stats=None):
     ]
 
 
-def find_right_factor(inst: FactorizationInstance, cfg=None, *, stats=None):
+def find_right_factor(inst: FactorizationInstance, *, stats=None):
     """Homomorphism g: X -> Y with h∘g = f, or None.
 
     Each variable's initial domain is the h-fiber over f(x), so the
     composition identity holds by construction on any witness.
     """
-    pair = decide(_expect(inst, "right-factor"), cfg, stats=stats)
+    pair = decide(_expect(inst, "right-factor"), stats=stats)
     return None if pair is None else pair[0]
 
 
-def find_left_factor(inst: FactorizationInstance, cfg=None, *, stats=None):
+def find_left_factor(inst: FactorizationInstance, *, stats=None):
     """Homomorphism h: Y -> Z with h∘g = f, or None.
 
     The partial assignment h(g(x)) := f(x) is seeded first and the instance
     is rejected immediately when g identifies points that f separates.
     """
-    pair = decide(_expect(inst, "left-factor"), cfg, stats=stats)
+    pair = decide(_expect(inst, "left-factor"), stats=stats)
     return None if pair is None else pair[1]
 
 
-def find_factorization(inst: FactorizationInstance, cfg=None, *, stats=None):
+def find_factorization(inst: FactorizationInstance, *, stats=None):
     """Pair (g, h) with f = h∘g, or None.
 
     One combined search over g- and h-variables with the channeling
     constraint h(g(x)) = f(x). A retraction instance is accepted too.
     """
-    return decide(_expect(inst, "full-factor", "retraction"), cfg, stats=stats)
+    return decide(_expect(inst, "full-factor", "retraction"), stats=stats)
 
 
-def decide_retraction(x: FiniteAlgebra, y: FiniteAlgebra, cfg=None, *, stats=None):
+def decide_retraction(x: FiniteAlgebra, y: FiniteAlgebra, *, stats=None):
     """Pair (g: X->Y, h: Y->X) with h∘g = id_X, or None."""
-    return _solve_factor_pair(_algebra_pair("retraction", x, y), _budget(cfg, stats))
+    return _solve_factor_pair(_algebra_pair("retraction", x, y), stats)
 
 
-def decide_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra, cfg=None, *, stats=None):
+def decide_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra, *, stats=None):
     """Bijective homomorphism with homomorphic inverse, or None."""
-    pair = _solve_isomorphism(_algebra_pair("isomorphism", a, b), _budget(cfg, stats))
+    pair = _solve_isomorphism(_algebra_pair("isomorphism", a, b), stats)
     return None if pair is None else pair[0]

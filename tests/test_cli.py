@@ -288,6 +288,26 @@ def test_fcore_node_limit_exits_unknown(tmp_path, capsys):
         assert (tmp_path / f"{name}.report.txt").exists()
 
 
+def test_non_positive_node_limit_is_an_error(tmp_path, capsys):
+    from homfactor.encodings import make_fcore_instance
+
+    write_instance(make_rf_instance(cycle_graph(4), complete_graph(2)),
+                   tmp_path / "c4k2.instance")
+    x, _, f = make_fcore_instance(complete_graph(3))
+    write_algebra(x, tmp_path / "k3.alg")
+    write_mapping(f, tmp_path / "k3.map")
+    for argv in (
+        ["decide", "--instance", str(tmp_path / "c4k2.instance"),
+         "--witness", str(tmp_path / "w")],
+        ["fcore", "--algebra", str(tmp_path / "k3.alg"), "--f", str(tmp_path / "k3.map"),
+         "--method", "brute", "--out-prefix", str(tmp_path / "k3")],
+    ):
+        capsys.readouterr()
+        assert run(*argv, "--node-limit", "0") == 2
+        assert capsys.readouterr().err == "error: node_limit must be positive\n"
+    assert not list(tmp_path.glob("w.*")) and not list(tmp_path.glob("k3.*.*"))
+
+
 def test_fcore_verify_flag(tmp_path):
     from homfactor.varieties import vspace_hom
 

@@ -26,7 +26,6 @@ from homfactor.graphs import complete_graph, cycle_graph
 from homfactor.solver import (
     FactorizationInstance,
     NodeLimitReached,
-    SearchConfig,
     SearchStats,
     find_right_factor,
 )
@@ -90,8 +89,8 @@ def test_node_limit_is_unknown_not_an_answer():
     x, z, f = make_fcore_instance(complete_graph(5))
     for call in (brute_fcore, is_fcore):
         with pytest.raises(NodeLimitReached):
-            call(x, f, z, SearchConfig(node_limit=1))
-    assert is_fcore(x, f, z, SearchConfig(node_limit=1000))
+            call(x, f, z, stats=SearchStats(node_limit=1))
+    assert is_fcore(x, f, z, stats=SearchStats(node_limit=1000))
 
 
 def test_node_limit_counts_every_search_of_one_call():
@@ -101,20 +100,20 @@ def test_node_limit_counts_every_search_of_one_call():
     for x, z, f in (samples[10], samples[14], samples[20]):
         stats = SearchStats()
         res = brute_fcore(x, f, z, stats=stats)
-        again = brute_fcore(x, f, z, SearchConfig(node_limit=stats.nodes))
+        again = brute_fcore(x, f, z, stats=SearchStats(node_limit=stats.nodes))
         assert again.retraction == res.retraction
         with pytest.raises(NodeLimitReached):
-            brute_fcore(x, f, z, SearchConfig(node_limit=stats.nodes - 1))
+            brute_fcore(x, f, z, stats=SearchStats(node_limit=stats.nodes - 1))
     # the brute fallback of an inapplicable abelian_fcore is held to the budget
     x, z = make_abelian([2, 4]), make_abelian([2])
     f = Mapping(8, 2, tuple(v % 2 for v in range(8)))
     stats = SearchStats()
     assert isinstance(abelian_fcore(x, f, z, stats=stats), InapplicableReport)
     assert stats.nodes > 1
-    assert isinstance(abelian_fcore(x, f, z, SearchConfig(node_limit=stats.nodes)),
+    assert isinstance(abelian_fcore(x, f, z, stats=SearchStats(node_limit=stats.nodes)),
                       InapplicableReport)
     with pytest.raises(NodeLimitReached):
-        abelian_fcore(x, f, z, SearchConfig(node_limit=stats.nodes - 1))
+        abelian_fcore(x, f, z, stats=SearchStats(node_limit=stats.nodes - 1))
 
 
 def test_fixed_z_right_factor_counts_one_budget():
@@ -124,9 +123,10 @@ def test_fixed_z_right_factor_counts_one_budget():
     for inst in (samples[0], samples[1], samples[9]):
         stats = SearchStats()
         expected = fixed_z_right_factor(inst, "brute", stats=stats)
-        assert fixed_z_right_factor(inst, "brute", SearchConfig(node_limit=stats.nodes)) == expected
+        assert fixed_z_right_factor(
+            inst, "brute", stats=SearchStats(node_limit=stats.nodes)) == expected
         with pytest.raises(NodeLimitReached):
-            fixed_z_right_factor(inst, "brute", SearchConfig(node_limit=stats.nodes - 1))
+            fixed_z_right_factor(inst, "brute", stats=SearchStats(node_limit=stats.nodes - 1))
 
 
 def test_is_fcore_examples():

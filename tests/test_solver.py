@@ -37,7 +37,6 @@ from homfactor.solver import (
     FactorizationInstance,
     InstanceError,
     NodeLimitReached,
-    SearchConfig,
     SearchStats,
     _consistent_domains,
     _masks,
@@ -262,10 +261,39 @@ def test_determinism(gadgets):
 def test_node_limit_is_unknown_not_no():
     inst = make_rf_instance(cycle_graph(4), cycle_graph(4))
     assert find_right_factor(inst) is not None
-    stats = SearchStats()
+    stats = SearchStats(node_limit=1)
     with pytest.raises(NodeLimitReached):
-        find_right_factor(inst, SearchConfig(node_limit=1), stats=stats)
+        find_right_factor(inst, stats=stats)
     assert stats.nodes >= 1
+
+
+def test_node_limit_must_be_positive():
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="node_limit must be positive"):
+            SearchStats(node_limit=limit)
+
+
+def test_shared_stats_share_one_node_limit():
+    # a "yes" then a branchy "no": the shared limit stops the second search
+    # short, which must raise rather than answer "no"
+    first = make_rf_instance(cycle_graph(4), cycle_graph(4))
+    second = make_rf_instance(complete_graph(4), complete_graph(3))
+    counts = []
+    for inst in (first, second):
+        stats = SearchStats()
+        find_right_factor(inst, stats=stats)
+        counts.append(stats.nodes)
+    assert counts[1] > 1
+    shared = SearchStats(node_limit=sum(counts))
+    assert find_right_factor(first, stats=shared) is not None
+    assert find_right_factor(second, stats=shared) is None
+    shared = SearchStats(node_limit=sum(counts) - 1)
+    assert find_right_factor(first, stats=shared) is not None
+    with pytest.raises(NodeLimitReached):
+        find_right_factor(second, stats=shared)
+    assert shared.nodes == sum(counts)
+    # the second decision alone fits the same limit
+    assert find_right_factor(second, stats=SearchStats(node_limit=sum(counts) - 1)) is None
 
 
 def test_composition_of_witnesses_is_homomorphism(gadgets):
@@ -328,7 +356,7 @@ def test_solver_matches_independent_brute_on_unary_family():
 def test_node_limit_does_not_change_witness(gadgets):
     inst = make_rf_instance(cycle_graph(4), complete_graph(2))
     unlimited = find_right_factor(inst)
-    generous = find_right_factor(inst, SearchConfig(node_limit=10_000))
+    generous = find_right_factor(inst, stats=SearchStats(node_limit=10_000))
     assert unlimited == generous
 
 
@@ -419,8 +447,8 @@ def test_retraction_refuted_within_node_guard():
     # K4 onto the edgeless graph: 14,833 nodes with forward checking alone
     x, _ = encode_semigroup(complete_graph(4))
     y, _ = encode_semigroup(Graph.undirected(4, []))
-    stats = SearchStats()
-    assert decide_retraction(x, y, SearchConfig(node_limit=500), stats=stats) is None
+    stats = SearchStats(node_limit=500)
+    assert decide_retraction(x, y, stats=stats) is None
     assert stats.root_pruned > 0
 
 
