@@ -145,13 +145,17 @@ def encode_unary(g: Graph, *, theorem_grade: bool = False):
     return alg, Legend("unary-dagger", tuple(roles))
 
 
-_MAGMA_DIST = {  # products among a, b, c, d
-    ("a", "a"): "b", ("b", "b"): "c", ("c", "c"): "d", ("d", "d"): "a",
-}
-
-
 def encode_magma(g: Graph):
-    """Encode an undirected graph as a single non-associative binary operation."""
+    """Encode an undirected graph as a single non-associative binary operation.
+
+    Universe: distinguished a, b, c, d, then the copy-1 and the copy-2
+    vertices. Among the distinguished elements aa = b, bb = c, cc = d,
+    dd = a and every other product is a; a distinguished element times a
+    vertex copy (either way round) is the copy. Two copy-1 vertices give a
+    when adjacent and d otherwise; two copy-2 vertices give d when equal and
+    b otherwise; a copy-1 and a copy-2 vertex give c when equal and d
+    otherwise.
+    """
     if g.directed:
         raise EncodingError("magma encoding takes an undirected graph")
     _check(validate_graph(g, loop_free=True, min_vertices=2), "magma encoding")
@@ -161,30 +165,21 @@ def encode_magma(g: Graph):
         for v in range(g.n):
             roles.append(("vertex-copy", v, copy))
             labels.append(f"v{v}_{copy}")
-    index = {r: i for i, r in enumerate(roles)}
-
-    def mul(x, y):
-        rx, ry = roles[x], roles[y]
-        if rx[0] == "distinguished" and ry[0] == "distinguished":
-            tag = _MAGMA_DIST.get((rx[1], ry[1]), "a")
-            return index[("distinguished", tag)]
-        if rx[0] == "distinguished":
-            return y
-        if ry[0] == "distinguished":
-            return x
-        (_, u, i), (_, v, j) = rx, ry
-        if i == j == 1:
-            if u == v:
-                return index[("distinguished", "d")]
-            tag = "a" if g.has_edge(u, v) else "d"
-            return index[("distinguished", tag)]
-        if i == j == 2:
-            tag = "d" if u == v else "b"
-            return index[("distinguished", tag)]
-        tag = "c" if u == v else "d"
-        return index[("distinguished", tag)]
-
-    alg = FiniteAlgebra.from_function(MUL_SIGNATURE, len(roles), {"mul": mul}, labels)
+    a, b, c, d = range(4)
+    n, size = g.n, len(roles)
+    one, two = slice(4, 4 + n), slice(4 + n, size)
+    copy1 = [[d] * n for _ in range(n)]
+    for u, v in g.edges:
+        copy1[u][v] = a
+    same = np.eye(n, dtype=bool)
+    table = np.full((size, size), a)
+    table[range(4), range(4)] = (b, c, d, a)
+    table[:4, 4:] = np.arange(4, size)
+    table[4:, :4] = np.arange(4, size)[:, None]
+    table[one, one] = copy1
+    table[two, two] = np.where(same, d, b)
+    table[one, two] = table[two, one] = np.where(same, c, d)
+    alg = FiniteAlgebra(MUL_SIGNATURE, size, {"mul": table}, labels)
     return alg, Legend("magma-star", tuple(roles))
 
 
@@ -199,41 +194,32 @@ def encode_semigroup(g: Graph):
     if g.directed:
         raise EncodingError("semigroup encoding takes an undirected graph")
     _check(validate_graph(g, loop_free=True), "semigroup encoding")
-    roles = [("vertex-copy", v, 1) for v in range(g.n)]
-    labels = [f"v{v}" for v in range(g.n)]
-    for v in range(g.n):
+    n = g.n
+    roles = [("vertex-copy", v, 1) for v in range(n)]
+    labels = [f"v{v}" for v in range(n)]
+    prod = [[0] * n for _ in range(n)]  # product of two vertices
+    for v in range(n):
+        prod[v][v] = len(roles)
         roles.append(("chi", v, v))
         labels.append(f"chi_v{v}_v{v}")
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
+    for u in range(n):
+        for v in range(u + 1, n):
             if not g.has_edge(u, v):
+                prod[u][v] = prod[v][u] = len(roles)
                 roles.append(("chi", u, v))
                 labels.append(f"chi_v{u}_v{v}")
     for tag, lab in (("b", "b"), ("b2", "b2"), ("c", "c"), ("0", "0")):
         roles.append(("distinguished", tag))
         labels.append(lab)
-    index = {r: i for i, r in enumerate(roles)}
-    zero = index[("distinguished", "0")]
-    b = index[("distinguished", "b")]
-    b2 = index[("distinguished", "b2")]
-    c = index[("distinguished", "c")]
-
-    def mul(x, y):
-        rx, ry = roles[x], roles[y]
-        if x == b and y == b:
-            return b2
-        if rx[0] == "vertex-copy" and y == b:
-            return c
-        if x == b and ry[0] == "vertex-copy":
-            return c
-        if rx[0] == "vertex-copy" and ry[0] == "vertex-copy":
-            u, v = rx[1], ry[1]
-            if g.has_edge(u, v):
-                return c
-            return index[("chi", min(u, v), max(u, v))]
-        return zero
-
-    alg = FiniteAlgebra.from_function(MUL_SIGNATURE, len(roles), {"mul": mul}, labels)
+    size = len(roles)
+    b, b2, c, zero = range(size - 4, size)
+    for u, v in g.edges:
+        prod[u][v] = c
+    table = np.full((size, size), zero)
+    table[:n, :n] = prod
+    table[:n, b] = table[b, :n] = c
+    table[b, b] = b2
+    alg = FiniteAlgebra(MUL_SIGNATURE, size, {"mul": table}, labels)
     return alg, Legend("semigroup-XG", tuple(roles))
 
 

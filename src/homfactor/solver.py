@@ -10,10 +10,13 @@ heavily. Before any branching, one numpy routine, _consistent_domains,
 prunes the domains to arc consistency in both directions (input support and
 output image): over operations of arity at most 1 for single-map searches,
 and at most 2, joined by the channel h(g(x)) = f(x), for the combined g/h
-search. The one search budget is SearchStats: every search counts its
-nodes in the SearchStats it is given, and once they pass its node_limit it
-raises NodeLimitReached, an explicit "unknown" outcome, distinct from an
-exhaustive "no". Searches that share one SearchStats share its limit.
+search. That search first applies the cardinality bound: im f = h(im g)
+has at most |Y| elements, so |im f| > |Y| (for a retraction, |X| > |Y|) is
+an exhaustive "no" before any root pass or search. The one search budget is
+SearchStats: every search counts its nodes in the SearchStats it is given,
+and once they pass its node_limit it raises NodeLimitReached, an explicit
+"unknown" outcome, distinct from an exhaustive "no". Searches that share
+one SearchStats share its limit.
 
 Every domain is a Python int bitmask over the target carrier, converted
 once from the root routine's bool matrix. The constraints are compiled with
@@ -568,9 +571,6 @@ class _Engine:
             self._undo(mark)
 
 
-_BLOCK_BYTES = 1 << 24  # cap on the binary input-support temporary
-
-
 def _incidence(values, n):
     """Float32 one-hot matrix M[i, values[i]] = 1: a product with it
     gathers or counts along a table in one matrix multiply."""
@@ -600,15 +600,15 @@ def _revise_binary(ta, tb, pre, img_b, d):
     na, nb = d.shape
     df = d.astype(np.float32)
     # input support: u of x1 needs, for every x2, some v in D[x2] with
-    # tb[u, v] in D[ta[x1, x2]]; position 2 the same way round
-    sup1 = np.empty_like(d)
-    sup2 = np.ones_like(d)
-    step = max(1, _BLOCK_BYTES // (4 * na * nb * nb))
-    for lo in range(0, na, step):
-        # s[x1, x2, u, v] = D[ta[x1, x2], tb[u, v]]
-        s = d.take(ta[lo:lo + step], axis=0).take(tb, axis=2).astype(np.float32)
-        sup1[lo:lo + step] = ((s @ df[None, :, :, None])[..., 0] > 0).all(axis=1)
-        sup2 &= ((df[lo:lo + step, None, None, :] @ s)[:, :, 0, :] > 0).all(axis=0)
+    # tb[u, v] in D[ta[x1, x2]]; position 2 the same way round. One product
+    # per position counts the supports of every (output, value, other
+    # argument): by_x2[o, u, x2] = #{v in D[x2] : tb[u, v] in D[o]}, then
+    # read at o = ta[x1, x2]; by_x1 likewise with the arguments swapped.
+    rows = np.arange(na)
+    by_x2 = (df.take(tb, axis=1).reshape(na * nb, nb) @ df.T).reshape(na, nb, na)
+    by_x1 = (df.take(tb.T, axis=1).reshape(na * nb, nb) @ df.T).reshape(na, nb, na)
+    sup1 = (by_x2[ta, :, rows] > 0).all(axis=1)  # [x1, x2, u], all over x2
+    sup2 = (by_x1[ta.T, :, rows] > 0).all(axis=1)  # [x2, x1, v], all over x1
     d = d & sup1 & sup2
     df = d.astype(np.float32)
     # reach[x1, x2, c]: some (u, v) in D[x1] x D[x2] has tb[u, v] = c
@@ -791,10 +791,13 @@ def _channel_hook(n_x, f_values):
 
 def _solve_factor_pair(inst, stats):
     """One combined search over g- and h-variables with the channeling
-    constraint; a retraction is the full factor of the identity with Z = X."""
+    constraint, after the cardinality bound |im f| <= |Y|; a retraction is
+    the full factor of the identity with Z = X."""
     x, y = inst.X, inst.Y
     z = inst.Z if inst.Z is not None else x
     f_values = inst.f.values if inst.f is not None else tuple(range(x.size))
+    if len(set(f_values)) > y.size:
+        return None  # im f = h(im g) has at most |Y| elements
     dh = _consistent_domains(y, z, np.ones((y.size, z.size), dtype=bool), 2, stats=stats)
     if dh is None:
         return None
@@ -910,13 +913,16 @@ def find_factorization(inst: FactorizationInstance, *, stats=None):
     """Pair (g, h) with f = h∘g, or None.
 
     One combined search over g- and h-variables with the channeling
-    constraint h(g(x)) = f(x). A retraction instance is accepted too.
+    constraint h(g(x)) = f(x). A retraction instance is accepted too. When
+    |im f| > |Y| the answer is None at once: im f = h(im g) has at most |Y|
+    elements.
     """
     return decide(_expect(inst, "full-factor", "retraction"), stats=stats)
 
 
 def decide_retraction(x: FiniteAlgebra, y: FiniteAlgebra, *, stats=None):
-    """Pair (g: X->Y, h: Y->X) with h∘g = id_X, or None."""
+    """Pair (g: X->Y, h: Y->X) with h∘g = id_X, or None; None at once when
+    |X| > |Y|, since g must then be injective."""
     return _solve_factor_pair(_algebra_pair("retraction", x, y), stats)
 
 

@@ -115,6 +115,17 @@ def test_decide_exit_codes(tmp_path):
     assert rc == 2
 
 
+def test_decide_refutes_image_larger_than_y(tmp_path):
+    # f = id on Z4 cannot factor through the two-element Z2
+    x = make_abelian([4])
+    inst = FactorizationInstance("full-factor", x, make_abelian([2]), x, f=Mapping.identity(4))
+    write_instance(inst, tmp_path / "z4z2.instance")
+    rc = run("decide", "--instance", str(tmp_path / "z4z2.instance"),
+             "--witness", str(tmp_path / "w"))
+    assert rc == 1
+    assert not list(tmp_path.glob("w*"))
+
+
 def test_decide_rejects_duplicate_operation(tmp_path, capsys):
     (tmp_path / "dup.alg").write_text("algebra 2\nop m 1\n0 1\nop m 1\n1 0\n")
     (tmp_path / "dup.instance").write_text("instance hom\nX dup.alg\nY dup.alg\n")

@@ -3,14 +3,17 @@ import itertools
 import pytest
 
 from homfactor.algebra import (
+    FiniteAlgebra,
     Mapping,
     check_properties,
     is_homomorphism,
     validate_algebra,
 )
 from homfactor.encodings import (
+    MUL_SIGNATURE,
     DecodeError,
     EncodingError,
+    Legend,
     decode_hom,
     encode_magma,
     encode_semigroup,
@@ -181,6 +184,76 @@ def test_semigroup_associative_commutative():
         alg, _ = encode_semigroup(g)
         rep = check_properties(alg, "mul")
         assert rep.associative and rep.commutative
+
+
+def _reference_magma(g):
+    """The magma encoding entry by entry through FiniteAlgebra.from_function."""
+    names = ("a", "b", "c", "d")
+    roles = [("distinguished", t) for t in names]
+    roles += [("vertex-copy", v, copy) for copy in (1, 2) for v in range(g.n)]
+    labels = list(names) + [f"v{v}_{copy}" for copy in (1, 2) for v in range(g.n)]
+    index = {r: i for i, r in enumerate(roles)}
+    squares = {"a": "b", "b": "c", "c": "d", "d": "a"}
+
+    def mul(x, y):
+        rx, ry = roles[x], roles[y]
+        if rx[0] == ry[0] == "distinguished":
+            tag = squares[rx[1]] if rx == ry else "a"
+        elif rx[0] == "distinguished":
+            return y
+        elif ry[0] == "distinguished":
+            return x
+        else:
+            (_, u, i), (_, v, j) = rx, ry
+            if i == j == 1:
+                tag = "a" if g.has_edge(u, v) else "d"
+            elif i == j == 2:
+                tag = "d" if u == v else "b"
+            else:
+                tag = "c" if u == v else "d"
+        return index[("distinguished", tag)]
+
+    return FiniteAlgebra.from_function(MUL_SIGNATURE, len(roles), {"mul": mul}, labels), roles
+
+
+def _reference_semigroup(g):
+    """The semigroup encoding entry by entry through FiniteAlgebra.from_function."""
+    roles = [("vertex-copy", v, 1) for v in range(g.n)]
+    roles += [("chi", v, v) for v in range(g.n)]
+    roles += [("chi", u, v) for u in range(g.n) for v in range(u + 1, g.n)
+              if not g.has_edge(u, v)]
+    roles += [("distinguished", t) for t in ("b", "b2", "c", "0")]
+    labels = [f"v{r[1]}" if r[0] == "vertex-copy" else
+              f"chi_v{r[1]}_v{r[2]}" if r[0] == "chi" else r[1] for r in roles]
+    index = {r: i for i, r in enumerate(roles)}
+    b, b2, c, zero = (index[("distinguished", t)] for t in ("b", "b2", "c", "0"))
+
+    def mul(x, y):
+        vx, vy = roles[x][0] == "vertex-copy", roles[y][0] == "vertex-copy"
+        if x == y == b:
+            return b2
+        if (vx and y == b) or (x == b and vy):
+            return c
+        if vx and vy:
+            u, v = sorted((roles[x][1], roles[y][1]))
+            return c if g.has_edge(u, v) else index[("chi", u, v)]
+        return zero
+
+    return FiniteAlgebra.from_function(MUL_SIGNATURE, len(roles), {"mul": mul}, labels), roles
+
+
+def test_encoders_match_entrywise_reference():
+    graphs = graph_catalog(1, 5)
+    assert len(graphs) == 52
+    for g in graphs:
+        encoders = [(encode_semigroup, _reference_semigroup, "semigroup-XG")]
+        if g.n >= 2:
+            encoders.append((encode_magma, _reference_magma, "magma-star"))
+        for encode, reference, kind in encoders:
+            alg, legend = encode(g)
+            ref, roles = reference(g)
+            assert alg == ref and alg.labels == ref.labels, (kind, g)
+            assert legend == Legend(kind, tuple(roles))
 
 
 # ---------------------------------------------------------------- gadgets

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -425,6 +426,72 @@ def test_root_consistency_keeps_every_homomorphism(gadgets):
     assert {(1, 1), (2, 2)} <= refuted and {(1, 1), (2, 1), (2, 2)} <= pruned
 
 
+def _reference_root(a, b, d, max_arity):
+    """Plain-loop fixpoint of input support and output image: for every
+    tuple of every operation of arity at most max_arity, with one value per
+    position drawn from that position's domain (a repeated element is
+    drawn independently), the value tuples whose image lies in the domain
+    of the tuple's result fit; each position keeps its values in some
+    fitting tuple, and the result keeps the images of the fitting tuples."""
+    dom = [{v for v in range(b.size) if d[x][v]} for x in range(a.size)]
+    changed = True
+    while changed:
+        changed = False
+        for name, arity in a.signature.ops:
+            if arity > max_arity:
+                continue
+            for xs in itertools.product(range(a.size), repeat=arity):
+                out = a.apply(name, *xs)
+                fit = [us for us in itertools.product(*(dom[x] for x in xs))
+                       if b.apply(name, *us) in dom[out]]
+                keep = [(x, {us[i] for us in fit}) for i, x in enumerate(xs)]
+                keep.append((out, {b.apply(name, *us) for us in fit}))
+                for x, values in keep:
+                    if not dom[x] <= values:
+                        dom[x] &= values
+                        changed = True
+    if not all(dom):
+        return None
+    return [[v in dom[x] for v in range(b.size)] for x in range(a.size)]
+
+
+def test_root_consistency_is_the_reference_fixpoint():
+    # b is random; a is a fresh random algebra of any size, or a relabelled
+    # copy of b with up to two cells changed whose start domains contain
+    # the relabelling (random algebras alone are mostly refuted or kept)
+    rng = np.random.default_rng(11)
+    seen = {"refuted": 0, "pruned": 0, "kept": 0}
+    for _ in range(1000):
+        arities = sorted(rng.choice(3, size=rng.integers(1, 4)).tolist())
+        ops = [(f"o{i}", k) for i, k in enumerate(arities)]
+        nb = int(rng.integers(1, 6))
+        tb = {name: rng.integers(0, nb, nb**k) for name, k in ops}
+        copy = rng.random() < 0.5
+        na = nb if copy else int(rng.integers(1, 6))
+        d0 = rng.random((na, nb)) < rng.uniform(0.4, 1.0)
+        if copy:
+            perm = rng.permutation(nb)  # a's element perm[e] is b's e
+            inv = np.argsort(perm)
+            ta = {name: perm[tb[name].reshape((nb,) * k)[np.ix_(*[inv] * k)]].reshape(-1)
+                  for name, k in ops}
+            for _ in range(rng.integers(0, 3)):
+                name, k = ops[rng.integers(len(ops))]
+                ta[name][rng.integers(nb**k)] = rng.integers(nb)
+            d0[perm, np.arange(nb)] = True
+        else:
+            ta = {name: rng.integers(0, na, na**k) for name, k in ops}
+        a, b = FiniteAlgebra(ops, na, ta), FiniteAlgebra(ops, nb, tb)
+        d = _consistent_domains(a, b, d0, 2)
+        expected = _reference_root(a, b, d0.tolist(), 2)
+        if d is None:
+            assert expected is None, (a.tables, b.tables, d0)
+            seen["refuted"] += 1
+            continue
+        assert d.tolist() == expected, (a.tables, b.tables, d0)
+        seen["pruned" if (d != d0).any() else "kept"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_root_consistency_leaves_arity_three_to_the_search(gadgets):
     # the lifted pairs of test_lift_preserves_homomorphisms reach the search
     # with their domains untouched
@@ -450,6 +517,39 @@ def test_retraction_refuted_within_node_guard():
     stats = SearchStats(node_limit=500)
     assert decide_retraction(x, y, stats=stats) is None
     assert stats.root_pruned > 0
+
+
+def test_retraction_refuted_by_cardinality():
+    # h∘g = id_X needs |X| <= |Y|: "no" before the root routine or the search
+    encs = [encode_semigroup(g)[0] for g in graph_catalog(2, 3)]
+    larger = [(x, y) for x in encs for y in encs if x.size > y.size]
+    assert larger
+    for x, y in larger:
+        stats = SearchStats()
+        assert decide_retraction(x, y, stats=stats) is None
+        assert (stats.nodes, stats.root_pruned) == (0, 0)
+
+
+def test_full_factor_refuted_by_image_size():
+    # im f = h(im g) has at most |Y| elements
+    x, y = make_abelian([4]), make_abelian([2])
+    f = Mapping.identity(4)
+    stats = SearchStats()
+    inst = FactorizationInstance("full-factor", x, y, x, f=f)
+    assert find_factorization(inst, stats=stats) is None
+    assert (stats.nodes, stats.root_pruned) == (0, 0)
+    assert f not in _brute_factors(x, y, x)
+
+
+def test_full_factor_with_image_the_size_of_y_is_searched():
+    # |im f| = |Y| passes the bound: the root routine runs and finds a "yes"
+    x, y = make_abelian([4]), make_abelian([2])
+    f = Mapping(4, 2, (0, 1, 0, 1))  # reduction mod 2
+    stats = SearchStats()
+    pair = find_factorization(FactorizationInstance("full-factor", x, y, y, f=f), stats=stats)
+    assert pair is not None and compose(pair[1], pair[0]) == f
+    assert stats.root_pruned > 0
+    assert f in _brute_factors(x, y, y)
 
 
 def test_entry_points_validate_algebras():
@@ -543,9 +643,11 @@ def _pinned_runs():
 
 def test_node_counts_pinned():
     # measured before the bitmask engine replaced the set-based one: the
-    # same variable order, value order and propagation give the same counts
+    # same variable order, value order and propagation give the same counts;
+    # the retraction total dropped from 300 when the 15 pairs with |X| > |Y|
+    # (110 nodes) came to be refuted by their sizes before any search
     assert _pinned_runs() == {
-        "retraction": (300, "296bbcf2e7933d42", 9, 36),
+        "retraction": (190, "296bbcf2e7933d42", 9, 36),
         "hom": (6908, "3285469154fc6099", 261, 576),
         "left-factor": (6908, "a8d18c83058e56d5", 261, 576),
         "isomorphism": (315, "8752c13ec126ace3", 24, 576),

@@ -1,11 +1,13 @@
 """Solver answers against the full function-space scan on random algebras,
-and under relabelling of either carrier."""
+and under relabelling of either carrier; the three factor kinds against a
+scan over the maps they solve for."""
 
 import pytest
 from conftest import brute_homs
 
 from homfactor.algebra import FiniteAlgebra, Mapping, compose
 from homfactor.solver import FactorizationInstance, decide, verify_witness
+from homfactor.varieties import make_abelian
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -94,3 +96,73 @@ def test_random_algebras_match_scan_and_relabelling(kind, case):
     else:
         g, h = _after(perm, g), h and _before(h, perm)
     assert verify_witness(inst, g, h)
+
+
+@st.composite
+def _factor_cases(draw):
+    """(x, y, z, f, g, h) with f: X -> Z, g: X -> Y and h: Y -> Z drawn from
+    brute_homs. Every algebra has an idempotent element e (each operation
+    maps (e, ..., e) to e), so the constant map onto it is a homomorphism and
+    every draw has maps to pick from. Z is X, a relabelled X or drawn
+    afresh. Y is X or Z, or drawn afresh with at least as many elements as
+    im f, or with fewer (when im f has two or more)."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    ops = [(f"o{i}", k) for i, k in enumerate(arities)]
+
+    def algebra(n):
+        e = draw(st.integers(0, n - 1))
+        tables = {}
+        for name, k in ops:
+            cells = draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k))
+            cells[sum(e * n**i for i in range(k))] = e
+            tables[name] = cells
+        return FiniteAlgebra(ops, n, tables)
+
+    x = algebra(draw(st.integers(1, 4)))
+    z = draw(st.sampled_from(["x", "relabelled", "fresh"]))
+    if z == "x":
+        z = x
+    elif z == "relabelled":
+        z = _relabel(x, draw(st.permutations(range(x.size))))
+    else:
+        z = algebra(draw(st.integers(1, 4)))
+    # largest images first: hypothesis favours the front of the list
+    f = draw(st.sampled_from(sorted(brute_homs(x, z), key=lambda m: -len(set(m.values)))))
+    y = draw(st.sampled_from(["smaller", "x", "z", "fresh"]))
+    if y in ("x", "z"):
+        y = x if y == "x" else z
+    else:
+        image = len(set(f.values))
+        if y == "smaller":
+            y = algebra(draw(st.integers(1, max(1, image - 1))))
+        else:
+            y = algebra(draw(st.integers(image, 4)))
+    g = draw(st.sampled_from(brute_homs(x, y)))
+    h = draw(st.sampled_from(brute_homs(y, z)))
+    return x, y, z, f, g, h
+
+
+_Z4, _Z2 = make_abelian([4]), make_abelian([2])
+
+
+@pytest.mark.parametrize("kind", ["right-factor", "left-factor", "full-factor"])
+@hypothesis.settings(max_examples=150, derandomize=True, deadline=None)
+@hypothesis.given(case=_factor_cases())
+@hypothesis.example(case=(_Z4, _Z2, _Z4, Mapping.identity(4), Mapping(4, 2, (0, 1, 0, 1)),
+                          Mapping(2, 4, (0, 2))))  # |im f| = 4 > |Y| = 2
+def test_factor_kinds_match_scan(kind, case):
+    x, y, z, f, g, h = case
+    if kind == "right-factor":
+        inst = FactorizationInstance(kind, x, y, z, f=f, h=h)
+        expected = any(compose(h, gs) == f for gs in brute_homs(x, y))
+    elif kind == "left-factor":
+        inst = FactorizationInstance(kind, x, y, z, f=f, g=g)
+        expected = any(compose(hs, g) == f for hs in brute_homs(y, z))
+    else:
+        inst = FactorizationInstance(kind, x, y, z, f=f)
+        hs_all = brute_homs(y, z)
+        expected = any(compose(hs, gs) == f for gs in brute_homs(x, y) for hs in hs_all)
+    pair = decide(inst)
+    assert (pair is not None) == expected
+    if pair is not None:
+        assert verify_witness(inst, *pair)
