@@ -19,11 +19,13 @@ from homfactor.encodings import (
     encode_semigroup,
     encode_unary,
     lift_nary,
+    make_fcore_instance,
     make_gadgets,
     make_rf_instance,
     make_semilattice_X,
     make_unary_lf_instance,
 )
+from homfactor.fcore import InapplicableReport, abelian_fcore, brute_fcore, is_fcore
 from homfactor.graphs import (
     Graph,
     complete_graph,
@@ -33,7 +35,7 @@ from homfactor.graphs import (
     graph_retract,
     path_graph,
 )
-from homfactor.varieties import make_abelian, make_gset
+from homfactor.varieties import make_abelian, make_gset, sample_fcore_instances
 from homfactor.solver import (
     FactorizationInstance,
     InstanceError,
@@ -654,4 +656,43 @@ def test_node_counts_pinned():
         "right-factor": (92, "5a43934c1faddbea", 34, 49),
         "enumerate [2, 2]": (20, "7d0bec6bf8ba1865", 16),
         "enumerate [2, 4]": (40, "029403dde433db5e", 32),
+    }
+
+
+def _fcore_pinned_runs():
+    """(total nodes, digest of retraction values and image sizes, summed
+    image sizes, calls) per f-core entry point; is_fcore's digest and third
+    field read its answers and how many are True."""
+    insts = [make_fcore_instance(g) for g in graph_catalog(1, 5)]
+    out = {}
+    stats, ws = SearchStats(), []
+    for x, z, f in insts:
+        res = brute_fcore(x, f, z, stats=stats)
+        ws.append((res.retraction.values, len(res.image)))
+    out["brute"] = (stats.nodes, _digest(ws), sum(n for _, n in ws), len(ws))
+    stats = SearchStats()
+    ws = [is_fcore(x, f, z, stats=stats) for x, z, f in insts]
+    out["is_fcore"] = (stats.nodes, _digest(ws), sum(ws), len(ws))
+    # Z_4 -> Z_2: the kernel is no direct summand, so the method is inapplicable
+    samples = sample_fcore_instances("abelian", 12, 16, seed=5)
+    samples.append((make_abelian([4]), make_abelian([2]), Mapping(4, 2, (0, 1, 0, 1))))
+    stats, ws = SearchStats(), []
+    for x, z, f in samples:
+        res = abelian_fcore(x, f, z, stats=stats)
+        inapplicable = isinstance(res, InapplicableReport)
+        if inapplicable:
+            res = res.fallback
+        ws.append((inapplicable, res.retraction.values, len(res.image)))
+    out["abelian"] = (stats.nodes, _digest(ws), sum(n for *_, n in ws), len(ws))
+    return out
+
+
+def test_fcore_node_counts_pinned():
+    # the moving search (brute_fcore, is_fcore) and the non-moving one
+    # (abelian_fcore, 5 of whose 13 samples are inapplicable and fall back
+    # to brute_fcore under the same budget)
+    assert _fcore_pinned_runs() == {
+        "brute": (330, "79910aee74e5ecf7", 481, 52),
+        "is_fcore": (274, "525e1d52237dfdb6", 6, 52),
+        "abelian": (39, "60c6964ca331be8a", 93, 13),
     }
