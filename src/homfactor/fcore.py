@@ -10,7 +10,9 @@ f-fiber domains propagated once, then each element m in ascending order
 gets one search with m's own value removed, and a failed search fixes m
 for the rest of the step. The variety-specific methods compute a (not
 certified) retraction directly and are anchored to the brute oracle by the
-test suite, never trusted on their own.
+test suite, never trusted on their own. Every result, and each step of the
+brute method, passes one check, _core: an f-respecting retraction whose
+fixed points are the image.
 
 brute_fcore, is_fcore, abelian_fcore and fixed_z_right_factor count the
 nodes of every search one call makes in the SearchStats they are given;
@@ -104,6 +106,18 @@ def _fibers(fvals):
     return fv[:, None] == fv[None, :]
 
 
+def _core(x: FiniteAlgebra, f: Mapping, values, method: str,
+          certified: bool = False) -> FCoreResult:
+    """The result for the retraction with the given values, once
+    is_retraction_respecting accepts it; the image is its fixed points."""
+    retraction = Mapping(x.size, x.size, values)
+    if not is_retraction_respecting(retraction, x, f):
+        raise AssertionError(f"the {method} method built no f-respecting retraction")
+    image = tuple(e for e in range(x.size) if retraction.values[e] == e)
+    core, _ = induced_subalgebra(x, image)
+    return FCoreResult(retraction, image, core, certified, method)
+
+
 def _nonidentity_retraction(x: FiniteAlgebra, f: Mapping, stats):
     """An f-respecting non-identity retraction moving the least element any
     moves, or None after exhaustive refutation."""
@@ -114,23 +128,20 @@ def _nonidentity_retraction(x: FiniteAlgebra, f: Mapping, stats):
 
 
 def _brute(x: FiniteAlgebra, f: Mapping, stats) -> FCoreResult:
-    total = Mapping.identity(x.size)
-    elems = list(range(x.size))
-    cur, cur_f = x, f
+    identity = Mapping.identity(x.size)
+    res = FCoreResult(identity, identity.values, x, True, "brute")
     while True:
-        r_sub = _nonidentity_retraction(cur, cur_f, stats)
+        elems = res.image
+        cur_f = Mapping(len(elems), f.cod_size, [f.values[e] for e in elems])
+        r_sub = _nonidentity_retraction(res.core_algebra, cur_f, stats)
         if r_sub is None:
-            break
+            return res
         lift = list(range(x.size))
         for pos, e in enumerate(elems):
             lift[e] = elems[r_sub.values[pos]]
-        total = Mapping(x.size, x.size, [lift[v] for v in total.values])
-        if not is_retraction_respecting(total, x, f):
-            raise AssertionError("composite of f-respecting retractions went bad")
-        elems = [elems[pos] for pos in range(len(elems)) if r_sub.values[pos] == pos]
-        cur, _ = induced_subalgebra(x, elems)
-        cur_f = Mapping(len(elems), f.cod_size, [f.values[e] for e in elems])
-    return FCoreResult(total, tuple(elems), cur, True, "brute")
+        # each composite passes the one result check; its core algebra is
+        # the next step's search space
+        res = _core(x, f, [lift[v] for v in res.retraction.values], "brute", certified=True)
 
 
 def brute_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, *,
@@ -209,12 +220,7 @@ def gset_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None) -> 
                     break
             if changed:
                 break
-    retraction = Mapping(x.size, x.size, r)
-    if not is_retraction_respecting(retraction, x, f):
-        raise AssertionError("orbit merges did not produce an f-respecting retraction")
-    image = sorted(e for i in kept for e in orbits[i])
-    core, _ = induced_subalgebra(x, image)
-    return FCoreResult(retraction, tuple(image), core, False, "gset")
+    return _core(x, f, r, "gset")  # the fixed points are the kept orbits
 
 
 def _span(gens, zero, add, scalar_tables):
@@ -270,12 +276,7 @@ def vspace_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None) -
             if proj[e] != -1:
                 raise AlgebraError("kernel and complement do not decompose the space")
             proj[e] = w
-    retraction = Mapping(x.size, x.size, proj)
-    if not is_retraction_respecting(retraction, x, f):
-        raise AssertionError("projection is not an f-respecting retraction")
-    image = sorted(complement)
-    core, _ = induced_subalgebra(x, image)
-    return FCoreResult(retraction, tuple(image), core, False, "vspace")
+    return _core(x, f, proj, "vspace")  # the fixed points are the complement
 
 
 def boolean_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra) -> FCoreResult:
@@ -322,14 +323,10 @@ def boolean_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra) -> FCoreResult
             if meet_x[w[a], e] == w[a]:
                 acc = int(join_x[acc, a])
         rvals.append(acc)
-    retraction = Mapping(x.size, x.size, rvals)
-    if not is_retraction_respecting(retraction, x, f):
-        raise AssertionError("atom redirection is not an f-respecting retraction")
-    image = sorted(e for e in range(x.size) if rvals[e] == e)
-    if len(image) != z.size:
+    res = _core(x, f, rvals, "boolean")
+    if len(res.image) != z.size:
         raise AssertionError("core size differs from the target size")
-    core, _ = induced_subalgebra(x, image)
-    return FCoreResult(retraction, tuple(image), core, False, "boolean")
+    return res
 
 
 def abelian_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, *,
@@ -356,11 +353,7 @@ def abelian_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, 
         return InapplicableReport(
             "abelian", "kernel of f is not a direct summand", _brute(x, f, stats)
         )
-    if not is_retraction_respecting(retraction, x, f):
-        raise AssertionError("splitting search returned a bad witness")
-    image = sorted(e for e in range(x.size) if retraction.values[e] == e)
-    core, _ = induced_subalgebra(x, image)
-    return FCoreResult(retraction, tuple(image), core, False, "abelian")
+    return _core(x, f, retraction.values, "abelian")
 
 
 def _run_method(method, x, f, z, stats):

@@ -18,17 +18,18 @@ and once they pass its node_limit it raises NodeLimitReached, an explicit
 "unknown" outcome, distinct from an exhaustive "no". Searches that share
 one SearchStats share its limit.
 
-Every domain is a Python int bitmask over the target carrier, converted
-once from the root routine's bool matrix. The constraints are compiled with
-numpy into per-variable propagators: for each variable and each tuple it
-occurs in, one entry naming the tuple's other variables and the target
-table sliced by the variable's value, so that a binary table with one
-argument fixed becomes a row lookup. propagate runs the entries inline, in
-ascending constraint order, with a stack of newly fixed variables.
-
-The f-core module runs its retraction searches through _find_retraction,
-one incremental engine per decremental step, and never builds an engine
-itself.
+Every search is built one way: the root pass prunes the bool domains, then
+_Engine compiles the constraints of its (source, target) pairs, laid side
+by side, and converts the domains once to Python int bitmasks over the
+target carrier. Each variable gets one numpy-compiled entry per tuple it
+occurs in, naming the tuple's other variables and the target table sliced
+by the variable's value, so that a binary table with one argument fixed
+becomes a row lookup; propagate runs the entries inline, in ascending
+constraint order, with a stack of newly fixed variables. Searches differ
+only by hooks run on each newly fixed variable: idempotence for the f-core
+module's retractions (_find_retraction, one incremental engine per
+decremental step), injectivity for isomorphisms, and the channel
+h(g(x)) = f(x) for the combined g/h search.
 
 What each instance kind means lives here and nowhere else: decide dispatches
 on the kind, full factors and retractions share one combined search over g-
@@ -267,19 +268,15 @@ def _entries(arity, tb, nb, var, xs, o):
                     *shared[:, slot].tolist()))
 
 
-class _Problem:
-    """Immutable constraint data shared by every engine run on one instance:
-    per variable, its compiled entries in ascending constraint order."""
-
-    __slots__ = ("n_vars", "props")
-
-    def __init__(self, n_vars):
-        self.n_vars = n_vars
-        self.props = [[] for _ in range(n_vars)]
-
-    def add_hom_constraints(self, a: FiniteAlgebra, b: FiniteAlgebra, offset=0):
-        """For every tuple x̄: value(op_A(x̄)) == op_B(values of x̄), for the
-        variables offset .. offset + a.size - 1."""
+def _compile(pairs):
+    """Every variable's compiled entries, in ascending constraint order, for
+    homomorphisms a -> b of each (a, b) in pairs: value(op_A(x̄)) ==
+    op_B(values of x̄) for every tuple x̄ of a. Each pair's variables follow
+    those of the pairs before it."""
+    props = []
+    for a, b in pairs:
+        offset = len(props)
+        props += [[] for _ in range(a.size)]
         bound = np.arange(a.size + 1)
         for name, arity in a.signature.ops:
             ta = a.table(name)
@@ -294,26 +291,28 @@ class _Problem:
                                xs[:, t] + offset, ta[t] + offset)
             cut = np.searchsorted(var, bound).tolist()
             for v in range(a.size):
-                self.props[offset + v] += entries[cut[v]:cut[v + 1]]
+                props[offset + v] += entries[cut[v]:cut[v + 1]]
+    return props
 
 
 class _Engine:
-    """Backtracking over a _Problem with its own domains and trail. A
-    domain is an int bitmask over the target carrier. After root(),
-    first_without and settle run several searches from one shared base
-    state."""
+    """Backtracking over homomorphisms a -> b for each (a, b) in pairs, one
+    bool domain matrix per pair (d[v, w]: v may go to w), with its own
+    domains and trail. A domain is an int bitmask over the target carrier.
+    Every side condition is a hook, run on each newly fixed variable. After
+    root(), first_without and settle run several searches from one shared
+    base state."""
 
-    def __init__(self, problem, domains, stats, *, order="mrv", all_different=False,
-                 hooks=()):
-        self.p = problem
-        self.dom = list(domains)
+    def __init__(self, pairs, domains, stats, *, order="mrv", hooks=()):
+        self.props = _compile(pairs)
+        self.dom = [m for d in domains for m in _masks(d)]
+        self.n_vars = len(self.dom)
         self.order = order
         self.stats = SearchStats() if stats is None else stats
         self.stop = self.stats.node_limit  # stats.nodes may not pass it
-        self.all_diff = all_different
         self.hooks = tuple(hooks)
         self.trail = []  # (var, mask before the change)
-        self.done = [False] * problem.n_vars  # singleton already propagated
+        self.done = [False] * self.n_vars  # singleton already propagated
         self.done_log = []  # the done variables, in the order they were done
         self.queue = []
 
@@ -408,7 +407,7 @@ class _Engine:
         constraint order, and forcing a queued singleton queues it again:
         node counts depend on all three (see test_node_counts_pinned)."""
         dom, done, trail, queue = self.dom, self.done, self.trail, self.queue
-        props, hooks, log = self.p.props, self.hooks, self.done_log
+        props, hooks, log = self.props, self.hooks, self.done_log
         while queue:
             v = queue.pop()
             d = dom[v]
@@ -417,10 +416,6 @@ class _Engine:
             done[v] = True
             log.append(v)
             a = d.bit_length() - 1
-            if self.all_diff:
-                for w in range(self.p.n_vars):
-                    if w != v and not self.remove(w, a):
-                        return False
             for hook in hooks:
                 if not hook(self, v, a):
                     return False
@@ -512,7 +507,7 @@ class _Engine:
     def _pick(self):
         done = self.done
         if self.order == "lexicographic":
-            return next((v for v in range(self.p.n_vars) if not done[v]), None)
+            return next((v for v in range(self.n_vars) if not done[v]), None)
         best = None
         size = 0
         for v, d in enumerate(self.dom):
@@ -659,20 +654,18 @@ def _consistent_domains(a, b, d, max_arity, *, stats=None):
     return d if alive else None
 
 
-def _hom_engine(a, b, stats, d, *, order="mrv", all_different=False):
+def _hom_engine(a, b, stats, d, *, order="mrv", hooks=()):
     if d is None:
         d = np.ones((a.size, b.size), dtype=bool)
     d = _consistent_domains(a, b, d, 1, stats=stats)
     if d is None:
         return None
-    problem = _Problem(a.size)
-    problem.add_hom_constraints(a, b)
-    return _Engine(problem, _masks(d), stats, order=order, all_different=all_different)
+    return _Engine([(a, b)], [d], stats, order=order, hooks=hooks)
 
 
-def _search_hom(a, b, stats, *, d=None, all_different=False):
+def _search_hom(a, b, stats, *, d=None, hooks=()):
     """First homomorphism a -> b the search finds, not yet re-verified."""
-    eng = _hom_engine(a, b, stats, d, all_different=all_different)
+    eng = _hom_engine(a, b, stats, d, hooks=hooks)
     sol = None if eng is None else next(eng.solutions(), None)
     return None if sol is None else Mapping(a.size, b.size, sol)
 
@@ -680,6 +673,14 @@ def _search_hom(a, b, stats, *, d=None, all_different=False):
 def _idem_hook(eng, var, val):
     # image elements of an idempotent map are fixed points
     return eng.force(val, val)
+
+
+def _injective_hook(eng, var, val):
+    # no other element shares var's value
+    for w in range(eng.n_vars):
+        if w != var and not eng.remove(w, val):
+            return False
+    return True
 
 
 def _find_retraction(x, d, stats, *, moving=False):
@@ -693,16 +694,11 @@ def _find_retraction(x, d, stats, *, moving=False):
     so no such map moves m: it is undone and m is fixed for every later
     search. The map found therefore moves the least element any moves.
     """
-    d = _consistent_domains(x, x, d, 1, stats=stats)
-    if d is None:
-        return None
-    problem = _Problem(x.size)
-    problem.add_hom_constraints(x, x)
-    eng = _Engine(problem, _masks(d), stats, hooks=(_idem_hook,))
-    sol = None
     if not moving:
-        sol = next(eng.solutions(), None)
-    elif eng.root():
+        return _search_hom(x, x, stats, d=d, hooks=(_idem_hook,))
+    eng = _hom_engine(x, x, stats, d, hooks=(_idem_hook,))
+    sol = None
+    if eng is not None and eng.root():
         for m in range(x.size):
             sol = eng.first_without(m, m)
             if sol is not None or not eng.settle(m, m):
@@ -809,10 +805,7 @@ def _solve_factor_pair(inst, stats):
     dg = _consistent_domains(x, y, channel, 2, stats=stats)
     if dg is None:
         return None
-    problem = _Problem(x.size + y.size)
-    problem.add_hom_constraints(x, y)
-    problem.add_hom_constraints(y, z, offset=x.size)
-    eng = _Engine(problem, _masks(dg) + _masks(dh), stats,
+    eng = _Engine([(x, y), (y, z)], [dg, dh], stats,
                   hooks=(_channel_hook(x.size, f_values),))
     sol = next(eng.solutions(), None)
     if sol is None:
@@ -825,7 +818,7 @@ def _solve_factor_pair(inst, stats):
 def _solve_isomorphism(inst, stats):
     if inst.X.size != inst.Y.size:
         return None
-    g = _search_hom(inst.X, inst.Y, stats, all_different=True)
+    g = _search_hom(inst.X, inst.Y, stats, hooks=(_injective_hook,))
     return _verified(inst, g, None)
 
 

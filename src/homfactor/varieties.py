@@ -21,6 +21,7 @@ from .algebra import (
     is_homomorphism,
     validate_algebra,
 )
+from .solver import FactorizationInstance, enumerate_homomorphisms
 
 __all__ = [
     "ABELIAN_SIGNATURE",
@@ -37,7 +38,6 @@ __all__ = [
     "validate_gset",
     "gset_orbits",
     "boolean_atoms",
-    "abelian_hom",
     "boolean_hom",
     "vspace_hom",
     "sample_fcore_instances",
@@ -301,13 +301,6 @@ def boolean_atoms(alg: FiniteAlgebra) -> list[int]:
     return [x for x in range(alg.size) if x != bot and not below[x]]
 
 
-def abelian_hom(x: FiniteAlgebra, z: FiniteAlgebra, values) -> Mapping:
-    m = Mapping(x.size, z.size, values)
-    if not is_homomorphism(m, x, z):
-        raise AlgebraError("values do not define a homomorphism")
-    return m
-
-
 def boolean_hom(x: FiniteAlgebra, z: FiniteAlgebra, atom_to_atom) -> Mapping:
     """Hom 2^S -> 2^T from a function atoms(Z) -> atoms(X), by preimage."""
     atoms_x = boolean_atoms(x)
@@ -460,8 +453,16 @@ _SAMPLERS = {
 }
 
 
+# the least max_size at which every draw of the sampler fits: the vector
+# space sampler may draw p = 3
+_MIN_SIZE = {"abelian": 2, "vspace": 3, "boolean": 2}
+
+
 def sample_fcore_instances(variety: str, count: int, max_size: int, seed: int):
     """Deterministic (X, Z, f) triples with f a surjective homomorphism."""
+    low = _MIN_SIZE.get(variety, 0)
+    if max_size < low:
+        raise AlgebraError(f"{variety} samples need a max size of at least {low}, got {max_size}")
     rng = random.Random(seed)
     sampler = _SAMPLERS[variety]
     return [sampler(rng, max_size) for _ in range(count)]
@@ -469,8 +470,6 @@ def sample_fcore_instances(variety: str, count: int, max_size: int, seed: int):
 
 def _hom_into(rng: random.Random, variety: str, z: FiniteAlgebra, max_size: int):
     """Some algebra Y with a homomorphism h: Y -> Z, not always surjective."""
-    from .solver import enumerate_homomorphisms  # cycle-free at call time
-
     for _ in range(50):
         y, z2, h = _SAMPLERS[variety](rng, max_size)
         if y.signature != z.signature:
@@ -485,8 +484,6 @@ def _hom_into(rng: random.Random, variety: str, z: FiniteAlgebra, max_size: int)
 
 def sample_rf_instances(variety: str, count: int, max_size: int, seed: int):
     """Deterministic right-factor instances within one variety."""
-    from .solver import FactorizationInstance
-
     rng = random.Random(seed)
     out = []
     while len(out) < count:

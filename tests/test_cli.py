@@ -351,6 +351,16 @@ def test_bench_fcores_small(tmp_path):
     assert len(out.read_text().splitlines()) == 25  # header + 4 varieties x 6
 
 
+@pytest.mark.parametrize("max_size", ["0", "1", "2"])
+def test_bench_fcores_below_the_smallest_sample(tmp_path, capsys, max_size):
+    rc = run("bench", "--suite", "fcores", "--max-size", max_size,
+             "--out", str(tmp_path / "x.tsv"))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "max size of at least" in err
+    assert "Traceback" not in err
+
+
 def test_bench_over_budget(tmp_path):
     rc = run("bench", "--suite", "reductions", "--max-size", "9",
              "--out", str(tmp_path / "x.tsv"))

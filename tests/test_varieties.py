@@ -1,6 +1,8 @@
 import itertools
 
-from homfactor.algebra import FiniteAlgebra, is_homomorphism
+import pytest
+
+from homfactor.algebra import AlgebraError, FiniteAlgebra, is_homomorphism
 from homfactor.varieties import (
     _ABELIAN_POOL,
     ABELIAN_SIGNATURE,
@@ -148,6 +150,14 @@ def test_samplers_are_deterministic_and_valid():
             assert x.size <= 16
             assert is_homomorphism(f, x, z)
             assert len(f.image) == z.size  # surjective
+
+
+def test_samplers_reject_a_max_size_below_their_smallest_draw():
+    for variety, low in (("abelian", 2), ("vspace", 3), ("boolean", 2)):
+        for max_size in range(low):
+            with pytest.raises(AlgebraError, match=f"max size of at least {low}, got {max_size}"):
+                sample_fcore_instances(variety, 3, max_size, seed=0)
+        assert all(x.size <= low for x, _, _ in sample_fcore_instances(variety, 20, low, seed=0))
 
 
 def test_rf_instance_sampler():
