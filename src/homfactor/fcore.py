@@ -10,9 +10,23 @@ f-fiber domains propagated once, then each element m in ascending order
 gets one search with m's own value removed, and a failed search fixes m
 for the rest of the step. The variety-specific methods compute a (not
 certified) retraction directly and are anchored to the brute oracle by the
-test suite, never trusted on their own. Every result, and each step of the
-brute method, passes one check, _core: an f-respecting retraction whose
-fixed points are the image.
+test suite, never trusted on their own.
+
+Each input is checked once, at its entry point: _check_f validates X, Z
+and f (f a homomorphism X -> Z when Z is given, else only its domain
+size), and each variety method first validates membership of its variety.
+fixed_z_right_factor validates its instance; its f-core step runs the
+method's entry point, which checks X and the restricted f once more, and
+the restricted instance, built from induced subalgebras and restrictions
+of the checked maps, goes to the right-factor search unvalidated.
+
+Each result is verified once. Every f-core passes one check, _core: an
+f-respecting retraction whose fixed points are the image. A brute step's
+retraction is checked only through the composite's _core, since a
+composite that passes restricts on the step's closed image to that
+retraction. is_fcore checks the retraction it finds with one
+is_retraction_respecting, and fixed_z_right_factor checks the witness it
+reassembles with verify_witness.
 
 brute_fcore, is_fcore, abelian_fcore and fixed_z_right_factor count the
 nodes of every search one call makes in the SearchStats they are given;
@@ -40,7 +54,9 @@ from .solver import (
     FactorizationInstance,
     InstanceError,
     _find_retraction,
-    decide,
+    _idem_hook,
+    _search_hom,
+    _solve_right_factor,
     verify_witness,
 )
 from .varieties import (
@@ -91,13 +107,11 @@ def _check_f(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None):
         problems = [] if alg is None else validate_algebra(alg)
         if problems:
             raise AlgebraError(f"{name} is malformed: " + "; ".join(problems))
-    if f.dom_size != x.size:
-        raise SizeMismatch(f"f has domain {f.dom_size}, algebra has size {x.size}")
-    if z is not None:
-        if f.cod_size != z.size:
-            raise SizeMismatch(f"f has codomain {f.cod_size}, target has size {z.size}")
-        if not is_homomorphism(f, x, z):
-            raise AlgebraError("f is not a homomorphism")
+    if z is None:
+        if f.dom_size != x.size:
+            raise SizeMismatch(f"f has domain {f.dom_size}, algebra has size {x.size}")
+    elif not is_homomorphism(f, x, z):  # raises SizeMismatch on a size mismatch
+        raise AlgebraError("f is not a homomorphism")
 
 
 def _fibers(fvals):
@@ -118,29 +132,19 @@ def _core(x: FiniteAlgebra, f: Mapping, values, method: str,
     return FCoreResult(retraction, image, core, certified, method)
 
 
-def _nonidentity_retraction(x: FiniteAlgebra, f: Mapping, stats):
-    """An f-respecting non-identity retraction moving the least element any
-    moves, or None after exhaustive refutation."""
-    r = _find_retraction(x, _fibers(f.values), stats, moving=True)
-    if r is not None and not is_retraction_respecting(r, x, f):
-        raise AssertionError("retraction search returned a bad witness")
-    return r
-
-
 def _brute(x: FiniteAlgebra, f: Mapping, stats) -> FCoreResult:
     identity = Mapping.identity(x.size)
     res = FCoreResult(identity, identity.values, x, True, "brute")
     while True:
         elems = res.image
-        cur_f = Mapping(len(elems), f.cod_size, [f.values[e] for e in elems])
-        r_sub = _nonidentity_retraction(res.core_algebra, cur_f, stats)
+        r_sub = _find_retraction(res.core_algebra, _fibers([f.values[e] for e in elems]), stats)
         if r_sub is None:
             return res
         lift = list(range(x.size))
         for pos, e in enumerate(elems):
             lift[e] = elems[r_sub.values[pos]]
-        # each composite passes the one result check; its core algebra is
-        # the next step's search space
+        # the composite's one result check covers r_sub too (see the module
+        # docstring); its core algebra is the next step's search space
         res = _core(x, f, [lift[v] for v in res.retraction.values], "brute", certified=True)
 
 
@@ -155,7 +159,10 @@ def is_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, *,
              stats=None) -> bool:
     """True iff only the identity retraction respects f (exhaustive search)."""
     _check_f(x, f, z)
-    return _nonidentity_retraction(x, f, stats) is None
+    r = _find_retraction(x, _fibers(f.values), stats)
+    if r is not None and not is_retraction_respecting(r, x, f):
+        raise AssertionError("retraction search returned a bad witness")
+    return r is None
 
 
 def _orbit_map(o1, o2, ops, fvals):
@@ -348,7 +355,7 @@ def abelian_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, 
     kernel = d[zero].copy()
     d[kernel] = False
     d[kernel, zero] = True
-    retraction = _find_retraction(x, d, stats)
+    retraction = _search_hom(x, x, stats, d=d, hooks=(_idem_hook,))
     if retraction is None:
         return InapplicableReport(
             "abelian", "kernel of f is not a direct summand", _brute(x, f, stats)
@@ -402,7 +409,7 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
     sub = FactorizationInstance(
         "right-factor", res.core_algebra, y_res, z_res, f=f_core, h=h_res
     )
-    pair = decide(sub, stats=stats)
+    pair = _solve_right_factor(sub, stats)  # sub is valid by construction
     if pair is None:
         return None
     g_core = pair[0]

@@ -179,7 +179,14 @@ def format_legend(legend: Legend) -> str:
     return "\n".join(lines) + "\n"
 
 
-_ROLE_ARITY = {"vertex-copy": 2, "edge-elem": 3, "chi": 2, "distinguished": 1, "chain": 2}
+# the readers of each role's parameters, in the order they are written
+_ROLE_PARAMS = {
+    "vertex-copy": (_Tokens.next_int, _Tokens.next_int),
+    "edge-elem": (_Tokens.next, _Tokens.next_int, _Tokens.next_int),
+    "chi": (_Tokens.next_int, _Tokens.next_int),
+    "distinguished": (_Tokens.next,),
+    "chain": (_Tokens.next, _Tokens.next_int),
+}
 
 
 def parse_legend(text: str) -> Legend:
@@ -192,19 +199,9 @@ def parse_legend(text: str) -> Legend:
         t.expect("elem")
         idx = t.next_int()
         role_name = t.next()
-        if role_name not in _ROLE_ARITY:
+        if role_name not in _ROLE_PARAMS:
             raise FormatError(f"legend: unknown role {role_name!r}")
-        params = [t.next() for _ in range(_ROLE_ARITY[role_name])]
-        if role_name == "vertex-copy":
-            role = ("vertex-copy", int(params[0]), int(params[1]))
-        elif role_name == "edge-elem":
-            role = ("edge-elem", params[0], int(params[1]), int(params[2]))
-        elif role_name == "chi":
-            role = ("chi", int(params[0]), int(params[1]))
-        elif role_name == "chain":
-            role = ("chain", params[0], int(params[1]))
-        else:
-            role = ("distinguished", params[0])
+        role = (role_name, *[read(t) for read in _ROLE_PARAMS[role_name]])
         if not (0 <= idx < n) or entries[idx] is not None:
             raise FormatError(f"legend: bad or repeated element index {idx}")
         entries[idx] = role
@@ -247,11 +244,11 @@ def read_legend(path) -> Legend:
 _INSTANCE_FIELDS = ("X", "Y", "Z", "f", "g", "h")
 
 
-def write_instance(inst: FactorizationInstance, manifest_path, *, prefix=None):
+def write_instance(inst: FactorizationInstance, manifest_path):
     """Write the manifest plus one file per component next to it."""
     directory = os.path.dirname(os.path.abspath(manifest_path))
     os.makedirs(directory, exist_ok=True)
-    stem = prefix if prefix is not None else os.path.splitext(os.path.basename(manifest_path))[0]
+    stem = os.path.splitext(os.path.basename(manifest_path))[0]
     lines = [f"instance {inst.kind}"]
     for field in _INSTANCE_FIELDS:
         value = getattr(inst, field)

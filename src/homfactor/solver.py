@@ -34,8 +34,13 @@ h(g(x)) = f(x) for the combined g/h search.
 What each instance kind means lives here and nowhere else: decide dispatches
 on the kind, full factors and retractions share one combined search over g-
 and h-variables, and every witness an entry point returns has passed
-verify_witness, the single per-kind check. Every entry point validates its
-algebras first, so a malformed table raises AlgebraError.
+verify_witness, the single per-kind check, exactly once (through _verified).
+Every entry point validates its input once, first, so a malformed table or
+map raises AlgebraError: decide and the find_* functions through
+FactorizationInstance.validate, the entry points that take two algebras
+through _malformed. The _solve_* functions behind them assume a valid
+instance; fcore.fixed_z_right_factor, whose restricted instance is built
+from checked parts, calls _solve_right_factor directly.
 """
 
 from __future__ import annotations
@@ -683,19 +688,18 @@ def _injective_hook(eng, var, val):
     return True
 
 
-def _find_retraction(x, d, stats, *, moving=False):
-    """First idempotent endomorphism of x within the bool domain matrix d
-    (d[v, w]: v may go to w), or None after an exhaustive search; not yet
-    re-verified. The search counts its nodes in stats (None: uncounted).
+def _find_retraction(x, d, stats):
+    """First non-identity idempotent endomorphism of x within the bool
+    domain matrix d (d[v, w]: v may go to w), or None after an exhaustive
+    search; not yet re-verified. The search counts its nodes in stats
+    (None: uncounted).
 
-    With moving set, the identity does not count. The engine is built and
-    propagated once; then, for each element m in ascending order, one
-    search runs with m's own value removed. A failed search is exhaustive,
-    so no such map moves m: it is undone and m is fixed for every later
-    search. The map found therefore moves the least element any moves.
+    The engine is built and propagated once; then, for each element m in
+    ascending order, one search runs with m's own value removed. A failed
+    search is exhaustive, so no such map moves m: it is undone and m is
+    fixed for every later search. The map found therefore moves the least
+    element any moves.
     """
-    if not moving:
-        return _search_hom(x, x, stats, d=d, hooks=(_idem_hook,))
     eng = _hom_engine(x, x, stats, d, hooks=(_idem_hook,))
     sol = None
     if eng is not None and eng.root():

@@ -345,10 +345,13 @@ def test_bench_reductions_small(tmp_path):
 
 
 def test_bench_fcores_small(tmp_path):
-    out = tmp_path / "bench.tsv"
-    rc = run("bench", "--suite", "fcores", "--max-size", "8", "--out", str(out))
-    assert rc == 0
-    assert len(out.read_text().splitlines()) == 25  # header + 4 varieties x 6
+    for max_size in (8, 3):
+        out = tmp_path / f"bench{max_size}.tsv"
+        rc = run("bench", "--suite", "fcores", "--max-size", str(max_size), "--out", str(out))
+        assert rc == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 24  # 4 varieties x 6
+        assert all(int(row[2]) <= max_size for row in rows), rows  # the |X| column
 
 
 @pytest.mark.parametrize("max_size", ["0", "1", "2"])

@@ -10,6 +10,7 @@ from homfactor.algebra import (
     is_homomorphism,
     is_retraction_respecting,
 )
+from homfactor import fcore
 from homfactor.encodings import make_fcore_instance, make_rf_instance, make_semilattice_X
 from homfactor.fcore import (
     FCoreResult,
@@ -73,6 +74,23 @@ def test_brute_rejects_non_homomorphism():
     z4 = make_abelian([4])
     with pytest.raises(AlgebraError):
         brute_fcore(z4, Mapping(4, 2, (0, 0, 0, 1)), make_abelian([2]))
+
+
+def test_brute_step_faults_fail_the_composite_check(monkeypatch):
+    # each decremental step's retraction is checked only through the
+    # composite's result check; a faulty step search must still be caught
+    v = make_abelian([2, 2])
+    f = Mapping(4, 2, (0, 0, 1, 1))
+    for bad in (
+        (0, 1, 0, 1),  # an idempotent endomorphism, but f∘r != f
+        (0, 0, 2, 3),  # idempotent and f-respecting, but 1 + 2 goes to 3, not 0 + 2
+    ):
+        for call in (brute_fcore, is_fcore):
+            steps = iter([Mapping(4, 4, bad)])  # then no further retraction
+            monkeypatch.setattr(fcore, "_find_retraction",
+                                lambda x, d, stats, steps=steps: next(steps, None))
+            with pytest.raises(AssertionError):
+                call(v, f, make_abelian([2]))
 
 
 def test_fcore_entry_points_validate_algebras():

@@ -1,7 +1,13 @@
 import pytest
 
 from homfactor.algebra import Mapping
-from homfactor.encodings import encode_semigroup, encode_unary, make_rf_instance
+from homfactor.encodings import (
+    encode_magma,
+    encode_semigroup,
+    encode_unary,
+    make_rf_instance,
+    make_semilattice_X,
+)
 from homfactor.graphs import Graph, complete_graph, cycle_graph
 from homfactor.io import (
     FormatError,
@@ -76,15 +82,19 @@ def test_graph_roundtrip():
 
 
 def test_legend_roundtrip():
-    for alg, legend in (
-        encode_unary(Graph.digraph(2, [(0, 1)])),
-        encode_semigroup(cycle_graph(4)),
+    for legend in (
+        encode_unary(Graph.digraph(2, [(0, 1)]))[1],
+        encode_magma(cycle_graph(4))[1],
+        encode_semigroup(cycle_graph(4))[1],
+        make_semilattice_X(2)[1],  # the chain role
     ):
         text = format_legend(legend)
         again = parse_legend(text)
         assert again == legend
     with pytest.raises(FormatError):
         parse_legend("legend semigroup-XG 1\nelem 0 nonsense 1\n")
+    with pytest.raises(FormatError, match="expected integer"):
+        parse_legend("legend unary-dagger 1\nelem 0 vertex-copy x 1\n")
 
 
 def test_instance_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -153,11 +154,33 @@ def test_samplers_are_deterministic_and_valid():
 
 
 def test_samplers_reject_a_max_size_below_their_smallest_draw():
-    for variety, low in (("abelian", 2), ("vspace", 3), ("boolean", 2)):
+    for variety, low in (("abelian", 2), ("vspace", 3), ("boolean", 2), ("gset", 1)):
         for max_size in range(low):
             with pytest.raises(AlgebraError, match=f"max size of at least {low}, got {max_size}"):
                 sample_fcore_instances(variety, 3, max_size, seed=0)
         assert all(x.size <= low for x, _, _ in sample_fcore_instances(variety, 20, low, seed=0))
+    # every bound the gset sampler accepts holds for every draw
+    for max_size in range(1, 8):
+        for seed in range(50):
+            sizes = [x.size for x, _, _ in sample_fcore_instances("gset", 6, max_size, seed=seed)]
+            assert max(sizes) <= max_size, (max_size, seed, sizes)
+
+
+def test_gset_samples_at_sizes_12_and_16_pinned():
+    # the bench, criteria 8-9 and the f-core tests sample gset instances at
+    # these sizes, so their draws stay fixed
+    def tables(alg):
+        return [alg.table(name).tolist() for name, _ in alg.signature.ops]
+
+    digests = {}
+    for max_size in (12, 16):
+        draws = [
+            (tables(x), tables(z), f.values)
+            for seed in range(200)
+            for x, z, f in sample_fcore_instances("gset", 6, max_size, seed=seed)
+        ]
+        digests[max_size] = hashlib.sha256(repr(draws).encode()).hexdigest()[:16]
+    assert digests == {12: "ee1a9b81d0cd422f", 16: "57245b1107cedc8a"}
 
 
 def test_rf_instance_sampler():
