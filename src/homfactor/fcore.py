@@ -5,20 +5,23 @@ f∘r = f. The brute method runs a decremental loop: search for any
 non-identity f-respecting retraction of the current algebra, restrict to
 its fixed points, repeat; the final failed search is the exhaustive
 certificate that nothing smaller remains from there. Each step is one
-incremental search on the shared solver: the constraints are built and the
-f-fiber domains propagated once, then each element m in ascending order
-gets one search with m's own value removed, and a failed search fixes m
-for the rest of the step. The variety-specific methods compute a (not
-certified) retraction directly and are anchored to the brute oracle by the
-test suite, never trusted on their own.
+incremental search on the shared solver (_find_retraction): the constraints
+are built and the f-fiber domains propagated once, then each element m in
+ascending order gets one search with m's own value removed, and a failed
+search fixes m for the rest of the step. The variety-specific methods
+compute a (not certified) retraction directly and are anchored to the brute
+oracle by the test suite, never trusted on their own.
 
-Each input is checked once, at its entry point: _check_f validates X, Z
-and f (f a homomorphism X -> Z when Z is given, else only its domain
-size), and each variety method first validates membership of its variety.
-fixed_z_right_factor validates its instance; its f-core step runs the
-method's entry point, which checks X and the restricted f once more, and
-the restricted instance, built from induced subalgebras and restrictions
-of the checked maps, goes to the right-factor search unvalidated.
+Each method is one row of _METHODS, which every entry point reads. Each
+input is checked once, at its entry point, by one preamble (_check_inputs),
+in this order: the method's precondition (boolean needs Z); validate_algebra
+on X and Z; the variety's laws (varieties' validators minus
+validate_algebra); f, a homomorphism X -> Z when Z is given, else only its
+domain size. fixed_z_right_factor validates its instance and builds the
+restricted f, Y and Z from checked parts, so its f-core step runs only the
+laws and the construction. A construction checks only what the preamble
+leaves open: vspace that f (unchecked without Z) is constant on the cosets
+of its kernel, boolean that Z has two elements and f is onto.
 
 Each result is verified once. Every f-core passes one check, _core: an
 f-respecting retraction whose fixed points are the image. A brute step's
@@ -36,6 +39,7 @@ answer.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,24 +52,23 @@ from .algebra import (
     induced_subalgebra,
     is_homomorphism,
     is_retraction_respecting,
-    validate_algebra,
 )
 from .solver import (
     FactorizationInstance,
     InstanceError,
-    _find_retraction,
-    _idem_hook,
+    _hom_engine,
+    _malformed,
     _search_hom,
     _solve_right_factor,
     verify_witness,
 )
 from .varieties import (
+    _abelian_laws,
+    _boolean_laws,
+    _gset_laws,
+    _vspace_laws,
     boolean_atoms,
     gset_orbits,
-    validate_abelian,
-    validate_boolean,
-    validate_gset,
-    validate_vspace,
 )
 
 __all__ = [
@@ -80,8 +83,6 @@ __all__ = [
     "fixed_z_right_factor",
     "FCORE_METHODS",
 ]
-
-FCORE_METHODS = ("brute", "gset", "vspace", "boolean", "abelian")
 
 
 @dataclass(frozen=True)
@@ -102,16 +103,13 @@ class InapplicableReport:
     fallback: FCoreResult
 
 
-def _check_f(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None):
-    for name, alg in (("algebra", x), ("target", z)):
-        problems = [] if alg is None else validate_algebra(alg)
-        if problems:
-            raise AlgebraError(f"{name} is malformed: " + "; ".join(problems))
-    if z is None:
-        if f.dom_size != x.size:
-            raise SizeMismatch(f"f has domain {f.dom_size}, algebra has size {x.size}")
-    elif not is_homomorphism(f, x, z):  # raises SizeMismatch on a size mismatch
-        raise AlgebraError("f is not a homomorphism")
+@dataclass(frozen=True)
+class _Method:
+    build: Callable  # (x, f, z, stats) on checked inputs -> FCoreResult | InapplicableReport
+    variety: str | None = None
+    laws: Callable | None = None  # well-formed algebra -> problems, empty if in the variety
+    target_laws: bool = False  # Z, when given, must be in the variety too
+    needs_target: bool = False
 
 
 def _fibers(fvals):
@@ -132,7 +130,34 @@ def _core(x: FiniteAlgebra, f: Mapping, values, method: str,
     return FCoreResult(retraction, image, core, certified, method)
 
 
-def _brute(x: FiniteAlgebra, f: Mapping, stats) -> FCoreResult:
+def _idem_hook(eng, var, val):
+    # image elements of an idempotent map are fixed points
+    return eng.force(val, val)
+
+
+def _find_retraction(x, d, stats):
+    """First non-identity idempotent endomorphism of x within the bool
+    domain matrix d (d[v, w]: v may go to w), or None after an exhaustive
+    search; not yet re-verified. The search counts its nodes in stats
+    (None: uncounted).
+
+    The engine is built and propagated once; then, for each element m in
+    ascending order, one search runs with m's own value removed. A failed
+    search is exhaustive, so no such map moves m: it is undone and m is
+    fixed for every later search. The map found therefore moves the least
+    element any moves.
+    """
+    eng = _hom_engine(x, x, stats, d, hooks=(_idem_hook,))
+    sol = None
+    if eng is not None and eng.root():
+        for m in range(x.size):
+            sol = eng.first_without(m, m)
+            if sol is not None or not eng.settle(m, m):
+                break
+    return None if sol is None else Mapping(x.size, x.size, sol)
+
+
+def _brute(x, f, z, stats) -> FCoreResult:
     identity = Mapping.identity(x.size)
     res = FCoreResult(identity, identity.values, x, True, "brute")
     while True:
@@ -146,23 +171,6 @@ def _brute(x: FiniteAlgebra, f: Mapping, stats) -> FCoreResult:
         # the composite's one result check covers r_sub too (see the module
         # docstring); its core algebra is the next step's search space
         res = _core(x, f, [lift[v] for v in res.retraction.values], "brute", certified=True)
-
-
-def brute_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, *,
-                stats=None) -> FCoreResult:
-    """Decremental minimization down to a certified f-core."""
-    _check_f(x, f, z)
-    return _brute(x, f, stats)
-
-
-def is_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, *,
-             stats=None) -> bool:
-    """True iff only the identity retraction respects f (exhaustive search)."""
-    _check_f(x, f, z)
-    r = _find_retraction(x, _fibers(f.values), stats)
-    if r is not None and not is_retraction_respecting(r, x, f):
-        raise AssertionError("retraction search returned a bad witness")
-    return r is None
 
 
 def _orbit_map(o1, o2, ops, fvals):
@@ -189,22 +197,7 @@ def _orbit_map(o1, o2, ops, fvals):
     return None
 
 
-def gset_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None) -> FCoreResult:
-    """Orbit-level minimization for group actions.
-
-    An idempotent equivariant map fixes whole orbits and sends every other
-    orbit into a fixed one, so it suffices to repeatedly merge one kept
-    orbit into another along an equivariant map that agrees with f; the
-    fixpoint admits no further non-identity retraction.
-    """
-    problems = validate_gset(x)
-    if problems:
-        raise AlgebraError("not a valid group action: " + "; ".join(problems))
-    if z is not None:
-        zp = validate_gset(z)
-        if zp:
-            raise AlgebraError("target is not a valid group action: " + "; ".join(zp))
-    _check_f(x, f, z)
+def _gset(x, f, z, stats) -> FCoreResult:
     fvals = f.values
     ops = [x.table(name).tolist() for name, _ in x.signature.ops]
     orbits = gset_orbits(x)
@@ -247,21 +240,17 @@ def _span(gens, zero, add, scalar_tables):
     return span
 
 
-def vspace_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None) -> FCoreResult:
-    """Projection onto a complement of the kernel of f.
-
-    Extends a basis of ker f to a basis of X and projects along the kernel;
-    the image has exactly one point per f-value.
-    """
-    p, problems = validate_vspace(x)
-    if problems:
-        raise AlgebraError("not a valid vector space: " + "; ".join(problems))
-    _check_f(x, f, z)
+def _vspace(x, f, z, stats) -> FCoreResult:
     zero = int(x.table("zero")[0])
-    add = x.nd("add").tolist()
-    scalar_tables = [x.table(f"s{k}").tolist() for k in range(p)]
-    fvals = f.values
-    kernel = sorted(v for v in range(x.size) if fvals[v] == fvals[zero])
+    add = x.nd("add")
+    fv = np.asarray(f.values)
+    kernel = np.flatnonzero(fv == fv[zero])
+    # f(v + k) = f(v) for every kernel element k, which also closes the
+    # kernel under addition, so it is a subspace; a linear f always passes
+    if not (fv[add[:, kernel]] == fv[:, None]).all():
+        raise AlgebraError("f is not constant on the cosets of its kernel; f is not linear")
+    kernel, add = kernel.tolist(), add.tolist()
+    scalar_tables = [x.table(nm).tolist() for nm in x.signature.names if nm[0] == "s"]
 
     def grow(basis, universe):
         sp = _span(basis, zero, add, scalar_tables)
@@ -269,54 +258,29 @@ def vspace_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None) -
             if v not in sp:
                 basis.append(v)
                 sp = _span(basis, zero, add, scalar_tables)
-        return basis, sp
+        return basis
 
-    ker_basis, ker_span = grow([], kernel)
-    if ker_span != set(kernel):
-        raise AlgebraError("kernel of f is not a subspace; f is not linear")
-    full_basis, _ = grow(list(ker_basis), range(x.size))
+    ker_basis = grow([], kernel)
+    full_basis = grow(list(ker_basis), range(x.size))
     complement = _span(full_basis[len(ker_basis):], zero, add, scalar_tables)
     proj = [-1] * x.size
     for k in kernel:
         for w in complement:
-            e = add[k][w]
-            if proj[e] != -1:
-                raise AlgebraError("kernel and complement do not decompose the space")
-            proj[e] = w
+            proj[add[k][w]] = w
     return _core(x, f, proj, "vspace")  # the fixed points are the complement
 
 
-def boolean_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra) -> FCoreResult:
-    """Retraction along an idempotent self-map of the atoms.
-
-    Each atom of the target sits under the image of exactly one atom of X;
-    those representatives stay fixed and every other atom is redirected to
-    the least representative. The retraction is the inverse-image map of
-    that atom function, so its image is a copy of the target.
-    """
-    if z is None:
-        raise AlgebraError("the boolean method needs the target algebra Z")
-    for name, alg in (("algebra", x), ("target", z)):
-        problems = validate_boolean(alg)
-        if problems:
-            raise AlgebraError(f"{name} is not a valid Boolean algebra: " + "; ".join(problems))
+def _boolean(x, f, z, stats) -> FCoreResult:
     if z.size < 2:
         raise AlgebraError("target must have at least two elements")
-    _check_f(x, f, z)
     if len(f.image) != z.size:
         raise AlgebraError("f is not surjective")
     atoms_x = boolean_atoms(x)
-    atoms_z = boolean_atoms(z)
     meet_z = z.nd("meet")
-    reps = []
-    for beta in atoms_z:
-        cand = [a for a in atoms_x if meet_z[f.values[a], beta] == beta]
-        if len(cand) != 1:
-            raise AlgebraError(
-                "atom of the target is not covered by exactly one atom; "
-                "not a surjective Boolean homomorphism"
-            )
-        reps.append(cand[0])
+    # a surjective Boolean homomorphism sends exactly one atom of X onto
+    # each atom of Z, and every other atom to the bottom
+    reps = [next(a for a in atoms_x if meet_z[f.values[a], beta] == beta)
+            for beta in boolean_atoms(z)]
     rep_set = set(reps)
     least = min(reps)
     w = {a: (a if a in rep_set else least) for a in atoms_x}
@@ -330,10 +294,116 @@ def boolean_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra) -> FCoreResult
             if meet_x[w[a], e] == w[a]:
                 acc = int(join_x[acc, a])
         rvals.append(acc)
-    res = _core(x, f, rvals, "boolean")
-    if len(res.image) != z.size:
-        raise AssertionError("core size differs from the target size")
-    return res
+    return _core(x, f, rvals, "boolean")
+
+
+def _abelian(x, f, z, stats):
+    zero = int(x.table("zero")[0])
+    d = _fibers(f.values)
+    kernel = d[zero].copy()
+    d[kernel] = False
+    d[kernel, zero] = True
+    retraction = _search_hom(x, x, stats, d=d, hooks=(_idem_hook,))
+    if retraction is None:
+        return InapplicableReport(
+            "abelian", "kernel of f is not a direct summand", _brute(x, f, z, stats)
+        )
+    return _core(x, f, retraction.values, "abelian")
+
+
+_METHODS = {
+    "brute": _Method(_brute),
+    "gset": _Method(_gset, "group action", _gset_laws, target_laws=True),
+    "vspace": _Method(_vspace, "vector space", lambda alg: _vspace_laws(alg)[1]),
+    "boolean": _Method(_boolean, "Boolean algebra", _boolean_laws, target_laws=True,
+                       needs_target=True),
+    "abelian": _Method(_abelian, "abelian group", _abelian_laws),
+}
+
+FCORE_METHODS = tuple(_METHODS)
+
+
+def _method(name: str) -> _Method:
+    if name not in _METHODS:
+        raise AlgebraError(f"unknown f-core method {name!r}")
+    return _METHODS[name]
+
+
+def _check_laws(spec: _Method, x: FiniteAlgebra, z: FiniteAlgebra | None):
+    for name, alg in (("algebra", x), ("target", z if spec.target_laws else None)):
+        problems = [] if alg is None or spec.laws is None else spec.laws(alg)
+        if problems:
+            raise AlgebraError(f"{name} is not a valid {spec.variety}: " + "; ".join(problems))
+
+
+def _check_inputs(method: str, x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None):
+    """The one input check of an entry point (see the module docstring)."""
+    spec = _method(method)
+    if spec.needs_target and z is None:
+        raise AlgebraError(f"the {method} method needs the target algebra Z")
+    problems = _malformed([("algebra", x)] + ([] if z is None else [("target", z)]))
+    if problems:
+        raise AlgebraError("; ".join(problems))
+    _check_laws(spec, x, z)
+    if z is None:
+        if f.dom_size != x.size:
+            raise SizeMismatch(f"f has domain {f.dom_size}, algebra has size {x.size}")
+    elif not is_homomorphism(f, x, z):  # raises SizeMismatch on a size mismatch
+        raise AlgebraError("f is not a homomorphism")
+
+
+def _run_method(method, x, f, z, stats):
+    """One f-core method on unchecked inputs; brute and abelian count nodes in stats."""
+    _check_inputs(method, x, f, z)
+    return _METHODS[method].build(x, f, z, stats)
+
+
+def brute_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, *,
+                stats=None) -> FCoreResult:
+    """Decremental minimization down to a certified f-core."""
+    return _run_method("brute", x, f, z, stats)
+
+
+def is_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, *,
+             stats=None) -> bool:
+    """True iff only the identity retraction respects f (exhaustive search)."""
+    _check_inputs("brute", x, f, z)
+    r = _find_retraction(x, _fibers(f.values), stats)
+    if r is not None and not is_retraction_respecting(r, x, f):
+        raise AssertionError("retraction search returned a bad witness")
+    return r is None
+
+
+def gset_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None) -> FCoreResult:
+    """Orbit-level minimization for group actions.
+
+    An idempotent equivariant map fixes whole orbits and sends every other
+    orbit into a fixed one, so it suffices to repeatedly merge one kept
+    orbit into another along an equivariant map that agrees with f; the
+    fixpoint admits no further non-identity retraction.
+    """
+    return _run_method("gset", x, f, z, None)
+
+
+def vspace_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None) -> FCoreResult:
+    """Projection onto a complement of the kernel of f.
+
+    Extends a basis of ker f to a basis of X and projects along the kernel;
+    the image has exactly one point per f-value. Without Z, an f that is
+    not constant on the cosets of its kernel raises AlgebraError.
+    """
+    return _run_method("vspace", x, f, z, None)
+
+
+def boolean_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra) -> FCoreResult:
+    """Retraction along an idempotent self-map of the atoms.
+
+    Each atom of the target sits under the image of exactly one atom of X;
+    those representatives stay fixed and every other atom is redirected to
+    the least representative. The retraction is the inverse-image map of
+    that atom function, so its image is a copy of the target.
+    """
+    return _run_method("boolean", x, f, z, None)
 
 
 def abelian_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, *,
@@ -346,37 +416,7 @@ def abelian_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, 
     inapplicable and the brute result is returned inside the report; the
     splitting search and the brute fallback share one node budget.
     """
-    problems = validate_abelian(x)
-    if problems:
-        raise AlgebraError("not a valid abelian group: " + "; ".join(problems))
-    _check_f(x, f, z)
-    zero = int(x.table("zero")[0])
-    d = _fibers(f.values)
-    kernel = d[zero].copy()
-    d[kernel] = False
-    d[kernel, zero] = True
-    retraction = _search_hom(x, x, stats, d=d, hooks=(_idem_hook,))
-    if retraction is None:
-        return InapplicableReport(
-            "abelian", "kernel of f is not a direct summand", _brute(x, f, stats)
-        )
-    return _core(x, f, retraction.values, "abelian")
-
-
-def _run_method(method, x, f, z, stats):
-    """One f-core method; the brute and abelian searches count their nodes
-    in stats."""
-    if method == "brute":
-        return brute_fcore(x, f, z, stats=stats)
-    if method == "gset":
-        return gset_fcore(x, f, z)
-    if method == "vspace":
-        return vspace_fcore(x, f, z)
-    if method == "boolean":
-        return boolean_fcore(x, f, z)
-    if method == "abelian":
-        return abelian_fcore(x, f, z, stats=stats)
-    raise AlgebraError(f"unknown f-core method {method!r}")
+    return _run_method("abelian", x, f, z, stats)
 
 
 def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute", *,
@@ -400,7 +440,9 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
     y_res, _ = induced_subalgebra(inst.Y, y_keep)
     f_res = Mapping(inst.X.size, z_res.size, tuple(z_idx[v] for v in f.values))
     h_res = Mapping(y_res.size, z_res.size, tuple(z_idx[h.values[y]] for y in y_keep))
-    res = _run_method(fcore_method, inst.X, f_res, z_res, stats)
+    spec = _method(fcore_method)
+    _check_laws(spec, inst.X, z_res)  # the rest of the preamble holds by construction
+    res = spec.build(inst.X, f_res, z_res, stats)
     if isinstance(res, InapplicableReport):
         res = res.fallback
     image = list(res.image)

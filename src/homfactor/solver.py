@@ -26,10 +26,8 @@ occurs in, naming the tuple's other variables and the target table sliced
 by the variable's value, so that a binary table with one argument fixed
 becomes a row lookup; propagate runs the entries inline, in ascending
 constraint order, with a stack of newly fixed variables. Searches differ
-only by hooks run on each newly fixed variable: idempotence for the f-core
-module's retractions (_find_retraction, one incremental engine per
-decremental step), injectivity for isomorphisms, and the channel
-h(g(x)) = f(x) for the combined g/h search.
+only by hooks run on each newly fixed variable, such as injectivity for
+isomorphisms and the channel h(g(x)) = f(x) for the combined g/h search.
 
 What each instance kind means lives here and nowhere else: decide dispatches
 on the kind, full factors and retractions share one combined search over g-
@@ -39,8 +37,8 @@ Every entry point validates its input once, first, so a malformed table or
 map raises AlgebraError: decide and the find_* functions through
 FactorizationInstance.validate, the entry points that take two algebras
 through _malformed. The _solve_* functions behind them assume a valid
-instance; fcore.fixed_z_right_factor, whose restricted instance is built
-from checked parts, calls _solve_right_factor directly.
+instance, so a caller that builds an instance from checked parts may call
+them directly.
 """
 
 from __future__ import annotations
@@ -675,39 +673,12 @@ def _search_hom(a, b, stats, *, d=None, hooks=()):
     return None if sol is None else Mapping(a.size, b.size, sol)
 
 
-def _idem_hook(eng, var, val):
-    # image elements of an idempotent map are fixed points
-    return eng.force(val, val)
-
-
 def _injective_hook(eng, var, val):
     # no other element shares var's value
     for w in range(eng.n_vars):
         if w != var and not eng.remove(w, val):
             return False
     return True
-
-
-def _find_retraction(x, d, stats):
-    """First non-identity idempotent endomorphism of x within the bool
-    domain matrix d (d[v, w]: v may go to w), or None after an exhaustive
-    search; not yet re-verified. The search counts its nodes in stats
-    (None: uncounted).
-
-    The engine is built and propagated once; then, for each element m in
-    ascending order, one search runs with m's own value removed. A failed
-    search is exhaustive, so no such map moves m: it is undone and m is
-    fixed for every later search. The map found therefore moves the least
-    element any moves.
-    """
-    eng = _hom_engine(x, x, stats, d, hooks=(_idem_hook,))
-    sol = None
-    if eng is not None and eng.root():
-        for m in range(x.size):
-            sol = eng.first_without(m, m)
-            if sol is not None or not eng.settle(m, m):
-                break
-    return None if sol is None else Mapping(x.size, x.size, sol)
 
 
 def verify_witness(inst: FactorizationInstance, g=None, h=None) -> bool:

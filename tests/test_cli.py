@@ -14,7 +14,7 @@ from homfactor.io import (
     write_mapping,
 )
 from homfactor.solver import FactorizationInstance, decide, verify_witness
-from homfactor.varieties import make_abelian, make_boolean, make_gset
+from homfactor.varieties import make_abelian, make_boolean, make_gset, make_vspace
 
 
 def run(*argv):
@@ -264,6 +264,17 @@ def test_fcore_boolean_needs_target(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: the boolean method needs the target algebra Z" in err
     assert "Traceback" not in err
+
+
+def test_fcore_vspace_rejects_nonlinear_f(tmp_path, capsys):
+    write_algebra(make_vspace(2, 2), tmp_path / "v.alg")
+    write_mapping(Mapping(4, 3, (0, 0, 1, 2)), tmp_path / "f.map")
+    rc = run("fcore", "--algebra", str(tmp_path / "v.alg"),
+             "--f", str(tmp_path / "f.map"), "--method", "vspace",
+             "--out-prefix", str(tmp_path / "core"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: f is not constant on the cosets of its kernel; f is not linear\n"
 
 
 def test_fcore_brute_certifies(tmp_path):

@@ -443,11 +443,12 @@ def test_semilattice_defining_meets_n3():
             assert alg.apply("meet", ix[f"a{i}"], ix[f"c{j}"]) == ix[f"v_c{j}"]
 
 
-def test_semilattice_properties_up_to_4():
+def test_semilattice_properties_up_to_4(gadgets):
     for n in range(1, 5):
         alg, _, f = make_semilattice_X(n)
         assert check_properties(alg, "meet").meet_semilattice
         assert validate_algebra(alg) == []
+        assert is_homomorphism(f, alg, gadgets.flat_semilattice)
         assert len(f.image) == 4
 
 

@@ -10,7 +10,7 @@ from homfactor.algebra import (
     is_homomorphism,
     is_retraction_respecting,
 )
-from homfactor import fcore
+from homfactor import algebra, fcore, solver, varieties
 from homfactor.encodings import make_fcore_instance, make_rf_instance, make_semilattice_X
 from homfactor.fcore import (
     FCoreResult,
@@ -23,7 +23,7 @@ from homfactor.fcore import (
     is_fcore,
     vspace_fcore,
 )
-from homfactor.graphs import complete_graph, cycle_graph
+from homfactor.graphs import complete_graph, cycle_graph, graph_catalog
 from homfactor.solver import (
     FactorizationInstance,
     NodeLimitReached,
@@ -36,6 +36,7 @@ from homfactor.varieties import (
     make_abelian,
     make_boolean,
     make_gset,
+    make_vspace,
     sample_fcore_instances,
     sample_rf_instances,
     vspace_hom,
@@ -101,6 +102,33 @@ def test_fcore_entry_points_validate_algebras():
             call(bad, Mapping.identity(2))
         with pytest.raises(AlgebraError, match="malformed"):
             call(good, Mapping.identity(2), bad)
+
+
+def test_each_algebra_is_validated_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(alg, real=algebra.validate_algebra):
+        calls.append(alg)
+        return real(alg)
+
+    for module in (algebra, solver, fcore, varieties):
+        # fcore validates through solver._malformed and needs no name of its own
+        monkeypatch.setattr(module, "validate_algebra", counted, raising=False)
+    methods = {"gset": gset_fcore, "vspace": vspace_fcore, "boolean": boolean_fcore,
+               "abelian": abelian_fcore}
+    for variety, call in methods.items():
+        for x, z, f in sample_fcore_instances(variety, 5, 16, seed=3):
+            calls.clear()
+            call(x, f, z)
+            assert len(calls) == 2, variety  # X and Z
+    graphs = graph_catalog(1, 3)
+    cases = [(make_rf_instance(g, h), "brute") for g in graphs for h in graphs]
+    cases += [(inst, variety) for variety in methods
+              for inst in sample_rf_instances(variety, 3, 12, seed=5)]
+    for inst, method in cases:
+        calls.clear()
+        fixed_z_right_factor(inst, method)
+        assert len(calls) == 3, method  # X, Y and Z, by inst.validate()
 
 
 def test_node_limit_is_unknown_not_an_answer():
@@ -237,6 +265,12 @@ def test_vspace_rank_nullity():
     res = vspace_fcore(x, f, z)
     assert len(res.image) == 4
     assert len(brute_fcore(x, f, z).image) == 4
+
+
+def test_vspace_rejects_f_not_constant_on_kernel_cosets():
+    # the kernel {0, 1} is a subspace, but f separates 2 from 3 = 2 + 1
+    with pytest.raises(AlgebraError, match="not constant on the cosets of its kernel"):
+        vspace_fcore(make_vspace(2, 2), Mapping(4, 3, (0, 0, 1, 2)))
 
 
 # ---------------------------------------------------------------- boolean

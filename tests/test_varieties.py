@@ -82,6 +82,14 @@ def test_vspace_hom_matrix():
     assert len(f.image) == 4
 
 
+def test_every_small_matrix_gives_a_linear_map():
+    for p, d_from, d_to in ((2, 2, 2), (3, 2, 1)):
+        for entries in itertools.product(range(p), repeat=d_from * d_to):
+            matrix = [entries[r * d_from:(r + 1) * d_from] for r in range(d_to)]
+            f, x, z = vspace_hom(p, d_from, d_to, matrix)
+            assert is_homomorphism(f, x, z), (p, matrix)
+
+
 def test_abelian_numbering_is_mixed_radix_most_significant_first():
     # element x is the x-th tuple of itertools.product, i.e. mixed radix
     # with the first coordinate most significant
@@ -189,3 +197,87 @@ def test_rf_instance_sampler():
         for inst in insts:
             assert inst.problems() == []
             assert inst.kind == "right-factor"
+
+
+def _edit(alg, name, pos, value):
+    """alg with entry pos of one table set to value."""
+    tables = {nm: alg.table(nm).tolist() for nm in alg.signature.names}
+    tables[name][pos] = value
+    return FiniteAlgebra(alg.signature, alg.size, tables)
+
+
+def _s3():
+    """The symmetric group on 3 points in the abelian signature."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteAlgebra.from_function(ABELIAN_SIGNATURE, 6, {
+        "add": lambda a, b: index[tuple(perms[a][perms[b][v]] for v in range(3))],
+        "neg": lambda a: index[tuple(sorted(range(3), key=perms[a].__getitem__))],
+        "zero": lambda: 0,
+    })
+
+
+def _cyclic_with_scalars(p, n):
+    """Z_n with p scalar tables s_k(x) = k*x mod n, a vector space only when n is a power of p."""
+    base = make_abelian([n])
+    tables = {nm: base.table(nm).tolist() for nm in base.signature.names}
+    tables.update({f"s{k}": [k * x % n for x in range(n)] for k in range(p)})
+    return FiniteAlgebra(vspace_signature(p), n, tables)
+
+
+_Z3 = make_abelian([3])
+_F2_2, _F3 = make_vspace(2, 2), make_vspace(3, 1)
+_B2 = make_boolean(2)
+
+# one broken table or law per case, with the exact report each validator gives
+_BROKEN = [
+    ("abelian", FiniteAlgebra(ABELIAN_SIGNATURE, 2, {"add": [0, 1, 1], "neg": [0, 1], "zero": [0]}),
+     ["table for 'add' has 3 entries, expected 4"]),
+    ("abelian", _B2,
+     ["unexpected signature ('meet', 'join', 'not', 'bot', 'top') for an abelian group"]),
+    ("abelian", _edit(_Z3, "add", 4, 0), ["addition is not associative"]),
+    ("abelian", _s3(), ["addition is not commutative"]),
+    ("abelian", FiniteAlgebra(ABELIAN_SIGNATURE, 2, {"add": [0, 1, 1, 0], "neg": [1, 0], "zero": [1]}),
+     ["zero is not an identity"]),
+    ("abelian", _edit(_Z3, "neg", 1, 1), ["negation is not an inverse"]),
+    ("vspace", _edit(_F2_2, "s1", 0, 9), (0, ["table for 's1' has entries outside [0, 4)"])),
+    ("vspace", make_boolean(1),
+     (0, ["unexpected signature ['bot', 'join', 'meet', 'not', 'top'] for a vector space"])),
+    ("vspace", make_abelian([4]), (0, ["scalar count 0 is not prime"])),
+    ("vspace", _cyclic_with_scalars(4, 4), (0, ["scalar count 4 is not prime"])),
+    ("vspace", _edit(_edit(_F2_2, "neg", 1, 2), "s1", 1, 2),
+     (2, ["negation is not an inverse", "scalar 1 is not the identity",
+          "scalar 1 is not additive"])),
+    ("vspace", _edit(_F2_2, "s0", 1, 1),
+     (2, ["scalar 0 is not the zero map", "scalar 0 is not additive", "scalars 0,0 do not add",
+          "scalars 0,1 do not add", "scalars 1,0 do not add", "scalars 1,1 do not add"])),
+    ("vspace", _edit(_edit(_F2_2, "s1", 1, 2), "s1", 2, 1),
+     (2, ["scalar 1 is not the identity", "scalars 1,1 do not compose",
+          "negation disagrees with scalar p-1"])),
+    ("vspace", _edit(_F3, "neg", 1, 1),
+     (3, ["negation is not an inverse", "negation disagrees with scalar p-1"])),
+    ("vspace", _cyclic_with_scalars(2, 3),
+     (2, ["scalars 1,1 do not add", "negation disagrees with scalar p-1",
+          "carrier size 3 is not a power of 2"])),
+    ("boolean", _edit(_B2, "bot", 0, 4), ["table for 'bot' has entries outside [0, 4)"]),
+    ("boolean", _Z3, ["unexpected signature ('add', 'neg', 'zero') for a Boolean algebra"]),
+    ("boolean", _edit(_B2, "join", 1, 0),
+     ["join not commutative", "join not associative", "meet does not distribute over join"]),
+    ("boolean", _edit(_B2, "not", 3, 3), ["complement misses bottom"]),
+    ("boolean", _edit(_B2, "not", 0, 0), ["complement misses top"]),
+    ("gset", FiniteAlgebra([("g0", 1)], 2, {"g0": [0, 2]}),
+     ["table for 'g0' has entries outside [0, 2)"]),
+    ("gset", _Z3, ["signature is not all-unary"]),
+    ("gset", FiniteAlgebra([], 2, {}), ["signature is not all-unary"]),
+    ("gset", make_gset([[0, 1, 2], [0, 0, 1]]), ["operation g1 is not a bijection"]),
+    ("gset", make_gset([[1, 0]]),
+     ["no identity operation", "operations are not closed under composition"]),
+]
+
+_VALIDATORS = {"abelian": validate_abelian, "vspace": validate_vspace,
+               "boolean": validate_boolean, "gset": validate_gset}
+
+
+@pytest.mark.parametrize("variety,alg,report", _BROKEN)
+def test_validator_reports_are_pinned(variety, alg, report):
+    assert _VALIDATORS[variety](alg) == report
