@@ -1,16 +1,20 @@
 """f-core computation.
 
 An f-core of X is a minimal image of an idempotent endomorphism r with
-f∘r = f. The brute method runs a decremental loop: search for any
-non-identity f-respecting retraction of the current algebra, restrict to
-its fixed points, repeat; the final failed search is the exhaustive
-certificate that nothing smaller remains from there. Each step is one
-incremental search on the shared solver (_find_retraction): the constraints
-are built and the f-fiber domains propagated once, then each element m in
-ascending order gets one search with m's own value removed, and a failed
-search fixes m for the rest of the step. The variety-specific methods
-compute a (not certified) retraction directly and are anchored to the brute
-oracle by the test suite, never trusted on their own.
+f∘r = f. The brute method runs a decremental loop on one engine
+(_retractions): the constraints are built and the f-fiber domains
+propagated once, then each element m still in the current image, in
+ascending order, gets one search with m's own value removed. A failed
+search settles m to m for every later search; a map found narrows every
+domain to its image for good, so each later map factors through it and has
+a smaller image. The last map found (the identity if none) is the f-core's
+retraction. It is certified: were there a non-identity f-retraction s of
+the final core, s precomposed with the final map would satisfy every
+constraint in force when s's least moved element was tried (the values lie
+in every image so far, and the elements settled before it are fixed by s),
+so that exhaustive search would not have failed. The variety-specific
+methods compute a (not certified) retraction directly and are anchored to
+the brute oracle by the test suite, never trusted on their own.
 
 Each method is one row of _METHODS, which every entry point reads. Each
 input is checked once, at its entry point, by one preamble (_check_inputs),
@@ -24,12 +28,10 @@ leaves open: vspace that f (unchecked without Z) is constant on the cosets
 of its kernel, boolean that Z has two elements and f is onto.
 
 Each result is verified once. Every f-core passes one check, _core: an
-f-respecting retraction whose fixed points are the image. A brute step's
-retraction is checked only through the composite's _core, since a
-composite that passes restricts on the step's closed image to that
-retraction. is_fcore checks the retraction it finds with one
-is_retraction_respecting, and fixed_z_right_factor checks the witness it
-reassembles with verify_witness.
+f-respecting retraction whose fixed points are the image. brute_fcore
+checks only the last map of the loop, is_fcore only the first one, with
+one is_retraction_respecting, and fixed_z_right_factor checks the witness
+it reassembles with verify_witness.
 
 brute_fcore, is_fcore, abelian_fcore and fixed_z_right_factor count the
 nodes of every search one call makes in the SearchStats they are given;
@@ -135,42 +137,34 @@ def _idem_hook(eng, var, val):
     return eng.force(val, val)
 
 
-def _find_retraction(x, d, stats):
-    """First non-identity idempotent endomorphism of x within the bool
-    domain matrix d (d[v, w]: v may go to w), or None after an exhaustive
-    search; not yet re-verified. The search counts its nodes in stats
-    (None: uncounted).
-
-    The engine is built and propagated once; then, for each element m in
-    ascending order, one search runs with m's own value removed. A failed
-    search is exhaustive, so no such map moves m: it is undone and m is
-    fixed for every later search. The map found therefore moves the least
-    element any moves.
-    """
-    eng = _hom_engine(x, x, stats, d, hooks=(_idem_hook,))
-    sol = None
-    if eng is not None and eng.root():
-        for m in range(x.size):
-            sol = eng.first_without(m, m)
-            if sol is not None or not eng.settle(m, m):
-                break
-    return None if sol is None else Mapping(x.size, x.size, sol)
+def _retractions(x, f, stats):
+    """Yield non-identity f-respecting idempotent endomorphisms of x, each
+    image a proper subset of the one before, by the decremental loop of the
+    module docstring; not yet re-verified. The searches count their nodes
+    in stats (None: uncounted)."""
+    eng = _hom_engine(x, x, stats, _fibers(f.values), hooks=(_idem_hook,))
+    if eng is None or not eng.root():
+        return
+    image = (1 << x.size) - 1
+    for m in range(x.size):
+        if not image >> m & 1:
+            continue
+        sol = eng.first_without(m, m)
+        if sol is None:
+            if not eng.settle(m, 1 << m):
+                return
+            continue
+        yield Mapping(x.size, x.size, sol)
+        image = sum(1 << v for v in set(sol))
+        if not all(eng.settle(v, image) for v in range(x.size)):
+            return
 
 
 def _brute(x, f, z, stats) -> FCoreResult:
-    identity = Mapping.identity(x.size)
-    res = FCoreResult(identity, identity.values, x, True, "brute")
-    while True:
-        elems = res.image
-        r_sub = _find_retraction(res.core_algebra, _fibers([f.values[e] for e in elems]), stats)
-        if r_sub is None:
-            return res
-        lift = list(range(x.size))
-        for pos, e in enumerate(elems):
-            lift[e] = elems[r_sub.values[pos]]
-        # the composite's one result check covers r_sub too (see the module
-        # docstring); its core algebra is the next step's search space
-        res = _core(x, f, [lift[v] for v in res.retraction.values], "brute", certified=True)
+    last = Mapping.identity(x.size)
+    for last in _retractions(x, f, stats):
+        pass
+    return _core(x, f, last.values, "brute", certified=True)
 
 
 def _orbit_map(o1, o2, ops, fvals):
@@ -368,7 +362,7 @@ def is_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None, *,
              stats=None) -> bool:
     """True iff only the identity retraction respects f (exhaustive search)."""
     _check_inputs("brute", x, f, z)
-    r = _find_retraction(x, _fibers(f.values), stats)
+    r = next(_retractions(x, f, stats), None)
     if r is not None and not is_retraction_respecting(r, x, f):
         raise AssertionError("retraction search returned a bad witness")
     return r is None

@@ -25,8 +25,10 @@ target carrier. Each variable gets one numpy-compiled entry per tuple it
 occurs in, naming the tuple's other variables and the target table sliced
 by the variable's value, so that a binary table with one argument fixed
 becomes a row lookup; propagate runs the entries inline, in ascending
-constraint order, with a stack of newly fixed variables. Searches differ
-only by hooks run on each newly fixed variable, such as injectivity for
+constraint order, with a stack of newly fixed variables. The search itself
+holds an explicit stack of branching frames, not Python recursion, so its
+depth is bounded only by the number of variables. Searches differ only by
+hooks run on each newly fixed variable, such as injectivity for
 isomorphisms and the channel h(g(x)) = f(x) for the combined g/h search.
 
 What each instance kind means lives here and nowhere else: decide dispatches
@@ -304,7 +306,8 @@ class _Engine:
     domains and trail. A domain is an int bitmask over the target carrier.
     Every side condition is a hook, run on each newly fixed variable. After
     root(), first_without and settle run several searches from one shared
-    base state."""
+    base state: first_without searches with one value removed and restores
+    the state, settle narrows a domain to a mask for good."""
 
     def __init__(self, pairs, domains, stats, *, order="mrv", hooks=()):
         self.props = _compile(pairs)
@@ -545,28 +548,45 @@ class _Engine:
         self._undo(mark)
         return sol
 
-    def settle(self, var, val) -> bool:
-        """Force var := val for every later search; False on a wipeout."""
+    def settle(self, var, allowed) -> bool:
+        """Keep only the values in the mask allowed in var's domain, for
+        every later search; False on a wipeout."""
         self.queue.clear()
-        return self.force(var, val) and self.propagate()
+        return self._restrict(var, self.dom[var] & allowed) and self.propagate()
 
     def _solve(self):
-        var = self._pick()
-        if var is None:
-            yield tuple([d.bit_length() - 1 for d in self.dom])
-            return
-        rest = self.dom[var]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            self.stats.nodes += 1
-            if self.stop is not None and self.stats.nodes > self.stop:
-                raise NodeLimitReached("node limit exceeded")
-            mark = self._mark()
-            self.queue.clear()
-            if self.force(var, low.bit_length() - 1) and self.propagate():
-                yield from self._solve()
-            self._undo(mark)
+        """Yield the solutions below the current state, depth first. The
+        search is an explicit stack of [variable, untried values, mark]
+        frames, one per branching level, so its depth is not bounded by
+        Python's recursion limit; each frame undoes its last value's changes
+        before trying the next one."""
+        stats, stop = self.stats, self.stop
+        stack = []
+        while True:
+            var = self._pick()
+            if var is None:
+                yield tuple([d.bit_length() - 1 for d in self.dom])
+            else:
+                stack.append([var, self.dom[var], None])
+            while stack:
+                frame = stack[-1]
+                if frame[2] is not None:
+                    self._undo(frame[2])
+                rest = frame[1]
+                if not rest:
+                    stack.pop()
+                    continue
+                low = rest & -rest
+                frame[1] = rest ^ low
+                stats.nodes += 1
+                if stop is not None and stats.nodes > stop:
+                    raise NodeLimitReached("node limit exceeded")
+                frame[2] = self._mark()
+                self.queue.clear()
+                if self.force(frame[0], low.bit_length() - 1) and self.propagate():
+                    break
+            else:
+                return
 
 
 def _incidence(values, n):

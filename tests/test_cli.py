@@ -1,6 +1,6 @@
 import pytest
 
-from homfactor.algebra import Mapping
+from homfactor.algebra import FiniteAlgebra, Mapping
 from homfactor.cli import main
 from homfactor.encodings import encode_semigroup, make_rf_instance, make_unary_lf_instance
 from homfactor.graphs import Graph, complete_graph, cycle_graph
@@ -149,6 +149,21 @@ def test_decide_hom_instance_semigroups(tmp_path):
              "--witness", str(tmp_path / "w"))
     assert rc == 0
     rc = run("verify", "--instance", str(tmp_path / "hom.instance"),
+             "--g", str(tmp_path / "w.g.map"))
+    assert rc == 0
+
+
+def test_decide_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # every map of the identity operation on 1,200 elements to the one on 2
+    # is a homomorphism; the search branches once per element
+    x = FiniteAlgebra([("u", 1)], 1200, {"u": list(range(1200))})
+    y = FiniteAlgebra([("u", 1)], 2, {"u": [0, 1]})
+    write_instance(FactorizationInstance("hom", x, y), tmp_path / "deep.instance")
+    rc = run("decide", "--instance", str(tmp_path / "deep.instance"),
+             "--witness", str(tmp_path / "w"))
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rc = run("verify", "--instance", str(tmp_path / "deep.instance"),
              "--g", str(tmp_path / "w.g.map"))
     assert rc == 0
 

@@ -78,8 +78,9 @@ def test_brute_rejects_non_homomorphism():
 
 
 def test_brute_step_faults_fail_the_composite_check(monkeypatch):
-    # each decremental step's retraction is checked only through the
-    # composite's result check; a faulty step search must still be caught
+    # the retraction search's maps are not re-verified as they are found:
+    # brute_fcore checks only the last one, through _core, and is_fcore the
+    # first one; a faulty search must still be caught by that one check
     v = make_abelian([2, 2])
     f = Mapping(4, 2, (0, 0, 1, 1))
     for bad in (
@@ -87,11 +88,61 @@ def test_brute_step_faults_fail_the_composite_check(monkeypatch):
         (0, 0, 2, 3),  # idempotent and f-respecting, but 1 + 2 goes to 3, not 0 + 2
     ):
         for call in (brute_fcore, is_fcore):
-            steps = iter([Mapping(4, 4, bad)])  # then no further retraction
-            monkeypatch.setattr(fcore, "_find_retraction",
-                                lambda x, d, stats, steps=steps: next(steps, None))
+            # the one map yielded, then no further retraction
+            monkeypatch.setattr(fcore, "_retractions",
+                                lambda x, f, stats, bad=bad: iter([Mapping(4, 4, bad)]))
             with pytest.raises(AssertionError):
                 call(v, f, make_abelian([2]))
+
+
+def _loop_instances():
+    insts = [make_fcore_instance(g) for g in graph_catalog(1, 5)]
+    for seed in (1, 2):
+        for variety in ("gset", "vspace", "boolean", "abelian"):
+            insts += sample_fcore_instances(variety, 20, 16, seed=seed)
+    return insts
+
+
+def test_retraction_loop_narrows_to_the_brute_image():
+    steps = []
+    for x, z, f in _loop_instances():
+        maps = list(fcore._retractions(x, f, None))
+        image = set(range(x.size))
+        for r in maps:
+            assert is_retraction_respecting(r, x, f)
+            assert set(r.values) < image  # a proper subset of the one before
+            image = set(r.values)
+        assert brute_fcore(x, f, z).image == tuple(sorted(image))
+        steps.append(len(maps))
+    assert max(steps) >= 2  # some calls narrow more than once
+
+
+def test_one_engine_per_fcore_call(monkeypatch):
+    counts = {"compile": 0, "induced": 0}
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "_compile", counted("compile", solver._compile))
+    monkeypatch.setattr(fcore, "induced_subalgebra",
+                        counted("induced", fcore.induced_subalgebra))
+    for x, z, f in _loop_instances():
+        for call, induced in ((brute_fcore, 1), (is_fcore, 0)):
+            counts.update(compile=0, induced=0)
+            call(x, f, z)
+            assert counts == {"compile": 1, "induced": induced}, call.__name__
+
+
+def test_brute_deeper_than_the_recursion_limit():
+    # the first search branches once per element: 1,500 levels, past
+    # Python's default recursion limit of 1,000
+    x = FiniteAlgebra([("u", 1)], 1500, {"u": list(range(1500))})
+    f = Mapping(1500, 2, tuple(v % 2 for v in range(1500)))
+    res = brute_fcore(x, f)
+    assert res.image == (1, 2) and res.certified_minimal
 
 
 def test_fcore_entry_points_validate_algebras():
