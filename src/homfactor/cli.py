@@ -9,6 +9,7 @@ bench TSV's ms column is the one timing-bearing output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -256,6 +257,7 @@ def cmd_bench(args) -> CommandResult:
     return CommandResult("yes", [args.out])
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="homfactor",
@@ -308,8 +310,7 @@ _EXIT = {"yes": 0, "no": 1, "error": 2, "unknown": 3}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         result = args.func(args)
     except NodeLimitReached:

@@ -19,17 +19,21 @@ and once they pass its node_limit it raises NodeLimitReached, an explicit
 one SearchStats share its limit.
 
 Every search is built one way: the root pass prunes the bool domains, then
-_Engine compiles the constraints of its (source, target) pairs, laid side
-by side, and converts the domains once to Python int bitmasks over the
-target carrier. Each variable gets one numpy-compiled entry per tuple it
-occurs in, naming the tuple's other variables and the target table sliced
-by the variable's value, so that a binary table with one argument fixed
-becomes a row lookup; propagate runs the entries inline, in ascending
-constraint order, with a stack of newly fixed variables. The search itself
-holds an explicit stack of branching frames, not Python recursion, so its
-depth is bounded only by the number of variables. Searches differ only by
-hooks run on each newly fixed variable, such as injectivity for
-isomorphisms and the channel h(g(x)) = f(x) for the combined g/h search.
+_Engine takes the constraints of its (source, target) pairs, laid side by
+side, and converts the domains once to Python int bitmasks over the target
+carrier. Each variable gets one numpy-compiled entry per tuple it occurs
+in, naming the tuple's other variables and the target table sliced by the
+variable's value, so that a binary table with one argument fixed becomes a
+row lookup. The tables are compiled once per algebra, in two halves, each
+kept in a bounded cache keyed by the algebra's content: what the source
+decides (the incidences and the entries' variables) and what the target
+decides (its sliced tables); a pair only zips the two. propagate runs the
+entries inline, in ascending constraint order, with a stack of newly fixed
+variables. The search itself holds an explicit stack of branching frames,
+not Python recursion, so its depth is bounded only by the number of
+variables. Searches differ only by hooks run on each newly fixed variable,
+such as injectivity for isomorphisms and the channel h(g(x)) = f(x) for the
+combined g/h search.
 
 What each instance kind means lives here and nowhere else: decide dispatches
 on the kind, full factors and retractions share one combined search over g-
@@ -234,67 +238,99 @@ def _slot2(code):
     return 5 if same else 6
 
 
-_SLOTS2 = np.array([_slot2(code) for code in range(32)])
+_SLOTS2 = np.array([_slot2(code) for code in range(32)], dtype=np.int8)
 _KINDS2 = (_FORCE, _ROW, _FIX, _ROW, _FIX, _PRE, _PAIR)
+_ENDS2 = np.array([(0, 0, 2, 0, 1, 1, 1), (0, 2, 0, 1, 0, 0, 2)])  # i, j per slot: 0 o, 1 x1, 2 x2
+_CACHED = 32  # algebras kept by each compile cache
 
 
-def _entries(arity, tb, nb, var, xs, o):
-    """The compiled entries of one operation, one per (variable, tuple)
-    incidence in the order of var; xs and o give each incidence's tuple
-    inputs and output, tb the target's table."""
-    if arity == 0:
-        return [(_FORCE, w, 0, [int(tb[0])] * nb, None) for w in o.tolist()]
-    if arity >= 3:
-        strides = tuple(nb ** (arity - 1 - i) for i in range(arity))
-        return list(zip(itertools.repeat(_TABLE), map(tuple, xs.T.tolist()), o.tolist(),
-                        itertools.repeat(tb.tolist()), itertools.repeat(strides)))
-    if arity == 1:
-        slot = (xs[0] != var).view(np.int8)  # 0: v is the input; 1: v is only the output
-        kinds, tabs, auxs = (_FORCE, _PRE), (tb.tolist(), _preimages(tb, nb)), (None, None)
-        first = np.where(slot, xs[0], o)
-        second = first
-    else:
-        x1, x2 = xs
-        slot = _SLOTS2[(x1 == var) + 2 * (x2 == var) + 4 * (o == x2) + 8 * (o == x1)
-                       + 16 * (x1 == x2)]
-        cols = np.arange(len(var))
-        first = np.stack([o, o, x2, o, x1, x1, x1])[slot, cols]
-        second = np.stack([o, x2, o, x1, o, o, x2])[slot, cols]
-        t = tb.reshape(nb, nb)
-        diag, pre1, pre2 = np.diagonal(t), _preimages(t, nb), _preimages(t.T, nb)
-        kinds = _KINDS2
-        tabs = (diag.tolist(), t.tolist(), _masks(t == np.arange(nb)), t.T.tolist(),
-                _masks(t.T == np.arange(nb)), _preimages(diag, nb), pre1)
-        auxs = (None, pre1, None, pre2, None, None, pre2)
-    shared = np.empty((2, len(kinds)), dtype=object)  # the target tables of each slot
-    for k in range(len(kinds)):
-        shared[0, k], shared[1, k] = tabs[k], auxs[k]
-    return list(zip(np.array(kinds)[slot].tolist(), first.tolist(), second.tolist(),
-                    *shared[:, slot].tolist()))
+@functools.lru_cache(maxsize=_CACHED)
+def _source_half(a):
+    """The half of a's compiled entries that a's own tables decide: per
+    operation, (slot, ends, cut) over its incidences (variable, tuple) in
+    order of variable, then tuple. slot indexes the target half's entry
+    kinds; ends holds the entry's i and j fields as rows, before any
+    offset (for arity 3 or more i spans one row per input); cut[v] is where
+    variable v's incidences start. Equal algebras share one cached copy."""
+    out = []
+    bound = np.arange(a.size + 1)
+    for name, arity in a.signature.ops:
+        ta = a.table(name)
+        cols = np.arange(ta.size)
+        xs = np.indices((a.size,) * arity).reshape(arity, ta.size)
+        inc = np.zeros((a.size, ta.size), dtype=bool)  # [element, tuple]
+        inc[ta, cols] = True
+        for x in xs:
+            inc[x, cols] = True
+        var, t = np.nonzero(inc)  # by element, then ascending tuple
+        xs, o = xs[:, t], ta[t]
+        if arity == 1:
+            slot = (xs[0] != var).view(np.int8)  # 0: v is the input; 1: v is only the output
+            first = np.where(slot, xs[0], o)
+            ends = np.stack([first, first])
+        elif arity == 2:
+            x1, x2 = xs
+            slot = _SLOTS2[(x1 == var) + 2 * (x2 == var) + 4 * (o == x2) + 8 * (o == x1)
+                           + 16 * (x1 == x2)]
+            ends = np.stack([o, x1, x2])[_ENDS2[:, slot], np.arange(len(var))]
+        else:  # one slot: _FORCE for arity 0, _TABLE for 3 or more
+            slot = np.zeros(len(var), dtype=np.int8)
+            ends = np.vstack([xs, o]) if arity else np.stack([o, o])
+        ends = ends.astype(np.int32)  # narrow types: the cache keeps 32 of these
+        slot.setflags(write=False)
+        ends.setflags(write=False)
+        out.append((slot, ends, np.searchsorted(var, bound).tolist()))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=_CACHED)
+def _target_half(b):
+    """The half of the compiled entries that the target b decides: per
+    operation, a (3, slots) object array of each slot's entry kind, table
+    and auxiliary table (see the propagator kinds above). Cached like
+    _source_half; engines only read these tables."""
+    out = []
+    nb = b.size
+    for name, arity in b.signature.ops:
+        tb = b.table(name)
+        if arity == 0:
+            slots = [(_FORCE, [int(tb[0])] * nb, None)]
+        elif arity >= 3:
+            strides = tuple(nb ** (arity - 1 - i) for i in range(arity))
+            slots = [(_TABLE, tb.tolist(), strides)]
+        elif arity == 1:
+            slots = [(_FORCE, tb.tolist(), None), (_PRE, _preimages(tb, nb), None)]
+        else:
+            t = tb.reshape(nb, nb)
+            diag, pre1, pre2 = np.diagonal(t), _preimages(t, nb), _preimages(t.T, nb)
+            tabs = (diag.tolist(), t.tolist(), _masks(t == np.arange(nb)), t.T.tolist(),
+                    _masks(t.T == np.arange(nb)), _preimages(diag, nb), pre1)
+            auxs = (None, pre1, None, pre2, None, None, pre2)
+            slots = list(zip(_KINDS2, tabs, auxs))
+        shared = np.empty((3, len(slots)), dtype=object)
+        for k, (kind, tab, aux) in enumerate(slots):
+            shared[0, k], shared[1, k], shared[2, k] = kind, tab, aux
+        shared.setflags(write=False)
+        out.append(shared)
+    return tuple(out)
 
 
 def _compile(pairs):
     """Every variable's compiled entries, in ascending constraint order, for
     homomorphisms a -> b of each (a, b) in pairs: value(op_A(x̄)) ==
     op_B(values of x̄) for every tuple x̄ of a. Each pair's variables follow
-    those of the pairs before it."""
+    those of the pairs before it. An entry (kind, i, j, tab, aux) zips the
+    source half's i and j, moved by the pair's offset, with the target
+    half's kind, tab and aux of its slot."""
     props = []
     for a, b in pairs:
         offset = len(props)
         props += [[] for _ in range(a.size)]
-        bound = np.arange(a.size + 1)
-        for name, arity in a.signature.ops:
-            ta = a.table(name)
-            cols = np.arange(ta.size)
-            xs = np.indices((a.size,) * arity).reshape(arity, ta.size)
-            inc = np.zeros((a.size, ta.size), dtype=bool)  # [element, tuple]
-            inc[ta, cols] = True
-            for x in xs:
-                inc[x, cols] = True
-            var, t = np.nonzero(inc)  # by element, then ascending tuple
-            entries = _entries(arity, b.table(name), b.size, var + offset,
-                               xs[:, t] + offset, ta[t] + offset)
-            cut = np.searchsorted(var, bound).tolist()
+        for (slot, ends, cut), shared in zip(_source_half(a), _target_half(b)):
+            *ins, js = (ends + offset).tolist()
+            i_s = ins[0] if len(ins) == 1 else list(zip(*ins))  # arity 3 or more: tuples
+            kinds, tabs, auxs = shared[:, slot].tolist()
+            entries = list(zip(kinds, i_s, js, tabs, auxs))
             for v in range(a.size):
                 props[offset + v] += entries[cut[v]:cut[v + 1]]
     return props

@@ -1,7 +1,10 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
 from homfactor.algebra import FiniteAlgebra, Mapping
-from homfactor.cli import main
+from homfactor.cli import _build_parser, main
 from homfactor.encodings import encode_semigroup, make_rf_instance, make_unary_lf_instance
 from homfactor.graphs import Graph, complete_graph, cycle_graph
 from homfactor.io import (
@@ -82,6 +85,40 @@ def test_encode_errors(tmp_path):
         "--out", str(tmp_path / "x.alg"),
     )
     assert rc == 2
+
+
+def test_main_reuses_one_parser(tmp_path):
+    write_graph(cycle_graph(4), tmp_path / "c4.graph")
+    write_instance(make_rf_instance(cycle_graph(4), complete_graph(2)),
+                   tmp_path / "c4k2.instance")
+    calls = [
+        ["encode", "--encoding", "semigroup", "--in", str(tmp_path / "c4.graph"),
+         "--out", str(tmp_path / "c4.alg")],
+        ["decide", "--instance"],  # a parse error
+        ["decide", "--instance", str(tmp_path / "c4k2.instance"),
+         "--witness", str(tmp_path / "w")],
+        ["--help"],
+    ]
+
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"SystemExit({exc.code})"
+        return code, out.getvalue(), err.getvalue()
+
+    _build_parser.cache_clear()
+    warm = [call(argv) for argv in calls]  # one parser for all four calls
+    assert _build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert warm == fresh
+    assert [code for code, *_ in warm] == [0, "SystemExit(2)", 0, "SystemExit(0)"]
+    assert "usage: homfactor" in warm[3][1]
 
 
 def test_decide_exit_codes(tmp_path):

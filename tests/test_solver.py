@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 
@@ -41,9 +42,12 @@ from homfactor.solver import (
     InstanceError,
     NodeLimitReached,
     SearchStats,
+    _compile,
     _consistent_domains,
     _masks,
     _preimages,
+    _source_half,
+    _target_half,
     decide,
     decide_isomorphism,
     decide_retraction,
@@ -607,6 +611,94 @@ def test_search_over_a_wide_target():
     a, b = make_abelian([2]), make_abelian([2, 36])
     assert enumerate_homomorphisms(a, b, 1000) == brute_homs(a, b)
     assert find_homomorphism(make_abelian([4]), b) is not None
+
+
+def _clear_compile_caches():
+    _source_half.cache_clear()
+    _target_half.cache_clear()
+
+
+def _hits():
+    return _source_half.cache_info().hits, _target_half.cache_info().hits
+
+
+def _plain(obj):
+    """Nested lists of a cached half, comparable with ==."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [_plain(o) for o in obj]
+    return obj
+
+
+def _vspace_and_lifted():
+    """A vector-space sample (operations of arity 0, 1 and 2) and two
+    ternary lifts of semigroup encodings."""
+    x, z, f = sample_fcore_instances("vspace", 1, 16, seed=3)[0]
+    assert {arity for _, arity in x.signature.ops} == {0, 1, 2}
+    s, t = (lift_nary(encode_semigroup(g)[0], 3) for g in (K2, P4))
+    return x, z, f, s, t
+
+
+def test_compile_warm_cache_matches_cold():
+    x, z, _, s, t = _vspace_and_lifted()
+    # one pair at offset 0; two pairs, the second at offset |X|
+    for pairs in ([(x, z)], [(x, x), (x, z)], [(s, t)], [(s, t), (t, t)]):
+        _clear_compile_caches()
+        cold = _compile(pairs)
+        hits = _hits()
+        warm = _compile(pairs)
+        assert warm == cold
+        assert _hits() == (hits[0] + len(pairs), hits[1] + len(pairs))
+
+
+def test_search_leaves_cached_halves_unchanged():
+    x, z, f, s, t = _vspace_and_lifted()
+    _clear_compile_caches()
+
+    def halves():
+        return (_source_half(x), _target_half(x), _target_half(z),
+                _source_half(s), _target_half(t))
+
+    before = copy.deepcopy(_plain(halves()))
+    assert find_factorization(FactorizationInstance("full-factor", x, x, z, f=f)) is not None
+    enumerate_homomorphisms(s, t, 50)
+    assert _plain(halves()) == before
+
+
+def test_compile_cache_keys_by_content():
+    a = encode_semigroup(C4)[0]
+    relabelled = FiniteAlgebra(a.signature, a.size, a.tables,
+                               labels=[f"e{i}" for i in range(a.size)])
+    _clear_compile_caches()
+    _compile([(a, a)])
+    hits = _hits()
+    _compile([(relabelled, relabelled)])
+    assert _hits() == (hits[0] + 1, hits[1] + 1)
+    assert _source_half.cache_info().currsize == _target_half.cache_info().currsize == 1
+    # one table entry apart: the 2-cycle u = (1 0) has no fixed point, u = (1 1) has one
+    cycle = FiniteAlgebra([("u", 1)], 2, {"u": [1, 0]})
+    fixed = FiniteAlgebra([("u", 1)], 2, {"u": [1, 1]})
+    point = FiniteAlgebra([("u", 1)], 1, {"u": [0]})
+    _clear_compile_caches()
+    assert find_homomorphism(cycle, cycle) == Mapping.identity(2)
+    assert find_homomorphism(fixed, cycle) is None
+    assert find_homomorphism(point, cycle) is None
+    assert find_homomorphism(point, fixed) == Mapping(1, 2, (1,))
+    assert find_homomorphism(cycle, fixed) == Mapping(2, 2, (1, 1))
+    assert _source_half.cache_info().currsize == 3  # cycle, fixed, point
+    assert _target_half.cache_info().currsize == 2  # cycle, fixed
+
+
+def test_compile_cache_is_bounded():
+    capacity = _source_half.cache_info().maxsize
+    assert capacity == _target_half.cache_info().maxsize
+    _clear_compile_caches()
+    for n in range(1, 3 * capacity + 1):
+        a = FiniteAlgebra([("u", 1)], n, {"u": [(v + 1) % n for v in range(n)]})
+        _compile([(a, a)])
+    assert _source_half.cache_info().currsize <= capacity
+    assert _target_half.cache_info().currsize <= capacity
 
 
 def _digest(witnesses):
