@@ -116,11 +116,12 @@ def encode_unary(g: Graph, *, theorem_grade: bool = False):
 
     theorem_grade additionally requires the graph connected with at least
     two vertices; the raw encoding accepts disconnected input, which the
-    instance builders use to attach isolated vertices.
+    instance builders use to attach isolated vertices, but needs one vertex
+    for a non-empty carrier.
     """
     if not g.directed:
         raise EncodingError("unary encoding takes a directed graph")
-    _check(validate_graph(g, loop_free=True), "unary encoding")
+    _check(validate_graph(g, loop_free=True, min_vertices=1), "unary encoding")
     if theorem_grade:
         _check(validate_graph(g, connected=True, min_vertices=2), "unary encoding")
     roles = []

@@ -85,12 +85,19 @@ class _Tokens:
             raise FormatError(f"{self.what}: trailing tokens from {self.toks[self.pos]!r}")
 
 
+def _word(word: str, what: str) -> str:
+    """word, once parse_algebra can read it back as one token."""
+    if word.split() != [word]:
+        raise FormatError(f"algebra: {what} {word!r} is empty or contains whitespace")
+    return word
+
+
 def format_algebra(alg: FiniteAlgebra) -> str:
     lines = [f"algebra {alg.size}"]
     if alg.labels is not None:
-        lines.append("labels " + " ".join(alg.labels))
+        lines.append("labels " + " ".join(_word(label, "label") for label in alg.labels))
     for name, arity in alg.signature.ops:
-        lines.append(f"op {name} {arity}")
+        lines.append(f"op {_word(name, 'operation name')} {arity}")
         lines.append(" ".join(str(int(v)) for v in alg.table(name)))
     return "\n".join(lines) + "\n"
 
@@ -161,6 +168,8 @@ def parse_graph(text: str) -> Graph:
     if kind not in ("directed", "undirected"):
         raise FormatError(f"graph: bad directedness {kind!r}")
     n = t.next_int()
+    if n < 0:
+        raise FormatError(f"graph: negative vertex count {n}")
     edges = []
     while t.peek() is not None:
         t.expect("e")

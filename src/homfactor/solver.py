@@ -29,11 +29,11 @@ kept in a bounded cache keyed by the algebra's content: what the source
 decides (the incidences and the entries' variables) and what the target
 decides (its sliced tables); a pair only zips the two. propagate runs the
 entries inline, in ascending constraint order, with a stack of newly fixed
-variables. The search itself holds an explicit stack of branching frames,
-not Python recursion, so its depth is bounded only by the number of
-variables. Searches differ only by hooks run on each newly fixed variable,
-such as injectivity for isomorphisms and the channel h(g(x)) = f(x) for the
-combined g/h search.
+variables, which a variable enters once, when it becomes fixed. The search
+itself holds an explicit stack of branching frames, not Python recursion,
+so its depth is bounded only by the number of variables. Searches differ
+only by hooks run on each newly fixed variable, such as injectivity for
+isomorphisms and the channel h(g(x)) = f(x) for the combined g/h search.
 
 What each instance kind means lives here and nowhere else: decide dispatches
 on the kind, full factors and retractions share one combined search over g-
@@ -197,9 +197,9 @@ class FactorizationInstance:
 _FORCE = 0  # (o, -, vals, -): every input is v, so o := vals[a]
 _ROW = 1  # (o, w, rows, pres): w fills the other input, o the output: rows[a][w] = o
 _PAIR = 2  # (x1, x2, pre1, pre2): v is the output of the tuple (x1, x2)
-_PRE = 3  # (x, -, pre, -): v is the output of a tuple of x alone; x within pre[a]
-_FIX = 4  # (w, -, fixes, -): w fills the other input and is the output
-_TABLE = 5  # (inputs, o, table, strides): arity 3 or more, checked generically
+_PRE = 3  # (x, -, pre, -): x within the mask pre[a]; v is the output of a tuple
+#           of x alone, or v fills one input and x both the other and the output
+_TABLE = 4  # (inputs, o, table, strides): arity 3 or more, checked generically
 
 
 def _masks(b):
@@ -239,7 +239,7 @@ def _slot2(code):
 
 
 _SLOTS2 = np.array([_slot2(code) for code in range(32)], dtype=np.int8)
-_KINDS2 = (_FORCE, _ROW, _FIX, _ROW, _FIX, _PRE, _PAIR)
+_KINDS2 = (_FORCE, _ROW, _PRE, _ROW, _PRE, _PRE, _PAIR)
 _ENDS2 = np.array([(0, 0, 2, 0, 1, 1, 1), (0, 2, 0, 1, 0, 0, 2)])  # i, j per slot: 0 o, 1 x1, 2 x2
 _CACHED = 32  # algebras kept by each compile cache
 
@@ -354,35 +354,17 @@ class _Engine:
         self.stop = self.stats.node_limit  # stats.nodes may not pass it
         self.hooks = tuple(hooks)
         self.trail = []  # (var, mask before the change)
-        self.done = [False] * self.n_vars  # singleton already propagated
-        self.done_log = []  # the done variables, in the order they were done
-        self.queue = []
+        self.queue = []  # variables whose domain became a singleton, not yet propagated
 
     def force(self, var, val) -> bool:
-        d = self.dom[var]
-        if not d >> val & 1:
-            return False
-        if d & (d - 1):
-            self.trail.append((var, d))
-            self.dom[var] = 1 << val
-            self.queue.append(var)
-        elif not self.done[var]:
-            self.queue.append(var)
-        return True
+        return self._restrict(var, self.dom[var] & 1 << val)
 
     def remove(self, var, val) -> bool:
-        d = self.dom[var]
-        if d >> val & 1:
-            if not d & (d - 1):
-                return False
-            self.trail.append((var, d))
-            d ^= 1 << val
-            self.dom[var] = d
-            if not d & (d - 1):
-                self.queue.append(var)
-        return True
+        return self._restrict(var, self.dom[var] & ~(1 << val))
 
     def _restrict(self, var, allowed) -> bool:
+        """Narrow var's domain to the mask allowed, a subset of it; False on
+        a wipeout. var is queued when its domain becomes a singleton."""
         d = self.dom[var]
         if not allowed:
             return False
@@ -393,18 +375,11 @@ class _Engine:
                 self.queue.append(var)
         return True
 
-    def _mark(self):
-        return len(self.trail), len(self.done_log)
-
     def _undo(self, mark):
         trail, dom = self.trail, self.dom
-        for var, old in reversed(trail[mark[0]:]):
+        for var, old in reversed(trail[mark:]):
             dom[var] = old
-        del trail[mark[0]:]
-        log, done = self.done_log, self.done
-        for var in log[mark[1]:]:
-            done[var] = False
-        del log[mark[1]:]
+        del trail[mark:]
 
     def _check_table(self, ins, out, table, strides) -> bool:
         """One constraint of arity 3 or more: with every input fixed, force
@@ -445,73 +420,54 @@ class _Engine:
 
     def propagate(self) -> bool:
         """Propagate the queued variables to a fixpoint; False on a wipeout.
-        The queue is a stack, a variable's entries run in ascending
-        constraint order, and forcing a queued singleton queues it again:
-        node counts depend on all three (see test_node_counts_pinned)."""
-        dom, done, trail, queue = self.dom, self.done, self.trail, self.queue
-        props, hooks, log = self.props, self.hooks, self.done_log
+        A variable is queued once, when its domain becomes a singleton, so
+        each popped variable is newly fixed and reaches the hooks and its
+        entries once; after a fixpoint, the variables with more than one
+        value left are exactly the unassigned ones. The queue is a stack
+        and a variable's entries run in ascending constraint order: node
+        counts depend on both (see test_node_counts_pinned)."""
+        dom, trail, queue, props, hooks = self.dom, self.trail, self.queue, self.props, self.hooks
         while queue:
             v = queue.pop()
-            d = dom[v]
-            if done[v] or d & (d - 1):
-                continue
-            done[v] = True
-            log.append(v)
-            a = d.bit_length() - 1
+            a = dom[v].bit_length() - 1
             for hook in hooks:
                 if not hook(self, v, a):
                     return False
             for kind, i, j, tab, aux in props[v]:
-                if kind <= _ROW:  # ends in i := val unless the row input is free
-                    if kind == _ROW:
-                        dw = dom[j]
-                        if dw & (dw - 1):
-                            # j free: keep the values whose image is in i's domain
-                            do = dom[i]
-                            if not do & (do - 1):
-                                ay = dw & aux[a][do.bit_length() - 1]
-                                if not ay:
-                                    return False
-                                ao = do
-                            else:
-                                row = tab[a]
-                                ay = ao = 0
-                                rest = dw
-                                while rest:
-                                    low = rest & -rest
-                                    rest ^= low
-                                    c = row[low.bit_length() - 1]
-                                    if do >> c & 1:
-                                        ay |= low
-                                        ao |= 1 << c
-                                if not ay:
-                                    return False
-                            if ay != dw:
-                                trail.append((j, dw))
-                                dom[j] = ay
-                                if not ay & (ay - 1):
-                                    queue.append(j)
-                            if ao != do:
-                                trail.append((i, do))
-                                dom[i] = ao
-                                if not ao & (ao - 1):
-                                    queue.append(i)
-                            continue
-                        val = tab[a][dw.bit_length() - 1]
+                # each entry ends in narrowing one variable x from dx to m
+                if kind == _ROW:
+                    x, dx, dw = i, dom[i], dom[j]
+                    if not dw & (dw - 1):
+                        m = dx & 1 << tab[a][dw.bit_length() - 1]
                     else:
-                        val = tab[a]
-                    do = dom[i]
-                    if not do >> val & 1:
-                        return False
-                    if do & (do - 1):
-                        trail.append((i, do))
-                        dom[i] = 1 << val
-                        queue.append(i)
-                    elif not done[i]:
-                        queue.append(i)
-                    continue
-                # the rest end in restricting one variable x to m
-                if kind == _PAIR:
+                        # j free: keep the values whose image is in i's domain
+                        if not dx & (dx - 1):
+                            ay, m = dw & aux[a][dx.bit_length() - 1], dx
+                        else:
+                            row = tab[a]
+                            ay = m = 0
+                            rest = dw
+                            while rest:
+                                low = rest & -rest
+                                rest ^= low
+                                c = row[low.bit_length() - 1]
+                                if dx >> c & 1:
+                                    ay |= low
+                                    m |= 1 << c
+                        if not ay:
+                            return False
+                        if ay != dw:
+                            trail.append((j, dw))
+                            dom[j] = ay
+                            if not ay & (ay - 1):
+                                queue.append(j)
+                elif kind == _PRE:
+                    x, dx = i, dom[i]
+                    m = dx & tab[a]
+                elif kind == _FORCE:
+                    x, dx = i, dom[i]
+                    m = dx & 1 << tab[a]
+                elif kind == _PAIR:
                     d1, d2 = dom[i], dom[j]
                     if d1 & (d1 - 1):
                         if d2 & (d2 - 1):
@@ -523,16 +479,6 @@ class _Engine:
                         continue
                     else:
                         return False
-                elif kind == _PRE:
-                    x, dx = i, dom[i]
-                    m = dx & tab[a]
-                elif kind == _FIX:
-                    x, dx = i, dom[i]
-                    m = dx & tab[a]
-                    if m and not dx & (dx - 1):
-                        if not done[x]:
-                            queue.append(x)
-                        continue
                 elif self._check_table(i, j, tab, aux):
                     continue
                 else:
@@ -547,13 +493,15 @@ class _Engine:
         return True
 
     def _pick(self):
-        done = self.done
+        """The next variable to branch on, among those with more than one
+        value left; None when every variable is assigned."""
+        dom = self.dom
         if self.order == "lexicographic":
-            return next((v for v in range(self.n_vars) if not done[v]), None)
+            return next((v for v, d in enumerate(dom) if d & (d - 1)), None)
         best = None
         size = 0
-        for v, d in enumerate(self.dom):
-            if not done[v]:
+        for v, d in enumerate(dom):
+            if d & (d - 1):
                 c = d.bit_count()
                 if best is None or c < size:
                     best, size = v, c
@@ -561,7 +509,7 @@ class _Engine:
 
     def root(self) -> bool:
         """Propagate the initial domains; False when they admit no solution."""
-        if not all(self.dom):
+        if not all(self.dom):  # _pick would read an empty domain as assigned
             return False
         self.queue[:] = [v for v, d in enumerate(self.dom) if not d & (d - 1)]
         return self.propagate()
@@ -576,7 +524,7 @@ class _Engine:
         """First solution from the current state with val removed from
         var's domain, or None after an exhaustive search; the state is
         restored either way."""
-        mark = self._mark()
+        mark = len(self.trail)
         self.queue.clear()
         sol = None
         if self.remove(var, val) and self.propagate():
@@ -617,7 +565,7 @@ class _Engine:
                 stats.nodes += 1
                 if stop is not None and stats.nodes > stop:
                     raise NodeLimitReached("node limit exceeded")
-                frame[2] = self._mark()
+                frame[2] = len(self.trail)
                 self.queue.clear()
                 if self.force(frame[0], low.bit_length() - 1) and self.propagate():
                     break

@@ -87,6 +87,61 @@ def test_encode_errors(tmp_path):
     assert rc == 2
 
 
+def test_encode_magma(tmp_path):
+    write_graph(cycle_graph(4), tmp_path / "c4.graph")
+    rc = run(
+        "encode", "--encoding", "magma",
+        "--in", str(tmp_path / "c4.graph"),
+        "--out", str(tmp_path / "c4.alg"),
+        "--legend", str(tmp_path / "c4.legend"),
+    )
+    assert rc == 0
+    assert read_algebra(tmp_path / "c4.alg").size == 12  # a, b, c, d and two copies
+    assert read_legend(tmp_path / "c4.legend").kind == "magma-star"
+
+
+@pytest.mark.parametrize("encoding, infile, message", [
+    ("magma", "d.graph", "magma encoding takes an undirected graph"),
+    ("nary:x", "c4.graph", "bad encoding parameter in 'nary:x'"),
+    ("nary:2", "c4.graph", "encoding parameter in 'nary:2' must be >= 3"),
+    ("semilattice:0", None, "encoding parameter in 'semilattice:0' must be >= 1"),
+    ("semigroup", None, "--in is required for the semigroup encoding"),
+    ("unary", "empty.graph", "unary encoding: graph has 0 vertices, need at least 1"),
+    ("unary", "negative.graph", "graph: negative vertex count -2"),
+])
+def test_encode_error_paths(tmp_path, capsys, encoding, infile, message):
+    write_graph(cycle_graph(4), tmp_path / "c4.graph")
+    write_graph(Graph.digraph(2, [(0, 1)]), tmp_path / "d.graph")
+    (tmp_path / "empty.graph").write_text("graph directed 0\n")
+    (tmp_path / "negative.graph").write_text("graph directed -2\n")
+    argv = ["encode", "--encoding", encoding, "--out", str(tmp_path / "x.alg")]
+    if infile is not None:
+        argv += ["--in", str(tmp_path / infile)]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.alg").exists()
+
+
+def test_file_error_paths(tmp_path, capsys):
+    write_instance(make_rf_instance(cycle_graph(4), complete_graph(2)), tmp_path / "ok.instance")
+    (tmp_path / "neg.alg").write_text("algebra 2\nop m -1\n")
+    (tmp_path / "long.map").write_text("map 2 2\n0 1 1\n")
+    for text, message in (
+        ("instance hom\nX ok.X.alg ok.Y.alg\n", "instance: bad line 'X ok.X.alg ok.Y.alg'"),
+        ("instance hom\nX ok.X.alg\nX ok.X.alg\n", "instance: repeated field X"),
+        ("instance hom\nY ok.Y.alg\n", "instance: missing X"),
+        ("instance hom\nX neg.alg\nY neg.alg\n", "algebra: negative arity for 'm'"),
+    ):
+        (tmp_path / "bad.instance").write_text(text)
+        assert run("decide", "--instance", str(tmp_path / "bad.instance"),
+                   "--witness", str(tmp_path / "w")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert run("verify", "--instance", str(tmp_path / "ok.instance"),
+               "--g", str(tmp_path / "long.map")) == 2
+    assert capsys.readouterr().err == "error: mapping: trailing tokens from '1'\n"
+    assert not list(tmp_path.glob("w*"))
+
+
 def test_main_reuses_one_parser(tmp_path):
     write_graph(cycle_graph(4), tmp_path / "c4.graph")
     write_instance(make_rf_instance(cycle_graph(4), complete_graph(2)),

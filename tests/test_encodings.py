@@ -100,6 +100,10 @@ def test_unary_preconditions():
         encode_unary(disc, theorem_grade=True)
     with pytest.raises(EncodingError):
         encode_unary(Graph.digraph(1, []), theorem_grade=True)
+    # no vertex, no element: the carrier would be empty
+    with pytest.raises(EncodingError, match="graph has 0 vertices, need at least 1"):
+        encode_unary(Graph.digraph(0, []))
+    assert encode_unary(Graph.digraph(1, []))[0].size == 2
 
 
 # ---------------------------------------------------------------- magma

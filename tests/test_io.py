@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from homfactor.algebra import Mapping
+from homfactor.algebra import FiniteAlgebra, Mapping
 from homfactor.encodings import (
     encode_magma,
     encode_semigroup,
@@ -20,6 +22,7 @@ from homfactor.io import (
     parse_legend,
     parse_mapping,
     read_instance,
+    write_algebra,
     write_instance,
 )
 
@@ -55,6 +58,33 @@ def test_algebra_rejects_duplicate_operation():
     # a repeated name would silently drop the first table
     with pytest.raises(FormatError, match="algebra: duplicate operation 'm'"):
         parse_algebra("algebra 2\nop m 1\n0 1\nop m 1\n1 0\n")
+
+
+@pytest.mark.parametrize("labels, name, bad", [
+    (["x y", "z"], "mul", "label 'x y'"),
+    (["", "z"], "mul", "label ''"),
+    (None, "my op", "operation name 'my op'"),
+    (None, "", "operation name ''"),
+])
+def test_write_algebra_rejects_words_the_parser_cannot_read(tmp_path, labels, name, bad):
+    alg = FiniteAlgebra([(name, 2)], 2, {name: [0, 1, 1, 0]}, labels)
+    with pytest.raises(FormatError, match=re.escape(f"algebra: {bad} is empty or contains")):
+        write_algebra(alg, tmp_path / "a.alg")
+    assert not (tmp_path / "a.alg").exists()
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_mapping, "map 2 2\n0 1 1\n", "mapping: trailing tokens from '1'"),
+    (parse_legend, "legend unary-dagger 1\nelem 0 vertex-copy 0 1 7\n",
+     "legend: trailing tokens from '7'"),
+    (parse_algebra, "algebra 2\nop m -1\n", "algebra: negative arity for 'm'"),
+    (parse_legend, "legend unary-dagger 2\nelem 0 vertex-copy 0 1\nelem 0 vertex-copy 0 2\n",
+     "legend: bad or repeated element index 0"),
+    (parse_graph, "graph directed -2\n", "graph: negative vertex count -2"),
+])
+def test_parse_errors_name_the_fault(parse, text, message):
+    with pytest.raises(FormatError, match=re.escape(message)):
+        parse(text)
 
 
 def test_mapping_roundtrip():
@@ -119,6 +149,16 @@ def test_instance_manifest_errors(tmp_path):
     bad.write_text("not-a-manifest\n")
     with pytest.raises(FormatError):
         read_instance(bad)
+    (tmp_path / "a.alg").write_text("algebra 1\nop u 1\n0\n")
+    for text, message in (
+        ("instance hom\nX a.alg b.alg\n", "instance: bad line 'X a.alg b.alg'"),
+        ("instance hom\nW a.alg\n", "instance: bad line 'W a.alg'"),
+        ("instance hom\nY a.alg\nY a.alg\n", "instance: repeated field Y"),
+        ("instance hom\nY a.alg\n", "instance: missing X"),
+    ):
+        bad.write_text(text)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_instance(bad)
 
 
 def test_writers_are_deterministic(tmp_path):

@@ -42,6 +42,7 @@ from homfactor.solver import (
     InstanceError,
     NodeLimitReached,
     SearchStats,
+    _Engine,
     _compile,
     _consistent_domains,
     _masks,
@@ -338,6 +339,41 @@ def test_instance_validation_errors(gadgets):
         "right-factor", z, z, z, f=Mapping(5, 5, (0, 2, 1, 3, 4)), h=Mapping.identity(5)
     )
     assert any("f is not a homomorphism" in p for p in not_hom.problems())
+
+
+def _constant_and_unary(u):
+    return FiniteAlgebra([("c", 0), ("u", 1)], 2, {"c": [0], "u": u})
+
+
+def test_instance_problem_messages():
+    # X = ({0,1}; c = 0, u = id), Y = ({0,1}; c = 0, u = swap): the only
+    # map Y -> X is the constant 0, and there is no map X -> Y at all
+    x, y = _constant_and_unary([0, 1]), _constant_and_unary([1, 0])
+    ident, zero = Mapping.identity(2), Mapping.constant(2, 2, 0)
+    cases = [
+        (FactorizationInstance("left-factor", x, y, f=ident, g=zero),
+         "Z is required for this kind"),
+        (FactorizationInstance("hom", x, y, g=ident), "unexpected map g for kind hom"),
+        (FactorizationInstance("left-factor", x, y, x, f=ident, g=ident),
+         "g is not a homomorphism X -> Y"),
+        (FactorizationInstance("right-factor", x, y, x, f=ident, h=ident),
+         "h is not a homomorphism Y -> Z"),
+        (FactorizationInstance("right-factor", x, y, x, f=Mapping.identity(3), h=zero),
+         "mapping is 3->3, algebras are 2, 2"),
+        (FactorizationInstance("retraction", x, x, y), "retraction kind requires Z = X"),
+    ]
+    for inst, message in cases:
+        assert inst.problems() == [message]
+        with pytest.raises(InstanceError, match=message):
+            decide(inst)
+
+
+def test_enumerate_is_empty_when_the_root_pass_refutes():
+    x, y = _constant_and_unary([0, 1]), _constant_and_unary([1, 0])
+    stats = SearchStats()
+    assert enumerate_homomorphisms(x, y, 10, stats=stats) == []
+    assert stats.nodes == 0 and stats.root_pruned > 0
+    assert enumerate_homomorphisms(y, x, 10) == [Mapping.constant(2, 2, 0)]
 
 
 def test_retraction_instance_invariants(gadgets):
@@ -802,3 +838,43 @@ def test_fcore_node_counts_pinned():
         "is_fcore": (274, "525e1d52237dfdb6", 6, 52),
         "abelian": (39, "60c6964ca331be8a", 93, 13),
     }
+
+
+def test_each_variable_is_queued_once_per_propagate(monkeypatch):
+    # a variable enters the queue once, when its domain becomes a singleton,
+    # so within one propagate call no variable is queued twice or reaches
+    # the hooks twice, and after a fixpoint every queued variable has
+    # reached them
+    seen, queued, sizes = [], [], []
+    plain = _Engine.propagate
+
+    def record(eng, var, val):
+        seen.append(var)
+        return True
+
+    class Queue(list):
+        def append(self, var):
+            queued.append(var)
+            super().append(var)
+
+    def propagate(self):
+        if self.hooks[:1] != (record,):
+            self.hooks = (record, *self.hooks)
+        seen.clear()
+        queued[:] = self.queue
+        self.queue = Queue(self.queue)
+        ok = plain(self)
+        assert len(seen) == len(set(seen)) and len(queued) == len(set(queued))
+        assert set(seen) <= set(queued) and (not ok or len(seen) == len(queued))
+        sizes.append(len(seen))
+        return ok
+
+    monkeypatch.setattr(_Engine, "propagate", propagate)
+    encs = [encode_semigroup(g)[0] for g in graph_catalog(2, 3)]
+    retractions = [decide_retraction(x, y) for x in encs for y in encs]
+    digraphs = graph_catalog(2, 4, directed=True, connected=True)[::15]
+    unary = [encode_unary(g, theorem_grade=True)[0] for g in digraphs]
+    homs = [find_homomorphism(a, b) for a in unary for b in unary]
+    cores = [brute_fcore(x, f, z) for x, z, f in map(make_fcore_instance, graph_catalog(1, 4))]
+    assert any(retractions) and any(homs) and cores
+    assert len(sizes) > 1000 and max(sizes) > 1
