@@ -357,18 +357,26 @@ def make_unary_lf_instance(h: Graph, j: Graph) -> FactorizationInstance:
     return FactorizationInstance("left-factor", x, y, z, f=f, g=gmap)
 
 
+_LIFT_MAX_ENTRIES = 1 << 20  # table entries lift_nary may build: size**n
+
+
 def lift_nary(s: FiniteAlgebra, n: int) -> FiniteAlgebra:
-    """Replace a single binary operation by the n-ary t(x1..xn) = x1·x2."""
+    """Replace a single binary operation by the n-ary t(x1..xn) = x1·x2.
+    Raises AlgebraError, before allocating, when the table would hold more
+    than _LIFT_MAX_ENTRIES entries."""
     if n < 3:
         raise AlgebraError("lift arity must be at least 3")
     if len(s.signature.ops) != 1 or s.signature.ops[0][1] != 2:
         raise AlgebraError("lift takes an algebra with exactly one binary operation")
-    name = s.signature.ops[0][0]
-    mul = s.nd(name)
-    shape = (s.size,) * n
-    nd = np.broadcast_to(mul.reshape((s.size, s.size) + (1,) * (n - 2)), shape)
-    sig = Signature((("t", n),))
-    return FiniteAlgebra(sig, s.size, {"t": nd.reshape(-1)}, s.labels)
+    # the exponent capped at the limit's bit length, past which, for a size
+    # >= 2, every power passes the limit
+    if s.size ** min(n, _LIFT_MAX_ENTRIES.bit_length()) > _LIFT_MAX_ENTRIES:
+        raise AlgebraError(f"lift to arity {n} needs {s.size}**{n} table entries, "
+                           f"more than the limit of {_LIFT_MAX_ENTRIES}")
+    # row-major, t's entry at (x1, x2, rest) is mul's at (x1, x2) for each of
+    # the size**(n - 2) values of rest
+    table = np.repeat(s.table(s.signature.ops[0][0]), s.size ** (n - 2))
+    return FiniteAlgebra(Signature((("t", n),)), s.size, {"t": table}, s.labels)
 
 
 def make_semilattice_X(n: int):

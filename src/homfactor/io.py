@@ -75,6 +75,9 @@ class _Tokens:
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
+    def left(self) -> int:
+        return len(self.toks) - self.pos
+
     def expect(self, word: str):
         tok = self.next()
         if tok != word:
@@ -114,15 +117,21 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         labels = [t.next() for _ in range(n)]
     ops = []
     tables = {}
-    while t.peek() is not None:
-        t.expect("op")
+    while t.peek() == "op":
+        t.next()
         name = t.next()
         if name in tables:
             raise FormatError(f"algebra: duplicate operation {name!r}")
         arity = t.next_int()
         if arity < 0:
             raise FormatError(f"algebra: negative arity for {name!r}")
-        count = n**arity
+        # n**arity with the exponent capped at the bit length of the tokens
+        # left: past it, for n >= 2, every power exceeds them
+        left = t.left()
+        count = n ** min(arity, left.bit_length())
+        if count > left:
+            raise FormatError(f"algebra: {name!r} needs {n}**{arity} table entries, "
+                              f"{left} tokens are left")
         values = [t.next_int() for _ in range(count)]
         if any(v < 0 or v >= n for v in values):
             raise FormatError(f"algebra: table entry out of range for {name!r}")

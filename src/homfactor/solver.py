@@ -10,7 +10,9 @@ heavily. Before any branching, one numpy routine, _consistent_domains,
 prunes the domains to arc consistency in both directions (input support and
 output image): over operations of arity at most 1 for single-map searches,
 and at most 2, joined by the channel h(g(x)) = f(x), for the combined g/h
-search. That search first applies the cardinality bound: im f = h(im g)
+search. Over the same operations it first applies the diagonal rule: an x
+with op(x, …, x) = x can only go to a y with op(y, …, y) = y. The combined
+search first applies the cardinality bound: im f = h(im g)
 has at most |Y| elements, so |im f| > |Y| (for a retraction, |X| > |Y|) is
 an exhaustive "no" before any root pass or search. The one search budget is
 SearchStats: every search counts its nodes in the SearchStats it is given,
@@ -24,10 +26,12 @@ side, and converts the domains once to Python int bitmasks over the target
 carrier. Each variable gets one numpy-compiled entry per tuple it occurs
 in, naming the tuple's other variables and the target table sliced by the
 variable's value, so that a binary table with one argument fixed becomes a
-row lookup. The tables are compiled once per algebra, in two halves, each
-kept in a bounded cache keyed by the algebra's content: what the source
-decides (the incidences and the entries' variables) and what the target
-decides (its sliced tables); a pair only zips the two. propagate runs the
+row lookup. The search branches on the pairs in order, MRV within each, so
+the combined search assigns every g-variable before any h-variable. The
+tables are compiled once per algebra, in two halves, each kept in a
+bounded cache keyed by the algebra's content: what the source decides (the
+incidences and the entries' variables) and what the target decides (its
+sliced tables); a pair only zips the two. propagate runs the
 entries inline, in ascending constraint order, with a stack of newly fixed
 variables, which a variable enters once, when it becomes fixed. The search
 itself holds an explicit stack of branching frames, not Python recursion,
@@ -349,6 +353,8 @@ class _Engine:
         self.props = _compile(pairs)
         self.dom = [m for d in domains for m in _masks(d)]
         self.n_vars = len(self.dom)
+        ends = list(itertools.accumulate(a.size for a, _ in pairs))
+        self.spans = list(zip([0] + ends, ends))  # each pair's variables
         self.order = order
         self.stats = SearchStats() if stats is None else stats
         self.stop = self.stats.node_limit  # stats.nodes may not pass it
@@ -494,18 +500,26 @@ class _Engine:
 
     def _pick(self):
         """The next variable to branch on, among those with more than one
-        value left; None when every variable is assigned."""
+        value left; None when every variable is assigned. The pairs are
+        branched in order: the variable comes from the first pair that
+        still has an unassigned one, so the combined search assigns every
+        g-variable before any h-variable. Within the pair, MRV picks the
+        smallest domain, the first on ties; "lexicographic" picks the first
+        unassigned variable."""
         dom = self.dom
         if self.order == "lexicographic":
             return next((v for v, d in enumerate(dom) if d & (d - 1)), None)
-        best = None
-        size = 0
-        for v, d in enumerate(dom):
-            if d & (d - 1):
-                c = d.bit_count()
-                if best is None or c < size:
-                    best, size = v, c
-        return best
+        for lo, hi in self.spans:
+            best = None
+            size = 0
+            for v, d in enumerate(dom[lo:hi], lo):
+                if d & (d - 1):
+                    c = d.bit_count()
+                    if best is None or c < size:
+                        best, size = v, c
+            if best is not None:
+                return best
+        return None
 
     def root(self) -> bool:
         """Propagate the initial domains; False when they admit no solution."""
@@ -632,6 +646,13 @@ def _revision(ta, tb, arity, na, nb):
                              pre, img_b)
 
 
+def _fixed_points(alg, name, arity):
+    """Mask of the elements x with op(x, …, x) = x. The diagonal of a flat
+    table of arity k is every (1 + n + … + n^(k−1))-th entry."""
+    n = alg.size
+    return alg.table(name)[::sum(n**i for i in range(arity))] == np.arange(n)
+
+
 def _consistent_domains(a, b, d, max_arity, *, stats=None):
     """Root arc consistency for homomorphisms a -> b from the domains d.
 
@@ -639,16 +660,21 @@ def _consistent_domains(a, b, d, max_arity, *, stats=None):
     max_arity is revised to a fixpoint in both directions: input support
     (each value of an argument has a consistent partner for every other
     argument) and output image (each value of a result is the image of a
-    value tuple of every argument tuple that produces it). The pruning is
-    sound, so arities of 3 or more are simply left to the search. Returns
-    the pruned matrix, or None when some element's domain empties.
+    value tuple of every argument tuple that produces it). Before that, the
+    diagonal rule: an x with op_A(x, …, x) = x keeps only the y with
+    op_B(y, …, y) = y, which the revision, reading the tuple's arguments
+    and result as distinct variables, cannot see. The pruning is sound, so
+    arities of 3 or more are simply left to the search. Returns the pruned
+    matrix, or None when some element's domain empties.
     """
-    revisions = [
-        _revision(a.table(name), b.table(name), arity, a.size, b.size)
-        for name, arity in a.signature.ops
-        if arity <= max_arity
-    ]
     before = int(d.sum())
+    revisions = []
+    for name, arity in a.signature.ops:
+        if arity > max_arity:
+            continue
+        if arity:
+            d = d & (~_fixed_points(a, name, arity)[:, None] | _fixed_points(b, name, arity))
+        revisions.append(_revision(a.table(name), b.table(name), arity, a.size, b.size))
     while True:
         prev = d
         for revise in revisions:

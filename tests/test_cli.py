@@ -108,12 +108,17 @@ def test_encode_magma(tmp_path):
     ("semigroup", None, "--in is required for the semigroup encoding"),
     ("unary", "empty.graph", "unary encoding: graph has 0 vertices, need at least 1"),
     ("unary", "negative.graph", "graph: negative vertex count -2"),
+    ("nary:3", "huge.alg", "algebra: 'mul' needs 12**10000000 table entries, 1 tokens are left"),
+    ("nary:40", "two.alg",
+     "lift to arity 40 needs 2**40 table entries, more than the limit of 1048576"),
 ])
 def test_encode_error_paths(tmp_path, capsys, encoding, infile, message):
     write_graph(cycle_graph(4), tmp_path / "c4.graph")
     write_graph(Graph.digraph(2, [(0, 1)]), tmp_path / "d.graph")
     (tmp_path / "empty.graph").write_text("graph directed 0\n")
     (tmp_path / "negative.graph").write_text("graph directed -2\n")
+    (tmp_path / "huge.alg").write_text("algebra 12\nop mul 10000000\n0\n")
+    (tmp_path / "two.alg").write_text("algebra 2\nop mul 2\n0 0 0 1\n")
     argv = ["encode", "--encoding", encoding, "--out", str(tmp_path / "x.alg")]
     if infile is not None:
         argv += ["--in", str(tmp_path / infile)]

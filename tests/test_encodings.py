@@ -1,8 +1,10 @@
 import itertools
+import re
 
 import pytest
 
 from homfactor.algebra import (
+    AlgebraError,
     FiniteAlgebra,
     Mapping,
     check_properties,
@@ -409,12 +411,20 @@ def test_lift_preserves_homomorphisms(gadgets):
 
 
 def test_lift_rejects_wrong_signature(gadgets):
-    from homfactor.algebra import AlgebraError
-
     with pytest.raises(AlgebraError):
         lift_nary(gadgets.two_point_unary, 3)
     with pytest.raises(AlgebraError):
         lift_nary(gadgets.target_semigroup, 2)
+
+
+def test_lift_rejects_tables_past_the_limit():
+    # refused before any allocation: 3**20 entries would take 28 GB
+    for size, n in ((2, 21), (2, 40), (3, 20), (5, 10**9)):
+        s = FiniteAlgebra([("mul", 2)], size, {"mul": [0] * size**2})
+        with pytest.raises(AlgebraError, match=re.escape(f"needs {size}**{n} table entries")):
+            lift_nary(s, n)
+    point = FiniteAlgebra([("mul", 2)], 1, {"mul": [0]})
+    assert lift_nary(point, 100).table("t").tolist() == [0]  # one entry at any arity
 
 
 # ---------------------------------------------------------------- chain semilattices

@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 
@@ -81,10 +82,26 @@ def test_write_algebra_rejects_words_the_parser_cannot_read(tmp_path, labels, na
     (parse_legend, "legend unary-dagger 2\nelem 0 vertex-copy 0 1\nelem 0 vertex-copy 0 2\n",
      "legend: bad or repeated element index 0"),
     (parse_graph, "graph directed -2\n", "graph: negative vertex count -2"),
+    (parse_algebra, "algebra 2\nop m 1\n0 1\n5\n", "algebra: trailing tokens from '5'"),
+    (parse_algebra, "algebra 2\nop m 1\n0 1\nm 1 0 1\n", "algebra: trailing tokens from 'm'"),
+    (parse_algebra, "algebra 2\nop mul 2\n0 1 1\n",
+     "algebra: 'mul' needs 2**2 table entries, 3 tokens are left"),
 ])
 def test_parse_errors_name_the_fault(parse, text, message):
     with pytest.raises(FormatError, match=re.escape(message)):
         parse(text)
+
+
+@pytest.mark.parametrize("arity", [10**7, 10**8])
+def test_table_size_is_checked_before_the_power(arity):
+    # 12**arity is never computed: the parse ends as soon as it reads the arity
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match=re.escape(
+            f"algebra: 'mul' needs 12**{arity} table entries, 1 tokens are left")):
+        parse_algebra(f"algebra 12\nop mul {arity}\n0\n")
+    assert time.perf_counter() - start < 1.0
+    # one element needs one entry at any arity
+    assert parse_algebra(f"algebra 1\nop m {arity}\n0\n").signature.ops == (("m", arity),)
 
 
 def test_mapping_roundtrip():

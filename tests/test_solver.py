@@ -36,7 +36,12 @@ from homfactor.graphs import (
     graph_retract,
     path_graph,
 )
-from homfactor.varieties import make_abelian, make_gset, sample_fcore_instances
+from homfactor.varieties import (
+    make_abelian,
+    make_gset,
+    sample_fcore_instances,
+    sample_rf_instances,
+)
 from homfactor.solver import (
     FactorizationInstance,
     InstanceError,
@@ -251,6 +256,47 @@ def test_enumerate_homomorphisms(gadgets):
     assert enumerate_homomorphisms(z, z, limit=1)[0] == homs[0]
     with pytest.raises(ValueError):
         enumerate_homomorphisms(z, z, limit=0)
+
+
+def _enumeration_runs(gadgets):
+    """(count, digest of the value vectors in order) per enumeration case:
+    the test pairs of this suite and the encodings suite, G-sets with and
+    without fixed points, unary encodings and ternary lifts, each in full
+    and cut at 5."""
+    z, src = gadgets.target_semigroup, gadgets.source_semigroup
+    gsets = [make_gset(t) for t in ([(1, 0)], [(1, 0, 2)], [(0, 2, 1), (1, 0, 2)],
+                                    [(1, 2, 3, 0)], [(1, 0, 3, 2)])]
+    unary = [encode_unary(g)[0] for g in graph_catalog(1, 2, directed=True)]
+    cases = {
+        "semigroup": [(z, z), (z, src), (src, z)],
+        "lifted": [(lift_nary(a, 3), lift_nary(b, 3)) for a, b in ((z, z), (z, src), (src, z))],
+        "abelian": [(make_abelian(o), make_abelian(o)) for o in ([2, 2], [2, 4], [6])],
+        "gset": [(a, b) for a in gsets for b in gsets if a.signature == b.signature],
+        "unary": [(a, b) for a in unary for b in unary],
+    }
+    out = {}
+    for name, pairs in cases.items():
+        for limit in (2000, 5):
+            seqs = [[m.values for m in enumerate_homomorphisms(a, b, limit)] for a, b in pairs]
+            out[f"{name} {limit}"] = (sum(map(len, seqs)), _digest(seqs))
+    return out
+
+
+def test_enumeration_sequences_pinned(gadgets):
+    # measured before the diagonal root rule and the pair-ordered branching:
+    # lexicographic enumeration yields the same homomorphisms in the same order
+    assert _enumeration_runs(gadgets) == {
+        "semigroup 2000": (69, "d1baf89f14ae950f"),
+        "semigroup 5": (15, "c4d554051b5eb285"),
+        "lifted 2000": (69, "d1baf89f14ae950f"),
+        "lifted 5": (15, "c4d554051b5eb285"),
+        "abelian 2000": (54, "48f4be4320eb679e"),
+        "abelian 5": (15, "d5fdacad804d81d1"),
+        "gset 2000": (55, "e5d4f69ec8f59e4f"),
+        "gset 5": (40, "be72565b98ca2154"),
+        "unary 2000": (25, "290bbe91e61fc087"),
+        "unary 5": (25, "290bbe91e61fc087"),
+    }
 
 
 def test_solver_complete_at_desk_scale(gadgets):
@@ -486,7 +532,9 @@ def _reference_root(a, b, d, max_arity):
     position drawn from that position's domain (a repeated element is
     drawn independently), the value tuples whose image lies in the domain
     of the tuple's result fit; each position keeps its values in some
-    fitting tuple, and the result keeps the images of the fitting tuples."""
+    fitting tuple, and the result keeps the images of the fitting tuples.
+    A tuple (x, …, x) whose result is x itself fits only the value tuples
+    (y, …, y) whose image is y, so x keeps only those y."""
     dom = [{v for v in range(b.size) if d[x][v]} for x in range(a.size)]
     changed = True
     while changed:
@@ -494,6 +542,12 @@ def _reference_root(a, b, d, max_arity):
         for name, arity in a.signature.ops:
             if arity > max_arity:
                 continue
+            for x in range(a.size):
+                if arity and a.apply(name, *[x] * arity) == x:
+                    values = {y for y in dom[x] if b.apply(name, *[y] * arity) == y}
+                    if values != dom[x]:
+                        dom[x] = values
+                        changed = True
             for xs in itertools.product(range(a.size), repeat=arity):
                 out = a.apply(name, *xs)
                 fit = [us for us in itertools.product(*(dom[x] for x in xs))
@@ -554,6 +608,63 @@ def test_root_consistency_leaves_arity_three_to_the_search(gadgets):
         full = np.ones((a.size, b.size), dtype=bool)
         d = _consistent_domains(lift_nary(a, 3), lift_nary(b, 3), full, 2)
         assert np.array_equal(d, full)
+
+
+def test_root_keeps_fixed_points_on_fixed_points():
+    # x = u(x) needs y = u(y): the revision alone keeps every value of the
+    # fixed point 1 here, since each is the image of some value
+    a = FiniteAlgebra([("u", 1)], 2, {"u": [1, 1]})
+    b = FiniteAlgebra([("u", 1)], 3, {"u": [1, 2, 2]})
+    stats = SearchStats()
+    d = _consistent_domains(a, b, np.ones((2, 3), dtype=bool), 1, stats=stats)
+    assert d.tolist() == [[False, True, True], [False, False, True]]
+    assert stats.root_pruned == 3
+    # no fixed point in the target: refuted before any branching
+    point = FiniteAlgebra([("u", 1)], 1, {"u": [0]})
+    cycle = FiniteAlgebra([("u", 1)], 2, {"u": [1, 0]})
+    stats = SearchStats()
+    assert find_homomorphism(point, cycle, stats=stats) is None
+    assert (stats.nodes, stats.root_pruned) == (0, 2)
+
+
+def test_gset_full_factor_refuted_at_the_root():
+    # X has a point every generator fixes and Y has none, so no g exists;
+    # without the diagonal rule the search runs past 5,000,000 nodes here
+    inst = sample_rf_instances("gset", 20, 16, seed=2)[5]
+    x, y = inst.X, inst.Y
+
+    def fixed(alg):
+        return [e for e in range(alg.size)
+                if all(alg.apply(name, e) == e for name, _ in alg.signature.ops)]
+
+    assert len(fixed(x)) == 1 and fixed(y) == []
+    stats = SearchStats(node_limit=1000)
+    full = FactorizationInstance("full-factor", x, y, inst.Z, f=inst.f)
+    assert find_factorization(full, stats=stats) is None
+    assert stats.nodes == 0 and stats.root_pruned > 0
+
+
+def test_combined_search_branches_on_g_before_h(monkeypatch):
+    # the engine branches on its pairs in order: no h-variable is branched
+    # while a g-variable is unassigned
+    picks, n_g = [], [0]
+    plain = _Engine._pick
+
+    def pick(self):
+        var = plain(self)
+        if var is not None:
+            g_open = any(d & (d - 1) for d in self.dom[:n_g[0]])
+            picks.append((var >= n_g[0], g_open))
+        return var
+
+    monkeypatch.setattr(_Engine, "_pick", pick)
+    encs = [encode_semigroup(g)[0] for g in graph_catalog(2, 4)]
+    for x in encs:
+        for y in encs:
+            n_g[0] = x.size
+            decide_retraction(x, y)
+    assert any(on_h for on_h, _ in picks) and any(not on_h for on_h, _ in picks)
+    assert not any(on_h and g_open for on_h, g_open in picks)
 
 
 def test_retraction_matches_graph_retract_on_small_catalog():
@@ -717,13 +828,17 @@ def test_compile_cache_keys_by_content():
     fixed = FiniteAlgebra([("u", 1)], 2, {"u": [1, 1]})
     point = FiniteAlgebra([("u", 1)], 1, {"u": [0]})
     _clear_compile_caches()
+    for pair in ((cycle, cycle), (fixed, cycle), (point, cycle), (point, fixed), (cycle, fixed)):
+        _compile([pair])
+    assert _source_half.cache_info().currsize == 3  # cycle, fixed, point
+    assert _target_half.cache_info().currsize == 2  # cycle, fixed
+    # the searches read those cached halves (fixed -> cycle and point ->
+    # cycle are refuted at the root: a fixed point has no fixed image)
     assert find_homomorphism(cycle, cycle) == Mapping.identity(2)
     assert find_homomorphism(fixed, cycle) is None
     assert find_homomorphism(point, cycle) is None
     assert find_homomorphism(point, fixed) == Mapping(1, 2, (1,))
     assert find_homomorphism(cycle, fixed) == Mapping(2, 2, (1, 1))
-    assert _source_half.cache_info().currsize == 3  # cycle, fixed, point
-    assert _target_half.cache_info().currsize == 2  # cycle, fixed
 
 
 def test_compile_cache_is_bounded():
