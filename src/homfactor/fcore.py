@@ -21,11 +21,13 @@ input is checked once, at its entry point, by one preamble (_check_inputs),
 in this order: the method's precondition (boolean needs Z); validate_algebra
 on X and Z; the variety's laws (varieties' validators minus
 validate_algebra); f, a homomorphism X -> Z when Z is given, else only its
-domain size. fixed_z_right_factor validates its instance and builds the
-restricted f, Y and Z from checked parts, so its f-core step runs only the
-laws and the construction. A construction checks only what the preamble
-leaves open: vspace that f (unchecked without Z) is constant on the cosets
-of its kernel, boolean that Z has two elements and f is onto.
+domain size. fixed_z_right_factor validates its instance and builds f and
+Z restricted to im f from checked parts, so its f-core step runs only the
+laws and the construction; its search keeps the whole of Y, since the
+h-fibers over im f already confine g to h^-1(im f). A construction checks
+only what the preamble leaves open: vspace that f (unchecked without Z) is
+constant on the cosets of its kernel, boolean that Z has two elements and
+f is onto.
 
 Each result is verified once. Every f-core passes one check, _core: an
 f-respecting retraction whose fixed points are the image. brute_fcore
@@ -58,6 +60,7 @@ from .algebra import (
 from .solver import (
     FactorizationInstance,
     InstanceError,
+    _fibers,
     _hom_engine,
     _malformed,
     _search_hom,
@@ -68,6 +71,7 @@ from .varieties import (
     _abelian_laws,
     _boolean_laws,
     _gset_laws,
+    _inverse_image,
     _vspace_laws,
     boolean_atoms,
     gset_orbits,
@@ -114,12 +118,6 @@ class _Method:
     needs_target: bool = False
 
 
-def _fibers(fvals):
-    """Domain matrix of f-respecting maps: v may go to w iff f(v) = f(w)."""
-    fv = np.asarray(fvals)
-    return fv[:, None] == fv[None, :]
-
-
 def _core(x: FiniteAlgebra, f: Mapping, values, method: str,
           certified: bool = False) -> FCoreResult:
     """The result for the retraction with the given values, once
@@ -142,7 +140,7 @@ def _retractions(x, f, stats):
     image a proper subset of the one before, by the decremental loop of the
     module docstring; not yet re-verified. The searches count their nodes
     in stats (None: uncounted)."""
-    eng = _hom_engine(x, x, stats, _fibers(f.values), hooks=(_idem_hook,))
+    eng = _hom_engine(x, x, stats, _fibers(f.values, f.values), hooks=(_idem_hook,))
     if eng is None or not eng.root():
         return
     image = (1 << x.size) - 1
@@ -277,23 +275,13 @@ def _boolean(x, f, z, stats) -> FCoreResult:
             for beta in boolean_atoms(z)]
     rep_set = set(reps)
     least = min(reps)
-    w = {a: (a if a in rep_set else least) for a in atoms_x}
-    meet_x = x.nd("meet")
-    join_x = x.nd("join")
-    bot = int(x.table("bot")[0])
-    rvals = []
-    for e in range(x.size):
-        acc = bot
-        for a in atoms_x:
-            if meet_x[w[a], e] == w[a]:
-                acc = int(join_x[acc, a])
-        rvals.append(acc)
-    return _core(x, f, rvals, "boolean")
+    pairs = [(a if a in rep_set else least, a) for a in atoms_x]
+    return _core(x, f, _inverse_image(x, x, pairs), "boolean")
 
 
 def _abelian(x, f, z, stats):
     zero = int(x.table("zero")[0])
-    d = _fibers(f.values)
+    d = _fibers(f.values, f.values)
     kernel = d[zero].copy()
     d[kernel] = False
     d[kernel, zero] = True
@@ -417,10 +405,11 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
                          stats=None):
     """Right-factor decision through the f-core of X.
 
-    Pipeline: require im(f) ⊆ im(h) and restrict the target to im(f);
-    replace X by its f-core; solve the restricted instance; reassemble the
+    Pipeline: require im(f) ⊆ im(h); replace X by its f-core, computed
+    with Z restricted to im(f); solve the instance on the core, whose
+    h-fibers over im(f) already confine g to h^-1(im f); reassemble the
     witness as the core solution precomposed with the retraction. The f-core
-    step and the restricted search share one node budget.
+    step and the core search share one node budget.
     """
     inst.validate()
     if inst.kind != "right-factor":
@@ -430,10 +419,7 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
     if not set(im_f) <= set(h.values):
         return None
     z_res, z_idx = induced_subalgebra(inst.Z, im_f)
-    y_keep = sorted(y for y in range(inst.Y.size) if h.values[y] in set(im_f))
-    y_res, _ = induced_subalgebra(inst.Y, y_keep)
     f_res = Mapping(inst.X.size, z_res.size, tuple(z_idx[v] for v in f.values))
-    h_res = Mapping(y_res.size, z_res.size, tuple(z_idx[h.values[y]] for y in y_keep))
     spec = _method(fcore_method)
     _check_laws(spec, inst.X, z_res)  # the rest of the preamble holds by construction
     res = spec.build(inst.X, f_res, z_res, stats)
@@ -441,20 +427,13 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
         res = res.fallback
     image = list(res.image)
     pos = {e: i for i, e in enumerate(image)}
-    f_core = Mapping(len(image), z_res.size, tuple(f_res.values[e] for e in image))
-    sub = FactorizationInstance(
-        "right-factor", res.core_algebra, y_res, z_res, f=f_core, h=h_res
-    )
+    f_core = Mapping(len(image), inst.Z.size, tuple(f.values[e] for e in image))
+    sub = FactorizationInstance("right-factor", res.core_algebra, inst.Y, inst.Z, f=f_core, h=h)
     pair = _solve_right_factor(sub, stats)  # sub is valid by construction
     if pair is None:
         return None
-    g_core = pair[0]
-    rvals = res.retraction.values
-    g = Mapping(
-        inst.X.size,
-        inst.Y.size,
-        tuple(y_keep[g_core.values[pos[rvals[v]]]] for v in range(inst.X.size)),
-    )
+    g_core = pair[0].values
+    g = Mapping(inst.X.size, inst.Y.size, tuple(g_core[pos[r]] for r in res.retraction.values))
     if not verify_witness(inst, g):
         raise AssertionError("reassembled right factor fails verification")
     return g

@@ -212,7 +212,7 @@ def parse_legend(text: str) -> Legend:
     t.expect("legend")
     kind = t.next()
     n = t.next_int()
-    entries: list[tuple] = [None] * n  # type: ignore[list-item]
+    entries = {}  # filled as read: a count past the tokens allocates nothing
     for _ in range(n):
         t.expect("elem")
         idx = t.next_int()
@@ -220,11 +220,11 @@ def parse_legend(text: str) -> Legend:
         if role_name not in _ROLE_PARAMS:
             raise FormatError(f"legend: unknown role {role_name!r}")
         role = (role_name, *[read(t) for read in _ROLE_PARAMS[role_name]])
-        if not (0 <= idx < n) or entries[idx] is not None:
+        if not (0 <= idx < n) or idx in entries:
             raise FormatError(f"legend: bad or repeated element index {idx}")
         entries[idx] = role
     t.done()
-    return Legend(kind, tuple(entries))
+    return Legend(kind, tuple(entries[i] for i in range(n)))
 
 
 def write_algebra(alg, path):

@@ -8,12 +8,12 @@ tuple are assigned, the image of the result collapses to a single value.
 Unary operations therefore propagate in chains, which the encodings rely on
 heavily. Before any branching, one numpy routine, _consistent_domains,
 prunes the domains to arc consistency in both directions (input support and
-output image): over operations of arity at most 1 for single-map searches,
-and at most 2, joined by the channel h(g(x)) = f(x), for the combined g/h
-search. Over the same operations it first applies the diagonal rule: an x
-with op(x, …, x) = x can only go to a y with op(y, …, y) = y. The combined
-search first applies the cardinality bound: im f = h(im g)
-has at most |Y| elements, so |im f| > |Y| (for a retraction, |X| > |Y|) is
+output image): over unary operations for single-map searches, and unary
+and binary ones, joined by the channel h(g(x)) = f(x), for the combined g/h
+search. Over the same operations and the constants it first applies the
+diagonal rule: an x with op(x, …, x) = x can only go to a y with
+op(y, …, y) = y. The combined search first applies the cardinality bound:
+im f = h(im g) has at most |Y| elements, so |im f| > |Y| (for a retraction, |X| > |Y|) is
 an exhaustive "no" before any root pass or search. The one search budget is
 SearchStats: every search counts its nodes in the SearchStats it is given,
 and once they pass its node_limit it raises NodeLimitReached, an explicit
@@ -31,24 +31,24 @@ the combined search assigns every g-variable before any h-variable. The
 tables are compiled once per algebra, in two halves, each kept in a
 bounded cache keyed by the algebra's content: what the source decides (the
 incidences and the entries' variables) and what the target decides (its
-sliced tables); a pair only zips the two. propagate runs the
-entries inline, in ascending constraint order, with a stack of newly fixed
+sliced tables, of one-hot masks); a pair only zips the two. propagate runs
+the entries inline, in ascending constraint order, with a stack of newly fixed
 variables, which a variable enters once, when it becomes fixed. The search
 itself holds an explicit stack of branching frames, not Python recursion,
 so its depth is bounded only by the number of variables. Searches differ
 only by hooks run on each newly fixed variable, such as injectivity for
 isomorphisms and the channel h(g(x)) = f(x) for the combined g/h search.
 
-What each instance kind means lives here and nowhere else: decide dispatches
-on the kind, full factors and retractions share one combined search over g-
+What each instance kind means lives in one table, _KINDS: decide dispatches
+on it, full factors and retractions share one combined search over g-
 and h-variables, and every witness an entry point returns has passed
 verify_witness, the single per-kind check, exactly once (through _verified).
 Every entry point validates its input once, first, so a malformed table or
 map raises AlgebraError: decide and the find_* functions through
 FactorizationInstance.validate, the entry points that take two algebras
-through _malformed. The _solve_* functions behind them assume a valid
-instance, so a caller that builds an instance from checked parts may call
-them directly.
+through _malformed, which also bounds the carriers. The _solve_* functions
+behind them assume a valid instance, so a caller that builds an instance
+from checked parts may call them directly.
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ __all__ = [
     "verify_witness",
 ]
 
-KINDS = ("hom", "right-factor", "left-factor", "full-factor", "retraction", "isomorphism")
-
-
 class NodeLimitReached(Exception):
     """The search hit its node budget before reaching a decision."""
 
@@ -117,10 +114,17 @@ class SearchStats:
             raise ValueError("node_limit must be positive")
 
 
+_MAX_CARRIER = 4096  # elements per algebra: every domain matrix stays within 2**24 entries
+
+
 def _malformed(named):
-    """One line per (name, algebra) pair whose tables validate_algebra rejects."""
+    """One line per (name, algebra) pair whose carrier has more than
+    _MAX_CARRIER elements or whose tables validate_algebra rejects."""
     out = []
     for name, alg in named:
+        if alg.size > _MAX_CARRIER:
+            out.append(f"{name} has {alg.size} elements, more than the limit of {_MAX_CARRIER}")
+            continue
         problems = validate_algebra(alg)
         if problems:
             out.append(f"{name} is malformed: " + "; ".join(problems))
@@ -141,7 +145,7 @@ class FactorizationInstance:
 
     def problems(self) -> list[str]:
         out = []
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             out.append(f"unknown kind {self.kind!r}")
             return out
         algebras = [("X", self.X), ("Y", self.Y)]
@@ -154,14 +158,7 @@ class FactorizationInstance:
         for name, alg in algebras:
             if alg.signature != sig:
                 out.append(f"{name} does not share the common signature")
-        need, optional = {
-            "hom": ((), ()),
-            "right-factor": (("f", "h"), ()),
-            "left-factor": (("f", "g"), ()),
-            "full-factor": (("f",), ()),
-            "retraction": ((), ("f",)),  # implied Z = X, f = identity
-            "isomorphism": ((), ()),
-        }[self.kind]
+        need, optional, _ = _KINDS[self.kind]
         if self.kind != "hom" and "f" in need and self.Z is None:
             out.append("Z is required for this kind")
         for field in ("f", "g", "h"):
@@ -197,13 +194,12 @@ class FactorizationInstance:
 
 # Propagator kinds. When variable v is fixed to a value a, each constraint
 # on v is checked through v's compiled entry (kind, i, j, tab, aux): the
-# other variables of the constraint and target tables indexed by a.
-_FORCE = 0  # (o, -, vals, -): every input is v, so o := vals[a]
-_ROW = 1  # (o, w, rows, pres): w fills the other input, o the output: rows[a][w] = o
-_PAIR = 2  # (x1, x2, pre1, pre2): v is the output of the tuple (x1, x2)
-_PRE = 3  # (x, -, pre, -): x within the mask pre[a]; v is the output of a tuple
-#           of x alone, or v fills one input and x both the other and the output
-_TABLE = 4  # (inputs, o, table, strides): arity 3 or more, checked generically
+# other variables of the constraint and target tables of masks indexed by a.
+_ROW = 0  # (o, w, rows, pres): w fills the other input, o the output: rows[a][w] = o
+_PAIR = 1  # (x1, x2, pre1, pre2): v is the output of the tuple (x1, x2)
+_PRE = 2  # (x, -, pre, -): x within the mask pre[a]; v fills every input, or
+#           is the output of a tuple of x alone, or fills one input and x the rest
+_TABLE = 3  # (inputs, o, table, strides): arity 3 or more, checked generically
 
 
 def _masks(b):
@@ -243,7 +239,7 @@ def _slot2(code):
 
 
 _SLOTS2 = np.array([_slot2(code) for code in range(32)], dtype=np.int8)
-_KINDS2 = (_FORCE, _ROW, _PRE, _ROW, _PRE, _PRE, _PAIR)
+_KINDS2 = (_PRE, _ROW, _PRE, _ROW, _PRE, _PRE, _PAIR)
 _ENDS2 = np.array([(0, 0, 2, 0, 1, 1, 1), (0, 2, 0, 1, 0, 0, 2)])  # i, j per slot: 0 o, 1 x1, 2 x2
 _CACHED = 32  # algebras kept by each compile cache
 
@@ -277,7 +273,7 @@ def _source_half(a):
             slot = _SLOTS2[(x1 == var) + 2 * (x2 == var) + 4 * (o == x2) + 8 * (o == x1)
                            + 16 * (x1 == x2)]
             ends = np.stack([o, x1, x2])[_ENDS2[:, slot], np.arange(len(var))]
-        else:  # one slot: _FORCE for arity 0, _TABLE for 3 or more
+        else:  # one slot: _PRE for arity 0, _TABLE for 3 or more
             slot = np.zeros(len(var), dtype=np.int8)
             ends = np.vstack([xs, o]) if arity else np.stack([o, o])
         ends = ends.astype(np.int32)  # narrow types: the cache keeps 32 of these
@@ -292,23 +288,26 @@ def _target_half(b):
     """The half of the compiled entries that the target b decides: per
     operation, a (3, slots) object array of each slot's entry kind, table
     and auxiliary table (see the propagator kinds above). Cached like
-    _source_half; engines only read these tables."""
+    _source_half; engines only read these tables. A table value c is held
+    as the mask 1 << c, one shared int object per c."""
     out = []
     nb = b.size
+    onehot = np.array([1 << c for c in range(nb)], dtype=object)
     for name, arity in b.signature.ops:
         tb = b.table(name)
         if arity == 0:
-            slots = [(_FORCE, [int(tb[0])] * nb, None)]
+            slots = [(_PRE, [onehot[tb[0]]] * nb, None)]
         elif arity >= 3:
             strides = tuple(nb ** (arity - 1 - i) for i in range(arity))
-            slots = [(_TABLE, tb.tolist(), strides)]
+            slots = [(_TABLE, onehot[tb].tolist(), strides)]
         elif arity == 1:
-            slots = [(_FORCE, tb.tolist(), None), (_PRE, _preimages(tb, nb), None)]
+            slots = [(_PRE, onehot[tb].tolist(), None), (_PRE, _preimages(tb, nb), None)]
         else:
             t = tb.reshape(nb, nb)
             diag, pre1, pre2 = np.diagonal(t), _preimages(t, nb), _preimages(t.T, nb)
-            tabs = (diag.tolist(), t.tolist(), _masks(t == np.arange(nb)), t.T.tolist(),
-                    _masks(t.T == np.arange(nb)), _preimages(diag, nb), pre1)
+            rows = onehot[t]
+            tabs = (onehot[diag].tolist(), rows.tolist(), _masks(t == np.arange(nb)),
+                    rows.T.tolist(), _masks(t.T == np.arange(nb)), _preimages(diag, nb), pre1)
             auxs = (None, pre1, None, pre2, None, None, pre2)
             slots = list(zip(_KINDS2, tabs, auxs))
         shared = np.empty((3, len(slots)), dtype=object)
@@ -388,9 +387,9 @@ class _Engine:
         del trail[mark:]
 
     def _check_table(self, ins, out, table, strides) -> bool:
-        """One constraint of arity 3 or more: with every input fixed, force
-        the output; with one free input (repeats allowed), keep the values
-        whose image lies in the output's domain, and the images."""
+        """One constraint of arity 3 or more: with every input fixed, narrow
+        the output to its image; with one free input (repeats allowed), keep
+        the values whose image lies in the output's domain, and the images."""
         idx_fixed = 0
         free_var = -1
         free_stride = 0
@@ -406,7 +405,7 @@ class _Engine:
             else:
                 return True  # two distinct free inputs: checked later
         if free_var == -1:
-            return self.force(out, table[idx_fixed])
+            return self._restrict(out, self.dom[out] & table[idx_fixed])
         rest = self.dom[free_var]
         dout = self.dom[out]
         allowed_y = allowed_out = 0
@@ -415,11 +414,11 @@ class _Engine:
             rest ^= low
             v = table[idx_fixed + (low.bit_length() - 1) * free_stride]
             if free_var == out:
-                if low >> v & 1:
+                if low & v:
                     allowed_y |= low
-            elif dout >> v & 1:
+            elif dout & v:
                 allowed_y |= low
-                allowed_out |= 1 << v
+                allowed_out |= v
         if not self._restrict(free_var, allowed_y):
             return False
         return free_var == out or self._restrict(out, allowed_out)
@@ -444,7 +443,7 @@ class _Engine:
                 if kind == _ROW:
                     x, dx, dw = i, dom[i], dom[j]
                     if not dw & (dw - 1):
-                        m = dx & 1 << tab[a][dw.bit_length() - 1]
+                        m = dx & tab[a][dw.bit_length() - 1]
                     else:
                         # j free: keep the values whose image is in i's domain
                         if not dx & (dx - 1):
@@ -457,9 +456,9 @@ class _Engine:
                                 low = rest & -rest
                                 rest ^= low
                                 c = row[low.bit_length() - 1]
-                                if dx >> c & 1:
+                                if dx & c:
                                     ay |= low
-                                    m |= 1 << c
+                                    m |= c
                         if not ay:
                             return False
                         if ay != dw:
@@ -470,9 +469,6 @@ class _Engine:
                 elif kind == _PRE:
                     x, dx = i, dom[i]
                     m = dx & tab[a]
-                elif kind == _FORCE:
-                    x, dx = i, dom[i]
-                    m = dx & 1 << tab[a]
                 elif kind == _PAIR:
                     d1, d2 = dom[i], dom[j]
                     if d1 & (d1 - 1):
@@ -595,12 +591,6 @@ def _incidence(values, n):
     return m
 
 
-def _revise_nullary(ca, cb, d):
-    d = d.copy()
-    d[ca, np.arange(d.shape[1]) != cb] = False
-    return d
-
-
 def _keep_images(d, reach, pre):
     """Output image: value c of z survives only if every tuple t with
     op_A(t) = z has some value tuple op_B sends to c (reach[t, c])."""
@@ -634,9 +624,7 @@ def _revise_binary(ta, tb, pre, img_b, d):
 
 
 def _revision(ta, tb, arity, na, nb):
-    """The revision step of one operation as a function of the domains."""
-    if arity == 0:
-        return functools.partial(_revise_nullary, int(ta[0]), int(tb[0]))
+    """The revision step of one unary or binary operation, of the domains."""
     pre = _incidence(ta, na).T  # pre[z, t] = 1 iff op_A(t) = z
     if arity == 1:
         return functools.partial(_revise_unary, ta, tb, pre, _incidence(tb, nb))
@@ -647,10 +635,10 @@ def _revision(ta, tb, arity, na, nb):
 
 
 def _fixed_points(alg, name, arity):
-    """Mask of the elements x with op(x, …, x) = x. The diagonal of a flat
-    table of arity k is every (1 + n + … + n^(k−1))-th entry."""
+    """Mask of the elements x with op(x, …, x) = x: entry x·(1 + n + … +
+    n^(k−1)) of a flat table of arity k; at arity 0, the constant."""
     n = alg.size
-    return alg.table(name)[::sum(n**i for i in range(arity))] == np.arange(n)
+    return alg.table(name)[np.arange(n) * sum(n**i for i in range(arity))] == np.arange(n)
 
 
 def _consistent_domains(a, b, d, max_arity, *, stats=None):
@@ -661,9 +649,10 @@ def _consistent_domains(a, b, d, max_arity, *, stats=None):
     (each value of an argument has a consistent partner for every other
     argument) and output image (each value of a result is the image of a
     value tuple of every argument tuple that produces it). Before that, the
-    diagonal rule: an x with op_A(x, …, x) = x keeps only the y with
-    op_B(y, …, y) = y, which the revision, reading the tuple's arguments
-    and result as distinct variables, cannot see. The pruning is sound, so
+    diagonal rule over the same operations: an x with op_A(x, …, x) = x
+    keeps only the y with op_B(y, …, y) = y, which the revision, reading the
+    tuple's arguments and result as distinct variables, cannot see; for a
+    constant, the rule is the whole constraint. The pruning is sound, so
     arities of 3 or more are simply left to the search. Returns the pruned
     matrix, or None when some element's domain empties.
     """
@@ -672,9 +661,9 @@ def _consistent_domains(a, b, d, max_arity, *, stats=None):
     for name, arity in a.signature.ops:
         if arity > max_arity:
             continue
+        d = d & (~_fixed_points(a, name, arity)[:, None] | _fixed_points(b, name, arity))
         if arity:
-            d = d & (~_fixed_points(a, name, arity)[:, None] | _fixed_points(b, name, arity))
-        revisions.append(_revision(a.table(name), b.table(name), arity, a.size, b.size))
+            revisions.append(_revision(a.table(name), b.table(name), arity, a.size, b.size))
     while True:
         prev = d
         for revise in revisions:
@@ -755,10 +744,14 @@ def _solve_hom(inst, stats, d=None):
     return _verified(inst, _search_hom(inst.X, inst.Y, stats, d=d), None)
 
 
+def _fibers(a_values, b_values):
+    """Domain matrix d[v, w] = (a[v] == b[w])."""
+    return np.asarray(a_values)[:, None] == np.asarray(b_values)[None, :]
+
+
 def _solve_right_factor(inst, stats):
     # g(x) ranges over the h-fiber over f(x)
-    d = np.array(inst.f.values)[:, None] == np.array(inst.h.values)[None, :]
-    return _solve_hom(inst, stats, d)
+    return _solve_hom(inst, stats, _fibers(inst.f.values, inst.h.values))
 
 
 def _solve_left_factor(inst, stats):
@@ -827,14 +820,16 @@ def _solve_isomorphism(inst, stats):
     return _verified(inst, g, None)
 
 
-_SOLVERS = {
-    "hom": _solve_hom,
-    "right-factor": _solve_right_factor,
-    "left-factor": _solve_left_factor,
-    "full-factor": _solve_factor_pair,
-    "retraction": _solve_factor_pair,
-    "isomorphism": _solve_isomorphism,
+# Each instance kind: the maps it requires, the maps it may carry, its search.
+_KINDS = {
+    "hom": ((), (), _solve_hom),
+    "right-factor": (("f", "h"), (), _solve_right_factor),
+    "left-factor": (("f", "g"), (), _solve_left_factor),
+    "full-factor": (("f",), (), _solve_factor_pair),
+    "retraction": ((), ("f",), _solve_factor_pair),  # implied Z = X, f = identity
+    "isomorphism": ((), (), _solve_isomorphism),
 }
+KINDS = tuple(_KINDS)
 
 
 def decide(inst: FactorizationInstance, *, stats=None):
@@ -845,7 +840,7 @@ def decide(inst: FactorizationInstance, *, stats=None):
     pass stats.node_limit, NodeLimitReached is raised instead of an answer.
     """
     inst.validate()
-    return _SOLVERS[inst.kind](inst, stats)
+    return _KINDS[inst.kind][2](inst, stats)
 
 
 def _expect(inst, *kinds):

@@ -301,21 +301,25 @@ def boolean_atoms(alg: FiniteAlgebra) -> list[int]:
     return [x for x in range(alg.size) if x != bot and not below[x]]
 
 
-def boolean_hom(x: FiniteAlgebra, z: FiniteAlgebra, atom_to_atom) -> Mapping:
-    """Hom 2^S -> 2^T from a function atoms(Z) -> atoms(X), by preimage."""
-    atoms_x = boolean_atoms(x)
-    atoms_z = boolean_atoms(z)
+def _inverse_image(x: FiniteAlgebra, z: FiniteAlgebra, pairs) -> list[int]:
+    """The map X -> Z sending e to the join of the atoms beta of Z whose
+    (alpha, beta) pair, one per atom of Z, has alpha below e."""
     meet_x = x.nd("meet")
     join_z = z.nd("join")
     values = []
     for e in range(x.size):
         acc = int(z.table("bot")[0])
-        for i, beta in enumerate(atoms_z):
-            alpha = atom_to_atom[i]
+        for alpha, beta in pairs:
             if meet_x[alpha, e] == alpha:
                 acc = int(join_z[acc, beta])
         values.append(acc)
-    m = Mapping(x.size, z.size, values)
+    return values
+
+
+def boolean_hom(x: FiniteAlgebra, z: FiniteAlgebra, atom_to_atom) -> Mapping:
+    """Hom 2^S -> 2^T from a function atoms(Z) -> atoms(X), by preimage."""
+    pairs = [(atom_to_atom[i], beta) for i, beta in enumerate(boolean_atoms(z))]
+    m = Mapping(x.size, z.size, _inverse_image(x, z, pairs))
     if not is_homomorphism(m, x, z):
         raise AlgebraError("atom map does not induce a homomorphism")
     return m

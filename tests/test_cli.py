@@ -127,6 +127,31 @@ def test_encode_error_paths(tmp_path, capsys, encoding, infile, message):
     assert not (tmp_path / "x.alg").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("algebra 12\nop mul 10000000\n0\n",
+     "algebra: 'mul' needs 12**10000000 table entries, 1 tokens are left"),
+    ("algebra 100000000\n", "{} has 100000000 elements, more than the limit of 4096"),
+])
+def test_huge_algebras_exit_2_in_every_command(tmp_path, capsys, text, message):
+    # the first fails its parse; the second parses, but its carrier passes
+    # the limit that every solver and f-core entry point checks before it
+    # allocates a domain matrix
+    (tmp_path / "huge.alg").write_text(text)
+    (tmp_path / "two.alg").write_text("algebra 2\n")
+    (tmp_path / "f.map").write_text("map 2 2\n0 1\n")
+    (tmp_path / "huge.instance").write_text("instance hom\nX huge.alg\nY two.alg\n")
+    instance = str(tmp_path / "huge.instance")
+    for argv, name in (
+        (["decide", "--instance", instance, "--witness", str(tmp_path / "w")], "X"),
+        (["verify", "--instance", instance, "--g", str(tmp_path / "f.map")], "X"),
+        (["fcore", "--algebra", str(tmp_path / "huge.alg"), "--f", str(tmp_path / "f.map"),
+          "--method", "brute", "--out-prefix", str(tmp_path / "w")], "algebra"),
+    ):
+        assert run(*argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(name)}\n")
+    assert not list(tmp_path.glob("w*"))
+
+
 def test_file_error_paths(tmp_path, capsys):
     write_instance(make_rf_instance(cycle_graph(4), complete_graph(2)), tmp_path / "ok.instance")
     (tmp_path / "neg.alg").write_text("algebra 2\nop m -1\n")

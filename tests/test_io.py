@@ -86,6 +86,8 @@ def test_write_algebra_rejects_words_the_parser_cannot_read(tmp_path, labels, na
     (parse_algebra, "algebra 2\nop m 1\n0 1\nm 1 0 1\n", "algebra: trailing tokens from 'm'"),
     (parse_algebra, "algebra 2\nop mul 2\n0 1 1\n",
      "algebra: 'mul' needs 2**2 table entries, 3 tokens are left"),
+    # a count past the tokens left allocates nothing before the parse fails
+    (parse_legend, f"legend unary-dagger {10**18}\n", "legend: unexpected end of input"),
 ])
 def test_parse_errors_name_the_fault(parse, text, message):
     with pytest.raises(FormatError, match=re.escape(message)):

@@ -26,7 +26,13 @@ from homfactor.encodings import (
     make_semilattice_X,
     make_unary_lf_instance,
 )
-from homfactor.fcore import InapplicableReport, abelian_fcore, brute_fcore, is_fcore
+from homfactor.fcore import (
+    InapplicableReport,
+    abelian_fcore,
+    brute_fcore,
+    fixed_z_right_factor,
+    is_fcore,
+)
 from homfactor.graphs import (
     Graph,
     complete_graph,
@@ -50,6 +56,7 @@ from homfactor.solver import (
     _Engine,
     _compile,
     _consistent_domains,
+    _malformed,
     _masks,
     _preimages,
     _source_half,
@@ -940,6 +947,48 @@ def _fcore_pinned_runs():
         ws.append((inapplicable, res.retraction.values, len(res.image)))
     out["abelian"] = (stats.nodes, _digest(ws), sum(n for *_, n in ws), len(ws))
     return out
+
+
+def test_carriers_past_the_limit_are_refused_before_allocating():
+    # a domain matrix for 10**8 elements would take petabytes
+    big = FiniteAlgebra([], 10**8, {})
+    for call in (
+        lambda: find_homomorphism(big, big),
+        lambda: enumerate_homomorphisms(big, big, 1),
+        lambda: decide_retraction(big, big),
+        lambda: decide(FactorizationInstance("hom", big, big)),
+        lambda: brute_fcore(big, Mapping(2, 2, (0, 1))),
+    ):
+        with pytest.raises(AlgebraError, match="has 100000000 elements, more than the limit of 4096"):
+            call()
+    assert not _malformed([("X", FiniteAlgebra([], 4096, {}))])
+
+
+def _fixed_z_pinned_runs():
+    """(total nodes, total root_pruned, digest of each decision's witness,
+    nodes and root_pruned, yes answers, decisions) of fixed_z_right_factor
+    over the semigroup right factors of the graphs with 1-3 vertices (brute)
+    and 12 samples per variety at size <= 16, seeds 1-2 (the variety's own
+    method and brute)."""
+    graphs = graph_catalog(1, 3)
+    runs = [(make_rf_instance(g, h), "brute") for g in graphs for h in graphs]
+    for variety in ("abelian", "vspace", "boolean", "gset"):
+        for seed in (1, 2):
+            for inst in sample_rf_instances(variety, 12, 16, seed=seed):
+                runs += [(inst, variety), (inst, "brute")]
+    ws = []
+    for inst, method in runs:
+        stats = SearchStats()
+        ws.append((_values(fixed_z_right_factor(inst, method, stats=stats)),
+                   stats.nodes, stats.root_pruned))
+    return (sum(w[1] for w in ws), sum(w[2] for w in ws), _digest(ws),
+            sum(w[0] != (None,) for w in ws), len(ws))
+
+
+def test_fixed_z_right_factor_pinned():
+    # measured before the pipeline stopped restricting Y to h^-1(im f): the
+    # h-fibers over im f already confine g there, so nothing may move
+    assert _fixed_z_pinned_runs() == (325, 527, "1beda0880c5d779f", 142, 241)
 
 
 def test_fcore_node_counts_pinned():
