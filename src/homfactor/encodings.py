@@ -1,18 +1,24 @@
 """Graph-to-algebra encoders, fixed gadget algebras, instance builders,
 decoders, n-ary lifts and the chain-semilattice family.
 
-Three encoders, one per target signature:
+Three encoders, one per target signature, each filling its tables from
+its element layout:
 
-* unary: a digraph becomes an algebra with two unary maps. Every vertex
-  gets two copies v1, v2; every arc (u,v) gets a linked pair a, b. The
-  first map sends v1, v2 and the arc's a-element to u1 and the b-element
-  to v2; the second map fixes the copy-2 elements and swaps a with b.
+* unary: a digraph with n vertices becomes an algebra with two unary maps
+  f and g. Vertex v is the elements 2v (copy 1) and 2v + 1 (copy 2); the
+  k-th arc (u, v) in sorted order is the linked pair a = 2n + 2k and
+  b = a + 1. f sends both copies of v to 2v, a to 2u and b to 2v + 1; g
+  sends both copies of v to 2v + 1 and swaps a with b.
 * magma: an undirected graph becomes a single non-associative binary
   operation over two copies of each vertex and four distinguished
   elements a, b, c, d; products of copy-1 elements read off adjacency.
 * semigroup: an undirected graph becomes a commutative semigroup with
-  one element per vertex, one element per non-adjacent (possibly equal)
-  vertex pair, and the distinguished elements b, b2, c, 0.
+  one element per vertex, then one per non-adjacent pair (the self pairs,
+  then the non-adjacent u < v), then the distinguished elements b, b2, c,
+  0.
+
+The chain semilattices X_n likewise compute each meet in closed form, from
+the ranks of the value elements below its arguments (make_semilattice_X).
 
 Legends record the role of every carrier element so witnesses can be
 decoded back into vertex maps.
@@ -124,33 +130,20 @@ def encode_unary(g: Graph, *, theorem_grade: bool = False):
     _check(validate_graph(g, loop_free=True, min_vertices=1), "unary encoding")
     if theorem_grade:
         _check(validate_graph(g, connected=True, min_vertices=2), "unary encoding")
-    roles = []
-    labels = []
+    # vertex v is elements 2v (copy 1) and 2v + 1 (copy 2); the k-th sorted
+    # arc (u, v) is a = 2n + 2k and b = a + 1
+    roles, labels, f_tab, g_tab = [], [], [], []
     for v in range(g.n):
-        roles.append(("vertex-copy", v, 1))
-        roles.append(("vertex-copy", v, 2))
-        labels.append(f"v{v}_1")
-        labels.append(f"v{v}_2")
+        roles += [("vertex-copy", v, 1), ("vertex-copy", v, 2)]
+        labels += [f"v{v}_1", f"v{v}_2"]
+        f_tab += [2 * v, 2 * v]
+        g_tab += [2 * v + 1, 2 * v + 1]
     for u, v in sorted(g.edges):
-        roles.append(("edge-elem", "a", u, v))
-        roles.append(("edge-elem", "b", u, v))
-        labels.append(f"a_v{u}_v{v}")
-        labels.append(f"b_v{u}_v{v}")
-    index = {r: i for i, r in enumerate(roles)}
-    f_tab, g_tab = [], []
-    for role in roles:
-        if role[0] == "vertex-copy":
-            v, copy = role[1], role[2]
-            f_tab.append(index[("vertex-copy", v, 1)])
-            g_tab.append(index[("vertex-copy", v, 2)])
-        else:
-            _, ab, u, v = role
-            if ab == "a":
-                f_tab.append(index[("vertex-copy", u, 1)])
-                g_tab.append(index[("edge-elem", "b", u, v)])
-            else:
-                f_tab.append(index[("vertex-copy", v, 2)])
-                g_tab.append(index[("edge-elem", "a", u, v)])
+        a = len(roles)
+        roles += [("edge-elem", "a", u, v), ("edge-elem", "b", u, v)]
+        labels += [f"a_v{u}_v{v}", f"b_v{u}_v{v}"]
+        f_tab += [2 * u, 2 * v + 1]
+        g_tab += [a + 1, a]
     alg = FiniteAlgebra(UNARY_SIGNATURE, len(roles), {"f": f_tab, "g": g_tab}, labels)
     return alg, Legend("unary-dagger", tuple(roles))
 
@@ -205,28 +198,20 @@ def encode_semigroup(g: Graph):
         raise EncodingError("semigroup encoding takes an undirected graph")
     _check(validate_graph(g, loop_free=True), "semigroup encoding")
     n = g.n
-    roles = [("vertex-copy", v, 1) for v in range(n)]
-    labels = [f"v{v}" for v in range(n)]
-    prod = [[0] * n for _ in range(n)]  # product of two vertices
-    for v in range(n):
-        prod[v][v] = len(roles)
-        roles.append(("chi", v, v))
-        labels.append(f"chi_v{v}_v{v}")
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not g.has_edge(u, v):
-                prod[u][v] = prod[v][u] = len(roles)
-                roles.append(("chi", u, v))
-                labels.append(f"chi_v{u}_v{v}")
-    for tag, lab in (("b", "b"), ("b2", "b2"), ("c", "c"), ("0", "0")):
-        roles.append(("distinguished", tag))
-        labels.append(lab)
+    # the chi elements follow the vertices: the self pairs, then the
+    # non-adjacent u < v
+    pairs = [(v, v) for v in range(n)]
+    pairs += [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    tags = ("b", "b2", "c", "0")
+    roles = ([("vertex-copy", v, 1) for v in range(n)] + [("chi", u, v) for u, v in pairs]
+             + [("distinguished", tag) for tag in tags])
+    labels = [f"v{v}" for v in range(n)] + [f"chi_v{u}_v{v}" for u, v in pairs] + list(tags)
     size = len(roles)
     b, b2, c, zero = range(size - 4, size)
-    for u, v in g.edges:
-        prod[u][v] = c
     table = np.full((size, size), zero)
-    table[:n, :n] = prod
+    table[:n, :n] = c  # adjacent vertices; the pair elements overwrite the rest
+    for e, (u, v) in enumerate(pairs, n):
+        table[u, v] = table[v, u] = e
     table[:n, b] = table[b, :n] = c
     table[b, b] = b2
     alg = FiniteAlgebra(MUL_SIGNATURE, size, {"mul": table}, labels)
@@ -357,22 +342,22 @@ def make_unary_lf_instance(h: Graph, j: Graph) -> FactorizationInstance:
     return FactorizationInstance("left-factor", x, y, z, f=f, g=gmap)
 
 
-_LIFT_MAX_ENTRIES = 1 << 20  # table entries lift_nary may build: size**n
+_MAX_TABLE_ENTRIES = 1 << 20  # entries of a table lift_nary or make_semilattice_X builds
 
 
 def lift_nary(s: FiniteAlgebra, n: int) -> FiniteAlgebra:
     """Replace a single binary operation by the n-ary t(x1..xn) = x1·x2.
     Raises AlgebraError, before allocating, when the table would hold more
-    than _LIFT_MAX_ENTRIES entries."""
+    than _MAX_TABLE_ENTRIES entries."""
     if n < 3:
         raise AlgebraError("lift arity must be at least 3")
     if len(s.signature.ops) != 1 or s.signature.ops[0][1] != 2:
         raise AlgebraError("lift takes an algebra with exactly one binary operation")
     # the exponent capped at the limit's bit length, past which, for a size
     # >= 2, every power passes the limit
-    if s.size ** min(n, _LIFT_MAX_ENTRIES.bit_length()) > _LIFT_MAX_ENTRIES:
+    if s.size ** min(n, _MAX_TABLE_ENTRIES.bit_length()) > _MAX_TABLE_ENTRIES:
         raise AlgebraError(f"lift to arity {n} needs {s.size}**{n} table entries, "
-                           f"more than the limit of {_LIFT_MAX_ENTRIES}")
+                           f"more than the limit of {_MAX_TABLE_ENTRIES}")
     # row-major, t's entry at (x1, x2, rest) is mul's at (x1, x2) for each of
     # the size**(n - 2) values of rest
     table = np.repeat(s.table(s.signature.ops[0][0]), s.size ** (n - 2))
@@ -383,66 +368,37 @@ def make_semilattice_X(n: int):
     """Meet-semilattice family with no small retraction over the flat gadget.
 
     Two incomparable ascending chains a_1..a_n and c_1..c_n, a value chain
-    v_{c_1}=0 < v_{a_1} < v_{c_2} < ... < v_{a_n}, and a top-ish element b
-    above exactly the value chain. Meets are greatest common lower bounds.
-    Returns (algebra, legend, map onto the flat semilattice).
+    v_{c_1} < v_{a_1} < v_{c_2} < ... < v_{a_n}, and a top-ish element b
+    above exactly the value chain. Elements: a_1..a_n, c_1..c_n, the value
+    chain from its bottom (element 2n + r is its r-th), then b. Meets come
+    from the value-chain caps, the rank of the greatest value element below
+    an element: cap(a_{i+1}) = 2i + 1, cap(c_{i+1}) = 2i, cap(2n + r) = r
+    and cap(b) = 2n. Within one of the chains a, c, and the value chain
+    topped by b, x ∧ y = min(x, y); across two, x ∧ y = 2n + min(cap x,
+    cap y). Raises AlgebraError, before building, when the (4n + 1)**2 table
+    entries would pass _MAX_TABLE_ENTRIES. Returns (algebra, legend, map
+    onto the flat semilattice).
     """
     if n < 1:
         raise AlgebraError("chain length must be at least 1")
-    roles = []
-    labels = []
-    for i in range(1, n + 1):
-        roles.append(("chain", "a", i))
-        labels.append(f"a{i}")
-    for i in range(1, n + 1):
-        roles.append(("chain", "c", i))
-        labels.append(f"c{i}")
-    for i in range(1, n + 1):
-        roles.append(("chain", "vc", i))
-        labels.append(f"v_c{i}")
-        roles.append(("chain", "va", i))
-        labels.append(f"v_a{i}")
-    roles.append(("distinguished", "b"))
-    labels.append("b")
-    size = len(roles)
-
-    def vrank(role):
-        # position in the value chain v_{c_1} < v_{a_1} < v_{c_2} < ...
-        _, tag, i = role
-        return 2 * (i - 1) + (1 if tag == "va" else 0)
-
-    def leq(x, y):
-        rx, ry = roles[x], roles[y]
-        if x == y:
-            return True
-        if rx[0] == "chain" and rx[1] in ("vc", "va"):
-            if ry[0] == "distinguished":
-                return True
-            if ry[1] in ("vc", "va"):
-                return vrank(rx) <= vrank(ry)
-            bound = ("chain", "va" if ry[1] == "a" else "vc", ry[2])
-            return vrank(rx) <= vrank(bound)
-        if rx[0] == "chain" and ry[0] == "chain" and rx[1] == ry[1] in ("a", "c"):
-            return rx[2] <= ry[2]
-        return False
-
-    lower = [[x for x in range(size) if leq(x, y)] for y in range(size)]
-
-    def meet(x, y):
-        common = [z for z in lower[x] if leq(z, y)]
-        greatest = [z for z in common if all(leq(w, z) for w in common)]
-        if len(greatest) != 1:
-            raise AlgebraError(f"no unique meet for elements {x}, {y}")
-        return greatest[0]
-
-    alg = FiniteAlgebra.from_function(MEET_SIGNATURE, size, {"meet": meet}, labels)
-    legend = Legend("semilattice-Xn", tuple(roles))
+    size = 4 * n + 1
+    if size ** 2 > _MAX_TABLE_ENTRIES:
+        raise AlgebraError(f"semilattice X_{n} needs {size}**2 table entries, "
+                           f"more than the limit of {_MAX_TABLE_ENTRIES}")
+    ns = range(1, n + 1)
+    roles = ([("chain", "a", i) for i in ns] + [("chain", "c", i) for i in ns]
+             + [("chain", "v" + t, i) for i in ns for t in "ca"] + [("distinguished", "b")])
+    labels = ([f"a{i}" for i in ns] + [f"c{i}" for i in ns]
+              + [f"v_{t}{i}" for i in ns for t in "ca"] + ["b"])
+    e = np.arange(size)
+    chain = np.minimum(e // n, 2)  # a, c, then the value chain with b on top
+    cap = np.select([e < n, e < 2 * n], [2 * e + 1, 2 * (e - n)], e - 2 * n)
+    meet = np.where(chain[:, None] == chain, np.minimum.outer(e, e),
+                    2 * n + np.minimum.outer(cap, cap))
+    alg = FiniteAlgebra(MEET_SIGNATURE, size, {"meet": meet}, labels)
     flat = make_gadgets().flat_semilattice
-    to_flat = {"a": 1, "c": 3, "vc": 0, "va": 0}
-    values = [
-        2 if role[0] == "distinguished" else to_flat[role[1]] for role in roles
-    ]
-    return alg, legend, Mapping(size, flat.size, values)
+    values = [1] * n + [3] * n + [0] * (2 * n) + [2]  # a, c, the values, b
+    return alg, Legend("semilattice-Xn", tuple(roles)), Mapping(size, flat.size, values)
 
 
 def make_fcore_instance(g: Graph):

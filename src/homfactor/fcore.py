@@ -195,22 +195,12 @@ def _gset(x, f, z, stats) -> FCoreResult:
     orbits = gset_orbits(x)
     kept = list(range(len(orbits)))
     r = list(range(x.size))
-    changed = True
-    while changed:
-        changed = False
-        for i in kept:
-            for j in kept:
-                if i == j:
-                    continue
-                theta = _orbit_map(orbits[i], orbits[j], ops, fvals)
-                if theta is not None:
-                    kept.remove(i)
-                    for e in range(x.size):
-                        if r[e] in theta:
-                            r[e] = theta[r[e]]
-                    changed = True
-                    break
-            if changed:
+    for i, orbit in enumerate(orbits):
+        for j in kept:
+            theta = None if j == i else _orbit_map(orbit, orbits[j], ops, fvals)
+            if theta is not None:
+                kept.remove(i)
+                r = [theta.get(v, v) for v in r]
                 break
     return _core(x, f, r, "gset")  # the fixed points are the kept orbits
 
@@ -360,9 +350,11 @@ def gset_fcore(x: FiniteAlgebra, f: Mapping, z: FiniteAlgebra | None = None) -> 
     """Orbit-level minimization for group actions.
 
     An idempotent equivariant map fixes whole orbits and sends every other
-    orbit into a fixed one, so it suffices to repeatedly merge one kept
-    orbit into another along an equivariant map that agrees with f; the
-    fixpoint admits no further non-identity retraction.
+    orbit into a fixed one. One pass over the orbits, in order, merges each
+    into the first kept orbit it maps into along an equivariant map that
+    agrees with f. The kept orbits only shrink, so an orbit that maps into
+    no kept orbit at its turn never will, and the result admits no further
+    non-identity retraction.
     """
     return _run_method("gset", x, f, z, None)
 

@@ -212,6 +212,8 @@ def parse_legend(text: str) -> Legend:
     t.expect("legend")
     kind = t.next()
     n = t.next_int()
+    if n < 0:
+        raise FormatError(f"legend: negative element count {n}")
     entries = {}  # filled as read: a count past the tokens allocates nothing
     for _ in range(n):
         t.expect("elem")

@@ -111,6 +111,10 @@ def test_encode_magma(tmp_path):
     ("nary:3", "huge.alg", "algebra: 'mul' needs 12**10000000 table entries, 1 tokens are left"),
     ("nary:40", "two.alg",
      "lift to arity 40 needs 2**40 table entries, more than the limit of 1048576"),
+    ("semilattice:256", None,
+     "semilattice X_256 needs 1025**2 table entries, more than the limit of 1048576"),
+    ("semilattice:1000000000", None, "semilattice X_1000000000 needs 4000000001**2 table "
+     "entries, more than the limit of 1048576"),
 ])
 def test_encode_error_paths(tmp_path, capsys, encoding, infile, message):
     write_graph(cycle_graph(4), tmp_path / "c4.graph")

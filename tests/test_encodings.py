@@ -76,6 +76,19 @@ def test_unary_table_rules():
     # chase: f(g(f(a))) = f(g(v0_1)) = f(v0_2) = v0_1
     e = ix["a_v0_v1"]
     assert alg.apply("f", alg.apply("g", alg.apply("f", e))) == ix["v0_1"]
+    # the same rules on every digraph with 1-3 vertices, roles read from the legend
+    for g in graph_catalog(1, 3, directed=True):
+        alg, legend = encode_unary(g)
+        role = legend.role_index()
+        assert {r[2:] for r in legend.entries if r[:2] == ("edge-elem", "a")} == g.edges
+        for e, r in enumerate(legend.entries):
+            if r[0] == "vertex-copy":
+                want = role[("vertex-copy", r[1], 1)], role[("vertex-copy", r[1], 2)]
+            elif r[1] == "a":
+                want = role[("vertex-copy", r[2], 1)], role[("edge-elem", "b", *r[2:])]
+            else:
+                want = role[("vertex-copy", r[3], 2)], role[("edge-elem", "a", *r[2:])]
+            assert (alg.apply("f", e), alg.apply("g", e)) == want, (g, r)
 
 
 def test_unary_copy2_fixed_point_characterization():
@@ -464,6 +477,34 @@ def test_semilattice_properties_up_to_4(gadgets):
         assert validate_algebra(alg) == []
         assert is_homomorphism(f, alg, gadgets.flat_semilattice)
         assert len(f.image) == 4
+
+
+def _semilattice_leq(rx, ry):
+    """The order of X_n as make_semilattice_X's docstring states it, on
+    roles: the chains a and c, the value chain v_c1 < v_a1 < v_c2 < ...
+    with v_ai the greatest value element below a_i and v_ci the greatest
+    below c_i, and b above exactly the value chain."""
+    def rank(r):  # a_i and c_i share the rank of the greatest value below them
+        return 2 * (r[2] - 1) + (r[1] in ("a", "va"))
+
+    if rx == ry:
+        return True
+    if rx[0] == "distinguished":
+        return False
+    if rx[1] in ("a", "c"):
+        return ry[:2] == rx[:2] and rx[2] <= ry[2]
+    return ry[0] == "distinguished" or rank(rx) <= rank(ry)
+
+
+def test_semilattice_meets_are_greatest_lower_bounds():
+    for n in range(1, 7):
+        alg, legend, _ = make_semilattice_X(n)
+        roles = legend.entries
+        leq = [[_semilattice_leq(rx, ry) for ry in roles] for rx in roles]
+        for x, y in itertools.product(range(alg.size), repeat=2):
+            m = alg.apply("meet", x, y)
+            lower = [z for z in range(alg.size) if leq[z][x] and leq[z][y]]
+            assert m in lower and all(leq[z][m] for z in lower), (n, roles[x], roles[y])
 
 
 # ---------------------------------------------------------------- fcore instance

@@ -82,6 +82,7 @@ def test_write_algebra_rejects_words_the_parser_cannot_read(tmp_path, labels, na
     (parse_legend, "legend unary-dagger 2\nelem 0 vertex-copy 0 1\nelem 0 vertex-copy 0 2\n",
      "legend: bad or repeated element index 0"),
     (parse_graph, "graph directed -2\n", "graph: negative vertex count -2"),
+    (parse_legend, "legend unary-dagger -5\n", "legend: negative element count -5"),
     (parse_algebra, "algebra 2\nop m 1\n0 1\n5\n", "algebra: trailing tokens from '5'"),
     (parse_algebra, "algebra 2\nop m 1\n0 1\nm 1 0 1\n", "algebra: trailing tokens from 'm'"),
     (parse_algebra, "algebra 2\nop mul 2\n0 1 1\n",
