@@ -1,7 +1,5 @@
-"""Digests of the encoders' and constructions' outputs, computed before
-their tables came to be built from closed forms: each construction must
-give the same algebra, labels, legend, map and retraction, element for
-element."""
+"""Digests pinning the encoders' and constructions' outputs element for
+element: algebras, labels, legends, maps and G-set retractions."""
 
 import hashlib
 
