@@ -234,11 +234,16 @@ def is_homomorphism(m: Mapping, a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
         )
     vals = np.asarray(m.values, dtype=np.int64)
     for name, arity in a.signature.ops:
-        ta = a.nd(name)
         tb = b.nd(name)
-        lhs = vals[ta]
-        rhs = tb[np.ix_(*([vals] * arity))] if arity else tb
-        if not np.array_equal(lhs, rhs):
+        if arity == 0:
+            rhs = tb
+        elif arity == 1:
+            rhs = tb[vals]
+        elif arity == 2:
+            rhs = tb[vals[:, None], vals]
+        else:
+            rhs = tb[np.ix_(*([vals] * arity))]
+        if not np.array_equal(vals[a.nd(name)], rhs):
             return False
     return True
 
@@ -281,17 +286,18 @@ def induced_subalgebra(a: FiniteAlgebra, subset) -> tuple[FiniteAlgebra, dict[in
     if elems[0] < 0 or elems[-1] >= a.size:
         raise AlgebraError("subset element out of range")
     index = {old: new for new, old in enumerate(elems)}
-    lookup = np.zeros(a.size, dtype=np.int64)
+    lookup = np.full(a.size, -1, dtype=np.int64)  # new index, -1 outside the subset
     lookup[elems] = np.arange(len(elems))
     tables = {}
     for name, arity in a.signature.ops:
         values = a.nd(name)[np.ix_(*[elems] * arity)]
-        outside = np.flatnonzero(~np.isin(values, elems))
-        if outside.size:  # report the lexicographically first violating tuple
-            tup = tuple(elems[i] for i in np.unravel_index(outside[0], values.shape))
-            v = int(values.flat[outside[0]])
+        new = lookup[values]
+        first = int(new.argmin())  # the first -1: the lexicographically first violating tuple
+        if new.flat[first] < 0:
+            tup = tuple(elems[i] for i in np.unravel_index(first, values.shape))
+            v = int(values.flat[first])
             raise ClosureError(f"not closed: {name}{tup} = {v} is outside the subset")
-        tables[name] = lookup[values]
+        tables[name] = new
     labels = tuple(a.labels[e] for e in elems) if a.labels else None
     return FiniteAlgebra(a.signature, len(elems), tables, labels), index
 

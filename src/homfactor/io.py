@@ -72,6 +72,20 @@ class _Tokens:
         except ValueError:
             raise FormatError(f"{self.what}: expected integer, got {tok!r}") from None
 
+    def ints(self, count: int) -> list[int]:
+        """The next count tokens as integers (none for a count <= 0), with
+        the errors of count next_int calls."""
+        chunk = self.toks[self.pos:self.pos + max(count, 0)]
+        try:
+            values = list(map(int, chunk))
+        except ValueError:
+            for _ in chunk:
+                self.next_int()  # raises at the first token int() rejects
+        self.pos += len(chunk)
+        if len(chunk) < count:
+            self.next()  # raises: the input ends before count tokens
+        return values
+
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
@@ -132,8 +146,8 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         if count > left:
             raise FormatError(f"algebra: {name!r} needs {n}**{arity} table entries, "
                               f"{left} tokens are left")
-        values = [t.next_int() for _ in range(count)]
-        if any(v < 0 or v >= n for v in values):
+        values = t.ints(count)
+        if values and (min(values) < 0 or max(values) >= n):
             raise FormatError(f"algebra: table entry out of range for {name!r}")
         ops.append((name, arity))
         tables[name] = values
@@ -154,9 +168,9 @@ def parse_mapping(text: str) -> Mapping:
     t.expect("map")
     dom = t.next_int()
     cod = t.next_int()
-    values = [t.next_int() for _ in range(dom)]
+    values = t.ints(dom)
     t.done()
-    if any(v < 0 or v >= cod for v in values):
+    if values and (min(values) < 0 or max(values) >= cod):
         raise FormatError("mapping: value out of range")
     return Mapping(dom, cod, values)
 

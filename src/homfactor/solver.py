@@ -30,9 +30,11 @@ row lookup. The search branches on the pairs in order, MRV within each, so
 the combined search assigns every g-variable before any h-variable. The
 tables are compiled once per algebra, in two halves, each kept in a
 bounded cache keyed by the algebra's content: what the source decides (the
-incidences and the entries' variables) and what the target decides (its
-sliced tables, of one-hot masks); a pair only zips the two. propagate runs
-the entries inline, in ascending constraint order, with a stack of newly fixed
+incidences and the entries' variables, in compact arrays; 1,024 algebras
+kept, a whole working set, keyed by label-free copies) and what the target
+decides (its sliced tables, of one-hot Python int masks, about three times
+the size; 32 algebras kept); a pair only zips the two. propagate runs the
+entries inline, in ascending constraint order, with a stack of newly fixed
 variables, which a variable enters once, when it becomes fixed. The search
 itself holds an explicit stack of branching frames, not Python recursion,
 so its depth is bounded only by the number of variables. Searches differ
@@ -241,10 +243,16 @@ def _slot2(code):
 _SLOTS2 = np.array([_slot2(code) for code in range(32)], dtype=np.int8)
 _KINDS2 = (_PRE, _ROW, _PRE, _ROW, _PRE, _PRE, _PAIR)
 _ENDS2 = np.array([(0, 0, 2, 0, 1, 1, 1), (0, 2, 0, 1, 0, 0, 2)])  # i, j per slot: 0 o, 1 x1, 2 x2
-_CACHED = 32  # algebras kept by each compile cache
+# Algebras kept by the compile caches. A source half is a few compact
+# arrays (a median 8 KB over the semigroup encodings of the graphs with 5-6
+# vertices), so its cache holds a whole working set, such as the 290
+# algebras that bench fcore cycles through; a target half holds Python int
+# masks (a median 25 KB there), so its cache stays small.
+_CACHED_SOURCE = 1024
+_CACHED_TARGET = 32
 
 
-@functools.lru_cache(maxsize=_CACHED)
+@functools.lru_cache(maxsize=_CACHED_SOURCE)
 def _source_half(a):
     """The half of a's compiled entries that a's own tables decide: per
     operation, (slot, ends, cut) over its incidences (variable, tuple) in
@@ -276,14 +284,17 @@ def _source_half(a):
         else:  # one slot: _PRE for arity 0, _TABLE for 3 or more
             slot = np.zeros(len(var), dtype=np.int8)
             ends = np.vstack([xs, o]) if arity else np.stack([o, o])
-        ends = ends.astype(np.int32)  # narrow types: the cache keeps 32 of these
-        slot.setflags(write=False)
-        ends.setflags(write=False)
-        out.append((slot, ends, np.searchsorted(var, bound).tolist()))
+        # narrow types, the cache holds the working set: _malformed bounds
+        # carriers at 4,096 elements, so every variable fits int16
+        ends = ends.astype(np.int16)
+        cut = np.searchsorted(var, bound).astype(np.int32)
+        for arr in (slot, ends, cut):
+            arr.setflags(write=False)
+        out.append((slot, ends, cut))
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=_CACHED)
+@functools.lru_cache(maxsize=_CACHED_TARGET)
 def _target_half(b):
     """The half of the compiled entries that the target b decides: per
     operation, a (3, slots) object array of each slot's entry kind, table
@@ -329,11 +340,14 @@ def _compile(pairs):
     for a, b in pairs:
         offset = len(props)
         props += [[] for _ in range(a.size)]
-        for (slot, ends, cut), shared in zip(_source_half(a), _target_half(b)):
-            *ins, js = (ends + offset).tolist()
+        # the source cache keeps its keys for long: a label-free copy holds the tables only
+        key = a if a.labels is None else FiniteAlgebra(a.signature, a.size, a.tables)
+        for (slot, ends, cut), shared in zip(_source_half(key), _target_half(b)):
+            *ins, js = (ends.astype(np.int32) + offset).tolist()
             i_s = ins[0] if len(ins) == 1 else list(zip(*ins))  # arity 3 or more: tuples
             kinds, tabs, auxs = shared[:, slot].tolist()
             entries = list(zip(kinds, i_s, js, tabs, auxs))
+            cut = cut.tolist()
             for v in range(a.size):
                 props[offset + v] += entries[cut[v]:cut[v + 1]]
     return props

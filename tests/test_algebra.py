@@ -1,3 +1,7 @@
+import itertools
+import random
+import re
+
 import pytest
 
 from homfactor.algebra import (
@@ -15,8 +19,8 @@ from homfactor.algebra import (
     is_retraction_respecting,
     validate_algebra,
 )
-from homfactor.encodings import encode_semigroup, make_semilattice_X
-from homfactor.graphs import cycle_graph
+from homfactor.encodings import encode_semigroup, lift_nary, make_semilattice_X
+from homfactor.graphs import cycle_graph, path_graph
 from homfactor.varieties import make_abelian
 
 
@@ -73,6 +77,44 @@ def test_swap_breaks_homomorphism(gadgets):
     assert not is_homomorphism(swap, z, z)
 
 
+def _is_hom_reference(m, a, b):
+    """is_homomorphism as a plain loop over every operation and tuple."""
+    v = m.values
+    return all(
+        v[a.apply(name, *xs)] == b.apply(name, *(v[x] for x in xs))
+        for name, arity in a.signature.ops
+        for xs in itertools.product(range(a.size), repeat=arity)
+    )
+
+
+def test_is_homomorphism_matches_a_plain_loop():
+    rng = random.Random(19)
+    pairs = []
+    # one operation of each arity 0..3 on small random tables, where a
+    # random map is often a homomorphism
+    for arity in range(4):
+        for n, k in ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2)):
+            sig = [("op", arity)]
+            a, b = (FiniteAlgebra(sig, size, {"op": [rng.randrange(size) for _ in range(size**arity)]})
+                    for size in (n, k))
+            pairs += [(a, b), (a, a)]
+    # ternary lifts of semigroup encodings, with the identity among the maps
+    s, t = (lift_nary(encode_semigroup(g)[0], 3) for g in (cycle_graph(3), path_graph(2)))
+    pairs += [(s, t), (s, s), (t, s)]
+    answers = set()
+    for a, b in pairs:
+        maps = [Mapping(a.size, b.size, [rng.randrange(b.size) for _ in range(a.size)])
+                for _ in range(20)]
+        maps += [Mapping.constant(a.size, b.size, c) for c in range(b.size)]
+        if a.size == b.size:
+            maps.append(Mapping.identity(a.size))
+        for m in maps:
+            answer = is_homomorphism(m, a, b)
+            assert answer == _is_hom_reference(m, a, b), (a.signature.ops, a.size, b.size, m)
+            answers.add((a.signature.ops[0][1], answer))
+    assert answers == {(k, ok) for k in range(4) for ok in (False, True)}
+
+
 def test_homomorphism_signature_and_size_errors(gadgets):
     z = gadgets.target_semigroup
     flat = gadgets.flat_semilattice
@@ -126,6 +168,10 @@ def test_induced_subalgebra_closure_error(gadgets):
     with pytest.raises(ClosureError) as err:
         induced_subalgebra(gadgets.target_semigroup, {1})
     assert "mul(1, 1) = 4" in str(err.value)
+    # {b, b2}: b·b = b2 stays inside; b·b2, b2·b and b2·b2 = 0 leave it, and
+    # the first of them in lexicographic order is named
+    with pytest.raises(ClosureError, match=re.escape("not closed: mul(2, 3) = 0 is outside")):
+        induced_subalgebra(gadgets.target_semigroup, {2, 3})
 
 
 def test_induced_subalgebra_retraction_image():

@@ -87,6 +87,13 @@ def test_write_algebra_rejects_words_the_parser_cannot_read(tmp_path, labels, na
     (parse_algebra, "algebra 2\nop m 1\n0 1\nm 1 0 1\n", "algebra: trailing tokens from 'm'"),
     (parse_algebra, "algebra 2\nop mul 2\n0 1 1\n",
      "algebra: 'mul' needs 2**2 table entries, 3 tokens are left"),
+    # the first token of a table that is not an integer is named, wherever it sits
+    (parse_algebra, "algebra 3\nop m 2\n0 1 2 0 q 2 z 1 0\n", "algebra: expected integer, got 'q'"),
+    (parse_mapping, "map 4 2\n0 1 x 1\n", "mapping: expected integer, got 'x'"),
+    (parse_mapping, "map 3 2\n0 1\n", "mapping: unexpected end of input"),
+    (parse_mapping, "map 3 2\n0 y\n", "mapping: expected integer, got 'y'"),
+    (parse_mapping, "map 2 2\n0 2\n", "mapping: value out of range"),
+    (parse_algebra, "algebra 2\nop m 1\n0 -1\n", "algebra: table entry out of range for 'm'"),
     # a count past the tokens left allocates nothing before the parse fails
     (parse_legend, f"legend unary-dagger {10**18}\n", "legend: unexpected end of input"),
 ])

@@ -848,15 +848,35 @@ def test_compile_cache_keys_by_content():
     assert find_homomorphism(cycle, fixed) == Mapping(2, 2, (1, 1))
 
 
+def _unary5(k):
+    """The k-th of the 5**5 unary algebras on 5 elements: u(v) is digit v of
+    k in base 5."""
+    return FiniteAlgebra([("u", 1)], 5, {"u": [k // 5**v % 5 for v in range(5)]})
+
+
 def test_compile_cache_is_bounded():
-    capacity = _source_half.cache_info().maxsize
-    assert capacity == _target_half.cache_info().maxsize
+    caches = (_source_half, _target_half)
+    count = sum(cache.cache_info().maxsize for cache in caches)
     _clear_compile_caches()
-    for n in range(1, 3 * capacity + 1):
-        a = FiniteAlgebra([("u", 1)], n, {"u": [(v + 1) % n for v in range(n)]})
+    for k in range(count):
+        _compile([(_unary5(k), _unary5(k))])
+    for cache in caches:
+        info = cache.cache_info()
+        assert (info.misses, info.currsize) == (count, info.maxsize)
+
+
+def test_source_cache_holds_a_cyclic_scan():
+    # a workload that walks the same few hundred algebras in order, as bench
+    # fcore does: every source half stays cached, while the small target
+    # cache has evicted each target before its turn comes round again
+    algebras = [_unary5(k) for k in range(300)]
+    _clear_compile_caches()
+    for a in algebras:
         _compile([(a, a)])
-    assert _source_half.cache_info().currsize <= capacity
-    assert _target_half.cache_info().currsize <= capacity
+    hits = _hits()
+    for a in algebras:
+        _compile([(a, a)])
+    assert _hits() == (hits[0] + 300, hits[1])
 
 
 def _digest(witnesses):
