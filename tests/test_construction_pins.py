@@ -1,10 +1,11 @@
 """Digests pinning the encoders' and constructions' outputs element for
-element: algebras, labels, legends, maps and G-set retractions."""
+element: algebras, labels, legends, maps, and G-set and vector-space
+retractions."""
 
 import hashlib
 
 from homfactor.encodings import encode_semigroup, encode_unary, make_semilattice_X
-from homfactor.fcore import gset_fcore
+from homfactor.fcore import gset_fcore, vspace_fcore
 from homfactor.graphs import graph_catalog
 from homfactor.varieties import sample_fcore_instances
 
@@ -54,3 +55,14 @@ def test_gset_fcore_retractions_pinned():
             out.append((res.retraction.values, res.image))
     assert len(out) == 250
     assert _digest(out) == "be07e26799bab173"
+
+
+def test_vspace_fcore_retractions_pinned():
+    # the seeds of the vspace rows of the fcore bench workload at seeds 301-310
+    out = []
+    for seed in range(301 * 8 + 1, 311 * 8 + 1, 8):
+        for x, z, f in sample_fcore_instances("vspace", 25, 16, seed):
+            res = vspace_fcore(x, f, z)
+            out.append((res.retraction.values, res.image))
+    assert len(out) == 250
+    assert _digest(out) == "62a3d6b097cca493"
