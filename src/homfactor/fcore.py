@@ -59,7 +59,7 @@ from .algebra import (
 )
 from .solver import (
     FactorizationInstance,
-    InstanceError,
+    _expect,
     _fibers,
     _hom_engine,
     _malformed,
@@ -205,23 +205,6 @@ def _gset(x, f, z, stats) -> FCoreResult:
     return _core(x, f, r, "gset")  # the fixed points are the kept orbits
 
 
-def _span(gens, zero, add, scalar_tables):
-    scaled = {zero}
-    for g in gens:
-        for s in scalar_tables:
-            scaled.add(s[g])
-    span = {zero}
-    frontier = [zero]
-    while frontier:
-        v = frontier.pop()
-        for g in scaled:
-            w = add[v][g]
-            if w not in span:
-                span.add(w)
-                frontier.append(w)
-    return span
-
-
 def _vspace(x, f, z, stats) -> FCoreResult:
     zero = int(x.table("zero")[0])
     add = x.nd("add")
@@ -231,22 +214,18 @@ def _vspace(x, f, z, stats) -> FCoreResult:
     # kernel under addition, so it is a subspace; a linear f always passes
     if not (fv[add[:, kernel]] == fv[:, None]).all():
         raise AlgebraError("f is not constant on the cosets of its kernel; f is not linear")
-    kernel, add = kernel.tolist(), add.tolist()
+    add = add.tolist()
     scalar_tables = [x.table(nm).tolist() for nm in x.signature.names if nm[0] == "s"]
-
-    def grow(basis, universe):
-        sp = _span(basis, zero, add, scalar_tables)
-        for v in universe:
-            if v not in sp:
-                basis.append(v)
-                sp = _span(basis, zero, add, scalar_tables)
-        return basis
-
-    ker_basis = grow([], kernel)
-    full_basis = grow(list(ker_basis), range(x.size))
-    complement = _span(full_basis[len(ker_basis):], zero, add, scalar_tables)
+    # extend the kernel to the whole space by each vector it misses, least
+    # first; the vectors added span the complement
+    span, complement = set(kernel.tolist()), [zero]
+    for v in range(x.size):
+        if v not in span:
+            line = [s[v] for s in scalar_tables]  # every multiple of v, 0·v first
+            span = {add[u][w] for u in span for w in line}
+            complement = [add[c][w] for c in complement for w in line]
     proj = [-1] * x.size
-    for k in kernel:
+    for k in kernel.tolist():
         for w in complement:
             proj[add[k][w]] = w
     return _core(x, f, proj, "vspace")  # the fixed points are the complement
@@ -404,8 +383,7 @@ def fixed_z_right_factor(inst: FactorizationInstance, fcore_method: str = "brute
     step and the core search share one node budget.
     """
     inst.validate()
-    if inst.kind != "right-factor":
-        raise InstanceError(f"expected a right-factor instance, got {inst.kind}")
+    _expect(inst, "right-factor")
     f, h = inst.f, inst.h
     im_f = sorted(set(f.values))
     if not set(im_f) <= set(h.values):

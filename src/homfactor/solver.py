@@ -26,20 +26,22 @@ side, and converts the domains once to Python int bitmasks over the target
 carrier. Each variable gets one numpy-compiled entry per tuple it occurs
 in, naming the tuple's other variables and the target table sliced by the
 variable's value, so that a binary table with one argument fixed becomes a
-row lookup. The search branches on the pairs in order, MRV within each, so
-the combined search assigns every g-variable before any h-variable. The
-tables are compiled once per algebra, in two halves, each kept in a
-bounded cache keyed by the algebra's content: what the source decides (the
-incidences and the entries' variables, in compact arrays; 1,024 algebras
-kept, a whole working set, keyed by label-free copies) and what the target
-decides (its sliced tables, of one-hot Python int masks, about three times
-the size; 32 algebras kept); a pair only zips the two. propagate runs the
-entries inline, in ascending constraint order, with a stack of newly fixed
-variables, which a variable enters once, when it becomes fixed. The search
-itself holds an explicit stack of branching frames, not Python recursion,
-so its depth is bounded only by the number of variables. Searches differ
-only by hooks run on each newly fixed variable, such as injectivity for
-isomorphisms and the channel h(g(x)) = f(x) for the combined g/h search.
+row lookup. Constants get none, since the root pass settles them, and the
+compile step's memory is proportional to the table. The search branches on
+the pairs in order, MRV within each, so the combined search assigns every
+g-variable before any h-variable. The tables are compiled once per algebra,
+in two halves, each kept in a bounded cache keyed by the algebra's content:
+what the source decides (the incidences and the entries' variables, in
+compact arrays; 1,024 algebras kept, a whole working set, keyed by
+label-free copies) and what the target decides (its sliced tables, of
+one-hot Python int masks, about three times the size; 32 algebras kept); a
+pair only zips the two. propagate runs the entries inline, in ascending
+constraint order, with a stack of newly fixed variables, which a variable
+enters once, when it becomes fixed. The search itself holds an explicit
+stack of branching frames, not Python recursion, so its depth is bounded
+only by the number of variables. Searches differ only by hooks run on each
+newly fixed variable, such as injectivity for isomorphisms and the channel
+h(g(x)) = f(x) for the combined g/h search.
 
 What each instance kind means lives in one table, _KINDS: decide dispatches
 on it, full factors and retractions share one combined search over g-
@@ -117,6 +119,7 @@ class SearchStats:
 
 
 _MAX_CARRIER = 4096  # elements per algebra: every domain matrix stays within 2**24 entries
+_MAX_BINARY_REVISION = 2**23  # na·nb·max(na, nb): the revision's temporaries stay near 250 MB
 
 
 def _malformed(named):
@@ -227,26 +230,12 @@ def _preimages(values, nb):
     return pre.tolist()
 
 
-def _slot2(code):
-    """Entry slot of a binary incidence from the bits v = x1, v = x2, o = x2,
-    o = x1 and x1 = x2."""
-    p1, p2, o2, o1, same = (code >> k & 1 for k in range(5))
-    if p1 and p2:
-        return 0
-    if p1:
-        return 2 if o2 else 1
-    if p2:
-        return 4 if o1 else 3
-    return 5 if same else 6
-
-
-_SLOTS2 = np.array([_slot2(code) for code in range(32)], dtype=np.int8)
 _KINDS2 = (_PRE, _ROW, _PRE, _ROW, _PRE, _PRE, _PAIR)
 _ENDS2 = np.array([(0, 0, 2, 0, 1, 1, 1), (0, 2, 0, 1, 0, 0, 2)])  # i, j per slot: 0 o, 1 x1, 2 x2
 # Algebras kept by the compile caches. A source half is a few compact
 # arrays (a median 8 KB over the semigroup encodings of the graphs with 5-6
-# vertices), so its cache holds a whole working set, such as the 290
-# algebras that bench fcore cycles through; a target half holds Python int
+# vertices), so its cache holds a whole working set, such as the 228
+# distinct algebras of bench fcore's 290 rows; a target half holds Python int
 # masks (a median 25 KB there), so its cache stays small.
 _CACHED_SOURCE = 1024
 _CACHED_TARGET = 32
@@ -255,39 +244,37 @@ _CACHED_TARGET = 32
 @functools.lru_cache(maxsize=_CACHED_SOURCE)
 def _source_half(a):
     """The half of a's compiled entries that a's own tables decide: per
-    operation, (slot, ends, cut) over its incidences (variable, tuple) in
-    order of variable, then tuple. slot indexes the target half's entry
-    kinds; ends holds the entry's i and j fields as rows, before any
-    offset (for arity 3 or more i spans one row per input); cut[v] is where
-    variable v's incidences start. Equal algebras share one cached copy."""
+    non-constant operation, (slot, ends, cut) over its incidences (variable,
+    tuple) in order of variable, then tuple. slot indexes the target half's
+    entry kinds; ends holds the entry's i and j fields as rows, before any
+    offset (arity 3 or more: one i row per input); cut[v] is where variable
+    v's incidences start. Equal algebras share one cached copy."""
     out = []
-    bound = np.arange(a.size + 1)
     for name, arity in a.signature.ops:
+        if not arity:
+            continue
         ta = a.table(name)
-        cols = np.arange(ta.size)
         xs = np.indices((a.size,) * arity).reshape(arity, ta.size)
-        inc = np.zeros((a.size, ta.size), dtype=bool)  # [element, tuple]
-        inc[ta, cols] = True
-        for x in xs:
-            inc[x, cols] = True
-        var, t = np.nonzero(inc)  # by element, then ascending tuple
+        # the (element, tuple) keys of every input and the output, sorted, repeats dropped
+        keys = np.sort(np.vstack([xs, ta]) * ta.size + np.arange(ta.size), axis=None)
+        var, t = np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], ta.size)
         xs, o = xs[:, t], ta[t]
         if arity == 1:
             slot = (xs[0] != var).view(np.int8)  # 0: v is the input; 1: v is only the output
-            first = np.where(slot, xs[0], o)
-            ends = np.stack([first, first])
+            ends = np.stack([np.where(slot, xs[0], o)] * 2)
         elif arity == 2:
             x1, x2 = xs
-            slot = _SLOTS2[(x1 == var) + 2 * (x2 == var) + 4 * (o == x2) + 8 * (o == x1)
-                           + 16 * (x1 == x2)]
+            # v is: both inputs 0; x1 1 (2 if o = x2); x2 3 (4 if o = x1); o alone 5 (x1 = x2) or 6
+            slot = np.where(x1 == var, np.where(x2 == var, 0, 1 + (o == x2)),
+                            np.where(x2 == var, 3 + (o == x1), 5 + (x1 != x2))).astype(np.int8)
             ends = np.stack([o, x1, x2])[_ENDS2[:, slot], np.arange(len(var))]
-        else:  # one slot: _PRE for arity 0, _TABLE for 3 or more
+        else:  # one slot, _TABLE
             slot = np.zeros(len(var), dtype=np.int8)
-            ends = np.vstack([xs, o]) if arity else np.stack([o, o])
+            ends = np.vstack([xs, o])
         # narrow types, the cache holds the working set: _malformed bounds
         # carriers at 4,096 elements, so every variable fits int16
         ends = ends.astype(np.int16)
-        cut = np.searchsorted(var, bound).astype(np.int32)
+        cut = np.searchsorted(var, np.arange(a.size + 1)).astype(np.int32)
         for arr in (slot, ends, cut):
             arr.setflags(write=False)
         out.append((slot, ends, cut))
@@ -305,10 +292,10 @@ def _target_half(b):
     nb = b.size
     onehot = np.array([1 << c for c in range(nb)], dtype=object)
     for name, arity in b.signature.ops:
+        if not arity:
+            continue
         tb = b.table(name)
-        if arity == 0:
-            slots = [(_PRE, [onehot[tb[0]]] * nb, None)]
-        elif arity >= 3:
+        if arity >= 3:
             strides = tuple(nb ** (arity - 1 - i) for i in range(arity))
             slots = [(_TABLE, onehot[tb].tolist(), strides)]
         elif arity == 1:
@@ -667,16 +654,17 @@ def _consistent_domains(a, b, d, max_arity, *, stats=None):
     keeps only the y with op_B(y, …, y) = y, which the revision, reading the
     tuple's arguments and result as distinct variables, cannot see; for a
     constant, the rule is the whole constraint. The pruning is sound, so
-    arities of 3 or more are simply left to the search. Returns the pruned
-    matrix, or None when some element's domain empties.
+    arity 3 or more, and 2 past _MAX_BINARY_REVISION, is left to the
+    search. Returns the pruned matrix, or None when a domain empties.
     """
     before = int(d.sum())
     revisions = []
+    binary = a.size * b.size * max(a.size, b.size) <= _MAX_BINARY_REVISION
     for name, arity in a.signature.ops:
         if arity > max_arity:
             continue
         d = d & (~_fixed_points(a, name, arity)[:, None] | _fixed_points(b, name, arity))
-        if arity:
+        if arity == 1 or arity == 2 and binary:
             revisions.append(_revision(a.table(name), b.table(name), arity, a.size, b.size))
     while True:
         prev = d

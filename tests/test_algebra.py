@@ -54,6 +54,20 @@ def test_validate_reports_missing_entries():
 def test_validate_labels():
     alg = FiniteAlgebra(Signature((("f", 1),)), 2, {"f": [0, 1]}, labels=("x", "x"))
     assert any("distinct" in p for p in validate_algebra(alg))
+    alg = FiniteAlgebra(Signature((("f", 1),)), 2, {"f": [0, 1]}, labels=("x",))
+    assert validate_algebra(alg) == ["1 labels for 2 elements"]
+
+
+def test_validate_reports_signature_faults():
+    dup = FiniteAlgebra(Signature((("f", 1), ("f", 1))), 2, {"f": [0, 1]})
+    assert validate_algebra(dup) == ["duplicate operation name 'f'"]
+    neg = FiniteAlgebra(Signature((("f", -1),)), 2, {"f": [0]})
+    assert "operation 'f' has negative arity" in validate_algebra(neg)
+    # a carrier that is not positive is reported alone: no table can fit it
+    empty = FiniteAlgebra(Signature((("f", 1),)), 0, {})
+    assert validate_algebra(empty) == ["carrier size 0 is not positive"]
+    extra = FiniteAlgebra(Signature((("f", 1),)), 2, {"f": [0, 1], "g": [1, 0]})
+    assert validate_algebra(extra) == ["table for 'g' not in signature"]
 
 
 def test_identity_is_homomorphism(gadgets):

@@ -607,6 +607,23 @@ def test_roundtrip_semigroup():
         assert decode_hom(psi, lg, lh, ag, ah) == phi
 
 
+def test_lift_sends_a_pair_made_adjacent_to_c():
+    # two isolated vertices onto the two ends of K2: the pair element of the
+    # non-adjacent 0, 1 has no pair element to go to, so it goes to c
+    ag, lg = encode_semigroup(Graph.undirected(2, []))
+    ah, lh = encode_semigroup(K2)
+    psi = lift_graph_hom((0, 1), lg, lh)
+    assert is_homomorphism(psi, ag, ah)
+    chi = lg.entries.index(("chi", 0, 1))
+    assert psi.values[chi] == lh.entries.index(("distinguished", "c"))
+
+
+def test_lift_refuses_a_map_that_breaks_an_arc():
+    _, la = encode_unary(Graph.digraph(2, [(0, 1)]))
+    with pytest.raises(DecodeError, match=r"^vertex map does not preserve the arc \(0,1\)$"):
+        lift_graph_hom((1, 0), la, la)
+
+
 def test_all_encoder_outputs_validate():
     for g in graph_catalog(1, 4):
         alg, _ = encode_semigroup(g)

@@ -26,6 +26,7 @@ from homfactor.fcore import (
 from homfactor.graphs import complete_graph, cycle_graph, graph_catalog
 from homfactor.solver import (
     FactorizationInstance,
+    InstanceError,
     NodeLimitReached,
     SearchStats,
     find_right_factor,
@@ -409,6 +410,12 @@ def test_pipeline_image_condition_shortcut(gadgets):
     )
     assert fixed_z_right_factor(inst, "brute") is None
     assert find_right_factor(inst) is None
+
+
+def test_pipeline_takes_only_right_factor_instances(gadgets):
+    z = gadgets.target_semigroup
+    with pytest.raises(InstanceError, match="^expected a right-factor instance, got hom$"):
+        fixed_z_right_factor(FactorizationInstance("hom", z, z), "brute")
 
 
 def test_pipeline_agrees_on_semigroup_instances():

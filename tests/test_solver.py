@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -617,6 +618,26 @@ def test_root_consistency_leaves_arity_three_to_the_search(gadgets):
         assert np.array_equal(d, full)
 
 
+def test_root_pass_leaves_a_large_binary_operation_to_the_search():
+    # x·y = x on 204 elements is just past the bound, 204**3 > 2**23: a
+    # binary revision there would hold about 245 MB of temporaries
+    n = 204
+    lz = FiniteAlgebra([("mul", 2)], n, {"mul": np.repeat(np.arange(n), n)})
+    full = np.ones((n, n), dtype=bool)
+    tracemalloc.start()
+    try:
+        d = _consistent_domains(lz, lz, full, 2)
+        root_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        pair = decide_retraction(lz, lz)
+        decide_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(d, full)  # every element is idempotent
+    assert pair is not None
+    assert root_peak < 4e6 and decide_peak < 64e6, (root_peak, decide_peak)
+
+
 def test_root_keeps_fixed_points_on_fixed_points():
     # x = u(x) needs y = u(y): the revision alone keeps every value of the
     # fixed point 1 here, since each is the image of some value
@@ -796,6 +817,9 @@ def _vspace_and_lifted():
 
 def test_compile_warm_cache_matches_cold():
     x, z, _, s, t = _vspace_and_lifted()
+    # the constant zero gets no entries: the root pass settles it
+    compiled = sum(1 for _, arity in x.signature.ops if arity)
+    assert len(_source_half(x)) == len(_target_half(z)) == compiled
     # one pair at offset 0; two pairs, the second at offset |X|
     for pairs in ([(x, z)], [(x, x), (x, z)], [(s, t)], [(s, t), (t, t)]):
         _clear_compile_caches()
@@ -877,6 +901,22 @@ def test_source_cache_holds_a_cyclic_scan():
     for a in algebras:
         _compile([(a, a)])
     assert _hits() == (hits[0] + 300, hits[1])
+
+
+def test_source_half_memory_is_proportional_to_the_table():
+    # the compile step holds a fixed multiple of the table's bytes; a dense
+    # incidence matrix, |A| bools per tuple, read 67x at 200 elements, 92x at 400
+    ratios = []
+    for n in (200, 400):
+        a = FiniteAlgebra([("mul", 2)], n, {"mul": np.random.default_rng(n).integers(0, n, n * n)})
+        tracemalloc.start()
+        try:
+            _source_half.__wrapped__(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratios.append(peak / a.table("mul").nbytes)
+    assert ratios[1] <= 1.1 * ratios[0], ratios
 
 
 def _digest(witnesses):
