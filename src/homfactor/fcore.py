@@ -214,18 +214,18 @@ def _vspace(x, f, z, stats) -> FCoreResult:
     # kernel under addition, so it is a subspace; a linear f always passes
     if not (fv[add[:, kernel]] == fv[:, None]).all():
         raise AlgebraError("f is not constant on the cosets of its kernel; f is not linear")
-    add = add.tolist()
+    kernel, add = kernel.tolist(), add.tolist()
     scalar_tables = [x.table(nm).tolist() for nm in x.signature.names if nm[0] == "s"]
     # extend the kernel to the whole space by each vector it misses, least
     # first; the vectors added span the complement
-    span, complement = set(kernel.tolist()), [zero]
+    span, complement = set(kernel), [zero]
     for v in range(x.size):
         if v not in span:
             line = [s[v] for s in scalar_tables]  # every multiple of v, 0·v first
             span = {add[u][w] for u in span for w in line}
             complement = [add[c][w] for c in complement for w in line]
     proj = [-1] * x.size
-    for k in kernel.tolist():
+    for k in kernel:
         for w in complement:
             proj[add[k][w]] = w
     return _core(x, f, proj, "vspace")  # the fixed points are the complement

@@ -620,7 +620,7 @@ def test_root_consistency_leaves_arity_three_to_the_search(gadgets):
 
 def test_root_pass_leaves_a_large_binary_operation_to_the_search():
     # x·y = x on 204 elements is just past the bound, 204**3 > 2**23: a
-    # binary revision there would hold about 245 MB of temporaries
+    # binary revision there would hold about 255 MB of temporaries
     n = 204
     lz = FiniteAlgebra([("mul", 2)], n, {"mul": np.repeat(np.arange(n), n)})
     full = np.ones((n, n), dtype=bool)
