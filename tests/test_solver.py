@@ -1064,6 +1064,43 @@ def test_fcore_node_counts_pinned():
     }
 
 
+def _side_condition_runs():
+    """(total nodes, total root_pruned, witness digest, yes answers,
+    decisions) per search that carries a side condition: the channel
+    h(g(x)) = f(x) with a non-identity f (full factors), injectivity
+    (isomorphisms) and the channel with f = identity (retractions)."""
+    out = {}
+    graphs = graph_catalog(1, 3)
+    rfs = [make_rf_instance(g, h) for g in graphs for h in graphs]
+    insts = [FactorizationInstance("full-factor", i.X, i.Y, i.Z, f=i.f) for i in rfs]
+    encs = [encode_semigroup(g)[0] for g in graph_catalog(2, 4)]
+    digraphs = graph_catalog(2, 4, directed=True, connected=True)[::5]
+    unary = [encode_unary(g, theorem_grade=True)[0] for g in digraphs]
+    runs = {
+        "full-factor": [lambda s, i=i: find_factorization(i, stats=s) for i in insts],
+        "isomorphism": [lambda s, a=a, b=b: (decide_isomorphism(a, b, stats=s),)
+                        for a in encs for b in encs],
+        "retraction": [lambda s, a=a, b=b: decide_retraction(a, b, stats=s)
+                       for a in unary for b in unary],
+    }
+    for kind, calls in runs.items():
+        stats = SearchStats()
+        ws = [_values(*(call(stats) or (None,))) for call in calls]
+        out[kind] = (stats.nodes, stats.root_pruned, _digest(ws),
+                     sum(w != (None,) for w in ws), len(ws))
+    return out
+
+
+def test_side_condition_searches_pinned():
+    # measured while the side conditions ran as Python callbacks on each
+    # newly fixed variable, before they became compiled entries
+    assert _side_condition_runs() == {
+        "full-factor": (314, 3420, "550356512c6ae4f7", 34, 49),
+        "isomorphism": (451, 0, "74e05a0912f4050f", 17, 289),
+        "retraction": (1818, 648552, "823ff20b4e81bc8d", 47, 1849),
+    }
+
+
 def test_each_variable_is_queued_once_per_propagate(monkeypatch):
     # a variable enters the queue once, when its domain becomes a singleton,
     # so within one propagate call no variable is queued twice or reaches
