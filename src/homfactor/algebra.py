@@ -30,6 +30,10 @@ __all__ = [
     "check_properties",
 ]
 
+# table entries of one algebra: lift_nary and make_semilattice_X build no
+# more, and every solver and f-core entry point takes no more
+_MAX_TABLE_ENTRIES = 1 << 20
+
 
 class AlgebraError(ValueError):
     """Malformed or mismatched algebraic data."""
@@ -65,12 +69,6 @@ class Signature:
             if n == name:
                 return a
         raise AlgebraError(f"unknown operation {name!r}")
-
-    @property
-    def is_rich(self) -> bool:
-        """At least one operation of arity >= 2, or at least two unary operations."""
-        unary = sum(1 for _, a in self.ops if a == 1)
-        return any(a >= 2 for _, a in self.ops) or unary >= 2
 
 
 class FiniteAlgebra:

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    _MAX_TABLE_ENTRIES,
     AlgebraError,
     FiniteAlgebra,
     Mapping,
@@ -340,9 +341,6 @@ def make_unary_lf_instance(h: Graph, j: Graph) -> FactorizationInstance:
     f = Mapping(2, z.size, (legend_z.vertex_element(vj, 1), legend_z.vertex_element(vj, 2)))
     gmap = Mapping(2, y.size, (legend_y.vertex_element(vh, 1), legend_y.vertex_element(vh, 2)))
     return FactorizationInstance("left-factor", x, y, z, f=f, g=gmap)
-
-
-_MAX_TABLE_ENTRIES = 1 << 20  # entries of a table lift_nary or make_semilattice_X builds
 
 
 def lift_nary(s: FiniteAlgebra, n: int) -> FiniteAlgebra:

@@ -2,19 +2,20 @@
 
 An f-core of X is a minimal image of an idempotent endomorphism r with
 f∘r = f. The brute method runs a decremental loop on one engine
-(_retractions): the constraints are built and the f-fiber domains
-propagated once, then each element m still in the current image, in
-ascending order, gets one search with m's own value removed. A failed
-search settles m to m for every later search; a map found narrows every
-domain to its image for good, so each later map factors through it and has
-a smaller image. The last map found (the identity if none) is the f-core's
-retraction. It is certified: were there a non-identity f-retraction s of
-the final core, s precomposed with the final map would satisfy every
-constraint in force when s's least moved element was tried (the values lie
-in every image so far, and the elements settled before it are fixed by s),
-so that exhaustive search would not have failed. The variety-specific
-methods compute a (not certified) retraction directly and are anchored to
-the brute oracle by the test suite, never trusted on their own.
+(_retractions), whose side condition solver._idempotent keeps each value a
+fixed point: the constraints are built and the f-fiber domains propagated
+once, then each element m still in the current image, in ascending order,
+gets one search with m's own value removed. A failed search settles m to m
+for every later search; a map found narrows every domain to its image for
+good, so each later map factors through it and has a smaller image. The
+last map found (the identity if none) is the f-core's retraction. It is
+certified: were there a non-identity f-retraction s of the final core, s
+precomposed with the final map would satisfy every constraint in force when
+s's least moved element was tried (the values lie in every image so far,
+and the elements settled before it are fixed by s), so that exhaustive
+search would not have failed. The variety-specific methods compute a (not
+certified) retraction directly and are anchored to the brute oracle by the
+test suite, never trusted on their own.
 
 Each method is one row of _METHODS, which every entry point reads. Each
 input is checked once, at its entry point, by one preamble (_check_inputs),
@@ -62,6 +63,7 @@ from .solver import (
     _expect,
     _fibers,
     _hom_engine,
+    _idempotent,
     _malformed,
     _search_hom,
     _solve_right_factor,
@@ -130,17 +132,12 @@ def _core(x: FiniteAlgebra, f: Mapping, values, method: str,
     return FCoreResult(retraction, image, core, certified, method)
 
 
-def _idem_hook(eng, var, val):
-    # image elements of an idempotent map are fixed points
-    return eng.force(val, val)
-
-
 def _retractions(x, f, stats):
     """Yield non-identity f-respecting idempotent endomorphisms of x, each
     image a proper subset of the one before, by the decremental loop of the
     module docstring; not yet re-verified. The searches count their nodes
     in stats (None: uncounted)."""
-    eng = _hom_engine(x, x, stats, _fibers(f.values, f.values), hooks=(_idem_hook,))
+    eng = _hom_engine(x, x, stats, _fibers(f.values, f.values), side=_idempotent(x.size))
     if eng is None or not eng.root():
         return
     image = (1 << x.size) - 1
@@ -254,7 +251,7 @@ def _abelian(x, f, z, stats):
     kernel = d[zero].copy()
     d[kernel] = False
     d[kernel, zero] = True
-    retraction = _search_hom(x, x, stats, d=d, hooks=(_idem_hook,))
+    retraction = _search_hom(x, x, stats, d=d, side=_idempotent(x.size))
     if retraction is None:
         return InapplicableReport(
             "abelian", "kernel of f is not a direct summand", _brute(x, f, z, stats)

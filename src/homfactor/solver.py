@@ -35,13 +35,13 @@ what the source decides (the incidences and the entries' variables, in
 compact arrays; 1,024 algebras kept, a whole working set, keyed by
 label-free copies) and what the target decides (its sliced tables, of
 one-hot Python int masks, about three times the size; 32 algebras kept); a
-pair only zips the two. propagate runs the entries inline, in ascending
-constraint order, with a stack of newly fixed variables, which a variable
-enters once, when it becomes fixed. The search itself holds an explicit
-stack of branching frames, not Python recursion, so its depth is bounded
-only by the number of variables. Searches differ only by hooks run on each
-newly fixed variable, such as injectivity for isomorphisms and the channel
-h(g(x)) = f(x) for the combined g/h search.
+pair only zips the two. Searches differ only by a side condition, one more
+entry per variable, put first in its list: injectivity for isomorphisms,
+the channel h(g(x)) = f(x) for the combined g/h search, idempotence for
+f-cores. propagate runs every entry inline, with a stack of newly fixed
+variables, which a variable enters once, when it becomes fixed. The search
+itself holds an explicit stack of branching frames, not Python recursion,
+so its depth is bounded only by the number of variables.
 
 What each instance kind means lives in one table, _KINDS: decide dispatches
 on it, full factors and retractions share one combined search over g-
@@ -64,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    _MAX_TABLE_ENTRIES,
     AlgebraError,
     FiniteAlgebra,
     Mapping,
@@ -124,14 +125,17 @@ _MAX_BINARY_REVISION = 2**23  # na·nb·max(na, nb): the revision's temporaries 
 
 def _malformed(named):
     """One line per (name, algebra) pair whose carrier has more than
-    _MAX_CARRIER elements or whose tables validate_algebra rejects."""
+    _MAX_CARRIER elements, whose tables have more than _MAX_TABLE_ENTRIES
+    entries in all, or whose tables validate_algebra rejects."""
     out = []
     for name, alg in named:
+        entries = sum(t.size for t in alg.tables.values())
         if alg.size > _MAX_CARRIER:
             out.append(f"{name} has {alg.size} elements, more than the limit of {_MAX_CARRIER}")
-            continue
-        problems = validate_algebra(alg)
-        if problems:
+        elif entries > _MAX_TABLE_ENTRIES:
+            out.append(f"{name} has {entries} table entries, "
+                       f"more than the limit of {_MAX_TABLE_ENTRIES}")
+        elif problems := validate_algebra(alg):
             out.append(f"{name} is malformed: " + "; ".join(problems))
     return out
 
@@ -149,10 +153,8 @@ class FactorizationInstance:
     h: Mapping | None = None
 
     def problems(self) -> list[str]:
-        out = []
         if self.kind not in _KINDS:
-            out.append(f"unknown kind {self.kind!r}")
-            return out
+            return [f"unknown kind {self.kind!r}"]
         algebras = [("X", self.X), ("Y", self.Y)]
         if self.Z is not None:
             algebras.append(("Z", self.Z))
@@ -205,6 +207,29 @@ _PAIR = 1  # (x1, x2, pre1, pre2): v is the output of the tuple (x1, x2)
 _PRE = 2  # (x, -, pre, -): x within the mask pre[a]; v fills every input, or
 #           is the output of a tuple of x alone, or fills one input and x the rest
 _TABLE = 3  # (inputs, o, table, strides): arity 3 or more, checked generically
+_EACH = 4  # (-, -, group, masks): every w in group[a] other than v within masks[a]
+
+
+# Side conditions: one _EACH entry per variable, put first in its list by _Engine
+def _channel(n_x, n_y, n_z, f_values):
+    """h(g(x)) = f(x) between g-variables [0, n_x) and h-variables [n_x,
+    n_x + n_y): g(x) = y narrows h(y) to f(x), and h(y) = z removes y from
+    every g-variable x with f(x) != z."""
+    to_h = [[n_x + y] for y in range(n_y)]
+    images = {z: [1 << z] * n_y for z in set(f_values)}
+    to_g = [[x for x, fx in enumerate(f_values) if fx != z] for z in range(n_z)]
+    return ([(_EACH, None, None, to_h, images[z]) for z in f_values]
+            + [(_EACH, None, None, to_g, [~(1 << y)] * n_z) for y in range(n_y)])
+
+
+def _injective(n):
+    """No two of the n variables share a value."""
+    return [(_EACH, None, None, [range(n)] * n, [~(1 << c) for c in range(n)])] * n
+
+
+def _idempotent(n):
+    """A value c is a fixed point: c goes to c."""
+    return [(_EACH, None, None, [[c] for c in range(n)], [1 << c for c in range(n)])] * n
 
 
 def _masks(b):
@@ -344,29 +369,23 @@ class _Engine:
     """Backtracking over homomorphisms a -> b for each (a, b) in pairs, one
     bool domain matrix per pair (d[v, w]: v may go to w), with its own
     domains and trail. A domain is an int bitmask over the target carrier.
-    Every side condition is a hook, run on each newly fixed variable. After
-    root(), first_without and settle run several searches from one shared
-    base state: first_without searches with one value removed and restores
-    the state, settle narrows a domain to a mask for good."""
+    A side condition's entry for v (see _channel), side[v], goes first in
+    v's list. After root(), first_without and settle run searches from one
+    shared base state: first_without searches with one value removed and
+    restores the state, settle narrows a domain to a mask for good."""
 
-    def __init__(self, pairs, domains, stats, *, order="mrv", hooks=()):
+    def __init__(self, pairs, domains, stats, *, order="mrv", side=()):
         self.props = _compile(pairs)
+        for entries, entry in zip(self.props, side):
+            entries.insert(0, entry)
         self.dom = [m for d in domains for m in _masks(d)]
-        self.n_vars = len(self.dom)
         ends = list(itertools.accumulate(a.size for a, _ in pairs))
         self.spans = list(zip([0] + ends, ends))  # each pair's variables
         self.order = order
         self.stats = SearchStats() if stats is None else stats
         self.stop = self.stats.node_limit  # stats.nodes may not pass it
-        self.hooks = tuple(hooks)
         self.trail = []  # (var, mask before the change)
         self.queue = []  # variables whose domain became a singleton, not yet propagated
-
-    def force(self, var, val) -> bool:
-        return self._restrict(var, self.dom[var] & 1 << val)
-
-    def remove(self, var, val) -> bool:
-        return self._restrict(var, self.dom[var] & ~(1 << val))
 
     def _restrict(self, var, allowed) -> bool:
         """Narrow var's domain to the mask allowed, a subset of it; False on
@@ -427,18 +446,15 @@ class _Engine:
     def propagate(self) -> bool:
         """Propagate the queued variables to a fixpoint; False on a wipeout.
         A variable is queued once, when its domain becomes a singleton, so
-        each popped variable is newly fixed and reaches the hooks and its
-        entries once; after a fixpoint, the variables with more than one
-        value left are exactly the unassigned ones. The queue is a stack
-        and a variable's entries run in ascending constraint order: node
-        counts depend on both (see test_node_counts_pinned)."""
-        dom, trail, queue, props, hooks = self.dom, self.trail, self.queue, self.props, self.hooks
+        each popped variable is newly fixed and reaches its entries once;
+        after a fixpoint, the variables with more than one value left are
+        exactly the unassigned ones. The queue is a stack and a variable's
+        entries run side condition first, then in ascending constraint
+        order: node counts depend on both (see test_node_counts_pinned)."""
+        dom, trail, queue, props = self.dom, self.trail, self.queue, self.props
         while queue:
             v = queue.pop()
             a = dom[v].bit_length() - 1
-            for hook in hooks:
-                if not hook(self, v, a):
-                    return False
             for kind, i, j, tab, aux in props[v]:
                 # each entry ends in narrowing one variable x from dx to m
                 if kind == _ROW:
@@ -482,6 +498,19 @@ class _Engine:
                         continue
                     else:
                         return False
+                elif kind == _EACH:
+                    mask = aux[a]
+                    for x in tab[a]:
+                        dx = dom[x]
+                        m = dx & mask
+                        if m != dx and x != v:
+                            if not m:
+                                return False
+                            trail.append((x, dx))
+                            dom[x] = m
+                            if not m & (m - 1):
+                                queue.append(x)
+                    continue
                 elif self._check_table(i, j, tab, aux):
                     continue
                 else:
@@ -538,7 +567,7 @@ class _Engine:
         mark = len(self.trail)
         self.queue.clear()
         sol = None
-        if self.remove(var, val) and self.propagate():
+        if self._restrict(var, self.dom[var] & ~(1 << val)) and self.propagate():
             sol = next(self._solve(), None)
         self._undo(mark)
         return sol
@@ -578,7 +607,7 @@ class _Engine:
                     raise NodeLimitReached("node limit exceeded")
                 frame[2] = len(self.trail)
                 self.queue.clear()
-                if self.force(frame[0], low.bit_length() - 1) and self.propagate():
+                if self._restrict(frame[0], self.dom[frame[0]] & low) and self.propagate():
                     break
             else:
                 return
@@ -678,28 +707,20 @@ def _consistent_domains(a, b, d, max_arity, *, stats=None):
     return d if alive else None
 
 
-def _hom_engine(a, b, stats, d, *, order="mrv", hooks=()):
+def _hom_engine(a, b, stats, d, *, order="mrv", side=()):
     if d is None:
         d = np.ones((a.size, b.size), dtype=bool)
     d = _consistent_domains(a, b, d, 1, stats=stats)
     if d is None:
         return None
-    return _Engine([(a, b)], [d], stats, order=order, hooks=hooks)
+    return _Engine([(a, b)], [d], stats, order=order, side=side)
 
 
-def _search_hom(a, b, stats, *, d=None, hooks=()):
+def _search_hom(a, b, stats, *, d=None, side=()):
     """First homomorphism a -> b the search finds, not yet re-verified."""
-    eng = _hom_engine(a, b, stats, d, hooks=hooks)
+    eng = _hom_engine(a, b, stats, d, side=side)
     sol = None if eng is None else next(eng.solutions(), None)
     return None if sol is None else Mapping(a.size, b.size, sol)
-
-
-def _injective_hook(eng, var, val):
-    # no other element shares var's value
-    for w in range(eng.n_vars):
-        if w != var and not eng.remove(w, val):
-            return False
-    return True
 
 
 def verify_witness(inst: FactorizationInstance, g=None, h=None) -> bool:
@@ -714,10 +735,8 @@ def verify_witness(inst: FactorizationInstance, g=None, h=None) -> bool:
         if kind == "isomorphism":
             if len(set(g.values)) != y.size or x.size != y.size:
                 return False
-            inverse = [0] * y.size
-            for i, v in enumerate(g.values):
-                inverse[v] = i
-            return is_homomorphism(Mapping(y.size, x.size, inverse), y, x)
+            # the argsort of a permutation is its inverse
+            return is_homomorphism(Mapping(y.size, x.size, np.argsort(g.values)), y, x)
         return True
     if kind == "left-factor":
         return h is not None and is_homomorphism(h, y, inst.Z) and compose(h, inst.g) == inst.f
@@ -769,22 +788,6 @@ def _solve_left_factor(inst, stats):
     return _verified(inst, None, _search_hom(inst.Y, inst.Z, stats, d=d))
 
 
-def _channel_hook(n_x, f_values):
-    """Channeling between g-variables [0, n_x) and h-variables [n_x, ...):
-    h(g(x)) = f(x)."""
-
-    def hook(eng, var, val):
-        if var < n_x:
-            return eng.force(n_x + val, f_values[var])
-        y, z = var - n_x, val
-        for x in range(n_x):
-            if f_values[x] != z and not eng.remove(x, y):
-                return False
-        return True
-
-    return hook
-
-
 def _solve_factor_pair(inst, stats):
     """One combined search over g- and h-variables with the channeling
     constraint, after the cardinality bound |im f| <= |Y|; a retraction is
@@ -806,7 +809,7 @@ def _solve_factor_pair(inst, stats):
     if dg is None:
         return None
     eng = _Engine([(x, y), (y, z)], [dg, dh], stats,
-                  hooks=(_channel_hook(x.size, f_values),))
+                  side=_channel(x.size, y.size, z.size, f_values))
     sol = next(eng.solutions(), None)
     if sol is None:
         return None
@@ -818,7 +821,7 @@ def _solve_factor_pair(inst, stats):
 def _solve_isomorphism(inst, stats):
     if inst.X.size != inst.Y.size:
         return None
-    g = _search_hom(inst.X, inst.Y, stats, hooks=(_injective_hook,))
+    g = _search_hom(inst.X, inst.Y, stats, side=_injective(inst.X.size))
     return _verified(inst, g, None)
 
 

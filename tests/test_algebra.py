@@ -24,13 +24,6 @@ from homfactor.graphs import cycle_graph, path_graph
 from homfactor.varieties import make_abelian
 
 
-def test_signature_richness():
-    assert Signature((("mul", 2),)).is_rich
-    assert Signature((("f", 1), ("g", 1))).is_rich
-    assert not Signature((("f", 1),)).is_rich
-    assert not Signature((("c", 0),)).is_rich
-
-
 def test_validate_target_semigroup_clean(gadgets):
     assert validate_algebra(gadgets.target_semigroup) == []
     assert gadgets.target_semigroup.size == 5

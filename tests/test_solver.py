@@ -1024,6 +1024,17 @@ def test_carriers_past_the_limit_are_refused_before_allocating():
     assert not _malformed([("X", FiniteAlgebra([], 4096, {}))])
 
 
+def test_table_entries_past_the_limit_are_refused():
+    # the limit counts the entries of every table: 1024**2 alone is at it,
+    # and one unary table more passes it
+    mul = np.zeros(1 << 20, dtype=np.int64)
+    at = FiniteAlgebra([("mul", 2)], 1024, {"mul": mul})
+    past = FiniteAlgebra([("mul", 2), ("u", 1)], 1024, {"mul": mul, "u": mul[:1024]})
+    assert not _malformed([("X", at)])
+    assert _malformed([("X", past)]) == [
+        "X has 1049600 table entries, more than the limit of 1048576"]
+
+
 def _fixed_z_pinned_runs():
     """(total nodes, total root_pruned, digest of each decision's witness,
     nodes and root_pruned, yes answers, decisions) of fixed_z_right_factor
@@ -1103,31 +1114,28 @@ def test_side_condition_searches_pinned():
 
 def test_each_variable_is_queued_once_per_propagate(monkeypatch):
     # a variable enters the queue once, when its domain becomes a singleton,
-    # so within one propagate call no variable is queued twice or reaches
-    # the hooks twice, and after a fixpoint every queued variable has
-    # reached them
-    seen, queued, sizes = [], [], []
+    # so within one propagate call no variable is queued twice or popped
+    # twice, and after a fixpoint every queued variable has been popped
+    popped, queued, sizes = [], [], []
     plain = _Engine.propagate
-
-    def record(eng, var, val):
-        seen.append(var)
-        return True
 
     class Queue(list):
         def append(self, var):
             queued.append(var)
             super().append(var)
 
+        def pop(self):
+            popped.append(super().pop())
+            return popped[-1]
+
     def propagate(self):
-        if self.hooks[:1] != (record,):
-            self.hooks = (record, *self.hooks)
-        seen.clear()
+        popped.clear()
         queued[:] = self.queue
         self.queue = Queue(self.queue)
         ok = plain(self)
-        assert len(seen) == len(set(seen)) and len(queued) == len(set(queued))
-        assert set(seen) <= set(queued) and (not ok or len(seen) == len(queued))
-        sizes.append(len(seen))
+        assert len(popped) == len(set(popped)) and len(queued) == len(set(queued))
+        assert set(popped) <= set(queued) and (not ok or len(popped) == len(queued))
+        sizes.append(len(popped))
         return ok
 
     monkeypatch.setattr(_Engine, "propagate", propagate)
