@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 
-from .algebra import FiniteAlgebra, Mapping, Signature
+from .algebra import _MAX_TABLE_ENTRIES, FiniteAlgebra, Mapping, Signature
 from .encodings import Legend
 from .graphs import Graph
 from .solver import KINDS, FactorizationInstance
@@ -131,6 +131,7 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         labels = [t.next() for _ in range(n)]
     ops = []
     tables = {}
+    entries = 0  # in the tables so far: past _MAX_TABLE_ENTRIES, no table is read
     while t.peek() == "op":
         t.next()
         name = t.next()
@@ -146,6 +147,10 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         if count > left:
             raise FormatError(f"algebra: {name!r} needs {n}**{arity} table entries, "
                               f"{left} tokens are left")
+        entries += count
+        if entries > _MAX_TABLE_ENTRIES:
+            raise FormatError(f"algebra: {entries} table entries up to {name!r}, "
+                              f"more than the limit of {_MAX_TABLE_ENTRIES}")
         values = t.ints(count)
         if values and (min(values) < 0 or max(values) >= n):
             raise FormatError(f"algebra: table entry out of range for {name!r}")

@@ -6,27 +6,28 @@ source carrier(s), values are elements of the target carrier(s), and each
 operation table contributes functional constraints: once the arguments of a
 tuple are assigned, the image of the result collapses to a single value.
 Unary operations therefore propagate in chains, which the encodings rely on
-heavily. Before any branching, one numpy routine, _consistent_domains,
-prunes the domains to arc consistency in both directions (input support and
-output image): over unary operations for single-map searches, and unary
-and binary ones, joined by the channel h(g(x)) = f(x), for the combined g/h
-search. Over the same operations and the constants it first applies the
-diagonal rule: an x with op(x, …, x) = x can only go to a y with
-op(y, …, y) = y. The combined search first applies the cardinality bound:
-im f = h(im g) has at most |Y| elements, so |im f| > |Y| (for a retraction, |X| > |Y|) is
-an exhaustive "no" before any root pass or search. The one search budget is
+heavily. Before any branching, one C routine (_native.c, built on first
+import), behind _consistent_domains, prunes the domains to arc consistency
+in both directions (input support and output image): over unary operations
+for single-map searches, and unary and binary ones, joined by the channel
+h(g(x)) = f(x), for the combined g/h search. Over the same operations and
+the constants it first applies the diagonal rule: an x with op(x, …, x) = x
+can only go to a y with op(y, …, y) = y. The combined search first applies
+the cardinality bound: im f = h(im g) has at most |Y| elements, so
+|im f| > |Y| (for a retraction, |X| > |Y|) is an exhaustive "no" before any
+root pass or search. The one search budget is
 SearchStats: every search counts its nodes in the SearchStats it is given,
 and once they pass its node_limit it raises NodeLimitReached, an explicit
 "unknown" outcome, distinct from an exhaustive "no". Searches that share
 one SearchStats share its limit.
 
-Every search is built one way: the root pass prunes the bool domains, then
-_Engine takes the constraints of its (source, target) pairs, laid side by
-side, and converts the domains once to Python int bitmasks over the target
-carrier. Each variable gets one numpy-compiled entry per tuple it occurs
-in, naming the tuple's other variables and the target table sliced by the
-variable's value, so that a binary table with one argument fixed becomes a
-row lookup. Constants get none, since the root pass settles them, and the
+Every search is built one way: the root pass prunes the domains, rows of
+uint64 words over the target carrier, then _Engine takes the constraints of
+its (source, target) pairs, laid side by side, and converts the domains
+once to Python int bitmasks. Each variable gets one numpy-compiled entry
+per tuple it occurs in, naming the tuple's other variables and the target
+table sliced by the variable's value, so that a binary table with one
+argument fixed becomes a row lookup. Constants get none, since the root pass settles them, and the
 compile step's memory is proportional to the table. The search branches on
 the pairs in order, MRV within each, so the combined search assigns every
 g-variable before any h-variable. The tables are compiled once per algebra,
@@ -63,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .algebra import (
     _MAX_TABLE_ENTRIES,
     AlgebraError,
@@ -120,7 +122,6 @@ class SearchStats:
 
 
 _MAX_CARRIER = 4096  # elements per algebra: every domain matrix stays within 2**24 entries
-_MAX_BINARY_REVISION = 2**23  # na·nb·max(na, nb): the revision's temporaries stay near 250 MB
 
 
 def _malformed(named):
@@ -232,18 +233,29 @@ def _idempotent(n):
     return [(_EACH, None, None, [[c] for c in range(n)], [1 << c for c in range(n)])] * n
 
 
-def _masks(b):
-    """Python int bitmasks over the last axis of a bool array (bit y set iff
-    b[..., y]), as nested lists: the engine's domain representation."""
+def _words(b):
+    """uint64 words over the last axis of a bool array, value y at bit
+    y % 64 of word y // 64: the root pass's domain representation."""
     packed = np.packbits(b, axis=-1, bitorder="little")
-    width = packed.shape[-1]
-    if width <= 8:
-        words = np.zeros(packed.shape[:-1] + (8,), dtype=np.uint8)
-        words[..., :width] = packed
-        return words.view("<u8")[..., 0].tolist()
-    data = packed.tobytes()
+    words = np.zeros(b.shape[:-1] + (-(-b.shape[-1] // 64) * 8,), dtype=np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view("<u8")
+
+
+def _bools(words, n):
+    """The bool array over n values that _words packs into words."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
+
+
+def _ints(words):
+    """Python int bitmasks from uint64 words (see _words), as nested lists:
+    the engine's domain representation."""
+    if words.shape[-1] == 1:
+        return words[..., 0].tolist()
+    width = 8 * words.shape[-1]
+    data = words.tobytes()
     flat = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-    return np.array(flat, dtype=object).reshape(packed.shape[:-1]).tolist()
+    return np.array(flat, dtype=object).reshape(words.shape[:-1]).tolist()
 
 
 def _preimages(values, nb):
@@ -329,8 +341,9 @@ def _target_half(b):
             t = tb.reshape(nb, nb)
             diag, pre1, pre2 = np.diagonal(t), _preimages(t, nb), _preimages(t.T, nb)
             rows = onehot[t]
-            tabs = (onehot[diag].tolist(), rows.tolist(), _masks(t == np.arange(nb)),
-                    rows.T.tolist(), _masks(t.T == np.arange(nb)), _preimages(diag, nb), pre1)
+            tabs = (onehot[diag].tolist(), rows.tolist(), _ints(_words(t == np.arange(nb))),
+                    rows.T.tolist(), _ints(_words(t.T == np.arange(nb))), _preimages(diag, nb),
+                    pre1)
             auxs = (None, pre1, None, pre2, None, None, pre2)
             slots = list(zip(_KINDS2, tabs, auxs))
         shared = np.empty((3, len(slots)), dtype=object)
@@ -366,19 +379,20 @@ def _compile(pairs):
 
 
 class _Engine:
-    """Backtracking over homomorphisms a -> b for each (a, b) in pairs, one
-    bool domain matrix per pair (d[v, w]: v may go to w), with its own
-    domains and trail. A domain is an int bitmask over the target carrier.
-    A side condition's entry for v (see _channel), side[v], goes first in
-    v's list. After root(), first_without and settle run searches from one
-    shared base state: first_without searches with one value removed and
-    restores the state, settle narrows a domain to a mask for good."""
+    """Backtracking over homomorphisms a -> b for each (a, b) in pairs, from
+    the root pass's domain words, one array per pair (row v: the values v
+    may go to, see _words), with its own domains and trail. A domain is an
+    int bitmask over the target carrier. A side condition's entry for v
+    (see _channel), side[v], goes first in v's list. After root(),
+    first_without and settle run searches from one shared base state:
+    first_without searches with one value removed and restores the state,
+    settle narrows a domain to a mask for good."""
 
     def __init__(self, pairs, domains, stats, *, order="mrv", side=()):
         self.props = _compile(pairs)
         for entries, entry in zip(self.props, side):
             entries.insert(0, entry)
-        self.dom = [m for d in domains for m in _masks(d)]
+        self.dom = [m for d in domains for m in _ints(d)]
         ends = list(itertools.accumulate(a.size for a, _ in pairs))
         self.spans = list(zip([0] + ends, ends))  # each pair's variables
         self.order = order
@@ -613,104 +627,33 @@ class _Engine:
                 return
 
 
-def _incidence(values, n):
-    """Float32 one-hot matrix M[i, values[i]] = 1: a product with it
-    gathers or counts along a table in one matrix multiply."""
-    m = np.zeros((len(values), n), dtype=np.float32)
-    m[np.arange(len(values)), values] = 1
-    return m
-
-
-def _keep_images(d, reach, pre):
-    """Output image: value c of z survives only if every tuple t with
-    op_A(t) = z has some value tuple op_B sends to c (reach[t, c])."""
-    return d & ~(pre @ (~reach).astype(np.float32) > 0)
-
-
-def _revise_unary(ta, tb, pre, img_b, d):
-    d = d & d.take(ta, axis=0).take(tb, axis=1)  # input support
-    return _keep_images(d, d.astype(np.float32) @ img_b > 0, pre)
-
-
-def _revise_binary(ta, tb, pre, img_b, d):
-    na, nb = d.shape
-    df = d.astype(np.float32)
-    # input support: u of x1 needs, for every x2, some v in D[x2] with
-    # tb[u, v] in D[ta[x1, x2]]; position 2 the same way round. One product
-    # per position counts the supports of every (output, value, other
-    # argument): by_x2[o, u, x2] = #{v in D[x2] : tb[u, v] in D[o]}, then
-    # read at o = ta[x1, x2]; by_x1 likewise with the arguments swapped.
-    rows = np.arange(na)
-    by_x2 = (df.take(tb, axis=1).reshape(na * nb, nb) @ df.T).reshape(na, nb, na)
-    by_x1 = (df.take(tb.T, axis=1).reshape(na * nb, nb) @ df.T).reshape(na, nb, na)
-    sup1 = (by_x2[ta, :, rows] > 0).all(axis=1)  # [x1, x2, u], all over x2
-    sup2 = (by_x1[ta.T, :, rows] > 0).all(axis=1)  # [x2, x1, v], all over x1
-    d = d & sup1 & sup2
-    df = d.astype(np.float32)
-    # reach[x1, x2, c]: some (u, v) in D[x1] x D[x2] has tb[u, v] = c
-    by_u = (df @ img_b).reshape(na, nb, nb)  # [x2, u, c]
-    reach = df @ by_u.transpose(1, 0, 2).reshape(nb, na * nb)
-    return _keep_images(d, reach.reshape(na * na, nb) > 0, pre)
-
-
-def _revision(ta, tb, arity, na, nb):
-    """The revision step of one unary or binary operation, of the domains."""
-    pre = _incidence(ta, na).T  # pre[z, t] = 1 iff op_A(t) = z
-    if arity == 1:
-        return functools.partial(_revise_unary, ta, tb, pre, _incidence(tb, nb))
-    # img_b[v, (u, c)] = 1 iff tb[u, v] = c
-    img_b = _incidence(tb, nb).reshape(nb, nb, nb).transpose(1, 0, 2).reshape(nb, nb * nb)
-    return functools.partial(_revise_binary, ta.reshape(na, na), tb.reshape(nb, nb),
-                             pre, img_b)
-
-
-def _fixed_points(alg, name, arity):
-    """Mask of the elements x with op(x, …, x) = x: entry x·(1 + n + … +
-    n^(k−1)) of a flat table of arity k; at arity 0, the constant."""
-    n = alg.size
-    return alg.table(name)[np.arange(n) * sum(n**i for i in range(arity))] == np.arange(n)
-
-
 def _consistent_domains(a, b, d, max_arity, *, stats=None):
     """Root arc consistency for homomorphisms a -> b from the domains d.
 
-    d is an (a.size, b.size) bool matrix. Every operation of arity at most
-    max_arity is revised to a fixpoint in both directions: input support
-    (each value of an argument has a consistent partner for every other
-    argument) and output image (each value of a result is the image of a
-    value tuple of every argument tuple that produces it). Before that, the
-    diagonal rule over the same operations: an x with op_A(x, …, x) = x
-    keeps only the y with op_B(y, …, y) = y, which the revision, reading the
-    tuple's arguments and result as distinct variables, cannot see; for a
-    constant, the rule is the whole constraint. The pruning is sound, so
-    arity 3 or more, and 2 past _MAX_BINARY_REVISION, is left to the
-    search. Returns the pruned matrix, or None when a domain empties.
+    d is an (a.size, w) array of uint64 words over b's carrier (see
+    _words). Every operation of arity at most max_arity is revised to a
+    fixpoint in both directions: input support (each value of an argument
+    has a consistent partner for every other argument) and output image
+    (each value of a result is the image of a value tuple of every argument
+    tuple that produces it). Before that, the diagonal rule over the same
+    operations: an x with op_A(x, …, x) = x keeps only the y with
+    op_B(y, …, y) = y, which the revision, reading the tuple's arguments and
+    result as distinct variables, cannot see; for a constant, the rule is
+    the whole constraint. The pruning is sound, so arity 3 or more is left
+    to the search. One C routine does it all (_native.c). Returns the
+    pruned words, or None when a domain empties.
     """
-    before = int(d.sum())
-    revisions = []
-    binary = a.size * b.size * max(a.size, b.size) <= _MAX_BINARY_REVISION
-    for name, arity in a.signature.ops:
-        if arity > max_arity:
-            continue
-        d = d & (~_fixed_points(a, name, arity)[:, None] | _fixed_points(b, name, arity))
-        if arity == 1 or arity == 2 and binary:
-            revisions.append(_revision(a.table(name), b.table(name), arity, a.size, b.size))
-    while True:
-        prev = d
-        for revise in revisions:
-            d = revise(d)
-        alive = d.any(axis=1).all()
-        if not alive or np.array_equal(d, prev):
-            break
+    ops = [(k, a.tables[name], b.tables[name]) for name, k in a.signature.ops if k <= max_arity]
+    d, removed = _native.root(b.size, ops, d)
     if stats is not None:
-        stats.root_pruned += before - int(d.sum())
-    return d if alive else None
+        stats.root_pruned += removed
+    return d
 
 
 def _hom_engine(a, b, stats, d, *, order="mrv", side=()):
     if d is None:
         d = np.ones((a.size, b.size), dtype=bool)
-    d = _consistent_domains(a, b, d, 1, stats=stats)
+    d = _consistent_domains(a, b, _words(d), 1, stats=stats)
     if d is None:
         return None
     return _Engine([(a, b)], [d], stats, order=order, side=side)
@@ -797,15 +740,16 @@ def _solve_factor_pair(inst, stats):
     f_values = inst.f.values if inst.f is not None else tuple(range(x.size))
     if len(set(f_values)) > y.size:
         return None  # im f = h(im g) has at most |Y| elements
-    dh = _consistent_domains(y, z, np.ones((y.size, z.size), dtype=bool), 2, stats=stats)
+    dh = _consistent_domains(y, z, _words(np.ones((y.size, z.size), dtype=bool)), 2,
+                             stats=stats)
     if dh is None:
         return None
     # channel: g(x) = y forces h(y) = f(x); dh does not depend on g, so
     # pruning g once against it is already a fixpoint
-    channel = dh[:, list(f_values)].T
+    channel = _bools(dh, z.size)[:, list(f_values)].T
     if stats is not None:
         stats.root_pruned += x.size * y.size - int(channel.sum())
-    dg = _consistent_domains(x, y, channel, 2, stats=stats)
+    dg = _consistent_domains(x, y, _words(channel), 2, stats=stats)
     if dg is None:
         return None
     eng = _Engine([(x, y), (y, z)], [dg, dh], stats,

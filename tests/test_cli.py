@@ -158,14 +158,14 @@ def test_huge_algebras_exit_2_in_every_command(tmp_path, capsys, text, message):
 
 def test_decide_refuses_a_table_past_the_entry_limit(tmp_path, capsys):
     # one binary operation on 1,025 elements: 1,050,625 entries, just past
-    # the 2**20 limit that every solver entry point checks before compiling
+    # the 2**20 limit, which the parser checks before it reads the table
     (tmp_path / "big.alg").write_text("algebra 1025\nop mul 2\n" + "0 " * 1025**2 + "\n")
     (tmp_path / "two.alg").write_text("algebra 2\nop mul 2\n0 0 0 0\n")
     (tmp_path / "big.instance").write_text("instance hom\nX big.alg\nY two.alg\n")
     assert run("decide", "--instance", str(tmp_path / "big.instance"),
                "--witness", str(tmp_path / "w")) == 2
     assert capsys.readouterr() == (
-        "", "error: X has 1050625 table entries, more than the limit of 1048576\n")
+        "", "error: algebra: 1050625 table entries up to 'mul', more than the limit of 1048576\n")
     assert not list(tmp_path.glob("w*"))
 
 

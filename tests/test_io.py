@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from homfactor import io as homfactor_io
 from homfactor.algebra import FiniteAlgebra, Mapping
 from homfactor.encodings import (
     encode_magma,
@@ -112,6 +113,31 @@ def test_table_size_is_checked_before_the_power(arity):
     assert time.perf_counter() - start < 1.0
     # one element needs one entry at any arity
     assert parse_algebra(f"algebra 1\nop m {arity}\n0\n").signature.ops == (("m", arity),)
+
+
+def test_parse_refuses_tables_past_the_entry_limit_before_reading_them(monkeypatch):
+    # 1,025**2 = 1,050,625 entries, just past 2**20: the parser refuses the
+    # file at the op line, converting none of its tokens, where reading the
+    # table would hold some 26 bytes per entry; the total runs over every
+    # table, so a unary table before a 1,024**2 one passes the limit too
+    converted = []
+    ints = homfactor_io._Tokens.ints
+    monkeypatch.setattr(homfactor_io._Tokens, "ints",
+                        lambda self, count: converted.append(count) or ints(self, count))
+    zeros = "0 " * 1024**2
+    start = time.perf_counter()
+    parse_algebra(f"algebra 1024\nop mul 2\n{zeros}\n")  # at the limit: read in full
+    full_read = time.perf_counter() - start
+    for text, total in ((f"algebra 1025\nop mul 2\n{zeros}{'0 ' * 2049}\n", 1025**2),
+                        (f"algebra 1024\nop u 1\n{'0 ' * 1024}\nop mul 2\n{zeros}\n",
+                         1024 + 1024**2)):
+        converted.clear()
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match=re.escape(
+                f"algebra: {total} table entries up to 'mul', more than the limit of 1048576")):
+            parse_algebra(text)
+        assert time.perf_counter() - start < full_read / 3
+        assert converted == ([] if total == 1025**2 else [1024])
 
 
 def test_mapping_roundtrip():

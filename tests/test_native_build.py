@@ -1,0 +1,60 @@
+"""The C root routine builds on the first import of a cold copy of the
+package, once, without setuptools, and fails loudly without a compiler."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import homfactor
+
+PACKAGE = Path(homfactor.__file__).parent
+
+
+def _cold_copy(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(PACKAGE, src / "homfactor",
+                    ignore=shutil.ignore_patterns("build", "__pycache__"))
+    return src
+
+
+def _run(src, code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src), "PATH": os.environ["PATH"]})
+
+
+def test_first_import_builds_once_without_setuptools(tmp_path):
+    src = _cold_copy(tmp_path)
+    build = src / "homfactor" / "build"
+    assert not build.exists()
+    first = _run(src, "import sys, homfactor.solver; "
+                      "print(sorted({'setuptools', 'distutils'} & set(sys.modules)))")
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == "[]\n"
+    (library,) = build.glob("*/_native.so")
+    assert [p.name for p in build.iterdir()] == [library.parent.name]  # no scratch left
+    stamp = library.stat().st_mtime_ns
+    # a second import loads the library it finds and starts no compiler
+    second = _run(src, "import subprocess\n"
+                       "def refuse(*args, **kwargs): raise AssertionError('rebuilt')\n"
+                       "subprocess.run = subprocess.Popen = refuse\n"
+                       "import homfactor.solver\n"
+                       "from homfactor.encodings import encode_semigroup\n"
+                       "from homfactor.graphs import complete_graph\n"
+                       "x, _ = encode_semigroup(complete_graph(3))\n"
+                       "print(homfactor.solver.decide_retraction(x, x) is not None)")
+    assert second.returncode == 0, second.stderr
+    assert second.stdout == "True\n"
+    assert library.stat().st_mtime_ns == stamp
+
+
+def test_a_missing_compiler_is_an_import_error_that_names_it(tmp_path):
+    src = _cold_copy(tmp_path)
+    done = _run(src, "import shutil\n"
+                     "shutil.which = lambda *args, **kwargs: None\n"
+                     "import homfactor")
+    assert done.returncode == 1
+    assert "ImportError: homfactor builds _native.c on first import and needs a C compiler, " \
+           "but no 'cc' is on PATH" in done.stderr
+    assert not list((src / "homfactor").glob("build/*/_native.so"))

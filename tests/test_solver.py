@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_homs
+from numpy_root import numpy_root, root
 
 from homfactor.algebra import (
     AlgebraError,
@@ -55,13 +56,14 @@ from homfactor.solver import (
     NodeLimitReached,
     SearchStats,
     _Engine,
+    _bools,
     _compile,
-    _consistent_domains,
+    _ints,
     _malformed,
-    _masks,
     _preimages,
     _source_half,
     _target_half,
+    _words,
     decide,
     decide_isomorphism,
     decide_retraction,
@@ -517,7 +519,7 @@ def test_root_consistency_keeps_every_homomorphism(gadgets):
             for d0 in starts:
                 fits = [v for v in homs if d0[rows, v].all()]
                 for max_arity in (1, 2):
-                    d = _consistent_domains(a, b, d0, max_arity)
+                    d = root(a, b, d0, max_arity)
                     key = (max(arity for _, arity in a.signature.ops), max_arity)
                     if d is None:
                         assert fits == [], (a, b, max_arity)
@@ -574,7 +576,9 @@ def _reference_root(a, b, d, max_arity):
 def test_root_consistency_is_the_reference_fixpoint():
     # b is random; a is a fresh random algebra of any size, or a relabelled
     # copy of b with up to two cells changed whose start domains contain
-    # the relabelling (random algebras alone are mostly refuted or kept)
+    # the relabelling (random algebras alone are mostly refuted or kept).
+    # The C routine meets two references: the plain loop above, and the
+    # numpy routine, whose removed count it must match too
     rng = np.random.default_rng(11)
     seen = {"refuted": 0, "pruned": 0, "kept": 0}
     for _ in range(1000):
@@ -597,15 +601,89 @@ def test_root_consistency_is_the_reference_fixpoint():
         else:
             ta = {name: rng.integers(0, na, na**k) for name, k in ops}
         a, b = FiniteAlgebra(ops, na, ta), FiniteAlgebra(ops, nb, tb)
-        d = _consistent_domains(a, b, d0, 2)
+        stats = SearchStats()
+        d = root(a, b, d0, 2, stats=stats)
         expected = _reference_root(a, b, d0.tolist(), 2)
+        by_numpy, removed = numpy_root(a, b, d0, 2)
+        assert stats.root_pruned == removed, (a.tables, b.tables, d0)
         if d is None:
-            assert expected is None, (a.tables, b.tables, d0)
+            assert expected is None and by_numpy is None, (a.tables, b.tables, d0)
             seen["refuted"] += 1
             continue
-        assert d.tolist() == expected, (a.tables, b.tables, d0)
+        assert d.tolist() == expected == by_numpy.tolist(), (a.tables, b.tables, d0)
         seen["pruned" if (d != d0).any() else "kept"] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def _homomorphic_copy(rng, b, na):
+    """An algebra a on na elements and a map phi: a -> b that is a
+    homomorphism wherever b's value has a preimage under phi: each entry of
+    a is such a preimage, or a random element where there is none."""
+    phi = rng.integers(0, b.size, na)
+    tables = {}
+    for name, k in b.signature.ops:
+        tables[name] = []
+        for xs in itertools.product(range(na), repeat=k):
+            pre = np.flatnonzero(phi == b.apply(name, *phi[list(xs)]))
+            tables[name].append(rng.choice(pre) if len(pre) else rng.integers(na))
+    return FiniteAlgebra(b.signature, na, tables), phi
+
+
+def test_root_consistency_over_wide_targets_is_the_numpy_fixpoint():
+    # targets of 65 to 200 elements, so every domain spans two to four
+    # words: the C routine's domains and removed counts are numpy's
+    rng = np.random.default_rng(12)
+    seen = {"refuted": 0, "pruned": 0, "kept": 0}
+    words = set()
+    for _ in range(300):
+        arities = sorted(rng.choice(3, size=rng.integers(1, 4)).tolist())
+        ops = [(f"o{i}", k) for i, k in enumerate(arities)]
+        nb = int(rng.integers(65, 201))
+        small = int(rng.integers(2, nb))  # values drawn from [0, small) or all of b
+        tb = {name: rng.integers(0, small if rng.random() < 0.5 else nb, nb**k)
+              for name, k in ops}
+        b = FiniteAlgebra(ops, nb, tb)
+        a, phi = _homomorphic_copy(rng, b, int(rng.integers(1, 9)))
+        d0 = rng.random((a.size, nb)) < rng.uniform(0.3, 1.0)
+        if rng.random() < 0.5:
+            d0[np.arange(a.size), phi] = True
+        for max_arity in (1, 2):
+            stats = SearchStats()
+            d = root(a, b, d0, max_arity, stats=stats)
+            expected, removed = numpy_root(a, b, d0, max_arity)
+            assert stats.root_pruned == removed, (a.tables, b.tables, d0, max_arity)
+            if d is None:
+                assert expected is None, (a.tables, b.tables, d0, max_arity)
+                seen["refuted"] += 1
+                continue
+            assert np.array_equal(d, expected), (a.tables, b.tables, d0, max_arity)
+            seen["pruned" if (d != d0).any() else "kept"] += 1
+        words.add(-(-nb // 64))
+    assert words == {2, 3, 4}
+    assert min(seen.values()) >= 30, seen
+
+
+def test_root_pruned_on_a_wipeout_is_the_numpy_count():
+    # the count covers every sweep up to the one that emptied a domain,
+    # which moves if the routine stops early or narrows in place
+    rng = np.random.default_rng(13)
+    wipeouts = set()
+    for _ in range(600):
+        arities = sorted(rng.choice(3, size=rng.integers(1, 4)).tolist())
+        ops = [(f"o{i}", k) for i, k in enumerate(arities)]
+        nb = int(rng.integers(2, 9))
+        b = FiniteAlgebra(ops, nb, {name: rng.integers(0, nb, nb**k) for name, k in ops})
+        a, _ = _homomorphic_copy(rng, b, int(rng.integers(2, 9)))
+        d0 = rng.random((a.size, nb)) < rng.uniform(0.5, 1.0)
+        for max_arity in (1, 2):
+            stats = SearchStats()
+            d = root(a, b, d0, max_arity, stats=stats)
+            expected, removed = numpy_root(a, b, d0, max_arity)
+            assert (d is None) == (expected is None)
+            assert stats.root_pruned == removed, (a.tables, b.tables, d0, max_arity)
+            if d is None:
+                wipeouts.add(removed)
+    assert len(wipeouts) >= 20, sorted(wipeouts)
 
 
 def test_root_consistency_leaves_arity_three_to_the_search(gadgets):
@@ -614,19 +692,20 @@ def test_root_consistency_leaves_arity_three_to_the_search(gadgets):
     z, src = gadgets.target_semigroup, gadgets.source_semigroup
     for a, b in ((z, z), (z, src), (src, z)):
         full = np.ones((a.size, b.size), dtype=bool)
-        d = _consistent_domains(lift_nary(a, 3), lift_nary(b, 3), full, 2)
+        d = root(lift_nary(a, 3), lift_nary(b, 3), full, 2)
         assert np.array_equal(d, full)
 
 
-def test_root_pass_leaves_a_large_binary_operation_to_the_search():
-    # x·y = x on 204 elements is just past the bound, 204**3 > 2**23: a
-    # binary revision there would hold about 255 MB of temporaries
+def test_root_pass_revises_a_large_binary_operation_in_little_memory():
+    # x·y = x on 204 elements: the root pass's scratch, O((|A| + |B|)·|B| /
+    # 64) words, comes from Python's allocator, so tracemalloc sees it; the
+    # numpy revision held about 255 MB of n³ temporaries here
     n = 204
     lz = FiniteAlgebra([("mul", 2)], n, {"mul": np.repeat(np.arange(n), n)})
     full = np.ones((n, n), dtype=bool)
     tracemalloc.start()
     try:
-        d = _consistent_domains(lz, lz, full, 2)
+        d = root(lz, lz, full, 2)
         root_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         pair = decide_retraction(lz, lz)
@@ -644,7 +723,7 @@ def test_root_keeps_fixed_points_on_fixed_points():
     a = FiniteAlgebra([("u", 1)], 2, {"u": [1, 1]})
     b = FiniteAlgebra([("u", 1)], 3, {"u": [1, 2, 2]})
     stats = SearchStats()
-    d = _consistent_domains(a, b, np.ones((2, 3), dtype=bool), 1, stats=stats)
+    d = root(a, b, np.ones((2, 3), dtype=bool), 1, stats=stats)
     assert d.tolist() == [[False, True, True], [False, False, True]]
     assert stats.root_pruned == 3
     # no fixed point in the target: refuted before any branching
@@ -772,7 +851,8 @@ def test_bitmask_conversion_matches_reference():
     rng = np.random.default_rng(0)
     for width in (1, 7, 8, 9, 63, 64, 65, 130):
         rows = rng.random((2, 3, width)) < 0.5
-        masks = _masks(rows)
+        masks = _ints(_words(rows))
+        assert np.array_equal(_bools(_words(rows), width), rows)
         for i, j in np.ndindex(2, 3):
             assert masks[i][j] == sum(1 << int(y) for y in np.flatnonzero(rows[i, j]))
         values = rng.integers(0, 5, (3, width))
