@@ -1,27 +1,33 @@
-"""The C half of homfactor: _native.c, built on first import and loaded
-with ctypes.
+"""The C half of homfactor: _native.c, one CPython extension module built on
+first import, which does the root pass (root) and the search engine's
+propagation (propagate).
 
-The shared library is built from the C source next to this module by the
-system C compiler (cc), run in a child process, into build/<hash>/ beside
-this module, where <hash> names the source and the compile flags, and it
-moves into place by an atomic rename, so no process loads half a library.
-A later import finds it there and builds nothing. There is no
-pure-Python fallback: without a C compiler, or when the build fails, the
-import raises ImportError and says why.
+The module is built from the C source next to this file by the system C
+compiler (cc), run in a child process, against the running interpreter's
+headers, into build/<hash>/ beside this file, where <hash> names the
+source and the compile flags (the include directory among them), and it
+moves into place by an atomic rename, so no process loads half a module.
+A later import finds it there and builds nothing. It is loaded with
+importlib's extension loader. There is no pure-Python fallback: without a
+C compiler, or when the build fails, the import raises ImportError and
+says why.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import shutil
+import sysconfig
 from pathlib import Path
 
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("_native.c")
-_FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
+_NAME = __name__ + "_ext"  # homfactor._native_ext, whose init function _native.c defines
+_FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"])
 
 
 def _build(target):
@@ -51,34 +57,30 @@ def _build(target):
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def _library():
+def _module():
     key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_FLAGS).encode()).hexdigest()[:16]
-    target = _SOURCE.parent / "build" / key / "_native.so"
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    target = _SOURCE.parent / "build" / key / (_NAME.rpartition(".")[2] + suffix)
     if not target.exists():
         _build(target)
-    return ctypes.CDLL(str(target))
+    loader = importlib.machinery.ExtensionFileLoader(_NAME, str(target))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_NAME, loader))
+    loader.exec_module(module)
+    return module
 
 
-_lib = _library()
-_lib.hf_root.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                         ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_uint64))
-_lib.hf_root.restype = ctypes.c_int64
+_ext = _module()
+propagate = _ext.propagate
 
 
 def root(nb, ops, d):
-    """Root arc consistency (hf_root) on the domains d, an (na, w) array of
-    uint64 words over nb values, for the operations in ops: (arity, table
-    of A, table of B) for each, the tables flat int64 arrays. Returns the
-    narrowed domains, or None once one is empty, and the number of
-    (element, value) pairs removed. The work array holds the domains, then
-    hf_root's scratch: (5·na + nb + 2)·w + 3·na words, allocated here through
-    Python's allocator, so that tracemalloc sees them."""
-    na, w = d.shape
-    flat = [v for k, ta, tb in ops for v in (k, ta.ctypes.data, tb.ctypes.data)]
-    work = (ctypes.c_uint64 * ((5 * na + nb + 2) * w + 3 * na))()
-    words = np.frombuffer(work, dtype=np.uint64, count=d.size)
-    words[:] = d.reshape(-1)
-    removed = _lib.hf_root(na, nb, len(ops), (ctypes.c_int64 * len(flat))(*flat), work)
+    """Root arc consistency (root in _native.c) on the domains d, an (na, w)
+    array of uint64 words over nb values, for the operations in ops:
+    (arity, table of A, table of B) for each, the tables flat int64 arrays.
+    Returns the narrowed domains, a new array, or None once one is empty,
+    and the number of (element, value) pairs removed."""
+    d = np.array(d, dtype=np.uint64, order="C")
+    removed = _ext.root(nb, ops, d)
     if removed < 0:
         return None, ~removed
-    return words.reshape(d.shape), removed
+    return d, removed

@@ -6,13 +6,15 @@ source carrier(s), values are elements of the target carrier(s), and each
 operation table contributes functional constraints: once the arguments of a
 tuple are assigned, the image of the result collapses to a single value.
 Unary operations therefore propagate in chains, which the encodings rely on
-heavily. Before any branching, one C routine (_native.c, built on first
-import), behind _consistent_domains, prunes the domains to arc consistency
-in both directions (input support and output image): over unary operations
-for single-map searches, and unary and binary ones, joined by the channel
-h(g(x)) = f(x), for the combined g/h search. Over the same operations and
-the constants it first applies the diagonal rule: an x with op(x, …, x) = x
-can only go to a y with op(y, …, y) = y. The combined search first applies
+heavily. The two hot loops are C, in one extension module (_native.c,
+built on first import): the root pass and propagation. Before any
+branching, its root, behind _consistent_domains, prunes the domains to arc
+consistency in both directions (input support and output image): over
+unary operations for single-map searches, and unary and binary ones,
+joined by the channel h(g(x)) = f(x), for the combined g/h search. Over
+the same operations and the constants it first applies the diagonal rule:
+an x with op(x, …, x) = x can only go to a y with op(y, …, y) = y. The
+combined search first applies
 the cardinality bound: im f = h(im g) has at most |Y| elements, so
 |im f| > |Y| (for a retraction, |X| > |Y|) is an exhaustive "no" before any
 root pass or search. The one search budget is
@@ -40,7 +42,9 @@ pair only zips the two. Searches differ only by a side condition, one more
 entry per variable, put first in its list: injectivity for isomorphisms,
 the channel h(g(x)) = f(x) for the combined g/h search, idempotence for
 f-cores. propagate runs every entry inline, with a stack of newly fixed
-variables, which a variable enters once, when it becomes fixed. The search
+variables, which a variable enters once, when it becomes fixed; it runs in
+C when every target has at most 64 elements, so that a domain is one
+uint64 word, and in Python otherwise. The search
 itself holds an explicit stack of branching frames, not Python recursion,
 so its depth is bounded only by the number of variables.
 
@@ -225,7 +229,7 @@ def _channel(n_x, n_y, n_z, f_values):
 
 def _injective(n):
     """No two of the n variables share a value."""
-    return [(_EACH, None, None, [range(n)] * n, [~(1 << c) for c in range(n)])] * n
+    return [(_EACH, None, None, [list(range(n))] * n, [~(1 << c) for c in range(n)])] * n
 
 
 def _idempotent(n):
@@ -378,6 +382,60 @@ def _compile(pairs):
     return props
 
 
+def _restrict(dom, trail, queue, var, allowed) -> bool:
+    """Narrow var's domain in dom to the mask allowed, a subset of it, with
+    a trail record; False on a wipeout. var is queued when its domain
+    becomes a singleton."""
+    d = dom[var]
+    if not allowed:
+        return False
+    if allowed != d:
+        trail.append((var, d))
+        dom[var] = allowed
+        if not allowed & (allowed - 1):
+            queue.append(var)
+    return True
+
+
+def _check_table(dom, trail, queue, ins, out, table, strides) -> bool:
+    """One constraint of arity 3 or more, on an engine's lists: with every
+    input fixed, narrow the output to its image; with one free input
+    (repeats allowed), keep the values whose image lies in the output's
+    domain, and the images."""
+    idx_fixed = 0
+    free_var = -1
+    free_stride = 0
+    for w, stride in zip(ins, strides):
+        dw = dom[w]
+        if not dw & (dw - 1):
+            idx_fixed += (dw.bit_length() - 1) * stride
+        elif w == free_var:
+            free_stride += stride
+        elif free_var == -1:
+            free_var = w
+            free_stride = stride
+        else:
+            return True  # two distinct free inputs: checked later
+    if free_var == -1:
+        return _restrict(dom, trail, queue, out, dom[out] & table[idx_fixed])
+    rest = dom[free_var]
+    dout = dom[out]
+    allowed_y = allowed_out = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = table[idx_fixed + (low.bit_length() - 1) * free_stride]
+        if free_var == out:
+            if low & v:
+                allowed_y |= low
+        elif dout & v:
+            allowed_y |= low
+            allowed_out |= v
+    if not _restrict(dom, trail, queue, free_var, allowed_y):
+        return False
+    return free_var == out or _restrict(dom, trail, queue, out, allowed_out)
+
+
 class _Engine:
     """Backtracking over homomorphisms a -> b for each (a, b) in pairs, from
     the root pass's domain words, one array per pair (row v: the values v
@@ -400,62 +458,18 @@ class _Engine:
         self.stop = self.stats.node_limit  # stats.nodes may not pass it
         self.trail = []  # (var, mask before the change)
         self.queue = []  # variables whose domain became a singleton, not yet propagated
-
-    def _restrict(self, var, allowed) -> bool:
-        """Narrow var's domain to the mask allowed, a subset of it; False on
-        a wipeout. var is queued when its domain becomes a singleton."""
-        d = self.dom[var]
-        if not allowed:
-            return False
-        if allowed != d:
-            self.trail.append((var, d))
-            self.dom[var] = allowed
-            if not allowed & (allowed - 1):
-                self.queue.append(var)
-        return True
+        if max(b.size for _, b in pairs) <= 64:
+            # every mask fits one uint64 word: propagate in C, on these lists;
+            # _check_table is a module function, since a bound method here
+            # would make the engine a reference cycle, freed only by the GC
+            self.propagate = functools.partial(_native.propagate, self.dom, self.trail,
+                                               self.queue, self.props, _check_table)
 
     def _undo(self, mark):
         trail, dom = self.trail, self.dom
         for var, old in reversed(trail[mark:]):
             dom[var] = old
         del trail[mark:]
-
-    def _check_table(self, ins, out, table, strides) -> bool:
-        """One constraint of arity 3 or more: with every input fixed, narrow
-        the output to its image; with one free input (repeats allowed), keep
-        the values whose image lies in the output's domain, and the images."""
-        idx_fixed = 0
-        free_var = -1
-        free_stride = 0
-        for w, stride in zip(ins, strides):
-            dw = self.dom[w]
-            if not dw & (dw - 1):
-                idx_fixed += (dw.bit_length() - 1) * stride
-            elif w == free_var:
-                free_stride += stride
-            elif free_var == -1:
-                free_var = w
-                free_stride = stride
-            else:
-                return True  # two distinct free inputs: checked later
-        if free_var == -1:
-            return self._restrict(out, self.dom[out] & table[idx_fixed])
-        rest = self.dom[free_var]
-        dout = self.dom[out]
-        allowed_y = allowed_out = 0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = table[idx_fixed + (low.bit_length() - 1) * free_stride]
-            if free_var == out:
-                if low & v:
-                    allowed_y |= low
-            elif dout & v:
-                allowed_y |= low
-                allowed_out |= v
-        if not self._restrict(free_var, allowed_y):
-            return False
-        return free_var == out or self._restrict(out, allowed_out)
 
     def propagate(self) -> bool:
         """Propagate the queued variables to a fixpoint; False on a wipeout.
@@ -464,7 +478,13 @@ class _Engine:
         after a fixpoint, the variables with more than one value left are
         exactly the unassigned ones. The queue is a stack and a variable's
         entries run side condition first, then in ascending constraint
-        order: node counts depend on both (see test_node_counts_pinned)."""
+        order: node counts depend on both (see test_node_counts_pinned).
+
+        This is the reference loop. An engine whose targets all have at most
+        64 elements replaces it, in __init__, by propagate in _native.c: the
+        same loop over the same lists, on uint64 masks, leaving the same
+        domains, trail and queue (tests/test_native_propagate.py), with
+        _check_table called back for arity 3 or more."""
         dom, trail, queue, props = self.dom, self.trail, self.queue, self.props
         while queue:
             v = queue.pop()
@@ -525,7 +545,7 @@ class _Engine:
                             if not m & (m - 1):
                                 queue.append(x)
                     continue
-                elif self._check_table(i, j, tab, aux):
+                elif _check_table(dom, trail, queue, i, j, tab, aux):
                     continue
                 else:
                     return False
@@ -581,7 +601,8 @@ class _Engine:
         mark = len(self.trail)
         self.queue.clear()
         sol = None
-        if self._restrict(var, self.dom[var] & ~(1 << val)) and self.propagate():
+        if (_restrict(self.dom, self.trail, self.queue, var, self.dom[var] & ~(1 << val))
+                and self.propagate()):
             sol = next(self._solve(), None)
         self._undo(mark)
         return sol
@@ -590,7 +611,8 @@ class _Engine:
         """Keep only the values in the mask allowed in var's domain, for
         every later search; False on a wipeout."""
         self.queue.clear()
-        return self._restrict(var, self.dom[var] & allowed) and self.propagate()
+        return (_restrict(self.dom, self.trail, self.queue, var, self.dom[var] & allowed)
+                and self.propagate())
 
     def _solve(self):
         """Yield the solutions below the current state, depth first. The
@@ -599,13 +621,14 @@ class _Engine:
         Python's recursion limit; each frame undoes its last value's changes
         before trying the next one."""
         stats, stop = self.stats, self.stop
+        dom, trail, queue = self.dom, self.trail, self.queue
         stack = []
         while True:
             var = self._pick()
             if var is None:
-                yield tuple([d.bit_length() - 1 for d in self.dom])
+                yield tuple([d.bit_length() - 1 for d in dom])
             else:
-                stack.append([var, self.dom[var], None])
+                stack.append([var, dom[var], None])
             while stack:
                 frame = stack[-1]
                 if frame[2] is not None:
@@ -619,9 +642,9 @@ class _Engine:
                 stats.nodes += 1
                 if stop is not None and stats.nodes > stop:
                     raise NodeLimitReached("node limit exceeded")
-                frame[2] = len(self.trail)
-                self.queue.clear()
-                if self._restrict(frame[0], self.dom[frame[0]] & low) and self.propagate():
+                frame[2] = len(trail)
+                queue.clear()
+                if _restrict(dom, trail, queue, frame[0], dom[frame[0]] & low) and self.propagate():
                     break
             else:
                 return
@@ -640,8 +663,8 @@ def _consistent_domains(a, b, d, max_arity, *, stats=None):
     op_B(y, …, y) = y, which the revision, reading the tuple's arguments and
     result as distinct variables, cannot see; for a constant, the rule is
     the whole constraint. The pruning is sound, so arity 3 or more is left
-    to the search. One C routine does it all (_native.c). Returns the
-    pruned words, or None when a domain empties.
+    to the search. One C function does it all, root in _native.c. Returns
+    the pruned words, or None when a domain empties.
     """
     ops = [(k, a.tables[name], b.tables[name]) for name, k in a.signature.ops if k <= max_arity]
     d, removed = _native.root(b.size, ops, d)

@@ -1,5 +1,6 @@
-"""The C root routine builds on the first import of a cold copy of the
-package, once, without setuptools, and fails loudly without a compiler."""
+"""The C extension module (the root pass and propagation) builds on the
+first import of a cold copy of the package, once, without setuptools, and
+fails loudly without a compiler."""
 
 import os
 import shutil
@@ -32,7 +33,7 @@ def test_first_import_builds_once_without_setuptools(tmp_path):
                       "print(sorted({'setuptools', 'distutils'} & set(sys.modules)))")
     assert first.returncode == 0, first.stderr
     assert first.stdout == "[]\n"
-    (library,) = build.glob("*/_native.so")
+    (library,) = build.glob("*/_native_ext.*")
     assert [p.name for p in build.iterdir()] == [library.parent.name]  # no scratch left
     stamp = library.stat().st_mtime_ns
     # a second import loads the library it finds and starts no compiler
@@ -57,4 +58,4 @@ def test_a_missing_compiler_is_an_import_error_that_names_it(tmp_path):
     assert done.returncode == 1
     assert "ImportError: homfactor builds _native.c on first import and needs a C compiler, " \
            "but no 'cc' is on PATH" in done.stderr
-    assert not list((src / "homfactor").glob("build/*/_native.so"))
+    assert not list((src / "homfactor").glob("build/*/_native_ext.*"))

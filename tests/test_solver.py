@@ -50,6 +50,7 @@ from homfactor.varieties import (
     sample_fcore_instances,
     sample_rf_instances,
 )
+from homfactor import _native
 from homfactor.solver import (
     FactorizationInstance,
     InstanceError,
@@ -717,6 +718,23 @@ def test_root_pass_revises_a_large_binary_operation_in_little_memory():
     assert root_peak < 4e6 and decide_peak < 64e6, (root_peak, decide_peak)
 
 
+def test_root_refuses_arrays_it_cannot_read():
+    # the C root reads the tables and domains in place, so it checks their
+    # dtype, length and layout before it touches them
+    t, d = np.array([1, 0]), np.full((2, 1), 3, dtype=np.uint64)
+    assert _native.root(2, [(1, t, t)], d)[1] == 0
+    for ops, dom, error in [
+        ([(1, t, t[:1])], d, ValueError),  # a table short of n**k entries
+        ([(1, t, t.astype(np.int32))], d, ValueError),
+        ([(1, t, t.astype(float))], d, ValueError),
+        ([(1, t)], d, TypeError),
+        ([(1, t, t)], d.astype(np.uint32), ValueError),  # not words
+        ([(1, t, t)], np.frombuffer(bytes(16), dtype=np.uint64), ValueError),  # read-only
+    ]:
+        with pytest.raises(error):
+            _native._ext.root(2, ops, dom)
+
+
 def test_root_keeps_fixed_points_on_fixed_points():
     # x = u(x) needs y = u(y): the revision alone keeps every value of the
     # fixed point 1 here, since each is the image of some value
@@ -1194,31 +1212,31 @@ def test_side_condition_searches_pinned():
 
 def test_each_variable_is_queued_once_per_propagate(monkeypatch):
     # a variable enters the queue once, when its domain becomes a singleton,
-    # so within one propagate call no variable is queued twice or popped
-    # twice, and after a fixpoint every queued variable has been popped
-    popped, queued, sizes = [], [], []
-    plain = _Engine.propagate
+    # so within one propagate call the trail makes no variable a singleton
+    # twice, nor one that was queued before the call; after a fixpoint the
+    # queue is empty, every queued variable popped, and after a wipeout it
+    # holds distinct variables queued in this call. Read from the trail and
+    # the queue, which the C propagate narrows like the Python one
+    sizes = []
+    plain = _native.propagate
 
-    class Queue(list):
-        def append(self, var):
-            queued.append(var)
-            super().append(var)
-
-        def pop(self):
-            popped.append(super().pop())
-            return popped[-1]
-
-    def propagate(self):
-        popped.clear()
-        queued[:] = self.queue
-        self.queue = Queue(self.queue)
-        ok = plain(self)
-        assert len(popped) == len(set(popped)) and len(queued) == len(set(queued))
-        assert set(popped) <= set(queued) and (not ok or len(popped) == len(queued))
-        sizes.append(len(popped))
+    def propagate(dom, trail, queue, props, check):
+        queued, mark = list(queue), len(trail)
+        assert all(not dom[v] & (dom[v] - 1) for v in queued)
+        ok = plain(dom, trail, queue, props, check)
+        after = {}  # the mask each record's change left: the next record's, or dom's
+        for var, old in reversed(trail[mark:]):
+            new = after.get(var, dom[var])
+            if old & (old - 1) and not new & (new - 1):
+                queued.append(var)
+            after[var] = old
+        assert len(queued) == len(set(queued))
+        assert not queue if ok else len(queue) == len(set(queue)) <= len(queued)
+        assert set(queue) <= set(queued)
+        sizes.append(len(queued) - len(queue))
         return ok
 
-    monkeypatch.setattr(_Engine, "propagate", propagate)
+    monkeypatch.setattr(_native, "propagate", propagate)
     encs = [encode_semigroup(g)[0] for g in graph_catalog(2, 3)]
     retractions = [decide_retraction(x, y) for x in encs for y in encs]
     digraphs = graph_catalog(2, 4, directed=True, connected=True)[::15]
