@@ -46,7 +46,9 @@ from homfactor.graphs import (
 )
 from homfactor.varieties import (
     make_abelian,
+    make_boolean,
     make_gset,
+    make_vspace,
     sample_fcore_instances,
     sample_rf_instances,
 )
@@ -1207,6 +1209,77 @@ def test_side_condition_searches_pinned():
         "full-factor": (314, 3420, "550356512c6ae4f7", 34, 49),
         "isomorphism": (451, 0, "74e05a0912f4050f", 17, 289),
         "retraction": (1818, 648552, "823ff20b4e81bc8d", 47, 1849),
+    }
+
+
+def _relabelled(alg, seed):
+    """alg with element x renamed p[x], p a seeded permutation."""
+    p = np.random.default_rng(seed).permutation(alg.size)
+    inv = np.argsort(p)
+    tables = {name: p[alg.nd(name)[np.ix_(*[inv] * k)] if k else alg.table(name)].reshape(-1)
+              for name, k in alg.signature.ops}
+    return FiniteAlgebra(alg.signature, alg.size, tables)
+
+
+def _wide_target_runs():
+    """(total nodes, total root_pruned, witness digest, yes answers,
+    decisions) per entry kind on targets of 64-200 elements, whose masks
+    take one to four uint64 words: isomorphisms (injectivity), retractions
+    (the channel), brute_fcore (idempotence) and homomorphisms of ternary
+    lifts (arity 3 tables); then one enumeration's (nodes, digest, length)
+    and the node count at which a node limit of 50 fires. make_boolean(7)
+    and Z_2^7 use value 127, the top bit of a second word."""
+    z2, z4, b7 = make_abelian([2] * 7), make_abelian([4, 4, 4]), make_boolean(7)
+    z3, z42 = make_abelian([3] * 4), make_abelian([4, 2, 2, 2, 2, 2])
+    z200 = make_abelian([2, 10, 10])
+    rng = np.random.default_rng(11)
+    lifts = []
+    for n in (65, 100):
+        small = rng.integers(0, 4, (4, 4))
+        big = rng.integers(0, n, (n, n))
+        big[:4, :4] = small  # the small magma embeds as the first elements
+        magma = [FiniteAlgebra([("mul", 2)], k, {"mul": t.reshape(-1)})
+                 for k, t in ((4, small), (n, big), (n, rng.integers(0, n, (n, n))))]
+        lifts += [(lift_nary(magma[0], 3), lift_nary(m, 3)) for m in magma[1:]]
+    fx = make_vspace(2, 7)
+    runs = {
+        "isomorphism": [lambda s, a=a, b=b: (decide_isomorphism(a, b, stats=s),)
+                        for a, b in ((z2, _relabelled(z2, 1)), (b7, b7), (z4, _relabelled(z4, 2)),
+                                     (z3, _relabelled(z3, 3)), (z200, _relabelled(z200, 5)))],
+        "retraction": [lambda s, a=a, b=b: decide_retraction(a, b, stats=s)
+                       for a, b in ((z2, _relabelled(z2, 4)), (make_boolean(3), b7), (b7, b7),
+                                    (z4, z4), (z4, z2), (z4, z42), (make_abelian([3]), z3),
+                                    (make_abelian([10]), z200))],
+        "fcore": [lambda s, f=f: (brute_fcore(fx, f, stats=s).retraction,)
+                  for f in (Mapping(128, 2, tuple(x & 1 for x in range(128))),
+                            Mapping(128, 4, tuple(x >> 5 for x in range(128))))],
+        "hom": [lambda s, a=a, b=b: (find_homomorphism(a, b, stats=s),) for a, b in lifts],
+    }
+    out = {}
+    for kind, calls in runs.items():
+        stats = SearchStats()
+        ws = [_values(*(call(stats) or (None,))) for call in calls]
+        out[kind] = (stats.nodes, stats.root_pruned, _digest(ws),
+                     sum(w != (None,) for w in ws), len(ws))
+    stats = SearchStats()
+    homs = enumerate_homomorphisms(make_abelian([2, 2]), z2, 300, stats=stats)
+    out["enumerate"] = (stats.nodes, _digest([m.values for m in homs]), len(homs))
+    stats = SearchStats(node_limit=50)
+    with pytest.raises(NodeLimitReached):
+        decide_isomorphism(z2, z42, stats=stats)
+    out["node limit"] = stats.nodes
+    return out
+
+
+def test_wide_target_searches_pinned():
+    # measured while targets past 64 elements ran the Python propagate
+    assert _wide_target_runs() == {
+        "isomorphism": (31, 2459, "e19b00ec8e8171ab", 5, 5),
+        "retraction": (34, 30541, "ce6d1f68908435b4", 6, 8),
+        "fcore": (13, 94, "2df4e5009e5a330e", 2, 2),
+        "hom": (72, 0, "57aa802b08162a17", 4, 4),
+        "enumerate": (303, "d8ca8c0ff2bd6fd2", 300),
+        "node limit": 51,
     }
 
 
