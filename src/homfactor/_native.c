@@ -3,9 +3,8 @@
  *
  * root(nb, ops, d): root arc consistency for homomorphisms A -> B over
  * operation tables, behind homfactor.solver._consistent_domains;
- * propagate(dom, trail, queue, props, check): the search engine's
- * propagation to a fixpoint, _Engine.propagate, for engines whose targets
- * have at most 64 elements.
+ * propagate(dom, trail, queue, props, w): the search engine's propagation
+ * to a fixpoint, for every engine, on domains of w uint64 words.
  *
  * Root arc consistency.
  *
@@ -31,6 +30,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -61,6 +61,22 @@ static inline int meets(const word *s, const word *t, int64_t w)
         if (s[k] & t[k])
             return 1;
     return 0;
+}
+
+static inline int empty(const word *s, int64_t w) { return !meets(s, s, w); }
+
+static inline int same(const word *s, const word *t, int64_t w)
+{
+    for (int64_t k = 0; k < w; k++)
+        if (s[k] != t[k])
+            return 0;
+    return 1;
+}
+
+static inline void join(word *t, const word *s, int64_t w)
+{
+    for (int64_t k = 0; k < w; k++)
+        t[k] |= s[k];
 }
 
 static inline int within(const word *s, const word *t, int64_t w)
@@ -367,29 +383,55 @@ done:
 
 /* Propagation.
  *
- * propagate(dom, trail, queue, props, check) is _Engine.propagate in
- * homfactor.solver, on the engine's own lists: dom, the domains as int
- * bitmasks; trail, the (var, mask before the change) records; queue, the
- * stack of variables newly fixed; props, each variable's list of compiled
- * 5-tuples (kind, i, j, tab, aux). The caller guarantees that every target
- * has at most 64 elements, so each mask is one uint64 word; a table's mask
- * is read modulo 2**64, which keeps the negative masks ~(1 << c) of the
- * side conditions. The entries run in their list's order, the queue is
- * popped from its end, and each narrowing appends the same trail record
- * and queue entry as the Python loop, so the two leave equal states. A
- * _TABLE entry (arity 3 or more) is checked by calling back
- * check(dom, trail, queue, i, j, tab, aux). */
+ * propagate(dom, trail, queue, props, w) is the search engine's
+ * propagation to a fixpoint, on the engine's own lists (see _Engine in
+ * homfactor.solver): dom, the domains as int bitmasks; trail, the (var,
+ * mask before the change) records; queue, the stack of variables newly
+ * fixed; props, each variable's list of compiled 5-tuples (kind, i, j,
+ * tab, aux). Every mask is a nonnegative int of at most w uint64 words,
+ * w = ceil(widest target / 64), read into a row of w words laid out like
+ * the root pass's domains; a negative mask, or one wider than w words,
+ * raises OverflowError. A variable is queued once, when its domain becomes
+ * a singleton, so each popped variable is newly fixed and reaches its
+ * entries once. The queue is popped from its end and a variable's entries
+ * run in their list's order, side condition first: node counts depend on
+ * both. Each narrowing appends (var, old mask) to the trail, and var to
+ * the queue if it is a singleton now. tests/python_propagate.py holds the
+ * same loop in Python, the reference that it must match state for state.
+ */
+
+#if PY_BIG_ENDIAN
+#error "propagate reads a mask's little-endian bytes as native words"
+#endif
 
 enum { ROW, PAIR, PRE, TABLE, EACH }; /* solver's _ROW, _PAIR, _PRE, _TABLE, _EACH */
+enum { MAX_WORDS = 64 };              /* 4,096 values, solver._MAX_CARRIER */
 
 typedef struct {
     PyObject *dom, *trail, *queue;
 } engine;
 
-static inline int is_fixed(word d) { return !(d & (d - 1)); }
+/* at most one value: a singleton, or empty */
+static inline int is_fixed(const word *s, int64_t w)
+{
+    int seen = 0;
+    for (int64_t k = 0; k < w; k++)
+        if (s[k]) {
+            if (seen || s[k] & (s[k] - 1))
+                return 0;
+            seen = 1;
+        }
+    return 1;
+}
 
 /* d.bit_length() - 1: a singleton's value */
-static inline Py_ssize_t top(word d) { return d ? 63 - __builtin_clzll(d) : -1; }
+static inline Py_ssize_t top(const word *s, int64_t w)
+{
+    for (int64_t k = w - 1; k >= 0; k--)
+        if (s[k])
+            return 64 * k + 63 - __builtin_clzll(s[k]);
+    return -1;
+}
 
 /* item i of the list seq (borrowed), negative i counted from the end */
 static inline PyObject *item(PyObject *seq, Py_ssize_t i)
@@ -408,22 +450,43 @@ static inline PyObject *item(PyObject *seq, Py_ssize_t i)
     return PyList_GET_ITEM(seq, i);
 }
 
-static inline int as_mask(PyObject *o, word *m)
+/* the int o as the w words m; a negative int, or one past w words, raises
+ * OverflowError. At w = 1, PyLong_AsUnsignedLong reads the digits whole
+ * where PyLong_AsUnsignedLongLong copies an int past 2**30 byte by byte */
+static inline int as_mask(PyObject *o, word *m, int64_t w)
 {
     if (!o)
         return -1;
-    *m = PyLong_AsUnsignedLongLongMask(o);
-    return *m == (word)-1 && PyErr_Occurred() ? -1 : 0;
+    if (w == 1) {
+#if ULONG_MAX == UINT64_MAX
+        *m = PyLong_AsUnsignedLong(o);
+#else
+        *m = PyLong_AsUnsignedLongLong(o);
+#endif
+        return *m == (word)-1 && PyErr_Occurred() ? -1 : 0;
+    }
+    if (!PyLong_Check(o)) {
+        PyErr_SetString(PyExc_TypeError, "a mask is an int");
+        return -1;
+    }
+#if PY_VERSION_HEX >= 0x030D0000 /* 3.13 added with_exceptions */
+    return _PyLong_AsByteArray((PyLongObject *)o, (unsigned char *)m, w * sizeof(word), 1, 0, 1);
+#else
+    return _PyLong_AsByteArray((PyLongObject *)o, (unsigned char *)m, w * sizeof(word), 1, 0);
+#endif
 }
 
 /* the mask seq[i] */
-static inline int mask_at(PyObject *seq, Py_ssize_t i, word *m) { return as_mask(item(seq, i), m); }
+static inline int mask_at(PyObject *seq, Py_ssize_t i, word *m, int64_t w)
+{
+    return as_mask(item(seq, i), m, w);
+}
 
 /* the mask seq[i][k] */
-static inline int mask_at2(PyObject *seq, Py_ssize_t i, Py_ssize_t k, word *m)
+static inline int mask_at2(PyObject *seq, Py_ssize_t i, Py_ssize_t k, word *m, int64_t w)
 {
     PyObject *row = item(seq, i);
-    return row ? mask_at(row, k, m) : -1;
+    return row ? mask_at(row, k, m, w) : -1;
 }
 
 /* a variable: an index into dom, which narrow writes without a check */
@@ -440,9 +503,11 @@ static inline int as_var(PyObject *o, Py_ssize_t *x)
 /* Narrow variable x (the int xo) to the mask m, a nonempty proper subset
  * of its domain: record (x, old mask) on the trail, and queue x if m is a
  * singleton. */
-static int narrow(const engine *e, PyObject *xo, Py_ssize_t x, word m)
+static int narrow(const engine *e, PyObject *xo, Py_ssize_t x, const word *m, int64_t w)
 {
-    PyObject *mo = PyLong_FromUnsignedLongLong(m), *rec = PyTuple_New(2);
+    PyObject *mo = w == 1 ? PyLong_FromUnsignedLongLong(*m)
+                          : _PyLong_FromByteArray((const unsigned char *)m, w * sizeof(word), 1, 0);
+    PyObject *rec = PyTuple_New(2);
     if (!mo || !rec) {
         Py_XDECREF(mo);
         Py_XDECREF(rec);
@@ -456,98 +521,92 @@ static int narrow(const engine *e, PyObject *xo, Py_ssize_t x, word m)
     Py_DECREF(rec);
     if (failed)
         return -1;
-    return is_fixed(m) ? PyList_Append(e->queue, xo) : 0;
+    return is_fixed(m, w) ? PyList_Append(e->queue, xo) : 0;
 }
 
-/* One entry of the variable v, fixed to the value a: 1 to go on, 0 on a
- * wipeout, -1 on an error. */
-static int run_entry(const engine *e, PyObject *check, PyObject *entry, Py_ssize_t v,
-                     Py_ssize_t a)
+/* One entry of the variable v, fixed to the value a, on masks of w words:
+ * 1 to go on, 0 on a wipeout, -1 on an error. */
+static inline __attribute__((always_inline)) int
+run_entry(const engine *e, PyObject *entry, Py_ssize_t v, Py_ssize_t a, int64_t w)
 {
     if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 5) {
         PyErr_SetString(PyExc_TypeError, "an entry is a 5-tuple");
         return -1;
     }
     PyObject *io = PyTuple_GET_ITEM(entry, 1), *jo = PyTuple_GET_ITEM(entry, 2),
-             *tab = PyTuple_GET_ITEM(entry, 3), *aux = PyTuple_GET_ITEM(entry, 4), *xo;
-    const long kind = PyLong_AsLong(PyTuple_GET_ITEM(entry, 0));
-    Py_ssize_t i, j, x;
-    word dx, m;
-    /* each kind but _EACH and _TABLE ends in narrowing x from dx to m */
+             *tab = PyTuple_GET_ITEM(entry, 3), *aux = PyTuple_GET_ITEM(entry, 4), *xo = io;
+    const Py_ssize_t kind = PyLong_AsSsize_t(PyTuple_GET_ITEM(entry, 0));
+    Py_ssize_t i, j, x = 0;
+    word d1[MAX_WORDS], d2[MAX_WORDS], m[MAX_WORDS], ay[MAX_WORDS];
+    const word *dx = d1;
+    /* each kind but _EACH ends in narrowing x from dx to m */
     switch (kind) {
-    case ROW: { /* (o, w, rows, pres): rows[a][w] = o */
-        word dw;
-        if (as_var(io, &i) || as_var(jo, &j) || mask_at(e->dom, i, &dx)
-            || mask_at(e->dom, j, &dw))
+    case ROW: /* (o, u, rows, pres): rows[a][u] = o */
+        if (as_var(io, &i) || as_var(jo, &j) || mask_at(e->dom, i, d1, w)
+            || mask_at(e->dom, j, d2, w))
             return -1;
-        xo = io, x = i;
-        if (is_fixed(dw)) {
-            if (mask_at2(tab, a, top(dw), &m))
+        x = i;
+        if (is_fixed(d2, w)) {
+            if (mask_at2(tab, a, top(d2, w), m, w))
                 return -1;
-            m &= dx;
+            meet(m, d1, w);
             break;
         }
         /* j free: keep the values whose image is in i's domain */
-        word ay = 0;
-        if (is_fixed(dx)) {
-            if (mask_at2(aux, a, top(dx), &ay))
+        if (is_fixed(d1, w)) {
+            if (mask_at2(aux, a, top(d1, w), ay, w))
                 return -1;
-            ay &= dw;
-            m = dx;
+            meet(ay, d2, w);
+            memcpy(m, d1, w * sizeof(word));
         } else {
             PyObject *row = item(tab, a);
             if (!row)
                 return -1;
-            m = 0;
-            for (word rest = dw; rest; rest &= rest - 1) {
-                word c;
-                if (mask_at(row, __builtin_ctzll(rest), &c))
+            memset(ay, 0, w * sizeof(word));
+            memset(m, 0, w * sizeof(word));
+            FOR_EACH(y, d2, w) {
+                word c[MAX_WORDS];
+                if (mask_at(row, y, c, w))
                     return -1;
-                if (dx & c) {
-                    ay |= rest & -rest;
-                    m |= c;
+                if (meets(d1, c, w)) {
+                    put(ay, y);
+                    join(m, c, w);
                 }
             }
         }
-        if (!ay)
+        if (empty(ay, w))
             return 0;
-        if (ay != dw && narrow(e, jo, j, ay))
+        if (!same(ay, d2, w) && narrow(e, jo, j, ay, w))
             return -1;
         break;
-    }
     case PRE: /* (x, -, pre, -): x within pre[a] */
-        if (as_var(io, &i) || mask_at(e->dom, i, &dx) || mask_at(tab, a, &m))
+        if (as_var(io, &x) || mask_at(e->dom, x, d1, w) || mask_at(tab, a, m, w))
             return -1;
-        xo = io, x = i;
-        m &= dx;
+        meet(m, d1, w);
         break;
-    case PAIR: { /* (x1, x2, pre1, pre2): v is the output of (x1, x2) */
-        word d1, d2;
-        if (as_var(io, &i) || as_var(jo, &j) || mask_at(e->dom, i, &d1)
-            || mask_at(e->dom, j, &d2))
+    case PAIR: /* (x1, x2, pre1, pre2): v is the output of (x1, x2) */
+        if (as_var(io, &i) || as_var(jo, &j) || mask_at(e->dom, i, d1, w)
+            || mask_at(e->dom, j, d2, w))
             return -1;
-        if (!is_fixed(d1)) {
-            if (!is_fixed(d2))
+        if (!is_fixed(d1, w)) {
+            if (!is_fixed(d2, w))
                 return 1; /* two free inputs: checked later */
-            xo = io, x = i, dx = d1;
-            if (mask_at2(aux, top(d2), a, &m))
+            x = i;
+            if (mask_at2(aux, top(d2, w), a, m, w))
                 return -1;
-            m &= d1;
-        } else if (!is_fixed(d2)) {
-            xo = jo, x = j, dx = d2;
-            if (mask_at2(tab, top(d1), a, &m))
-                return -1;
-            m &= d2;
+            meet(m, d1, w);
         } else {
-            if (mask_at2(tab, top(d1), a, &m))
+            if (mask_at2(tab, top(d1, w), a, m, w))
                 return -1;
-            return (m & d2) != 0;
+            if (is_fixed(d2, w))
+                return meets(m, d2, w);
+            xo = jo, x = j, dx = d2;
+            meet(m, d2, w);
         }
         break;
-    }
-    case EACH: { /* (-, -, group, masks): each w in group[a] but v within masks[a] */
+    case EACH: { /* (-, -, group, masks): each u in group[a] but v within masks[a] */
         PyObject *group = item(tab, a);
-        if (!group || mask_at(aux, a, &m))
+        if (!group || mask_at(aux, a, m, w))
             return -1;
         if (!PyList_Check(group)) {
             PyErr_SetString(PyExc_TypeError, "propagate reads lists");
@@ -555,38 +614,119 @@ static int run_entry(const engine *e, PyObject *check, PyObject *entry, Py_ssize
         }
         for (Py_ssize_t k = 0; k < PyList_GET_SIZE(group); k++) {
             xo = PyList_GET_ITEM(group, k);
-            if (as_var(xo, &x) || mask_at(e->dom, x, &dx))
+            if (as_var(xo, &x) || mask_at(e->dom, x, d1, w))
                 return -1;
-            if ((dx & m) != dx && x != v) {
-                if (!(dx & m))
+            if (x != v && !within(d1, m, w)) {
+                meet(d1, m, w);
+                if (empty(d1, w))
                     return 0;
-                if (narrow(e, xo, x, dx & m))
+                if (narrow(e, xo, x, d1, w))
                     return -1;
             }
         }
         return 1;
     }
-    case TABLE: {
-        PyObject *argv[7] = {e->dom, e->trail, e->queue, io, jo, tab, aux};
-        Py_INCREF(entry); /* the callback may drop the last other reference */
-        PyObject *r = PyObject_Vectorcall(check, argv, 7, NULL);
-        Py_DECREF(entry);
-        if (!r)
+    case TABLE: { /* (inputs, o, table, strides): arity 3 or more */
+        if (!PyTuple_Check(io) || !PyTuple_Check(aux)
+            || PyTuple_GET_SIZE(io) != PyTuple_GET_SIZE(aux)) {
+            PyErr_SetString(PyExc_TypeError, "a table entry's inputs and strides are tuples "
+                                             "of one length");
             return -1;
-        const int ok = PyObject_IsTrue(r);
-        Py_DECREF(r);
-        return ok;
+        }
+        /* at: the offset of the fixed inputs; the one free input, if any
+         * (repeats allowed), moves by step */
+        Py_ssize_t at = 0, free = -1, step = 0;
+        PyObject *free_o = NULL;
+        for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(io); k++) {
+            PyObject *yo = PyTuple_GET_ITEM(io, k);
+            const Py_ssize_t stride = PyLong_AsSsize_t(PyTuple_GET_ITEM(aux, k));
+            Py_ssize_t y;
+            if ((stride == -1 && PyErr_Occurred()) || as_var(yo, &y)
+                || mask_at(e->dom, y, d1, w))
+                return -1;
+            if (is_fixed(d1, w))
+                at += top(d1, w) * stride;
+            else if (y == free)
+                step += stride;
+            else if (free < 0)
+                free = y, free_o = yo, step = stride;
+            else
+                return 1; /* two distinct free inputs: checked later */
+        }
+        xo = jo, dx = d2;
+        if (as_var(jo, &x) || mask_at(e->dom, x, d2, w))
+            return -1;
+        if (free < 0) { /* narrow the output to the image */
+            if (mask_at(tab, at, m, w))
+                return -1;
+            meet(m, d2, w);
+            break;
+        }
+        /* keep the values of the free input whose image lies in the
+         * output's domain (or, when it is the output, contains it), and
+         * narrow the output to those images */
+        if (mask_at(e->dom, free, d1, w))
+            return -1;
+        memset(ay, 0, w * sizeof(word));
+        memset(m, 0, w * sizeof(word));
+        FOR_EACH(y, d1, w) {
+            word c[MAX_WORDS];
+            if (mask_at(tab, at + (Py_ssize_t)y * step, c, w))
+                return -1;
+            if (free == x ? has(c, y) : meets(d2, c, w)) {
+                put(ay, y);
+                join(m, c, w);
+            }
+        }
+        if (empty(ay, w))
+            return 0;
+        if (!same(ay, d1, w) && narrow(e, free_o, free, ay, w))
+            return -1;
+        if (free == x)
+            return 1;
+        break;
     }
     default:
         if (!PyErr_Occurred())
-            PyErr_Format(PyExc_ValueError, "unknown entry kind %ld", kind);
+            PyErr_Format(PyExc_ValueError, "unknown entry kind %zd", kind);
         return -1;
     }
-    if (m != dx) {
-        if (!m)
+    if (!same(m, dx, w)) {
+        if (empty(m, w))
             return 0;
-        if (narrow(e, xo, x, m))
+        if (narrow(e, xo, x, m, w))
             return -1;
+    }
+    return 1;
+}
+
+/* The loop over the queue: 1 at a fixpoint, 0 on a wipeout, -1 on an
+ * error. Inlined twice, so that the code for one word is compiled with
+ * w = 1 known. */
+static inline __attribute__((always_inline)) int run(const engine *e, PyObject *props,
+                                                     int64_t w)
+{
+    Py_ssize_t n;
+    while ((n = PyList_GET_SIZE(e->queue))) {
+        Py_ssize_t v;
+        word dv[MAX_WORDS];
+        if (as_var(PyList_GET_ITEM(e->queue, n - 1), &v)
+            || PyList_SetSlice(e->queue, n - 1, n, NULL) || mask_at(e->dom, v, dv, w))
+            return -1;
+        const Py_ssize_t a = top(dv, w);
+        PyObject *entries = item(props, v);
+        if (!entries || !PyList_Check(entries)) {
+            if (entries)
+                PyErr_SetString(PyExc_TypeError, "propagate reads lists");
+            return -1;
+        }
+        Py_INCREF(entries);
+        int go = 1;
+        for (Py_ssize_t k = 0; k < PyList_GET_SIZE(entries) && go > 0; k++)
+            go = run_entry(e, PyList_GET_ITEM(entries, k), v, a, w);
+        Py_DECREF(entries);
+        if (go <= 0)
+            return go;
     }
     return 1;
 }
@@ -597,38 +737,19 @@ static PyObject *py_propagate(PyObject *self, PyObject *const *args, Py_ssize_t 
     if (nargs != 5)
         return PyErr_Format(PyExc_TypeError, "propagate takes 5 arguments, not %zd", nargs);
     const engine e = {args[0], args[1], args[2]};
-    PyObject *props = args[3], *check = args[4];
+    const Py_ssize_t w = PyLong_AsSsize_t(args[4]);
+    if (w < 1 || w > MAX_WORDS)
+        return PyErr_Occurred() ? NULL
+                                : PyErr_Format(PyExc_ValueError, "propagate reads masks of 1 to "
+                                                                 "%d words, not %zd", MAX_WORDS, w);
     if (!PyList_Check(e.dom) || !PyList_Check(e.trail) || !PyList_Check(e.queue)) {
         PyErr_SetString(PyExc_TypeError, "propagate reads lists");
         return NULL;
     }
-    Py_ssize_t n;
-    while ((n = PyList_GET_SIZE(e.queue))) {
-        Py_ssize_t v;
-        word dv;
-        if (as_var(PyList_GET_ITEM(e.queue, n - 1), &v)
-            || PyList_SetSlice(e.queue, n - 1, n, NULL) || mask_at(e.dom, v, &dv))
-            return NULL;
-        const Py_ssize_t a = top(dv);
-        PyObject *entries = item(props, v);
-        if (!entries || !PyList_Check(entries)) {
-            if (entries)
-                PyErr_SetString(PyExc_TypeError, "propagate reads lists");
-            return NULL;
-        }
-        Py_INCREF(entries);
-        for (Py_ssize_t k = 0; k < PyList_GET_SIZE(entries); k++) {
-            const int go = run_entry(&e, check, PyList_GET_ITEM(entries, k), v, a);
-            if (go <= 0) {
-                Py_DECREF(entries);
-                if (go < 0)
-                    return NULL;
-                Py_RETURN_FALSE;
-            }
-        }
-        Py_DECREF(entries);
-    }
-    Py_RETURN_TRUE;
+    const int go = w == 1 ? run(&e, args[3], 1) : run(&e, args[3], w);
+    if (go < 0)
+        return NULL;
+    return PyBool_FromLong(go);
 }
 
 static PyMethodDef methods[] = {
@@ -636,8 +757,8 @@ static PyMethodDef methods[] = {
      "root(nb, ops, d): root arc consistency on the uint64 domain words d, in place; "
      "the number of pairs removed, or -1 minus it on a wipeout."},
     {"propagate", (PyCFunction)(void (*)(void))py_propagate, METH_FASTCALL,
-     "propagate(dom, trail, queue, props, check): _Engine.propagate on these lists, "
-     "for targets of at most 64 elements."},
+     "propagate(dom, trail, queue, props, w): the engine's propagation to a fixpoint on "
+     "these lists, masks of at most w words; False on a wipeout."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,6 +1,7 @@
 """The C half of homfactor: _native.c, one CPython extension module built on
 first import, which does the root pass (root) and the search engine's
-propagation (propagate).
+propagation (propagate), for every engine: a domain is as many uint64
+words as its engine's widest target needs.
 
 The module is built from the C source next to this file by the system C
 compiler (cc), run in a child process, against the running interpreter's

@@ -41,12 +41,12 @@ one-hot Python int masks, about three times the size; 32 algebras kept); a
 pair only zips the two. Searches differ only by a side condition, one more
 entry per variable, put first in its list: injectivity for isomorphisms,
 the channel h(g(x)) = f(x) for the combined g/h search, idempotence for
-f-cores. propagate runs every entry inline, with a stack of newly fixed
-variables, which a variable enters once, when it becomes fixed; it runs in
-C when every target has at most 64 elements, so that a domain is one
-uint64 word, and in Python otherwise. The search
-itself holds an explicit stack of branching frames, not Python recursion,
-so its depth is bounded only by the number of variables.
+f-cores. propagate, in C for every engine, runs every entry inline, with
+a stack of newly fixed variables, which a variable enters once, when it
+becomes fixed; it reads each domain as uint64 words, as many as the widest
+target needs. The search itself holds an explicit stack of branching
+frames, not Python recursion, so its depth is bounded only by the number
+of variables.
 
 What each instance kind means lives in one table, _KINDS: decide dispatches
 on it, full factors and retractions share one combined search over g-
@@ -223,13 +223,15 @@ def _channel(n_x, n_y, n_z, f_values):
     to_h = [[n_x + y] for y in range(n_y)]
     images = {z: [1 << z] * n_y for z in set(f_values)}
     to_g = [[x for x, fx in enumerate(f_values) if fx != z] for z in range(n_z)]
+    full = (1 << n_y) - 1
     return ([(_EACH, None, None, to_h, images[z]) for z in f_values]
-            + [(_EACH, None, None, to_g, [~(1 << y)] * n_z) for y in range(n_y)])
+            + [(_EACH, None, None, to_g, [full ^ (1 << y)] * n_z) for y in range(n_y)])
 
 
 def _injective(n):
     """No two of the n variables share a value."""
-    return [(_EACH, None, None, [list(range(n))] * n, [~(1 << c) for c in range(n)])] * n
+    full = (1 << n) - 1
+    return [(_EACH, None, None, [list(range(n))] * n, [full ^ (1 << c) for c in range(n)])] * n
 
 
 def _idempotent(n):
@@ -397,45 +399,6 @@ def _restrict(dom, trail, queue, var, allowed) -> bool:
     return True
 
 
-def _check_table(dom, trail, queue, ins, out, table, strides) -> bool:
-    """One constraint of arity 3 or more, on an engine's lists: with every
-    input fixed, narrow the output to its image; with one free input
-    (repeats allowed), keep the values whose image lies in the output's
-    domain, and the images."""
-    idx_fixed = 0
-    free_var = -1
-    free_stride = 0
-    for w, stride in zip(ins, strides):
-        dw = dom[w]
-        if not dw & (dw - 1):
-            idx_fixed += (dw.bit_length() - 1) * stride
-        elif w == free_var:
-            free_stride += stride
-        elif free_var == -1:
-            free_var = w
-            free_stride = stride
-        else:
-            return True  # two distinct free inputs: checked later
-    if free_var == -1:
-        return _restrict(dom, trail, queue, out, dom[out] & table[idx_fixed])
-    rest = dom[free_var]
-    dout = dom[out]
-    allowed_y = allowed_out = 0
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = table[idx_fixed + (low.bit_length() - 1) * free_stride]
-        if free_var == out:
-            if low & v:
-                allowed_y |= low
-        elif dout & v:
-            allowed_y |= low
-            allowed_out |= v
-    if not _restrict(dom, trail, queue, free_var, allowed_y):
-        return False
-    return free_var == out or _restrict(dom, trail, queue, out, allowed_out)
-
-
 class _Engine:
     """Backtracking over homomorphisms a -> b for each (a, b) in pairs, from
     the root pass's domain words, one array per pair (row v: the values v
@@ -444,7 +407,16 @@ class _Engine:
     (see _channel), side[v], goes first in v's list. After root(),
     first_without and settle run searches from one shared base state:
     first_without searches with one value removed and restores the state,
-    settle narrows a domain to a mask for good."""
+    settle narrows a domain to a mask for good.
+
+    propagate() runs the queued variables to a fixpoint, False on a
+    wipeout: propagate in _native.c, bound to this engine's lists, on masks
+    of w uint64 words for the widest target. A variable is queued once,
+    when its domain becomes a singleton, so after a fixpoint the variables
+    with more than one value left are exactly the unassigned ones. The
+    queue is a stack and a variable's entries run side condition first,
+    then in ascending constraint order: node counts depend on both (see
+    test_node_counts_pinned)."""
 
     def __init__(self, pairs, domains, stats, *, order="mrv", side=()):
         self.props = _compile(pairs)
@@ -458,105 +430,15 @@ class _Engine:
         self.stop = self.stats.node_limit  # stats.nodes may not pass it
         self.trail = []  # (var, mask before the change)
         self.queue = []  # variables whose domain became a singleton, not yet propagated
-        if max(b.size for _, b in pairs) <= 64:
-            # every mask fits one uint64 word: propagate in C, on these lists;
-            # _check_table is a module function, since a bound method here
-            # would make the engine a reference cycle, freed only by the GC
-            self.propagate = functools.partial(_native.propagate, self.dom, self.trail,
-                                               self.queue, self.props, _check_table)
+        w = -(-max(b.size for _, b in pairs) // 64)  # uint64 words per mask
+        self.propagate = functools.partial(_native.propagate, self.dom, self.trail, self.queue,
+                                           self.props, w)
 
     def _undo(self, mark):
         trail, dom = self.trail, self.dom
         for var, old in reversed(trail[mark:]):
             dom[var] = old
         del trail[mark:]
-
-    def propagate(self) -> bool:
-        """Propagate the queued variables to a fixpoint; False on a wipeout.
-        A variable is queued once, when its domain becomes a singleton, so
-        each popped variable is newly fixed and reaches its entries once;
-        after a fixpoint, the variables with more than one value left are
-        exactly the unassigned ones. The queue is a stack and a variable's
-        entries run side condition first, then in ascending constraint
-        order: node counts depend on both (see test_node_counts_pinned).
-
-        This is the reference loop. An engine whose targets all have at most
-        64 elements replaces it, in __init__, by propagate in _native.c: the
-        same loop over the same lists, on uint64 masks, leaving the same
-        domains, trail and queue (tests/test_native_propagate.py), with
-        _check_table called back for arity 3 or more."""
-        dom, trail, queue, props = self.dom, self.trail, self.queue, self.props
-        while queue:
-            v = queue.pop()
-            a = dom[v].bit_length() - 1
-            for kind, i, j, tab, aux in props[v]:
-                # each entry ends in narrowing one variable x from dx to m
-                if kind == _ROW:
-                    x, dx, dw = i, dom[i], dom[j]
-                    if not dw & (dw - 1):
-                        m = dx & tab[a][dw.bit_length() - 1]
-                    else:
-                        # j free: keep the values whose image is in i's domain
-                        if not dx & (dx - 1):
-                            ay, m = dw & aux[a][dx.bit_length() - 1], dx
-                        else:
-                            row = tab[a]
-                            ay = m = 0
-                            rest = dw
-                            while rest:
-                                low = rest & -rest
-                                rest ^= low
-                                c = row[low.bit_length() - 1]
-                                if dx & c:
-                                    ay |= low
-                                    m |= c
-                        if not ay:
-                            return False
-                        if ay != dw:
-                            trail.append((j, dw))
-                            dom[j] = ay
-                            if not ay & (ay - 1):
-                                queue.append(j)
-                elif kind == _PRE:
-                    x, dx = i, dom[i]
-                    m = dx & tab[a]
-                elif kind == _PAIR:
-                    d1, d2 = dom[i], dom[j]
-                    if d1 & (d1 - 1):
-                        if d2 & (d2 - 1):
-                            continue  # two free inputs: checked later
-                        x, dx, m = i, d1, d1 & aux[d2.bit_length() - 1][a]
-                    elif d2 & (d2 - 1):
-                        x, dx, m = j, d2, d2 & tab[d1.bit_length() - 1][a]
-                    elif tab[d1.bit_length() - 1][a] & d2:
-                        continue
-                    else:
-                        return False
-                elif kind == _EACH:
-                    mask = aux[a]
-                    for x in tab[a]:
-                        dx = dom[x]
-                        m = dx & mask
-                        if m != dx and x != v:
-                            if not m:
-                                return False
-                            trail.append((x, dx))
-                            dom[x] = m
-                            if not m & (m - 1):
-                                queue.append(x)
-                    continue
-                elif _check_table(dom, trail, queue, i, j, tab, aux):
-                    continue
-                else:
-                    return False
-                if m != dx:
-                    if not m:
-                        return False
-                    trail.append((x, dx))
-                    dom[x] = m
-                    if not m & (m - 1):
-                        queue.append(x)
-        return True
 
     def _pick(self):
         """The next variable to branch on, among those with more than one

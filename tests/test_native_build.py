@@ -1,11 +1,12 @@
 """The C extension module (the root pass and propagation) builds on the
 first import of a cold copy of the package, once, without setuptools, and
-fails loudly without a compiler."""
+fails loudly without a compiler; its source compiles free of warnings."""
 
 import os
 import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import homfactor
@@ -59,3 +60,10 @@ def test_a_missing_compiler_is_an_import_error_that_names_it(tmp_path):
     assert "ImportError: homfactor builds _native.c on first import and needs a C compiler, " \
            "but no 'cc' is on PATH" in done.stderr
     assert not list((src / "homfactor").glob("build/*/_native_ext.*"))
+
+
+def test_the_source_compiles_without_warnings():
+    done = subprocess.run(["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                           "-I" + sysconfig.get_paths()["include"], str(PACKAGE / "_native.c")],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1289,14 +1289,16 @@ def test_each_variable_is_queued_once_per_propagate(monkeypatch):
     # twice, nor one that was queued before the call; after a fixpoint the
     # queue is empty, every queued variable popped, and after a wipeout it
     # holds distinct variables queued in this call. Read from the trail and
-    # the queue, which the C propagate narrows like the Python one
-    sizes = []
+    # the queue, over searches with masks of one word and, into a
+    # 128-element target, of two
+    sizes, words = [], set()
     plain = _native.propagate
 
-    def propagate(dom, trail, queue, props, check):
+    def propagate(dom, trail, queue, props, w):
         queued, mark = list(queue), len(trail)
         assert all(not dom[v] & (dom[v] - 1) for v in queued)
-        ok = plain(dom, trail, queue, props, check)
+        ok = plain(dom, trail, queue, props, w)
+        words.add(w)
         after = {}  # the mask each record's change left: the next record's, or dom's
         for var, old in reversed(trail[mark:]):
             new = after.get(var, dom[var])
@@ -1316,5 +1318,7 @@ def test_each_variable_is_queued_once_per_propagate(monkeypatch):
     unary = [encode_unary(g, theorem_grade=True)[0] for g in digraphs]
     homs = [find_homomorphism(a, b) for a in unary for b in unary]
     cores = [brute_fcore(x, f, z) for x, z, f in map(make_fcore_instance, graph_catalog(1, 4))]
-    assert any(retractions) and any(homs) and cores
+    wide = decide_retraction(make_boolean(3), make_boolean(7))
+    assert any(retractions) and any(homs) and cores and wide
     assert len(sizes) > 1000 and max(sizes) > 1
+    assert words == {1, 2}
