@@ -1,10 +1,14 @@
 /* The C half of homfactor.solver, one CPython extension module built on
- * first import by homfactor._native. It holds two functions:
+ * first import by homfactor._native. It holds these functions:
  *
  * root(nb, ops, d): root arc consistency for homomorphisms A -> B over
  * operation tables, behind homfactor.solver._consistent_domains;
- * propagate(dom, trail, queue, props, w): the search engine's propagation
- * to a fixpoint, for every engine, on domains of w uint64 words.
+ * plan(pairs, side): one search engine's compiled constraints, the
+ * solver's cached arrays held in place, and preimages(values, nb, pre),
+ * which fills the target half's pre-image rows;
+ * propagate(dom, trail, queue, plan): the search engine's propagation to a
+ * fixpoint, for every engine, on domains of as many uint64 words as each
+ * target needs.
  *
  * Root arc consistency.
  *
@@ -71,12 +75,6 @@ static inline int same(const word *s, const word *t, int64_t w)
         if (s[k] != t[k])
             return 0;
     return 1;
-}
-
-static inline void join(word *t, const word *s, int64_t w)
-{
-    for (int64_t k = 0; k < w; k++)
-        t[k] |= s[k];
 }
 
 static inline int within(const word *s, const word *t, int64_t w)
@@ -254,6 +252,16 @@ static void binary(const int64_t *ta, const int64_t *tb, int64_t na, int64_t nb,
     meet(d, acc, na * w);
 }
 
+/* b holds items of size bytes whose struct code is in codes ('b' int8, 'h'
+ * int16, 'i' int32, "lq" int64, "LQ" uint64) */
+static int of_type(const Py_buffer *b, int size, const char *codes)
+{
+    const char *f = b->format ? b->format : "";
+    if (*f == '@' || *f == '=' || *f == '<')
+        f++;
+    return b->itemsize == size && *f && strchr(codes, *f) && !f[1];
+}
+
 /* Root arc consistency over the n_ops operations in ops, on the domains d
  * (na rows of w words), narrowed in place. work holds
  * (4 * na + nb + 2) * w + 3 * na words: four more rows of na domains, nb
@@ -352,8 +360,7 @@ static PyObject *py_root(PyObject *self, PyObject *const *args, Py_ssize_t nargs
             Py_ssize_t need = 1;
             for (Py_ssize_t j = 0; j < k && need <= b->len; j++)
                 need *= side ? nb : na;
-            if (b->itemsize != 8 || !b->format || (b->format[0] != 'l' && b->format[0] != 'q')
-                || b->format[1] || b->len / 8 != need) {
+            if (!of_type(b, 8, "lq") || b->len / 8 != need) {
                 PyErr_SetString(PyExc_ValueError, "root needs flat int64 tables of n**k entries");
                 goto done;
             }
@@ -383,29 +390,72 @@ done:
 
 /* Propagation.
  *
- * propagate(dom, trail, queue, props, w) is the search engine's
- * propagation to a fixpoint, on the engine's own lists (see _Engine in
- * homfactor.solver): dom, the domains as int bitmasks; trail, the (var,
- * mask before the change) records; queue, the stack of variables newly
- * fixed; props, each variable's list of compiled 5-tuples (kind, i, j,
- * tab, aux). Every mask is a nonnegative int of at most w uint64 words,
- * w = ceil(widest target / 64), read into a row of w words laid out like
- * the root pass's domains; a negative mask, or one wider than w words,
- * raises OverflowError. A variable is queued once, when its domain becomes
- * a singleton, so each popped variable is newly fixed and reaches its
- * entries once. The queue is popped from its end and a variable's entries
- * run in their list's order, side condition first: node counts depend on
- * both. Each narrowing appends (var, old mask) to the trail, and var to
+ * plan(pairs, side) compiles one engine (see _Engine in homfactor.solver),
+ * and propagate(dom, trail, queue, plan) is that engine's propagation to a
+ * fixpoint, on its own lists: dom, the domains as int bitmasks; trail, the
+ * (var, mask before the change) records; queue, the stack of variables
+ * newly fixed. The plan reads each pair's compiled halves in place, as the
+ * solver caches them per algebra: per non-constant operation, the source
+ * half's incidences (variable v's run from cut[v] to cut[v + 1]: each one's
+ * slot, its place in the tuple, and ends, the tuple's other variables) and
+ * the target half's table and rows of uint64 words. A variable is queued
+ * once, when its domain becomes a singleton, so each popped variable is
+ * newly fixed and reaches its entries once. The queue is popped from its
+ * end, and a popped variable runs its side condition first, then its
+ * incidences operation by operation, in order of tuple: node counts depend
+ * on both. Each narrowing appends (var, old mask) to the trail, and var to
  * the queue if it is a singleton now. tests/python_propagate.py holds the
- * same loop in Python, the reference that it must match state for state.
+ * same loop in Python over the same entries expanded to tuples, the
+ * reference that it must match state for state.
+ *
+ * A pair's masks are w = ceil(|B| / 64) uint64 words over its target B,
+ * laid out like the root pass's domains; the popped variable's and a side
+ * condition's, as many words as the widest target needs. A negative mask,
+ * or one wider than that, raises OverflowError; an empty domain, or one
+ * with a value past its target, ValueError.
  */
 
 #if PY_BIG_ENDIAN
 #error "propagate reads a mask's little-endian bytes as native words"
 #endif
 
-enum { ROW, PAIR, PRE, TABLE, EACH }; /* solver's _ROW, _PAIR, _PRE, _TABLE, _EACH */
-enum { MAX_WORDS = 64 };              /* 4,096 values, solver._MAX_CARRIER */
+enum { MAX_WORDS = 64 }; /* 4,096 values, solver._MAX_CARRIER */
+
+static const char PLAN[] = "homfactor._native.plan";
+
+/* One non-constant operation of a pair, as compiled. The source half: the
+ * n_inc incidences' slots and ends (rows of n_inc: one i row, then the j
+ * row; at arity k >= 3 the k inputs, then the output) and cut. The target
+ * half: the table t (nb**arity values) and rows of w words, unary pre1[c]
+ * = {y : t(y) = c}; binary pre1[a][c] = {y : t(a, y) = c}, pre2[a][c] =
+ * {y : t(y, a) = c}, fix1[a] = {y : t(a, y) = y}, fix2[a] = {y : t(y, a) =
+ * y}, dpre[c] = {y : t(y, y) = c}. */
+typedef struct {
+    int64_t arity, n_inc;
+    const int8_t *slot;
+    const int16_t *ends;
+    const int32_t *cut;
+    const int64_t *tab;
+    const word *pre1, *pre2, *fix1, *fix2, *dpre;
+} cop;
+
+/* a pair's variables, offset to offset + n, over nb values in w words */
+typedef struct {
+    int64_t offset, n, nb, w, n_ops;
+    cop *ops;
+} cpair;
+
+/* The side condition of the first n_side variables, side[v] = (first, c,
+ * keep): fixed to a, v narrows each variable of group first + a, from
+ * members[span[r][0]] to members[span[r][1]] (v itself skipped), to the
+ * value c (keep 1) or drops c from it (keep 0); c = -1 stands for a. */
+typedef struct {
+    int64_t n_vars, w, n_pairs, n_side, n_rows;
+    cpair *pairs;
+    const int32_t *side, *span, *members;
+    Py_ssize_t n_bufs;
+    Py_buffer *bufs;
+} plan_t;
 
 typedef struct {
     PyObject *dom, *trail, *queue;
@@ -433,30 +483,11 @@ static inline Py_ssize_t top(const word *s, int64_t w)
     return -1;
 }
 
-/* item i of the list seq (borrowed), negative i counted from the end */
-static inline PyObject *item(PyObject *seq, Py_ssize_t i)
-{
-    if (!PyList_Check(seq)) {
-        PyErr_SetString(PyExc_TypeError, "propagate reads lists");
-        return NULL;
-    }
-    const Py_ssize_t n = PyList_GET_SIZE(seq);
-    if (i < 0)
-        i += n;
-    if (i < 0 || i >= n) {
-        PyErr_SetString(PyExc_IndexError, "propagate read past a list");
-        return NULL;
-    }
-    return PyList_GET_ITEM(seq, i);
-}
-
 /* the int o as the w words m; a negative int, or one past w words, raises
  * OverflowError. At w = 1, PyLong_AsUnsignedLong reads the digits whole
  * where PyLong_AsUnsignedLongLong copies an int past 2**30 byte by byte */
 static inline int as_mask(PyObject *o, word *m, int64_t w)
 {
-    if (!o)
-        return -1;
     if (w == 1) {
 #if ULONG_MAX == UINT64_MAX
         *m = PyLong_AsUnsignedLong(o);
@@ -476,225 +507,251 @@ static inline int as_mask(PyObject *o, word *m, int64_t w)
 #endif
 }
 
-/* the mask seq[i] */
-static inline int mask_at(PyObject *seq, Py_ssize_t i, word *m, int64_t w)
+/* the domain of x as w words over nb values (nb <= 64 * w): a nonempty
+ * mask, since its values index the target's tables */
+static inline int domain(const engine *e, Py_ssize_t x, word *m, int64_t w, int64_t nb)
 {
-    return as_mask(item(seq, i), m, w);
+    if (as_mask(PyList_GET_ITEM(e->dom, x), m, w))
+        return -1;
+    if (empty(m, w) || (nb < 64 * w && m[w - 1] >> (nb - 64 * (w - 1)))) {
+        PyErr_SetString(PyExc_ValueError, "a domain is empty or holds a value past its target");
+        return -1;
+    }
+    return 0;
 }
 
-/* the mask seq[i][k] */
-static inline int mask_at2(PyObject *seq, Py_ssize_t i, Py_ssize_t k, word *m, int64_t w)
-{
-    PyObject *row = item(seq, i);
-    return row ? mask_at(row, k, m, w) : -1;
-}
-
-/* a variable: an index into dom, which narrow writes without a check */
-static inline int as_var(PyObject *o, Py_ssize_t *x)
-{
-    *x = PyLong_AsSsize_t(o);
-    if (*x >= 0)
-        return 0;
-    if (!PyErr_Occurred())
-        PyErr_SetString(PyExc_IndexError, "propagate read a negative variable");
-    return -1;
-}
-
-/* Narrow variable x (the int xo) to the mask m, a nonempty proper subset
- * of its domain: record (x, old mask) on the trail, and queue x if m is a
- * singleton. */
-static int narrow(const engine *e, PyObject *xo, Py_ssize_t x, const word *m, int64_t w)
+/* Narrow variable x to the mask m, a nonempty proper subset of its domain:
+ * record (x, old mask) on the trail, and queue x if m is a singleton. */
+static int narrow(const engine *e, Py_ssize_t x, const word *m, int64_t w)
 {
     PyObject *mo = w == 1 ? PyLong_FromUnsignedLongLong(*m)
                           : _PyLong_FromByteArray((const unsigned char *)m, w * sizeof(word), 1, 0);
-    PyObject *rec = PyTuple_New(2);
-    if (!mo || !rec) {
+    PyObject *xo = PyLong_FromSsize_t(x), *rec = PyTuple_New(2);
+    if (!mo || !xo || !rec) {
         Py_XDECREF(mo);
+        Py_XDECREF(xo);
         Py_XDECREF(rec);
         return -1;
     }
-    Py_INCREF(xo);
     PyTuple_SET_ITEM(rec, 0, xo);
     PyTuple_SET_ITEM(rec, 1, PyList_GET_ITEM(e->dom, x)); /* the list's reference moves */
     PyList_SET_ITEM(e->dom, x, mo);
     const int failed = PyList_Append(e->trail, rec);
-    Py_DECREF(rec);
+    Py_DECREF(rec); /* the trail holds it, and with it xo */
     if (failed)
         return -1;
     return is_fixed(m, w) ? PyList_Append(e->queue, xo) : 0;
 }
 
-/* One entry of the variable v, fixed to the value a, on masks of w words:
- * 1 to go on, 0 on a wipeout, -1 on an error. */
-static inline __attribute__((always_inline)) int
-run_entry(const engine *e, PyObject *entry, Py_ssize_t v, Py_ssize_t a, int64_t w)
+/* The end of every entry: x, whose domain is dx, keeps m, within dx. 1 to
+ * go on, 0 on a wipeout, -1 on an error, as every entry returns. */
+static inline int keep(const engine *e, Py_ssize_t x, const word *dx, const word *m, int64_t w)
 {
-    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 5) {
-        PyErr_SetString(PyExc_TypeError, "an entry is a 5-tuple");
-        return -1;
-    }
-    PyObject *io = PyTuple_GET_ITEM(entry, 1), *jo = PyTuple_GET_ITEM(entry, 2),
-             *tab = PyTuple_GET_ITEM(entry, 3), *aux = PyTuple_GET_ITEM(entry, 4), *xo = io;
-    const Py_ssize_t kind = PyLong_AsSsize_t(PyTuple_GET_ITEM(entry, 0));
-    Py_ssize_t i, j, x = 0;
-    word d1[MAX_WORDS], d2[MAX_WORDS], m[MAX_WORDS], ay[MAX_WORDS];
-    const word *dx = d1;
-    /* each kind but _EACH ends in narrowing x from dx to m */
-    switch (kind) {
-    case ROW: /* (o, u, rows, pres): rows[a][u] = o */
-        if (as_var(io, &i) || as_var(jo, &j) || mask_at(e->dom, i, d1, w)
-            || mask_at(e->dom, j, d2, w))
-            return -1;
-        x = i;
-        if (is_fixed(d2, w)) {
-            if (mask_at2(tab, a, top(d2, w), m, w))
-                return -1;
-            meet(m, d1, w);
-            break;
-        }
-        /* j free: keep the values whose image is in i's domain */
-        if (is_fixed(d1, w)) {
-            if (mask_at2(aux, a, top(d1, w), ay, w))
-                return -1;
-            meet(ay, d2, w);
-            memcpy(m, d1, w * sizeof(word));
-        } else {
-            PyObject *row = item(tab, a);
-            if (!row)
-                return -1;
-            memset(ay, 0, w * sizeof(word));
-            memset(m, 0, w * sizeof(word));
-            FOR_EACH(y, d2, w) {
-                word c[MAX_WORDS];
-                if (mask_at(row, y, c, w))
-                    return -1;
-                if (meets(d1, c, w)) {
-                    put(ay, y);
-                    join(m, c, w);
-                }
-            }
-        }
-        if (empty(ay, w))
-            return 0;
-        if (!same(ay, d2, w) && narrow(e, jo, j, ay, w))
-            return -1;
-        break;
-    case PRE: /* (x, -, pre, -): x within pre[a] */
-        if (as_var(io, &x) || mask_at(e->dom, x, d1, w) || mask_at(tab, a, m, w))
-            return -1;
-        meet(m, d1, w);
-        break;
-    case PAIR: /* (x1, x2, pre1, pre2): v is the output of (x1, x2) */
-        if (as_var(io, &i) || as_var(jo, &j) || mask_at(e->dom, i, d1, w)
-            || mask_at(e->dom, j, d2, w))
-            return -1;
-        if (!is_fixed(d1, w)) {
-            if (!is_fixed(d2, w))
-                return 1; /* two free inputs: checked later */
-            x = i;
-            if (mask_at2(aux, top(d2, w), a, m, w))
-                return -1;
-            meet(m, d1, w);
-        } else {
-            if (mask_at2(tab, top(d1, w), a, m, w))
-                return -1;
-            if (is_fixed(d2, w))
-                return meets(m, d2, w);
-            xo = jo, x = j, dx = d2;
-            meet(m, d2, w);
-        }
-        break;
-    case EACH: { /* (-, -, group, masks): each u in group[a] but v within masks[a] */
-        PyObject *group = item(tab, a);
-        if (!group || mask_at(aux, a, m, w))
-            return -1;
-        if (!PyList_Check(group)) {
-            PyErr_SetString(PyExc_TypeError, "propagate reads lists");
-            return -1;
-        }
-        for (Py_ssize_t k = 0; k < PyList_GET_SIZE(group); k++) {
-            xo = PyList_GET_ITEM(group, k);
-            if (as_var(xo, &x) || mask_at(e->dom, x, d1, w))
-                return -1;
-            if (x != v && !within(d1, m, w)) {
-                meet(d1, m, w);
-                if (empty(d1, w))
-                    return 0;
-                if (narrow(e, xo, x, d1, w))
-                    return -1;
-            }
-        }
+    if (same(m, dx, w))
         return 1;
+    if (empty(m, w))
+        return 0;
+    return narrow(e, x, m, w) ? -1 : 1;
+}
+
+/* x keeps the value c, if it has it */
+static inline int within_one(const engine *e, Py_ssize_t x, int64_t c, int64_t nb, int64_t w)
+{
+    word d[MAX_WORDS], m[MAX_WORDS];
+    if (domain(e, x, d, w, nb))
+        return -1;
+    memset(m, 0, w * sizeof(word));
+    if (has(d, c))
+        put(m, c);
+    return keep(e, x, d, m, w);
+}
+
+/* x keeps the values of the row s */
+static inline int within_row(const engine *e, Py_ssize_t x, const word *s, int64_t nb, int64_t w)
+{
+    word d[MAX_WORDS], m[MAX_WORDS];
+    if (domain(e, x, d, w, nb))
+        return -1;
+    memcpy(m, d, w * sizeof(word));
+    meet(m, s, w);
+    return keep(e, x, d, m, w);
+}
+
+/* The fixed variable fills one input of a binary tuple, j the other and i
+ * the output: vals[u * step] is the output for j = u, and pre[c] the u
+ * with output c. j keeps the values whose output is in i's domain, then i
+ * those outputs. */
+static inline int row(const engine *e, Py_ssize_t i, Py_ssize_t j, const int64_t *vals,
+                      int64_t step, const word *pre, int64_t nb, int64_t w)
+{
+    word d1[MAX_WORDS], d2[MAX_WORDS], m[MAX_WORDS], ay[MAX_WORDS];
+    if (domain(e, i, d1, w, nb) || domain(e, j, d2, w, nb))
+        return -1;
+    memset(m, 0, w * sizeof(word));
+    if (is_fixed(d2, w)) {
+        const int64_t c = vals[top(d2, w) * step];
+        if (has(d1, c))
+            put(m, c);
+        return keep(e, i, d1, m, w);
     }
-    case TABLE: { /* (inputs, o, table, strides): arity 3 or more */
-        if (!PyTuple_Check(io) || !PyTuple_Check(aux)
-            || PyTuple_GET_SIZE(io) != PyTuple_GET_SIZE(aux)) {
-            PyErr_SetString(PyExc_TypeError, "a table entry's inputs and strides are tuples "
-                                             "of one length");
-            return -1;
-        }
-        /* at: the offset of the fixed inputs; the one free input, if any
-         * (repeats allowed), moves by step */
-        Py_ssize_t at = 0, free = -1, step = 0;
-        PyObject *free_o = NULL;
-        for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(io); k++) {
-            PyObject *yo = PyTuple_GET_ITEM(io, k);
-            const Py_ssize_t stride = PyLong_AsSsize_t(PyTuple_GET_ITEM(aux, k));
-            Py_ssize_t y;
-            if ((stride == -1 && PyErr_Occurred()) || as_var(yo, &y)
-                || mask_at(e->dom, y, d1, w))
-                return -1;
-            if (is_fixed(d1, w))
-                at += top(d1, w) * stride;
-            else if (y == free)
-                step += stride;
-            else if (free < 0)
-                free = y, free_o = yo, step = stride;
-            else
-                return 1; /* two distinct free inputs: checked later */
-        }
-        xo = jo, dx = d2;
-        if (as_var(jo, &x) || mask_at(e->dom, x, d2, w))
-            return -1;
-        if (free < 0) { /* narrow the output to the image */
-            if (mask_at(tab, at, m, w))
-                return -1;
-            meet(m, d2, w);
-            break;
-        }
-        /* keep the values of the free input whose image lies in the
-         * output's domain (or, when it is the output, contains it), and
-         * narrow the output to those images */
-        if (mask_at(e->dom, free, d1, w))
-            return -1;
+    if (is_fixed(d1, w)) {
+        memcpy(ay, pre + top(d1, w) * w, w * sizeof(word));
+        meet(ay, d2, w);
+        memcpy(m, d1, w * sizeof(word));
+    } else {
         memset(ay, 0, w * sizeof(word));
-        memset(m, 0, w * sizeof(word));
-        FOR_EACH(y, d1, w) {
-            word c[MAX_WORDS];
-            if (mask_at(tab, at + (Py_ssize_t)y * step, c, w))
-                return -1;
-            if (free == x ? has(c, y) : meets(d2, c, w)) {
+        FOR_EACH(y, d2, w) {
+            const int64_t c = vals[y * step];
+            if (has(d1, c)) {
                 put(ay, y);
-                join(m, c, w);
+                put(m, c);
             }
         }
-        if (empty(ay, w))
-            return 0;
-        if (!same(ay, d1, w) && narrow(e, free_o, free, ay, w))
-            return -1;
-        if (free == x)
-            return 1;
-        break;
     }
+    if (empty(ay, w))
+        return 0;
+    if (!same(ay, d2, w) && narrow(e, j, ay, w))
+        return -1;
+    return keep(e, i, d1, m, w);
+}
+
+/* The fixed variable, a, is the output of the tuple (i, j), with i and j
+ * distinct: once one input is fixed, the other keeps the values that give
+ * a; with both fixed, a check. */
+static inline int pair(const engine *e, Py_ssize_t i, Py_ssize_t j, const cop *op, int64_t a,
+                       int64_t nb, int64_t w)
+{
+    word d1[MAX_WORDS], d2[MAX_WORDS], m[MAX_WORDS];
+    if (domain(e, i, d1, w, nb) || domain(e, j, d2, w, nb))
+        return -1;
+    if (!is_fixed(d1, w)) {
+        if (!is_fixed(d2, w))
+            return 1; /* two free inputs: checked later */
+        memcpy(m, op->pre2 + (top(d2, w) * nb + a) * w, w * sizeof(word));
+        meet(m, d1, w);
+        return keep(e, i, d1, m, w);
+    }
+    memcpy(m, op->pre1 + (top(d1, w) * nb + a) * w, w * sizeof(word));
+    if (is_fixed(d2, w))
+        return meets(m, d2, w);
+    meet(m, d2, w);
+    return keep(e, j, d2, m, w);
+}
+
+/* Incidence k of an operation of arity 3 or more: with every input fixed,
+ * the output keeps its image; with one free input (repeats allowed), the
+ * input keeps the values whose image lies in the output's domain (or, when
+ * it is the output, contains it), and the output those images. */
+static inline int table(const engine *e, const cop *op, int64_t k, int64_t off, int64_t nb,
+                        int64_t w)
+{
+    word d[MAX_WORDS], df[MAX_WORDS], m[MAX_WORDS], ay[MAX_WORDS];
+    int64_t at = 0, step = 0, stride = 1;
+    Py_ssize_t free = -1;
+    for (int64_t r = op->arity - 1; r >= 0; r--, stride *= nb) {
+        const Py_ssize_t y = op->ends[r * op->n_inc + k] + off;
+        if (domain(e, y, d, w, nb))
+            return -1;
+        if (is_fixed(d, w))
+            at += top(d, w) * stride;
+        else if (y == free)
+            step += stride;
+        else if (free < 0) {
+            free = y, step = stride;
+            memcpy(df, d, w * sizeof(word));
+        } else
+            return 1; /* two distinct free inputs: checked later */
+    }
+    const Py_ssize_t o = op->ends[op->arity * op->n_inc + k] + off;
+    if (domain(e, o, d, w, nb))
+        return -1;
+    memset(m, 0, w * sizeof(word));
+    if (free < 0) {
+        if (has(d, op->tab[at]))
+            put(m, op->tab[at]);
+        return keep(e, o, d, m, w);
+    }
+    memset(ay, 0, w * sizeof(word));
+    FOR_EACH(y, df, w) {
+        const int64_t c = op->tab[at + (int64_t)y * step];
+        if (free == o ? c == (int64_t)y : has(d, c)) {
+            put(ay, y);
+            put(m, c);
+        }
+    }
+    if (empty(ay, w))
+        return 0;
+    if (!same(ay, df, w) && narrow(e, free, ay, w))
+        return -1;
+    return free == o ? 1 : keep(e, o, d, m, w);
+}
+
+/* Incidence k of the operation op, of a pair whose variables start at
+ * off, for the fixed variable's value a. The slot is the variable's place
+ * in the tuple: unary, 0 the input (i is the output), 1 only the output (i
+ * the input); binary (x1, x2) -> o, 0 both inputs (i = o), 1 x1 only (i =
+ * o, j = x2), 2 x1 with o = x2 (i = x2), 3 and 4 the same for x2, 5 only
+ * the output with x1 = x2 (i = x1), 6 only the output (i = x1, j = x2). */
+static inline __attribute__((always_inline)) int
+run_entry(const engine *e, const cop *op, int64_t k, int64_t off, int64_t nb, int64_t a,
+          int64_t w)
+{
+    if (op->arity >= 3)
+        return table(e, op, k, off, nb, w);
+    const Py_ssize_t i = op->ends[k] + off, j = op->ends[op->n_inc + k] + off;
+    const int64_t *t = op->tab;
+    if (op->arity == 1)
+        return op->slot[k] ? within_row(e, i, op->pre1 + a * w, nb, w)
+                           : within_one(e, i, t[a], nb, w);
+    switch (op->slot[k]) {
+    case 0:
+        return within_one(e, i, t[a * nb + a], nb, w);
+    case 1:
+        return row(e, i, j, t + a * nb, 1, op->pre1 + a * nb * w, nb, w);
+    case 2:
+        return within_row(e, i, op->fix1 + a * w, nb, w);
+    case 3:
+        return row(e, i, j, t + a, nb, op->pre2 + a * nb * w, nb, w);
+    case 4:
+        return within_row(e, i, op->fix2 + a * w, nb, w);
+    case 5:
+        return within_row(e, i, op->dpre + a * w, nb, w);
     default:
-        if (!PyErr_Occurred())
-            PyErr_Format(PyExc_ValueError, "unknown entry kind %zd", kind);
+        return pair(e, i, j, op, a, nb, w);
+    }
+}
+
+/* v's side condition, v fixed to a, on masks of w words */
+static inline int run_side(const engine *e, const plan_t *p, Py_ssize_t v, int64_t a, int64_t w)
+{
+    const int32_t *s = p->side + 3 * v;
+    const int64_t r = s[0] + a, c = s[1] < 0 ? a : s[1];
+    if (r >= p->n_rows) {
+        PyErr_SetString(PyExc_IndexError, "a side condition has no group for this value");
         return -1;
     }
-    if (!same(m, dx, w)) {
-        if (empty(m, w))
-            return 0;
-        if (narrow(e, xo, x, m, w))
+    for (int64_t k = p->span[2 * r]; k < p->span[2 * r + 1]; k++) {
+        const Py_ssize_t x = p->members[k];
+        word d[MAX_WORDS];
+        if (x == v)
+            continue;
+        if (as_mask(PyList_GET_ITEM(e->dom, x), d, w))
+            return -1;
+        if (s[2]) { /* x keeps c alone */
+            if (!has(d, c))
+                return 0;
+            if (is_fixed(d, w))
+                continue;
+            memset(d, 0, w * sizeof(word));
+            put(d, c);
+        } else { /* x drops c */
+            if (!has(d, c))
+                continue;
+            drop(d, c);
+            if (empty(d, w))
+                return 0;
+        }
+        if (narrow(e, x, d, w))
             return -1;
     }
     return 1;
@@ -703,28 +760,32 @@ run_entry(const engine *e, PyObject *entry, Py_ssize_t v, Py_ssize_t a, int64_t 
 /* The loop over the queue: 1 at a fixpoint, 0 on a wipeout, -1 on an
  * error. Inlined twice, so that the code for one word is compiled with
  * w = 1 known. */
-static inline __attribute__((always_inline)) int run(const engine *e, PyObject *props,
-                                                     int64_t w)
+static inline __attribute__((always_inline)) int run(const engine *e, const plan_t *p, int64_t w)
 {
     Py_ssize_t n;
     while ((n = PyList_GET_SIZE(e->queue))) {
-        Py_ssize_t v;
-        word dv[MAX_WORDS];
-        if (as_var(PyList_GET_ITEM(e->queue, n - 1), &v)
-            || PyList_SetSlice(e->queue, n - 1, n, NULL) || mask_at(e->dom, v, dv, w))
-            return -1;
-        const Py_ssize_t a = top(dv, w);
-        PyObject *entries = item(props, v);
-        if (!entries || !PyList_Check(entries)) {
-            if (entries)
-                PyErr_SetString(PyExc_TypeError, "propagate reads lists");
+        const Py_ssize_t v = PyLong_AsSsize_t(PyList_GET_ITEM(e->queue, n - 1));
+        if (v < 0 || v >= p->n_vars) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_IndexError, "propagate popped a variable out of range");
             return -1;
         }
-        Py_INCREF(entries);
-        int go = 1;
-        for (Py_ssize_t k = 0; k < PyList_GET_SIZE(entries) && go > 0; k++)
-            go = run_entry(e, PyList_GET_ITEM(entries, k), v, a, w);
-        Py_DECREF(entries);
+        if (PyList_SetSlice(e->queue, n - 1, n, NULL))
+            return -1;
+        const cpair *q = p->pairs;
+        while (v >= q->offset + q->n)
+            q++;
+        const int64_t wq = w == 1 ? 1 : q->w, u = v - q->offset;
+        word dv[MAX_WORDS];
+        if (domain(e, v, dv, wq, q->nb))
+            return -1;
+        const int64_t a = top(dv, wq);
+        int go = v < p->n_side ? run_side(e, p, v, a, w) : 1;
+        for (int64_t h = 0; h < q->n_ops && go > 0; h++) {
+            const cop *op = q->ops + h;
+            for (int64_t k = op->cut[u]; k < op->cut[u + 1] && go > 0; k++)
+                go = run_entry(e, op, k, q->offset, q->nb, a, wq);
+        }
         if (go <= 0)
             return go;
     }
@@ -734,31 +795,306 @@ static inline __attribute__((always_inline)) int run(const engine *e, PyObject *
 static PyObject *py_propagate(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
-    if (nargs != 5)
-        return PyErr_Format(PyExc_TypeError, "propagate takes 5 arguments, not %zd", nargs);
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError, "propagate takes 4 arguments, not %zd", nargs);
     const engine e = {args[0], args[1], args[2]};
-    const Py_ssize_t w = PyLong_AsSsize_t(args[4]);
-    if (w < 1 || w > MAX_WORDS)
-        return PyErr_Occurred() ? NULL
-                                : PyErr_Format(PyExc_ValueError, "propagate reads masks of 1 to "
-                                                                 "%d words, not %zd", MAX_WORDS, w);
+    const plan_t *p = PyCapsule_GetPointer(args[3], PLAN);
+    if (!p)
+        return NULL;
     if (!PyList_Check(e.dom) || !PyList_Check(e.trail) || !PyList_Check(e.queue)) {
         PyErr_SetString(PyExc_TypeError, "propagate reads lists");
         return NULL;
     }
-    const int go = w == 1 ? run(&e, args[3], 1) : run(&e, args[3], w);
+    if (PyList_GET_SIZE(e.dom) != p->n_vars)
+        return PyErr_Format(PyExc_ValueError, "the plan has %lld variables, the domains %zd",
+                            (long long)p->n_vars, PyList_GET_SIZE(e.dom));
+    const int go = p->w == 1 ? run(&e, p, 1) : run(&e, p, p->w);
     if (go < 0)
         return NULL;
     return PyBool_FromLong(go);
+}
+
+/* Compiling a plan. Every array is held through the buffer protocol for the
+ * plan's life and checked once here: its type and length, and every index
+ * it holds, so that propagate reads within bounds whatever it is given. */
+
+static void plan_free(plan_t *p)
+{
+    if (!p)
+        return;
+    while (p->n_bufs)
+        PyBuffer_Release(&p->bufs[--p->n_bufs]);
+    PyMem_Free(p->bufs);
+    for (int64_t i = 0; p->pairs && i < p->n_pairs; i++)
+        PyMem_Free(p->pairs[i].ops);
+    PyMem_Free(p->pairs);
+    PyMem_Free(p);
+}
+
+static void plan_destroy(PyObject *capsule) { plan_free(PyCapsule_GetPointer(capsule, PLAN)); }
+
+/* o's data, held by p: C-contiguous items of size bytes whose struct code
+ * is in codes, *n of them, or any number when *n < 0, which it then sets */
+static const void *held(plan_t *p, PyObject *o, int size, const char *codes, Py_ssize_t *n,
+                        const char *what)
+{
+    Py_buffer *b = &p->bufs[p->n_bufs];
+    if (PyObject_GetBuffer(o, b, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT))
+        return NULL;
+    p->n_bufs++;
+    if (*n < 0)
+        *n = b->len / size;
+    if (!of_type(b, size, codes) || b->len != *n * size) {
+        PyErr_Format(PyExc_ValueError, "plan needs %s", what);
+        return NULL;
+    }
+    return b->buf;
+}
+
+/* every one of the n values of s (int8, int16, int32 or int64 by size)
+ * lies in [lo, hi) */
+static int in_range(const void *s, int size, Py_ssize_t n, int64_t lo, int64_t hi,
+                    const char *what)
+{
+    for (Py_ssize_t i = 0; i < n; i++) {
+        const int64_t x = size == 1 ? ((const int8_t *)s)[i] : size == 2 ? ((const int16_t *)s)[i]
+                          : size == 4 ? ((const int32_t *)s)[i] : ((const int64_t *)s)[i];
+        if (x < lo || x >= hi) {
+            PyErr_Format(PyExc_ValueError, "plan needs %s", what);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static Py_ssize_t ssize_at(PyObject *tuple, Py_ssize_t i, Py_ssize_t lo, Py_ssize_t hi)
+{
+    const Py_ssize_t x = PyLong_AsSsize_t(PyTuple_GET_ITEM(tuple, i));
+    if ((x < lo || x > hi) && !PyErr_Occurred())
+        PyErr_Format(PyExc_ValueError, "plan read %zd, out of range [%zd, %zd]", x, lo, hi);
+    return PyErr_Occurred() ? -1 : x;
+}
+
+/* One operation: src = (slot, ends, cut) over the pair's n source
+ * elements, tgt = (arity, table, word rows...) over nb target values */
+static int plan_op(plan_t *p, cop *op, PyObject *src, PyObject *tgt, int64_t n, int64_t nb,
+                   int64_t w)
+{
+    if (!PyTuple_Check(src) || PyTuple_GET_SIZE(src) != 3 || !PyTuple_Check(tgt)
+        || PyTuple_GET_SIZE(tgt) < 2) {
+        PyErr_SetString(PyExc_TypeError, "an operation is (slot, ends, cut) and "
+                                         "(arity, table, rows...)");
+        return -1;
+    }
+    const Py_ssize_t k = ssize_at(tgt, 0, 1, 62);
+    if (k < 0)
+        return -1;
+    op->arity = k;
+    const Py_ssize_t n_rows = k == 1 ? 1 : k == 2 ? 5 : 0;
+    if (PyTuple_GET_SIZE(tgt) != 2 + n_rows) {
+        PyErr_SetString(PyExc_TypeError, "a target operation has one row array at arity 1, "
+                                         "five at arity 2, none past");
+        return -1;
+    }
+    Py_ssize_t n_cut = n + 1;
+    if (!(op->cut = held(p, PyTuple_GET_ITEM(src, 2), 4, "i", &n_cut, "n + 1 int32 cut points")))
+        return -1;
+    op->n_inc = op->cut[n];
+    for (int64_t v = 0; v < n; v++)
+        if (op->cut[v] < 0 || op->cut[v] > op->cut[v + 1]) {
+            PyErr_SetString(PyExc_ValueError, "plan needs ascending cut points from 0");
+            return -1;
+        }
+    Py_ssize_t entries = 1, n_slot = op->n_inc, n_ends = (k >= 3 ? k + 1 : 2) * op->n_inc;
+    for (Py_ssize_t r = 0; r < k; r++) { /* nb**k */
+        if (entries > PY_SSIZE_T_MAX / 8 / nb) {
+            PyErr_SetString(PyExc_ValueError, "plan read a table past the address space");
+            return -1;
+        }
+        entries *= nb;
+    }
+    if (!(op->slot = held(p, PyTuple_GET_ITEM(src, 0), 1, "b", &n_slot, "an int8 slot each"))
+        || in_range(op->slot, 1, n_slot, 0, k == 1 ? 2 : k == 2 ? 7 : 1, "slots in range")
+        || !(op->ends = held(p, PyTuple_GET_ITEM(src, 1), 2, "h", &n_ends,
+                             "int16 ends, one row per end"))
+        || in_range(op->ends, 2, n_ends, 0, n, "ends among the elements")
+        || !(op->tab = held(p, PyTuple_GET_ITEM(tgt, 1), 8, "lq", &entries,
+                            "an int64 table of nb**k values"))
+        || in_range(op->tab, 8, entries, 0, nb, "table values in the target"))
+        return -1;
+    const word **rows[] = {&op->pre1, &op->pre2, &op->fix1, &op->fix2, &op->dpre};
+    for (Py_ssize_t r = 0; r < n_rows; r++) {
+        Py_ssize_t len = (k == 2 && r < 2 ? nb * nb : nb) * w;
+        if (!(*rows[r] = held(p, PyTuple_GET_ITEM(tgt, 2 + r), 8, "LQ", &len, "uint64 word rows")))
+            return -1;
+    }
+    return 0;
+}
+
+/* The side condition (side, span, members), or None */
+static int plan_side(plan_t *p, PyObject *side)
+{
+    if (side == Py_None)
+        return 0;
+    if (!PyTuple_Check(side) || PyTuple_GET_SIZE(side) != 3) {
+        PyErr_SetString(PyExc_TypeError, "a side condition is (side, span, members)");
+        return -1;
+    }
+    Py_ssize_t n_side = -1, n_span = -1, n_members = -1;
+    if (!(p->side = held(p, PyTuple_GET_ITEM(side, 0), 4, "i", &n_side, "int32 side rows"))
+        || !(p->span = held(p, PyTuple_GET_ITEM(side, 1), 4, "i", &n_span, "int32 spans"))
+        || !(p->members = held(p, PyTuple_GET_ITEM(side, 2), 4, "i", &n_members,
+                               "int32 members"))
+        || in_range(p->members, 4, n_members, 0, p->n_vars, "members among the variables")
+        || in_range(p->span, 4, n_span, 0, n_members + 1, "spans within the members"))
+        return -1;
+    p->n_side = n_side / 3;
+    p->n_rows = n_span / 2;
+    if (n_side % 3 || n_span % 2 || p->n_side > p->n_vars) {
+        PyErr_SetString(PyExc_ValueError, "plan needs side rows of three, for some of the "
+                                          "variables, and spans of two");
+        return -1;
+    }
+    for (int64_t v = 0; v < p->n_side; v++) {
+        const int32_t *s = p->side + 3 * v;
+        if (s[0] < 0 || s[1] < -1 || s[1] >= 64 * p->w || (s[2] != 0 && s[2] != 1)) {
+            PyErr_SetString(PyExc_ValueError, "plan needs side rows (first, value, keep)");
+            return -1;
+        }
+    }
+    for (int64_t r = 0; r < p->n_rows; r++)
+        if (p->span[2 * r] > p->span[2 * r + 1]) {
+            PyErr_SetString(PyExc_ValueError, "plan needs spans that start before they end");
+            return -1;
+        }
+    return 0;
+}
+
+/* plan(pairs, side): pairs, a sequence of (offset, n, nb, source half,
+ * target half), one per (source, target) pair laid side by side (offset,
+ * the sum of the n before; nb, the target's size), the halves tuples of
+ * one item per non-constant operation; side, the side condition or None. */
+static PyObject *py_plan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError, "plan takes 2 arguments, not %zd", nargs);
+    PyObject *list = PySequence_Fast(args[0], "plan takes a sequence of pairs");
+    if (!list)
+        return NULL;
+    const Py_ssize_t n_pairs = PySequence_Fast_GET_SIZE(list);
+    plan_t *p = NULL;
+    Py_ssize_t n_ops = 0;
+    for (Py_ssize_t i = 0; i < n_pairs; i++) {
+        PyObject *t = PySequence_Fast_GET_ITEM(list, i);
+        if (!PyTuple_Check(t) || PyTuple_GET_SIZE(t) != 5 || !PyTuple_Check(PyTuple_GET_ITEM(t, 3))
+            || !PyTuple_Check(PyTuple_GET_ITEM(t, 4))
+            || PyTuple_GET_SIZE(PyTuple_GET_ITEM(t, 3)) != PyTuple_GET_SIZE(PyTuple_GET_ITEM(t, 4))) {
+            PyErr_SetString(PyExc_TypeError, "a pair is (offset, n, nb, source half, target "
+                                             "half), the halves tuples of one length");
+            goto fail;
+        }
+        n_ops += PyTuple_GET_SIZE(PyTuple_GET_ITEM(t, 3));
+    }
+    if (!(p = PyMem_Calloc(1, sizeof(plan_t))) || !(p->pairs = PyMem_Calloc(n_pairs + 1, sizeof(cpair)))
+        || !(p->bufs = PyMem_Calloc(9 * n_ops + 3, sizeof(Py_buffer)))) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    p->n_pairs = n_pairs;
+    p->w = 1;
+    for (Py_ssize_t i = 0; i < n_pairs; i++) {
+        PyObject *t = PySequence_Fast_GET_ITEM(list, i), *src = PyTuple_GET_ITEM(t, 3),
+                 *tgt = PyTuple_GET_ITEM(t, 4);
+        cpair *q = p->pairs + i;
+        q->offset = ssize_at(t, 0, p->n_vars, p->n_vars);
+        q->n = q->offset < 0 ? -1 : ssize_at(t, 1, 0, INT16_MAX);
+        q->nb = q->n < 0 ? -1 : ssize_at(t, 2, 1, 64 * MAX_WORDS);
+        if (q->nb < 0)
+            goto fail;
+        q->w = (q->nb + 63) / 64;
+        p->w = q->w > p->w ? q->w : p->w;
+        p->n_vars += q->n;
+        q->n_ops = PyTuple_GET_SIZE(src);
+        if (!(q->ops = PyMem_Calloc(q->n_ops + 1, sizeof(cop)))) {
+            PyErr_NoMemory();
+            goto fail;
+        }
+        for (Py_ssize_t h = 0; h < q->n_ops; h++)
+            if (plan_op(p, q->ops + h, PyTuple_GET_ITEM(src, h), PyTuple_GET_ITEM(tgt, h), q->n,
+                        q->nb, q->w))
+                goto fail;
+    }
+    if (plan_side(p, args[1]))
+        goto fail;
+    PyObject *capsule = PyCapsule_New(p, PLAN, plan_destroy);
+    if (!capsule)
+        goto fail;
+    Py_DECREF(list);
+    return capsule;
+fail:
+    plan_free(p);
+    Py_DECREF(list);
+    return NULL;
+}
+
+/* preimages(values, nb, pre): the target half's pre-image rows in one pass
+ * over a table. values is a C-contiguous int64 array of values in [0, nb)
+ * whose last axis has n positions, pre a writable zeroed uint64 array of
+ * w = ceil(n / 64) words for each row r of values and each value c: each
+ * position y with values[r][y] = c sets bit y of pre[r][c]. */
+static PyObject *py_preimages(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "preimages takes 3 arguments, not %zd", nargs);
+    const Py_ssize_t nb = PyLong_AsSsize_t(args[1]);
+    if (nb < 1)
+        return PyErr_Occurred() ? NULL
+                                : PyErr_Format(PyExc_ValueError, "preimages needs nb >= 1");
+    Py_buffer v, p;
+    if (PyObject_GetBuffer(args[0], &v, PyBUF_ND | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT))
+        return NULL;
+    if (PyObject_GetBuffer(args[2], &p, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)) {
+        PyBuffer_Release(&v);
+        return NULL;
+    }
+    PyObject *out = NULL;
+    const Py_ssize_t n = v.ndim ? v.shape[v.ndim - 1] : 0, items = v.len / 8, w = (n + 63) / 64;
+    if (!of_type(&v, 8, "lq") || !of_type(&p, 8, "LQ") || n < 1
+        || p.len / 8 != items / n * nb * w) {
+        PyErr_SetString(PyExc_ValueError, "preimages needs int64 values and uint64 words for "
+                                          "each of their rows and each of nb values");
+        goto done;
+    }
+    const int64_t *values = v.buf;
+    word *pre = p.buf;
+    for (Py_ssize_t i = 0; i < items; i++) {
+        const int64_t c = values[i], y = i % n;
+        if (c < 0 || c >= nb) {
+            PyErr_SetString(PyExc_ValueError, "preimages read a value past nb");
+            goto done;
+        }
+        put(pre + (i / n * nb + c) * w, y);
+    }
+    out = Py_NewRef(Py_None);
+done:
+    PyBuffer_Release(&v);
+    PyBuffer_Release(&p);
+    return out;
 }
 
 static PyMethodDef methods[] = {
     {"root", (PyCFunction)(void (*)(void))py_root, METH_FASTCALL,
      "root(nb, ops, d): root arc consistency on the uint64 domain words d, in place; "
      "the number of pairs removed, or -1 minus it on a wipeout."},
+    {"plan", (PyCFunction)(void (*)(void))py_plan, METH_FASTCALL,
+     "plan(pairs, side): an engine's compiled constraints, for propagate."},
+    {"preimages", (PyCFunction)(void (*)(void))py_preimages, METH_FASTCALL,
+     "preimages(values, nb, pre): set bit y of pre[r][c] for each values[r][y] = c."},
     {"propagate", (PyCFunction)(void (*)(void))py_propagate, METH_FASTCALL,
-     "propagate(dom, trail, queue, props, w): the engine's propagation to a fixpoint on "
-     "these lists, masks of at most w words; False on a wipeout."},
+     "propagate(dom, trail, queue, plan): the engine's propagation to a fixpoint on these "
+     "lists; False on a wipeout."},
     {NULL, NULL, 0, NULL},
 };
 

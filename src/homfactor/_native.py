@@ -1,14 +1,15 @@
 """The C half of homfactor: _native.c, one CPython extension module built on
 first import, which does the root pass (root) and the search engine's
-propagation (propagate), for every engine: a domain is as many uint64
-words as its engine's widest target needs.
+propagation (propagate), for every engine, over the engine's compiled
+constraints (plan), which it reads in place.
 
 The module is built from the C source next to this file by the system C
 compiler (cc), run in a child process, against the running interpreter's
 headers, into build/<hash>/ beside this file, where <hash> names the
 source and the compile flags (the include directory among them), and it
-moves into place by an atomic rename, so no process loads half a module.
-A later import finds it there and builds nothing. It is loaded with
+moves into place by an atomic rename, so no process loads half a module;
+a build that lands removes the builds of other sources beside it. A later
+import finds it there and builds nothing. It is loaded with
 importlib's extension loader. There is no pure-Python fallback: without a
 C compiler, or when the build fails, the import raises ImportError and
 says why.
@@ -20,6 +21,7 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import os
+import re
 import shutil
 import sysconfig
 from pathlib import Path
@@ -54,8 +56,19 @@ def _build(target):
         except OSError:
             if not target.exists():
                 raise
+        else:
+            _remove_stale(target.parent)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+
+
+def _remove_stale(kept):
+    """Remove the other builds beside kept (build/<hash>/, from another
+    source or other flags), ignoring errors; a rival's .tmp- scratch is no
+    build and stays."""
+    for d in kept.parent.iterdir():
+        if d != kept and re.fullmatch("[0-9a-f]{16}", d.name):
+            shutil.rmtree(d, ignore_errors=True)
 
 
 def _module():
@@ -71,7 +84,7 @@ def _module():
 
 
 _ext = _module()
-propagate = _ext.propagate
+plan, preimages, propagate = _ext.plan, _ext.preimages, _ext.propagate
 
 
 def root(nb, ops, d):

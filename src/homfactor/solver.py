@@ -26,27 +26,27 @@ one SearchStats share its limit.
 Every search is built one way: the root pass prunes the domains, rows of
 uint64 words over the target carrier, then _Engine takes the constraints of
 its (source, target) pairs, laid side by side, and converts the domains
-once to Python int bitmasks. Each variable gets one numpy-compiled entry
-per tuple it occurs in, naming the tuple's other variables and the target
-table sliced by the variable's value, so that a binary table with one
-argument fixed becomes a row lookup. Constants get none, since the root pass settles them, and the
-compile step's memory is proportional to the table. The search branches on
-the pairs in order, MRV within each, so the combined search assigns every
-g-variable before any h-variable. The tables are compiled once per algebra,
-in two halves, each kept in a bounded cache keyed by the algebra's content:
-what the source decides (the incidences and the entries' variables, in
-compact arrays; 1,024 algebras kept, a whole working set, keyed by
-label-free copies) and what the target decides (its sliced tables, of
-one-hot Python int masks, about three times the size; 32 algebras kept); a
-pair only zips the two. Searches differ only by a side condition, one more
-entry per variable, put first in its list: injectivity for isomorphisms,
-the channel h(g(x)) = f(x) for the combined g/h search, idempotence for
-f-cores. propagate, in C for every engine, runs every entry inline, with
-a stack of newly fixed variables, which a variable enters once, when it
-becomes fixed; it reads each domain as uint64 words, as many as the widest
-target needs. The search itself holds an explicit stack of branching
-frames, not Python recursion, so its depth is bounded only by the number
-of variables.
+once to Python int bitmasks. The tables are compiled once per algebra, in
+two halves of flat numpy arrays, each kept in a bounded cache keyed by the
+algebra's content (label-free copies): what the source decides, each
+variable's incidences (variable, tuple) with the tuple's other variables,
+1,024 algebras kept, a whole working set; and what the target decides,
+its own table plus uint64 word rows of the pre-images and fixed points of
+its rows and columns, 32 algebras kept. Constants get no incidences,
+since the root pass settles them, and each half's memory is proportional
+to the table. A pair hands C its offset and the two cached halves; plan in
+_native.c holds them for the engine's life and propagate reads them in
+place, so that a binary table with one argument fixed becomes a row
+lookup. The search branches on the pairs in order, MRV within each, so the
+combined search assigns every g-variable before any h-variable. Searches
+differ only by a side condition, one more entry per variable, run first:
+injectivity for isomorphisms, the channel h(g(x)) = f(x) for the combined
+g/h search, idempotence for f-cores, each a few int32 arrays. propagate
+runs every entry inline, with a stack of newly fixed variables, which a
+variable enters once, when it becomes fixed; it reads each domain as
+uint64 words, as many as its target needs. The search itself holds an
+explicit stack of branching frames, not Python recursion, so its depth is
+bounded only by the number of variables.
 
 What each instance kind means lives in one table, _KINDS: decide dispatches
 on it, full factors and retractions share one combined search over g-
@@ -204,39 +204,45 @@ class FactorizationInstance:
             raise InstanceError("; ".join(problems))
 
 
-# Propagator kinds. When variable v is fixed to a value a, each constraint
-# on v is checked through v's compiled entry (kind, i, j, tab, aux): the
-# other variables of the constraint and target tables of masks indexed by a.
-_ROW = 0  # (o, w, rows, pres): w fills the other input, o the output: rows[a][w] = o
-_PAIR = 1  # (x1, x2, pre1, pre2): v is the output of the tuple (x1, x2)
-_PRE = 2  # (x, -, pre, -): x within the mask pre[a]; v fills every input, or
-#           is the output of a tuple of x alone, or fills one input and x the rest
-_TABLE = 3  # (inputs, o, table, strides): arity 3 or more, checked generically
-_EACH = 4  # (-, -, group, masks): every w in group[a] other than v within masks[a]
+# Side conditions: one entry for each of the first len(side) variables, run
+# first when the variable is fixed. side[v] = (first, c, keep): v = a narrows
+# every other variable of group first + a, members[span[first + a][0]:
+# span[first + a][1]], to the value c (keep 1), or drops c from it (keep 0);
+# c = -1 stands for a itself.
+def _side(n_vars, n_rows):
+    """Zeroed (side, span) arrays for n_vars variables and n_rows groups."""
+    return np.zeros((n_vars, 3), dtype=np.int32), np.zeros((n_rows, 2), dtype=np.int32)
 
 
-# Side conditions: one _EACH entry per variable, put first in its list by _Engine
 def _channel(n_x, n_y, n_z, f_values):
     """h(g(x)) = f(x) between g-variables [0, n_x) and h-variables [n_x,
     n_x + n_y): g(x) = y narrows h(y) to f(x), and h(y) = z removes y from
     every g-variable x with f(x) != z."""
-    to_h = [[n_x + y] for y in range(n_y)]
-    images = {z: [1 << z] * n_y for z in set(f_values)}
-    to_g = [[x for x, fx in enumerate(f_values) if fx != z] for z in range(n_z)]
-    full = (1 << n_y) - 1
-    return ([(_EACH, None, None, to_h, images[z]) for z in f_values]
-            + [(_EACH, None, None, to_g, [full ^ (1 << y)] * n_z) for y in range(n_y)])
+    f = np.asarray(f_values)
+    # groups 0 to n_y: h(y) alone; groups n_y to n_y + n_z: the x with f(x) != z
+    z, to_g = np.nonzero(np.arange(n_z)[:, None] != f)
+    side, span = _side(n_x + n_y, n_y + n_z)
+    side[:n_x, 1], side[:n_x, 2] = f, 1
+    side[n_x:, 0], side[n_x:, 1] = n_y, np.arange(n_y)
+    span[:n_y, 0], span[:n_y, 1] = np.arange(n_y), np.arange(1, n_y + 1)
+    cut = np.searchsorted(z, np.arange(n_z + 1)) + n_y
+    span[n_y:, 0], span[n_y:, 1] = cut[:-1], cut[1:]
+    return side, span, np.concatenate([n_x + np.arange(n_y), to_g]).astype(np.int32)
 
 
 def _injective(n):
     """No two of the n variables share a value."""
-    full = (1 << n) - 1
-    return [(_EACH, None, None, [list(range(n))] * n, [full ^ (1 << c) for c in range(n)])] * n
+    side, span = _side(n, n)
+    side[:, 1], span[:, 1] = -1, n
+    return side, span, np.arange(n, dtype=np.int32)
 
 
 def _idempotent(n):
     """A value c is a fixed point: c goes to c."""
-    return [(_EACH, None, None, [[c] for c in range(n)], [1 << c for c in range(n)])] * n
+    side, span = _side(n, n)
+    side[:, 1:] = -1, 1
+    span[:, 0], span[:, 1] = np.arange(n), np.arange(1, n + 1)
+    return side, span, np.arange(n, dtype=np.int32)
 
 
 def _words(b):
@@ -265,21 +271,21 @@ def _ints(words):
 
 
 def _preimages(values, nb):
-    """pre[..., c]: mask of the positions y of the last axis with values[..., y] = c."""
-    pre = np.zeros(values.shape[:-1] + (nb,), dtype=object)
-    lead = [i[..., None] for i in np.indices(values.shape[:-1], sparse=True)]
-    np.add.at(pre, (*lead, values), np.array([1 << y for y in range(values.shape[-1])],
-                                             dtype=object))
-    return pre.tolist()
+    """pre[..., c, :]: the words (see _words) of the positions y of the last
+    axis with values[..., y] = c, set in one pass over values (preimages in
+    _native.c), so no temporary is larger than values or the result."""
+    pre = np.zeros(values.shape[:-1] + (nb, -(-values.shape[-1] // 64)), dtype=np.uint64)
+    _native.preimages(np.ascontiguousarray(values, dtype=np.int64), nb, pre)
+    return pre
 
 
-_KINDS2 = (_PRE, _ROW, _PRE, _ROW, _PRE, _PRE, _PAIR)
 _ENDS2 = np.array([(0, 0, 2, 0, 1, 1, 1), (0, 2, 0, 1, 0, 0, 2)])  # i, j per slot: 0 o, 1 x1, 2 x2
 # Algebras kept by the compile caches. A source half is a few compact
 # arrays (a median 8 KB over the semigroup encodings of the graphs with 5-6
 # vertices), so its cache holds a whole working set, such as the 228
-# distinct algebras of bench fcore's 290 rows; a target half holds Python int
-# masks (a median 25 KB there), so its cache stays small.
+# distinct algebras of bench fcore's 290 rows. A target half is about as
+# large, but keeping a second such working set would cost more memory than
+# its misses cost time, so its cache stays small.
 _CACHED_SOURCE = 1024
 _CACHED_TARGET = 32
 
@@ -288,10 +294,11 @@ _CACHED_TARGET = 32
 def _source_half(a):
     """The half of a's compiled entries that a's own tables decide: per
     non-constant operation, (slot, ends, cut) over its incidences (variable,
-    tuple) in order of variable, then tuple. slot indexes the target half's
-    entry kinds; ends holds the entry's i and j fields as rows, before any
-    offset (arity 3 or more: one i row per input); cut[v] is where variable
-    v's incidences start. Equal algebras share one cached copy."""
+    tuple) in order of variable, then tuple. slot is the variable's place in
+    the tuple (see run_entry in _native.c); ends holds the entry's i and j
+    variables as rows, before any offset (arity 3 or more: the inputs'
+    rows, then the output's); cut[v] is where variable v's incidences
+    start."""
     out = []
     for name, arity in a.signature.ops:
         if not arity:
@@ -311,12 +318,12 @@ def _source_half(a):
             slot = np.where(x1 == var, np.where(x2 == var, 0, 1 + (o == x2)),
                             np.where(x2 == var, 3 + (o == x1), 5 + (x1 != x2))).astype(np.int8)
             ends = np.stack([o, x1, x2])[_ENDS2[:, slot], np.arange(len(var))]
-        else:  # one slot, _TABLE
+        else:  # one slot
             slot = np.zeros(len(var), dtype=np.int8)
             ends = np.vstack([xs, o])
         # narrow types, the cache holds the working set: _malformed bounds
         # carriers at 4,096 elements, so every variable fits int16
-        ends = ends.astype(np.int16)
+        ends = np.ascontiguousarray(ends, dtype=np.int16)
         cut = np.searchsorted(var, np.arange(a.size + 1)).astype(np.int32)
         for arr in (slot, ends, cut):
             arr.setflags(write=False)
@@ -327,61 +334,53 @@ def _source_half(a):
 @functools.lru_cache(maxsize=_CACHED_TARGET)
 def _target_half(b):
     """The half of the compiled entries that the target b decides: per
-    operation, a (3, slots) object array of each slot's entry kind, table
-    and auxiliary table (see the propagator kinds above). Cached like
-    _source_half; engines only read these tables. A table value c is held
-    as the mask 1 << c, one shared int object per c."""
+    non-constant operation, (arity, table, word rows...), the table b's own
+    and the rows uint64 words over b's carrier (see _words): at arity 1 the
+    pre-images of each value; at arity 2 the pre-images within each row
+    and each column, the fixed points of each row and each column, and the
+    pre-images on the diagonal; past arity 2 none."""
     out = []
     nb = b.size
-    onehot = np.array([1 << c for c in range(nb)], dtype=object)
     for name, arity in b.signature.ops:
         if not arity:
             continue
         tb = b.table(name)
-        if arity >= 3:
-            strides = tuple(nb ** (arity - 1 - i) for i in range(arity))
-            slots = [(_TABLE, onehot[tb].tolist(), strides)]
-        elif arity == 1:
-            slots = [(_PRE, onehot[tb].tolist(), None), (_PRE, _preimages(tb, nb), None)]
-        else:
+        if arity == 1:
+            rows = (_preimages(tb, nb),)
+        elif arity == 2:
             t = tb.reshape(nb, nb)
-            diag, pre1, pre2 = np.diagonal(t), _preimages(t, nb), _preimages(t.T, nb)
-            rows = onehot[t]
-            tabs = (onehot[diag].tolist(), rows.tolist(), _ints(_words(t == np.arange(nb))),
-                    rows.T.tolist(), _ints(_words(t.T == np.arange(nb))), _preimages(diag, nb),
-                    pre1)
-            auxs = (None, pre1, None, pre2, None, None, pre2)
-            slots = list(zip(_KINDS2, tabs, auxs))
-        shared = np.empty((3, len(slots)), dtype=object)
-        for k, (kind, tab, aux) in enumerate(slots):
-            shared[0, k], shared[1, k], shared[2, k] = kind, tab, aux
-        shared.setflags(write=False)
-        out.append(shared)
+            ids = np.arange(nb)
+            rows = (_preimages(t, nb), _preimages(t.T, nb), _words(t == ids), _words(t.T == ids),
+                    _preimages(np.diagonal(t), nb))
+        else:
+            rows = ()
+        for arr in rows:
+            arr.setflags(write=False)
+        out.append((arity, tb, *rows))
     return tuple(out)
 
 
+def _key(a):
+    """a as a compile cache key. The caches keep their keys for long, so a
+    labelled algebra's key is a label-free copy."""
+    return a if a.labels is None else FiniteAlgebra(a.signature, a.size, a.tables)
+
+
 def _compile(pairs):
-    """Every variable's compiled entries, in ascending constraint order, for
-    homomorphisms a -> b of each (a, b) in pairs: value(op_A(x̄)) ==
-    op_B(values of x̄) for every tuple x̄ of a. Each pair's variables follow
-    those of the pairs before it. An entry (kind, i, j, tab, aux) zips the
-    source half's i and j, moved by the pair's offset, with the target
-    half's kind, tab and aux of its slot."""
-    props = []
+    """Every pair's compiled constraints, for homomorphisms a -> b of each
+    (a, b) in pairs: value(op_A(x̄)) == op_B(values of x̄) for every tuple
+    x̄ of a. Each pair's variables follow those of the pairs before it, so
+    a pair is (offset, |A|, |B|, source half of a, target half of b), read
+    in place by plan and propagate in _native.c. The halves are cached by
+    content, equal algebras sharing one."""
+    out = []
+    offset = 0
     for a, b in pairs:
-        offset = len(props)
-        props += [[] for _ in range(a.size)]
-        # the source cache keeps its keys for long: a label-free copy holds the tables only
-        key = a if a.labels is None else FiniteAlgebra(a.signature, a.size, a.tables)
-        for (slot, ends, cut), shared in zip(_source_half(key), _target_half(b)):
-            *ins, js = (ends.astype(np.int32) + offset).tolist()
-            i_s = ins[0] if len(ins) == 1 else list(zip(*ins))  # arity 3 or more: tuples
-            kinds, tabs, auxs = shared[:, slot].tolist()
-            entries = list(zip(kinds, i_s, js, tabs, auxs))
-            cut = cut.tolist()
-            for v in range(a.size):
-                props[offset + v] += entries[cut[v]:cut[v + 1]]
-    return props
+        key = _key(a)
+        out.append((offset, a.size, b.size, _source_half(key),
+                    _target_half(key if b is a else _key(b))))
+        offset += a.size
+    return out
 
 
 def _restrict(dom, trail, queue, var, allowed) -> bool:
@@ -403,25 +402,23 @@ class _Engine:
     """Backtracking over homomorphisms a -> b for each (a, b) in pairs, from
     the root pass's domain words, one array per pair (row v: the values v
     may go to, see _words), with its own domains and trail. A domain is an
-    int bitmask over the target carrier. A side condition's entry for v
-    (see _channel), side[v], goes first in v's list. After root(),
+    int bitmask over the target carrier. side, a side condition (see
+    _channel) or None, gives its variables one more entry each, run first.
+    After root(),
     first_without and settle run searches from one shared base state:
     first_without searches with one value removed and restores the state,
     settle narrows a domain to a mask for good.
 
     propagate() runs the queued variables to a fixpoint, False on a
-    wipeout: propagate in _native.c, bound to this engine's lists, on masks
-    of w uint64 words for the widest target. A variable is queued once,
+    wipeout: propagate in _native.c, bound to this engine's lists and its
+    plan, the compiled pairs and side condition. A variable is queued once,
     when its domain becomes a singleton, so after a fixpoint the variables
     with more than one value left are exactly the unassigned ones. The
     queue is a stack and a variable's entries run side condition first,
     then in ascending constraint order: node counts depend on both (see
     test_node_counts_pinned)."""
 
-    def __init__(self, pairs, domains, stats, *, order="mrv", side=()):
-        self.props = _compile(pairs)
-        for entries, entry in zip(self.props, side):
-            entries.insert(0, entry)
+    def __init__(self, pairs, domains, stats, *, order="mrv", side=None):
         self.dom = [m for d in domains for m in _ints(d)]
         ends = list(itertools.accumulate(a.size for a, _ in pairs))
         self.spans = list(zip([0] + ends, ends))  # each pair's variables
@@ -430,9 +427,8 @@ class _Engine:
         self.stop = self.stats.node_limit  # stats.nodes may not pass it
         self.trail = []  # (var, mask before the change)
         self.queue = []  # variables whose domain became a singleton, not yet propagated
-        w = -(-max(b.size for _, b in pairs) // 64)  # uint64 words per mask
         self.propagate = functools.partial(_native.propagate, self.dom, self.trail, self.queue,
-                                           self.props, w)
+                                           _native.plan(_compile(pairs), side))
 
     def _undo(self, mark):
         trail, dom = self.trail, self.dom
@@ -555,7 +551,7 @@ def _consistent_domains(a, b, d, max_arity, *, stats=None):
     return d
 
 
-def _hom_engine(a, b, stats, d, *, order="mrv", side=()):
+def _hom_engine(a, b, stats, d, *, order="mrv", side=None):
     if d is None:
         d = np.ones((a.size, b.size), dtype=bool)
     d = _consistent_domains(a, b, _words(d), 1, stats=stats)
@@ -564,7 +560,7 @@ def _hom_engine(a, b, stats, d, *, order="mrv", side=()):
     return _Engine([(a, b)], [d], stats, order=order, side=side)
 
 
-def _search_hom(a, b, stats, *, d=None, side=()):
+def _search_hom(a, b, stats, *, d=None, side=None):
     """First homomorphism a -> b the search finds, not yet re-verified."""
     eng = _hom_engine(a, b, stats, d, side=side)
     sol = None if eng is None else next(eng.solutions(), None)

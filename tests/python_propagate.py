@@ -1,15 +1,175 @@
-"""The search engine's propagation in Python, the reference that
-tests/test_native_propagate.py compares propagate in homfactor/_native.c
-with, state for state, as numpy_root.py is the root pass's reference.
+"""The search engine's compiled constraints and propagation in Python, the
+reference that tests/test_native_propagate.py compares propagate in
+homfactor/_native.c with, state for state, as numpy_root.py is the root
+pass's reference.
+
+Here the constraints are compiled as they were before the solver kept them
+as flat arrays that C reads in place: every variable's list of entries
+(kind, i, j, tab, aux), the target tables as Python int masks, each list
+starting with the variable's side-condition entry, if any (compiled). The
+side conditions, both halves and their zip per pair are the solver's from
+before, without the caches. tests/test_native_propagate.py also expands the
+solver's arrays back into these entries and compares the two.
 
 propagate(dom, trail, queue, props) runs on an engine's own lists, like
-the C function without its word count, since a Python int mask has any
-width: it pops the queued variables, runs each one's compiled entries, and
-returns False on a wipeout; _check_table checks an entry of arity 3 or
-more.
+the C function without its plan, since a Python int mask has any width: it
+pops the queued variables, runs each one's entries, and returns False on a
+wipeout; _check_table checks an entry of arity 3 or more.
 """
 
-from homfactor.solver import _EACH, _PAIR, _PRE, _ROW, _restrict
+import numpy as np
+
+from homfactor.solver import _ENDS2, _ints, _restrict, _words
+
+# Propagator kinds. When variable v is fixed to a value a, each constraint
+# on v is checked through v's compiled entry (kind, i, j, tab, aux): the
+# other variables of the constraint and target tables of masks indexed by a.
+_ROW = 0  # (o, w, rows, pres): w fills the other input, o the output: rows[a][w] = o
+_PAIR = 1  # (x1, x2, pre1, pre2): v is the output of the tuple (x1, x2)
+_PRE = 2  # (x, -, pre, -): x within the mask pre[a]; v fills every input, or
+#           is the output of a tuple of x alone, or fills one input and x the rest
+_TABLE = 3  # (inputs, o, table, strides): arity 3 or more, checked generically
+_EACH = 4  # (-, -, group, masks): every w in group[a] other than v within masks[a]
+
+
+# Side conditions: one _EACH entry per variable, put first in its list by compiled
+def _channel(n_x, n_y, n_z, f_values):
+    """h(g(x)) = f(x) between g-variables [0, n_x) and h-variables [n_x,
+    n_x + n_y): g(x) = y narrows h(y) to f(x), and h(y) = z removes y from
+    every g-variable x with f(x) != z."""
+    to_h = [[n_x + y] for y in range(n_y)]
+    images = {z: [1 << z] * n_y for z in set(f_values)}
+    to_g = [[x for x, fx in enumerate(f_values) if fx != z] for z in range(n_z)]
+    full = (1 << n_y) - 1
+    return ([(_EACH, None, None, to_h, images[z]) for z in f_values]
+            + [(_EACH, None, None, to_g, [full ^ (1 << y)] * n_z) for y in range(n_y)])
+
+
+def _injective(n):
+    """No two of the n variables share a value."""
+    full = (1 << n) - 1
+    return [(_EACH, None, None, [list(range(n))] * n, [full ^ (1 << c) for c in range(n)])] * n
+
+
+def _idempotent(n):
+    """A value c is a fixed point: c goes to c."""
+    return [(_EACH, None, None, [[c] for c in range(n)], [1 << c for c in range(n)])] * n
+
+
+def _preimages(values, nb):
+    """pre[..., c]: mask of the positions y of the last axis with values[..., y] = c."""
+    pre = np.zeros(values.shape[:-1] + (nb,), dtype=object)
+    lead = [i[..., None] for i in np.indices(values.shape[:-1], sparse=True)]
+    np.add.at(pre, (*lead, values), np.array([1 << y for y in range(values.shape[-1])],
+                                             dtype=object))
+    return pre.tolist()
+
+
+_KINDS2 = (_PRE, _ROW, _PRE, _ROW, _PRE, _PRE, _PAIR)
+
+
+def _source_half(a):
+    """The half of a's compiled entries that a's own tables decide: per
+    non-constant operation, (slot, ends, cut) over its incidences (variable,
+    tuple) in order of variable, then tuple. slot indexes the target half's
+    entry kinds; ends holds the entry's i and j fields as rows, before any
+    offset (arity 3 or more: one i row per input); cut[v] is where variable
+    v's incidences start."""
+    out = []
+    for name, arity in a.signature.ops:
+        if not arity:
+            continue
+        ta = a.table(name)
+        xs = np.indices((a.size,) * arity).reshape(arity, ta.size)
+        # the (element, tuple) keys of every input and the output, sorted, repeats dropped
+        keys = np.sort(np.vstack([xs, ta]) * ta.size + np.arange(ta.size), axis=None)
+        var, t = np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], ta.size)
+        xs, o = xs[:, t], ta[t]
+        if arity == 1:
+            slot = (xs[0] != var).view(np.int8)  # 0: v is the input; 1: v is only the output
+            ends = np.stack([np.where(slot, xs[0], o)] * 2)
+        elif arity == 2:
+            x1, x2 = xs
+            # v is: both inputs 0; x1 1 (2 if o = x2); x2 3 (4 if o = x1); o alone 5 (x1 = x2) or 6
+            slot = np.where(x1 == var, np.where(x2 == var, 0, 1 + (o == x2)),
+                            np.where(x2 == var, 3 + (o == x1), 5 + (x1 != x2))).astype(np.int8)
+            ends = np.stack([o, x1, x2])[_ENDS2[:, slot], np.arange(len(var))]
+        else:  # one slot, _TABLE
+            slot = np.zeros(len(var), dtype=np.int8)
+            ends = np.vstack([xs, o])
+        # narrow types, the cache holds the working set: _malformed bounds
+        # carriers at 4,096 elements, so every variable fits int16
+        ends = ends.astype(np.int16)
+        cut = np.searchsorted(var, np.arange(a.size + 1)).astype(np.int32)
+        for arr in (slot, ends, cut):
+            arr.setflags(write=False)
+        out.append((slot, ends, cut))
+    return tuple(out)
+
+
+def _target_half(b):
+    """The half of the compiled entries that the target b decides: per
+    operation, a (3, slots) object array of each slot's entry kind, table
+    and auxiliary table (see the propagator kinds above). A table value c is held
+    as the mask 1 << c, one shared int object per c."""
+    out = []
+    nb = b.size
+    onehot = np.array([1 << c for c in range(nb)], dtype=object)
+    for name, arity in b.signature.ops:
+        if not arity:
+            continue
+        tb = b.table(name)
+        if arity >= 3:
+            strides = tuple(nb ** (arity - 1 - i) for i in range(arity))
+            slots = [(_TABLE, onehot[tb].tolist(), strides)]
+        elif arity == 1:
+            slots = [(_PRE, onehot[tb].tolist(), None), (_PRE, _preimages(tb, nb), None)]
+        else:
+            t = tb.reshape(nb, nb)
+            diag, pre1, pre2 = np.diagonal(t), _preimages(t, nb), _preimages(t.T, nb)
+            rows = onehot[t]
+            tabs = (onehot[diag].tolist(), rows.tolist(), _ints(_words(t == np.arange(nb))),
+                    rows.T.tolist(), _ints(_words(t.T == np.arange(nb))), _preimages(diag, nb),
+                    pre1)
+            auxs = (None, pre1, None, pre2, None, None, pre2)
+            slots = list(zip(_KINDS2, tabs, auxs))
+        shared = np.empty((3, len(slots)), dtype=object)
+        for k, (kind, tab, aux) in enumerate(slots):
+            shared[0, k], shared[1, k], shared[2, k] = kind, tab, aux
+        shared.setflags(write=False)
+        out.append(shared)
+    return tuple(out)
+
+
+def _compile(pairs):
+    """Every variable's compiled entries, in ascending constraint order, for
+    homomorphisms a -> b of each (a, b) in pairs: value(op_A(x̄)) ==
+    op_B(values of x̄) for every tuple x̄ of a. Each pair's variables follow
+    those of the pairs before it. An entry (kind, i, j, tab, aux) zips the
+    source half's i and j, moved by the pair's offset, with the target
+    half's kind, tab and aux of its slot."""
+    props = []
+    for a, b in pairs:
+        offset = len(props)
+        props += [[] for _ in range(a.size)]
+        for (slot, ends, cut), shared in zip(_source_half(a), _target_half(b)):
+            *ins, js = (ends.astype(np.int32) + offset).tolist()
+            i_s = ins[0] if len(ins) == 1 else list(zip(*ins))  # arity 3 or more: tuples
+            kinds, tabs, auxs = shared[:, slot].tolist()
+            entries = list(zip(kinds, i_s, js, tabs, auxs))
+            cut = cut.tolist()
+            for v in range(a.size):
+                props[offset + v] += entries[cut[v]:cut[v + 1]]
+    return props
+
+
+def compiled(pairs, side=()):
+    """Every variable's entries for the (source, target) pairs laid side by
+    side, side[v] first in v's list."""
+    out = _compile(pairs)
+    for listed, entry in zip(out, side):
+        listed.insert(0, entry)
+    return out
 
 
 def _check_table(dom, trail, queue, ins, out, table, strides) -> bool:

@@ -1,6 +1,7 @@
 """The C extension module (the root pass and propagation) builds on the
-first import of a cold copy of the package, once, without setuptools, and
-fails loudly without a compiler; its source compiles free of warnings."""
+first import of a cold copy of the package, once, without setuptools,
+removing stale builds, and fails loudly without a compiler; its source
+compiles free of warnings."""
 
 import os
 import shutil
@@ -49,6 +50,20 @@ def test_first_import_builds_once_without_setuptools(tmp_path):
     assert second.returncode == 0, second.stderr
     assert second.stdout == "True\n"
     assert library.stat().st_mtime_ns == stamp
+
+
+def test_a_build_removes_stale_builds_but_not_a_rivals_scratch(tmp_path):
+    src = _cold_copy(tmp_path)
+    build = src / "homfactor" / "build"
+    stale, rival = build / "0123456789abcdef", build / ".tmp-rival"
+    for d in (stale, rival):
+        d.mkdir(parents=True)
+        (d / "_native_ext.so").write_bytes(b"")
+    done = _run(src, "import homfactor.solver")
+    assert done.returncode == 0, done.stderr
+    (library,) = (p for p in build.glob("*/_native_ext.*") if p.parent != rival)
+    assert sorted(p.name for p in build.iterdir()) == sorted([library.parent.name, rival.name])
+    assert (rival / "_native_ext.so").exists()
 
 
 def test_a_missing_compiler_is_an_import_error_that_names_it(tmp_path):

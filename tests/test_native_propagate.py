@@ -1,5 +1,7 @@
-"""The C propagate (_native.propagate) against the Python reference
-(python_propagate.propagate) from the same random engine states.
+"""The C propagate (_native.propagate over a _native.plan) against the Python
+reference (python_propagate.propagate over python_propagate.compiled) from
+the same random engine states, and the solver's compiled arrays expanded
+back into the reference's (kind, i, j, tab, aux) entries.
 
 Every entry kind is covered: _ROW, _PRE and _PAIR from unary and binary
 operations, _TABLE from lift_nary(..., 3), and _EACH from the three side
@@ -12,30 +14,30 @@ import random
 
 import numpy as np
 import pytest
-from python_propagate import propagate as python_propagate
+import python_propagate as reference
+from python_propagate import _EACH, _PAIR, _PRE, _ROW, _TABLE
 
-from homfactor import _native
+from homfactor import _native, solver
 from homfactor.algebra import FiniteAlgebra
-from homfactor.encodings import lift_nary
-from homfactor.solver import (
-    _EACH,
-    _PAIR,
-    _PRE,
-    _ROW,
-    _TABLE,
-    _channel,
-    _Engine,
-    _idempotent,
-    _injective,
-    _words,
-    find_homomorphism,
+from homfactor.encodings import (
+    encode_magma,
+    encode_semigroup,
+    encode_unary,
+    lift_nary,
+    make_fcore_instance,
 )
+from homfactor.graphs import Graph, complete_graph, cycle_graph, path_graph
+from homfactor.solver import _Engine, _ints, _words, find_homomorphism
+from homfactor.varieties import make_abelian, make_boolean, make_vspace, sample_fcore_instances
 
 UNARY_BINARY = (("u", 1), ("mul", 2))
 WIDTHS = [63, 64, 65, 127, 128, 129, 200]
 # a ternary table on 102 or more elements passes the 2**20 table-entry
 # limit, so no valid algebra has one
 TERNARY_MAX = 101
+# each side condition in the solver's arrays and in the reference's entries
+SIDES = {name: (getattr(solver, name), getattr(reference, name))
+         for name in ("_channel", "_injective", "_idempotent")}
 
 
 def _random(rng, signature, n, inner=None):
@@ -50,9 +52,12 @@ def _random(rng, signature, n, inner=None):
     return FiniteAlgebra(signature, n, tables)
 
 
-def _engine(pairs, side=()):
+def _engine(pairs, side=None, *args):
+    """An engine over full domains and the reference's entries for it, with
+    the side condition side(*args) in both forms."""
     full = [_words(np.ones((a.size, b.size), dtype=bool)) for a, b in pairs]
-    return _Engine(pairs, full, None, side=side)
+    arrays, entries = (None, ()) if side is None else (f(*args) for f in SIDES[side])
+    return _Engine(pairs, full, None, side=arrays), reference.compiled(pairs, entries)
 
 
 def _random_state(rng, widths, solution):
@@ -83,20 +88,20 @@ def _run(eng, propagate, dom, queue):
     return ok, list(eng.dom), list(eng.trail), list(eng.queue)
 
 
-def _agree(eng, widths, solution, seed, states=150):
+def _agree(built, widths, solution, seed, states=150):
     """Run both propagates from the same random states around a solution;
-    return the kinds of entry the engine holds and the outcomes seen."""
+    return the kinds of entry the reference holds and the outcomes seen."""
+    eng, entries = built
     assert eng.propagate.func is _native.propagate
-    assert eng.propagate.args[4] == -(-max(widths) // 64)  # words per mask
-    reference = functools.partial(python_propagate, eng.dom, eng.trail, eng.queue, eng.props)
+    python = functools.partial(reference.propagate, eng.dom, eng.trail, eng.queue, entries)
     rng = random.Random(seed)
     outcomes = set()
     for _ in range(states):
         dom, queue = _random_state(rng, widths, solution)
-        python = _run(eng, reference, dom, queue)
-        assert _run(eng, eng.propagate, dom, queue) == python
-        outcomes.add(python[0])
-    return {entry[0] for entries in eng.props for entry in entries}, outcomes
+        expected = _run(eng, python, dom, queue)
+        assert _run(eng, eng.propagate, dom, queue) == expected
+        outcomes.add(expected[0])
+    return {entry[0] for listed in entries for entry in listed}, outcomes
 
 
 @pytest.mark.parametrize("nb", WIDTHS)
@@ -112,7 +117,7 @@ def test_unary_and_binary_entries_agree(nb):
 @pytest.mark.parametrize("nb", WIDTHS)
 def test_table_entries_agree(nb):
     # past TERNARY_MAX the ternary pair shares its engine with a unary pair
-    # into nb elements, so that its table entries run on nb-wide masks
+    # into nb elements, so that the engine's masks are nb wide
     rng = random.Random(nb)
     sig = (("mul", 2),)
     small = _random(rng, sig, 5)
@@ -129,10 +134,10 @@ def test_table_entries_agree(nb):
 
 
 @pytest.mark.parametrize("nb", WIDTHS)
-@pytest.mark.parametrize("side", [_injective, _idempotent])
+@pytest.mark.parametrize("side", ["_injective", "_idempotent"])
 def test_injective_and_idempotent_entries_agree(nb, side):
     a = _random(random.Random(nb), (("u", 1),), nb)
-    kinds, outcomes = _agree(_engine([(a, a)], side(nb)), [nb] * nb, range(nb), nb)
+    kinds, outcomes = _agree(_engine([(a, a)], side, nb), [nb] * nb, range(nb), nb)
     assert kinds == {_EACH, _PRE}
     assert outcomes == {True, False}
 
@@ -143,10 +148,10 @@ def test_channel_entries_agree(nb):
     rng = random.Random(nb)
     x = _random(rng, UNARY_BINARY, 6)
     y = _random(rng, UNARY_BINARY, nb, x)
-    eng = _engine([(x, y), (y, y)], _channel(x.size, nb, nb, range(x.size)))
+    built = _engine([(x, y), (y, y)], "_channel", x.size, nb, nb, range(x.size))
     solution = [*range(x.size), *range(nb)]
     # the Python reference takes most of the time here, more as nb grows
-    kinds, outcomes = _agree(eng, [nb] * len(solution), solution, nb,
+    kinds, outcomes = _agree(built, [nb] * len(solution), solution, nb,
                              states=100 if nb <= 64 else 50)
     assert kinds == {_EACH, _ROW, _PRE, _PAIR}
     assert outcomes == {True, False}
@@ -155,33 +160,212 @@ def test_channel_entries_agree(nb):
 def test_a_target_past_64_elements_runs_the_c_propagate():
     a = FiniteAlgebra((("u", 1),), 4, {"u": [1, 2, 3, 0]})
     b = _random(random.Random(65), (("u", 1),), 65, a)
-    eng, ref = _engine([(a, b)]), _engine([(a, b)])
-    assert eng.propagate.func is _native.propagate and eng.propagate.args[4] == 2
+    (eng, _), (ref, entries) = _engine([(a, b)]), _engine([(a, b)])
+    assert eng.propagate.func is _native.propagate
     assert eng.dom[0] == (1 << 65) - 1
-    ref.propagate = functools.partial(python_propagate, ref.dom, ref.trail, ref.queue, ref.props)
+    ref.propagate = functools.partial(reference.propagate, ref.dom, ref.trail, ref.queue, entries)
     assert list(eng.solutions()) == list(ref.solutions())
     assert eng.stats.nodes == ref.stats.nodes
     assert find_homomorphism(a, b).values == (0, 1, 2, 3)
 
 
+def _expanded(pairs, side=None):
+    """Every variable's (kind, i, j, tab, aux) entries, read back from the
+    solver's compiled arrays (its _compile and a side condition): what
+    propagate in _native.c runs, in the reference's form. Tables are built
+    once per operation and side group, so entries share them as the
+    reference's do."""
+    compiled = solver._compile(pairs)
+    out = [[] for _, n, _, _, _ in compiled for _ in range(n)]
+    for offset, n, nb, source, target in compiled:
+        for (slot, ends, cut), (arity, tab, *rows) in zip(source, target):
+            slots = _slots(arity, np.asarray(tab), [_ints(np.asarray(r)) for r in rows], nb)
+            ends = (ends.astype(np.int64) + offset).tolist()
+            for v in range(n):
+                for k in range(cut[v], cut[v + 1]):
+                    kind, t, aux = slots[slot[k]]
+                    i = tuple(e[k] for e in ends[:-1]) if arity >= 3 else ends[0][k]
+                    out[offset + v].append((kind, i, ends[-1][k], t, aux))
+    if side is not None:
+        first, span, members = (np.asarray(s).tolist() for s in side)
+        widths = [nb for _, n, nb, _, _ in compiled for _ in range(n)]
+        groups, masks = {}, {}
+        for v, (row, c, keep) in enumerate(first):
+            values = range(widths[v])
+            if row not in groups:
+                groups[row] = [members[span[row + a][0]:span[row + a][1]] for a in values]
+            # a dropped value leaves the rest of the narrowed variables' target
+            full = (1 << widths[next(x for g in groups[row] for x in g)]) - 1
+            key = c, keep, len(values), full
+            if key not in masks:
+                masks[key] = [1 << (a if c < 0 else c) if keep else full ^ 1 << (a if c < 0 else c)
+                              for a in values]
+            out[v].insert(0, (_EACH, None, None, groups[row], masks[key]))
+    return out
+
+
+def _slots(arity, tab, rows, nb):
+    """Per slot, (kind, tab, aux) as the reference's target half holds them,
+    from a target half's table and word rows (as Python int masks)."""
+    one = [1 << c for c in range(nb)]
+    if arity >= 3:
+        return [(_TABLE, [one[c] for c in tab.tolist()],
+                 tuple(nb ** (arity - 1 - i) for i in range(arity)))]
+    if arity == 1:
+        return [(_PRE, [one[c] for c in tab.tolist()], None), (_PRE, rows[0], None)]
+    t = tab.reshape(nb, nb)
+    pre1, pre2, fix1, fix2, dpre = rows
+    return [(_PRE, [one[c] for c in np.diagonal(t).tolist()], None),
+            (_ROW, [[one[c] for c in r] for r in t.tolist()], pre1), (_PRE, fix1, None),
+            (_ROW, [[one[c] for c in r] for r in t.T.tolist()], pre2), (_PRE, fix2, None),
+            (_PRE, dpre, None), (_PAIR, pre1, pre2)]
+
+
+def _assert_same_entries(expanded, entries):
+    """Entry for entry equal; a pair of shared tables is compared once."""
+    assert [len(x) for x in expanded] == [len(x) for x in entries]
+    equal = {}
+    for mine, theirs in zip(expanded, entries):
+        for (k1, i1, j1, t1, a1), (k2, i2, j2, t2, a2) in zip(mine, theirs):
+            assert (k1, i1, j1) == (k2, i2, j2)
+            key = id(t1), id(a1), id(t2), id(a2)
+            if key not in equal:
+                equal[key] = t1 == t2 and a1 == a2
+            assert equal[key]
+
+
+def _relabelled(a, seed):
+    """a with its elements permuted, a different algebra of the same shape."""
+    perm = np.random.default_rng(seed).permutation(a.size)
+    inverse = np.argsort(perm)
+    tables = {}
+    for name, k in a.signature.ops:
+        t = a.nd(name)
+        tables[name] = perm[t[np.ix_(*[inverse] * k)] if k else t].reshape(-1)
+    return FiniteAlgebra(a.signature, a.size, tables)
+
+
+def _catalog_and_fcore():
+    """Pairs of catalog and fcore algebras: the three encodings of small
+    graphs, make_fcore_instance's semigroups and the four varieties, whose
+    vector spaces have operations of arity 0, 1 and 2."""
+    g = Graph(True, 3, frozenset([(0, 1), (1, 2), (2, 0), (2, 1)]))
+    out = [(encode_unary(g)[0], encode_unary(g)[0]), (encode_magma(cycle_graph(4))[0],
+                                                      encode_magma(complete_graph(3))[0])]
+    sg = [encode_semigroup(h)[0] for h in (path_graph(3), complete_graph(3))]
+    x, z, _ = make_fcore_instance(cycle_graph(4))
+    out += [(sg[0], sg[1]), (x, x), (x, z)]
+    for variety in ("gset", "vspace", "boolean", "abelian"):
+        x, z, _ = sample_fcore_instances(variety, 1, 16, seed=3)[0]
+        out += [(x, x), (x, z)]
+    return out
+
+
+def _wide():
+    """Pairs with 64-200-element targets, as the wide-target pins take: masks
+    of one to four words, the top bit of a second word at 127."""
+    z2, b7, z200 = make_abelian([2] * 7), make_boolean(7), make_abelian([2, 10, 10])
+    return [(z2, _relabelled(z2, 1)), (make_boolean(3), b7), (make_abelian([10]), z200),
+            (make_vspace(2, 7), make_vspace(2, 7)), (make_abelian([4, 4, 4]), z2)]
+
+
+@pytest.mark.parametrize("pairs", [[p] for p in _catalog_and_fcore()] + [_catalog_and_fcore()[:3]],
+                         ids=lambda pairs: "+".join(f"{a.size}-{b.size}" for a, b in pairs))
+def test_compiled_arrays_expand_to_the_reference_entries(pairs):
+    _assert_same_entries(_expanded(pairs), reference.compiled(pairs))
+
+
+@pytest.mark.parametrize("pair", _wide(), ids=lambda p: f"{p[0].size}-{p[1].size}")
+def test_wide_target_arrays_expand_to_the_reference_entries(pair):
+    _assert_same_entries(_expanded([pair]), reference.compiled([pair]))
+
+
+def test_ternary_lift_arrays_expand_to_the_reference_entries():
+    rng = random.Random(3)
+    small = _random(rng, (("mul", 2),), 4)
+    pair = (lift_nary(small, 3), lift_nary(_random(rng, (("mul", 2),), 9, small), 3))
+    _assert_same_entries(_expanded([pair, pair]), reference.compiled([pair, pair]))
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 130])
+def test_side_condition_arrays_expand_to_the_reference_entries(n):
+    a = _random(random.Random(n), UNARY_BINARY, n)
+    for name in ("_injective", "_idempotent"):
+        mine, theirs = (f(n) for f in SIDES[name])
+        _assert_same_entries(_expanded([(a, a)], mine), reference.compiled([(a, a)], theirs))
+    # a channel into a wider Z, with f = h∘g constant, so that f(x) has an
+    # empty group of g-variables
+    x = _random(random.Random(n), UNARY_BINARY, 3)
+    z = _random(random.Random(n + 1), UNARY_BINARY, n + 3)
+    f = [1, 1, 1]
+    pairs = [(x, a), (a, z)]
+    mine, theirs = (side(x.size, n, z.size, f) for side in SIDES["_channel"])
+    _assert_same_entries(_expanded(pairs, mine), reference.compiled(pairs, theirs))
+
+
+def _plan(pairs, side=None):
+    return _native.plan(solver._compile(pairs), side)
+
+
 def test_an_unreadable_state_raises_instead_of_crashing():
-    pre = [[(_PRE, 1, None, [1, 2], None)], []]
-    cases = [
-        ([1, 3], [0], [[(_PRE, -1, None, [1, 2], None)], []], 1, IndexError),  # negative variable
-        ([1, 3], [0], [[(_PRE, 5, None, [1, 2], None)], []], 1, IndexError),  # past dom
-        ([1, 3], [0], [[(_PRE, 1, None, (1, 2), None)], []], 1, TypeError),  # a tuple table
-        ([1, 3], [0], [[(9, 1, None, [1, 2], None)], []], 1, ValueError),  # unknown kind
-        ([1, 3], [0], [[(_PRE, 1, None)], []], 1, TypeError),  # not a 5-tuple
-        ([1, 3], [1], [[], (_PRE, 0, None, [1, 2], None)], 1, TypeError),  # entries not a list
-        ([1, -3], [0], pre, 1, OverflowError),  # a negative mask
-        ([1, -3], [0], pre, 2, OverflowError),
-        ([1, 3], [0], [[(_PRE, 1, None, [~2, 2], None)], []], 2, OverflowError),
-        ([1, 1 << 64], [0], pre, 1, OverflowError),  # a mask wider than w words
-        ([1, 1 << 128], [0], pre, 2, OverflowError),
-        ([1, 3.0], [0], pre, 2, TypeError),  # a mask that is no int
-        ([1, 3], [0], pre, 0, ValueError),  # w out of range
-        ([1, 3], [0], pre, 65, ValueError),
+    u = FiniteAlgebra((("u", 1),), 2, {"u": [1, 0]})
+    ((_, n, nb, ((slot, ends, cut),), ((arity, tab, pre),)),) = solver._compile([(u, u)])
+
+    def pair(source=(slot, ends, cut), target=(arity, tab, pre), sizes=(0, n, nb)):
+        return [(*sizes, (source,), (target,))]
+
+    plans = [
+        ([(0, n, nb, (), ((arity, tab, pre),))], None, TypeError),  # halves of two lengths
+        (pair(sizes=(1, n, nb)), None, ValueError),  # an offset past the variables before
+        (pair(sizes=(0, n, 0)), None, ValueError),  # an empty target
+        (pair(sizes=(0, n, 4097)), None, ValueError),  # a target past 4,096 values
+        (pair(source=(slot, ends.astype(np.int32), cut)), None, ValueError),  # ends not int16
+        (pair(source=(slot, ends[:, :-1].copy(), cut)), None, ValueError),  # one end short
+        (pair(source=(slot, np.full_like(ends, 2), cut)), None, ValueError),  # ends past n
+        (pair(source=(np.full_like(slot, 2), ends, cut)), None, ValueError),  # unary slot 2
+        (pair(source=(slot, ends, cut[::-1].copy())), None, ValueError),  # descending cuts
+        (pair(source=(slot, ends, cut.astype(np.int64))), None, ValueError),
+        (pair(target=(arity, tab.astype(np.int32), pre)), None, ValueError),
+        (pair(target=(arity, np.array([1, 2]), pre)), None, ValueError),  # a value past nb
+        (pair(target=(arity, tab, pre[:1])), None, ValueError),  # rows short
+        (pair(target=(arity, tab, pre.view(np.int64))), None, ValueError),  # rows not uint64
+        (pair(target=(arity, tab)), None, TypeError),  # no rows at arity 1
+        (pair(target=(2, tab, pre)), None, TypeError),  # five rows at arity 2
+        (pair(target=(0, tab, pre)), None, ValueError),  # arity 0
+        (pair(), solver._injective(3), ValueError),  # members past the variables
+        (pair(), solver._injective(2)[:2], TypeError),  # not (side, span, members)
+        (pair(), (np.array([[0, 64, 1]], np.int32),) + solver._injective(2)[1:], ValueError),
+        (pair(), (np.array([[0, -1, 2]], np.int32),) + solver._injective(2)[1:], ValueError),
+        (pair(), solver._injective(2)[:1] + (np.array([[1, 0]], np.int32),
+                                             solver._injective(2)[2]), ValueError),
     ]
-    for dom, queue, props, w, error in cases:
+    for pairs, side, error in plans:
         with pytest.raises(error):
-            _native.propagate(dom, [], queue, props, w)
+            _native.plan(pairs, side)
+    plan, side = _plan([(u, u)]), _plan([(u, u)], solver._idempotent(1))
+    states = [
+        ([1, 3], [-1], plan, IndexError),  # a negative variable
+        ([1, 3], [2], plan, IndexError),  # a variable past the domains
+        ([1, 3, 1], [0], plan, ValueError),  # more domains than the plan's variables
+        ([1, 4], [0], plan, ValueError),  # a value past the target
+        ([1, 0], [0], plan, ValueError),  # an empty domain
+        ([1, -3], [0], plan, OverflowError),  # a negative mask
+        ([1, 1 << 64], [0], plan, OverflowError),  # a mask wider than its words
+        ([2, 3], [0], side, IndexError),  # value 1 has no side group
+        ([1, 3], [0], (), ValueError),  # no plan
+    ]
+    for dom, queue, p, error in states:
+        with pytest.raises(error):
+            _native.propagate(dom, [], queue, p)
+    with pytest.raises(TypeError):
+        _native.propagate((1, 3), [], [0], plan)
+    words = np.zeros((2, 1), dtype=np.uint64)
+    for values, nb, pre in [(np.array([0, 2]), 2, words),  # a value past nb
+                            (np.array([0, 1], dtype=np.int32), 2, words),
+                            (np.array([0, 1]), 2, words[:1]),  # too few words
+                            (np.array([0, 1]), 2, words.view(np.int64))]:
+        with pytest.raises(ValueError):
+            _native.preimages(values, nb, pre)
+    pre = np.zeros((2, 1), dtype=np.uint64)
+    _native.preimages(np.array([1, 0, 1]), 2, pre)
+    assert pre.tolist() == [[0b010], [0b101]]

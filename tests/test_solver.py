@@ -876,7 +876,7 @@ def test_bitmask_conversion_matches_reference():
         for i, j in np.ndindex(2, 3):
             assert masks[i][j] == sum(1 << int(y) for y in np.flatnonzero(rows[i, j]))
         values = rng.integers(0, 5, (3, width))
-        pre = _preimages(values, 5)
+        pre = _ints(_preimages(values, 5))
         for i, c in np.ndindex(3, 5):
             assert pre[i][c] == sum(1 << int(y) for y in np.flatnonzero(values[i] == c))
 
@@ -923,9 +923,9 @@ def test_compile_warm_cache_matches_cold():
     # one pair at offset 0; two pairs, the second at offset |X|
     for pairs in ([(x, z)], [(x, x), (x, z)], [(s, t)], [(s, t), (t, t)]):
         _clear_compile_caches()
-        cold = _compile(pairs)
+        cold = _plain(_compile(pairs))
         hits = _hits()
-        warm = _compile(pairs)
+        warm = _plain(_compile(pairs))
         assert warm == cold
         assert _hits() == (hits[0] + len(pairs), hits[1] + len(pairs))
 
@@ -1017,6 +1017,38 @@ def test_source_half_memory_is_proportional_to_the_table():
             tracemalloc.stop()
         ratios.append(peak / a.table("mul").nbytes)
     assert ratios[1] <= 1.1 * ratios[0], ratios
+
+
+def test_target_half_memory_is_proportional_to_the_table():
+    # pre-images as uint64 word rows: |B|**2 rows of w words, built without
+    # a |B|**3 temporary, whose share of the peak would grow with |B|
+    ratios = []
+    for n in (200, 400):
+        b = FiniteAlgebra([("mul", 2)], n, {"mul": np.random.default_rng(n).integers(0, n, n * n)})
+        words = -(-n // 64)
+        tracemalloc.start()
+        try:
+            half = _target_half.__wrapped__(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ((arity, table, *rows),) = half
+        assert arity == 2 and table is b.table("mul")
+        assert all(r.dtype == np.uint64 for r in rows)
+        ratios.append(peak / (b.table("mul").nbytes * words))
+    assert ratios[1] <= 1.1 * ratios[0], ratios
+
+
+def test_compiled_halves_hold_no_python_ints():
+    # every cached array is numeric and read-only: no object array, no Python int
+    x, z, _, s, t = _vspace_and_lifted()
+    u, v = (encode_unary(g)[0] for g in graph_catalog(3, 3, directed=True, connected=True)[:2])
+    for a, b in ((x, z), (s, t), (u, v)):
+        for offset, n, nb, source, target in _compile([(a, b)]):
+            for arr in (*(arr for op in source for arr in op),
+                        *(arr for op in target for arr in op[1:])):
+                assert isinstance(arr, np.ndarray) and arr.dtype != object
+                assert arr.dtype.kind in "iu" and not arr.flags.writeable
 
 
 def _digest(witnesses):
@@ -1294,11 +1326,11 @@ def test_each_variable_is_queued_once_per_propagate(monkeypatch):
     sizes, words = [], set()
     plain = _native.propagate
 
-    def propagate(dom, trail, queue, props, w):
+    def propagate(dom, trail, queue, plan):
         queued, mark = list(queue), len(trail)
         assert all(not dom[v] & (dom[v] - 1) for v in queued)
-        ok = plain(dom, trail, queue, props, w)
-        words.add(w)
+        words.add(-(-max(d.bit_length() for d in dom) // 64))  # uint64 words per mask
+        ok = plain(dom, trail, queue, plan)
         after = {}  # the mask each record's change left: the next record's, or dom's
         for var, old in reversed(trail[mark:]):
             new = after.get(var, dom[var])
