@@ -6,9 +6,10 @@
  * plan(pairs, side): one search engine's compiled constraints, the
  * solver's cached arrays held in place, and preimages(values, nb, pre),
  * which fills the target half's pre-image rows;
- * propagate(dom, trail, queue, plan): the search engine's propagation to a
- * fixpoint, for every engine, on domains of as many uint64 words as each
- * target needs.
+ * engine(plan, domains, lexicographic): the search engine itself, an
+ * Engine, whose state (domains, trail, queue and branching frames) lives
+ * in buffers of its own: propagation to a fixpoint, branching, and the
+ * root, search, first_without and settle calls of homfactor.solver._Engine.
  *
  * Root arc consistency.
  *
@@ -37,6 +38,10 @@
 #include <limits.h>
 #include <stdint.h>
 #include <string.h>
+
+#if PY_BIG_ENDIAN
+#error "the domain words are little-endian uint64 (solver._words), read as native words"
+#endif
 
 typedef uint64_t word;
 
@@ -388,36 +393,39 @@ done:
     return out;
 }
 
-/* Propagation.
+/* The search engine.
  *
- * plan(pairs, side) compiles one engine (see _Engine in homfactor.solver),
- * and propagate(dom, trail, queue, plan) is that engine's propagation to a
- * fixpoint, on its own lists: dom, the domains as int bitmasks; trail, the
- * (var, mask before the change) records; queue, the stack of variables
- * newly fixed. The plan reads each pair's compiled halves in place, as the
- * solver caches them per algebra: per non-constant operation, the source
- * half's incidences (variable v's run from cut[v] to cut[v + 1]: each one's
- * slot, its place in the tuple, and ends, the tuple's other variables) and
- * the target half's table and rows of uint64 words. A variable is queued
+ * plan(pairs, side) compiles one engine's constraints (see _Engine in
+ * homfactor.solver), and engine(plan, domains, lexicographic) makes the
+ * engine, an Engine that holds the plan for its life. The plan reads each
+ * pair's compiled halves in place, as the solver caches them per algebra:
+ * per non-constant operation, the source half's incidences (variable v's
+ * run from cut[v] to cut[v + 1]: each one's slot, its place in the tuple,
+ * and ends, the tuple's other variables) and the target half's table and
+ * rows of uint64 words.
+ *
+ * The engine's state is its own, in buffers from PyMem_Malloc, which
+ * tracemalloc sees: the domains, n rows of W uint64 words (value y of
+ * variable x is bit y % 64 of word y / 64 of row x, as in the root pass;
+ * W = ceil(|B| / 64) for the widest target B, a narrower target's rows
+ * padded with zero words); the trail, one (variable, row before the
+ * change) record per narrowing; the queue, the stack of variables newly
+ * fixed; and the stack of branching frames. The domains are exported
+ * through the buffer protocol, so numpy reads and writes them in place.
+ *
+ * Propagation (run) pops the queue to a fixpoint. A variable is queued
  * once, when its domain becomes a singleton, so each popped variable is
  * newly fixed and reaches its entries once. The queue is popped from its
  * end, and a popped variable runs its side condition first, then its
  * incidences operation by operation, in order of tuple: node counts depend
- * on both. Each narrowing appends (var, old mask) to the trail, and var to
- * the queue if it is a singleton now. tests/python_propagate.py holds the
- * same loop in Python over the same entries expanded to tuples, the
- * reference that it must match state for state.
- *
- * A pair's masks are w = ceil(|B| / 64) uint64 words over its target B,
- * laid out like the root pass's domains; the popped variable's and a side
- * condition's, as many words as the widest target needs. A negative mask,
- * or one wider than that, raises OverflowError; an empty domain, or one
- * with a value past its target, ValueError.
+ * on both. Each narrowing appends a trail record, and queues the variable
+ * if it is a singleton now. A pair's entries read w = ceil(|B| / 64) words
+ * of each row, its own target's; a side condition, all W.
+ * tests/python_propagate.py holds the same loop in Python over the same
+ * entries expanded to tuples, the reference that it must match state for
+ * state, and the search loop over Python int masks that search matches
+ * node for node.
  */
-
-#if PY_BIG_ENDIAN
-#error "propagate reads a mask's little-endian bytes as native words"
-#endif
 
 enum { MAX_WORDS = 64 }; /* 4,096 values, solver._MAX_CARRIER */
 
@@ -457,9 +465,34 @@ typedef struct {
     Py_buffer *bufs;
 } plan_t;
 
+/* A branching frame: its variable, and the trail's length before its
+ * current value, -1 before the first; its untried values are a row of
+ * Engine.rest. */
 typedef struct {
-    PyObject *dom, *trail, *queue;
-} engine;
+    int64_t var, mark;
+} frame;
+
+/* what search does when called: start from the state, go on past the
+ * solution it returned, return at once, or refuse (past its budget) */
+enum { READY, YIELDED, DONE, STOPPED };
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *capsule; /* the plan */
+    const plan_t *p;
+    int64_t n, W; /* variables, words per row */
+    int lex, state;
+    word *dom;          /* n rows of W words */
+    int32_t *queue;     /* room for 2n */
+    int64_t nq;
+    int32_t *tvar;      /* the trail: cap records, nt of them used */
+    word *told;         /* each record's row, W words */
+    int64_t nt, cap;
+    frame *frames;      /* n frames, depth of them used */
+    word *rest;         /* n rows of W words */
+    int64_t depth;
+    Py_ssize_t shape[2], strides[2];
+} Engine;
 
 /* at most one value: a singleton, or empty */
 static inline int is_fixed(const word *s, int64_t w)
@@ -474,8 +507,8 @@ static inline int is_fixed(const word *s, int64_t w)
     return 1;
 }
 
-/* d.bit_length() - 1: a singleton's value */
-static inline Py_ssize_t top(const word *s, int64_t w)
+/* a singleton's value */
+static inline int64_t top(const word *s, int64_t w)
 {
     for (int64_t k = w - 1; k >= 0; k--)
         if (s[k])
@@ -483,116 +516,95 @@ static inline Py_ssize_t top(const word *s, int64_t w)
     return -1;
 }
 
-/* the int o as the w words m; a negative int, or one past w words, raises
- * OverflowError. At w = 1, PyLong_AsUnsignedLong reads the digits whole
- * where PyLong_AsUnsignedLongLong copies an int past 2**30 byte by byte */
-static inline int as_mask(PyObject *o, word *m, int64_t w)
+/* the pair of variable v */
+static inline const cpair *pair_of(const Engine *e, int64_t v)
 {
-    if (w == 1) {
-#if ULONG_MAX == UINT64_MAX
-        *m = PyLong_AsUnsignedLong(o);
-#else
-        *m = PyLong_AsUnsignedLongLong(o);
-#endif
-        return *m == (word)-1 && PyErr_Occurred() ? -1 : 0;
-    }
-    if (!PyLong_Check(o)) {
-        PyErr_SetString(PyExc_TypeError, "a mask is an int");
-        return -1;
-    }
-#if PY_VERSION_HEX >= 0x030D0000 /* 3.13 added with_exceptions */
-    return _PyLong_AsByteArray((PyLongObject *)o, (unsigned char *)m, w * sizeof(word), 1, 0, 1);
-#else
-    return _PyLong_AsByteArray((PyLongObject *)o, (unsigned char *)m, w * sizeof(word), 1, 0);
-#endif
+    const cpair *q = e->p->pairs;
+    while (v >= q->offset + q->n)
+        q++;
+    return q;
 }
 
-/* the domain of x as w words over nb values (nb <= 64 * w): a nonempty
- * mask, since its values index the target's tables */
-static inline int domain(const engine *e, Py_ssize_t x, word *m, int64_t w, int64_t nb)
+/* Narrow variable x to the w words m, a nonempty proper subset of its
+ * domain (rows of W words): record x and its row on the trail, and queue x
+ * if m is a singleton. */
+static int narrow(Engine *e, int64_t x, const word *m, int64_t w, int64_t W)
 {
-    if (as_mask(PyList_GET_ITEM(e->dom, x), m, w))
-        return -1;
-    if (empty(m, w) || (nb < 64 * w && m[w - 1] >> (nb - 64 * (w - 1)))) {
-        PyErr_SetString(PyExc_ValueError, "a domain is empty or holds a value past its target");
-        return -1;
+    if (e->nt == e->cap) {
+        const int64_t cap = 2 * e->cap;
+        int32_t *tvar = PyMem_Realloc(e->tvar, cap * sizeof(int32_t));
+        if (tvar)
+            e->tvar = tvar;
+        word *told = tvar ? PyMem_Realloc(e->told, cap * W * sizeof(word)) : NULL;
+        if (!told) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        e->told = told;
+        e->cap = cap;
     }
+    word *d = e->dom + x * W;
+    e->tvar[e->nt] = (int32_t)x;
+    memcpy(e->told + e->nt++ * W, d, W * sizeof(word));
+    memcpy(d, m, w * sizeof(word));
+    if (is_fixed(m, w))
+        e->queue[e->nq++] = (int32_t)x;
     return 0;
 }
 
-/* Narrow variable x to the mask m, a nonempty proper subset of its domain:
- * record (x, old mask) on the trail, and queue x if m is a singleton. */
-static int narrow(const engine *e, Py_ssize_t x, const word *m, int64_t w)
+static void undo(Engine *e, int64_t mark)
 {
-    PyObject *mo = w == 1 ? PyLong_FromUnsignedLongLong(*m)
-                          : _PyLong_FromByteArray((const unsigned char *)m, w * sizeof(word), 1, 0);
-    PyObject *xo = PyLong_FromSsize_t(x), *rec = PyTuple_New(2);
-    if (!mo || !xo || !rec) {
-        Py_XDECREF(mo);
-        Py_XDECREF(xo);
-        Py_XDECREF(rec);
-        return -1;
+    while (e->nt > mark) {
+        e->nt--;
+        memcpy(e->dom + e->tvar[e->nt] * e->W, e->told + e->nt * e->W, e->W * sizeof(word));
     }
-    PyTuple_SET_ITEM(rec, 0, xo);
-    PyTuple_SET_ITEM(rec, 1, PyList_GET_ITEM(e->dom, x)); /* the list's reference moves */
-    PyList_SET_ITEM(e->dom, x, mo);
-    const int failed = PyList_Append(e->trail, rec);
-    Py_DECREF(rec); /* the trail holds it, and with it xo */
-    if (failed)
-        return -1;
-    return is_fixed(m, w) ? PyList_Append(e->queue, xo) : 0;
 }
 
-/* The end of every entry: x, whose domain is dx, keeps m, within dx. 1 to
- * go on, 0 on a wipeout, -1 on an error, as every entry returns. */
-static inline int keep(const engine *e, Py_ssize_t x, const word *dx, const word *m, int64_t w)
+/* The end of every entry: x keeps m, within its domain. 1 to go on, 0 on a
+ * wipeout, -1 on an error, as every entry returns. */
+static inline int keep(Engine *e, int64_t x, const word *m, int64_t w, int64_t W)
 {
-    if (same(m, dx, w))
+    if (same(m, e->dom + x * W, w))
         return 1;
     if (empty(m, w))
         return 0;
-    return narrow(e, x, m, w) ? -1 : 1;
+    return narrow(e, x, m, w, W) ? -1 : 1;
 }
 
 /* x keeps the value c, if it has it */
-static inline int within_one(const engine *e, Py_ssize_t x, int64_t c, int64_t nb, int64_t w)
+static inline int within_one(Engine *e, int64_t x, int64_t c, int64_t w, int64_t W)
 {
-    word d[MAX_WORDS], m[MAX_WORDS];
-    if (domain(e, x, d, w, nb))
-        return -1;
+    word m[MAX_WORDS];
     memset(m, 0, w * sizeof(word));
-    if (has(d, c))
+    if (has(e->dom + x * W, c))
         put(m, c);
-    return keep(e, x, d, m, w);
+    return keep(e, x, m, w, W);
 }
 
 /* x keeps the values of the row s */
-static inline int within_row(const engine *e, Py_ssize_t x, const word *s, int64_t nb, int64_t w)
+static inline int within_row(Engine *e, int64_t x, const word *s, int64_t w, int64_t W)
 {
-    word d[MAX_WORDS], m[MAX_WORDS];
-    if (domain(e, x, d, w, nb))
-        return -1;
-    memcpy(m, d, w * sizeof(word));
+    word m[MAX_WORDS];
+    memcpy(m, e->dom + x * W, w * sizeof(word));
     meet(m, s, w);
-    return keep(e, x, d, m, w);
+    return keep(e, x, m, w, W);
 }
 
 /* The fixed variable fills one input of a binary tuple, j the other and i
  * the output: vals[u * step] is the output for j = u, and pre[c] the u
  * with output c. j keeps the values whose output is in i's domain, then i
  * those outputs. */
-static inline int row(const engine *e, Py_ssize_t i, Py_ssize_t j, const int64_t *vals,
-                      int64_t step, const word *pre, int64_t nb, int64_t w)
+static inline int row(Engine *e, int64_t i, int64_t j, const int64_t *vals, int64_t step,
+                      const word *pre, int64_t w, int64_t W)
 {
-    word d1[MAX_WORDS], d2[MAX_WORDS], m[MAX_WORDS], ay[MAX_WORDS];
-    if (domain(e, i, d1, w, nb) || domain(e, j, d2, w, nb))
-        return -1;
+    word m[MAX_WORDS], ay[MAX_WORDS];
+    const word *d1 = e->dom + i * W, *d2 = e->dom + j * W;
     memset(m, 0, w * sizeof(word));
     if (is_fixed(d2, w)) {
         const int64_t c = vals[top(d2, w) * step];
         if (has(d1, c))
             put(m, c);
-        return keep(e, i, d1, m, w);
+        return keep(e, i, m, w, W);
     }
     if (is_fixed(d1, w)) {
         memcpy(ay, pre + top(d1, w) * w, w * sizeof(word));
@@ -610,66 +622,63 @@ static inline int row(const engine *e, Py_ssize_t i, Py_ssize_t j, const int64_t
     }
     if (empty(ay, w))
         return 0;
-    if (!same(ay, d2, w) && narrow(e, j, ay, w))
+    if (!same(ay, d2, w) && narrow(e, j, ay, w, W))
         return -1;
-    return keep(e, i, d1, m, w);
+    return keep(e, i, m, w, W);
 }
 
 /* The fixed variable, a, is the output of the tuple (i, j), with i and j
  * distinct: once one input is fixed, the other keeps the values that give
  * a; with both fixed, a check. */
-static inline int pair(const engine *e, Py_ssize_t i, Py_ssize_t j, const cop *op, int64_t a,
-                       int64_t nb, int64_t w)
+static inline int pair(Engine *e, int64_t i, int64_t j, const cop *op, int64_t a, int64_t nb,
+                       int64_t w, int64_t W)
 {
-    word d1[MAX_WORDS], d2[MAX_WORDS], m[MAX_WORDS];
-    if (domain(e, i, d1, w, nb) || domain(e, j, d2, w, nb))
-        return -1;
+    word m[MAX_WORDS];
+    const word *d1 = e->dom + i * W, *d2 = e->dom + j * W;
     if (!is_fixed(d1, w)) {
         if (!is_fixed(d2, w))
             return 1; /* two free inputs: checked later */
         memcpy(m, op->pre2 + (top(d2, w) * nb + a) * w, w * sizeof(word));
         meet(m, d1, w);
-        return keep(e, i, d1, m, w);
+        return keep(e, i, m, w, W);
     }
     memcpy(m, op->pre1 + (top(d1, w) * nb + a) * w, w * sizeof(word));
     if (is_fixed(d2, w))
         return meets(m, d2, w);
     meet(m, d2, w);
-    return keep(e, j, d2, m, w);
+    return keep(e, j, m, w, W);
 }
 
 /* Incidence k of an operation of arity 3 or more: with every input fixed,
  * the output keeps its image; with one free input (repeats allowed), the
  * input keeps the values whose image lies in the output's domain (or, when
  * it is the output, contains it), and the output those images. */
-static inline int table(const engine *e, const cop *op, int64_t k, int64_t off, int64_t nb,
-                        int64_t w)
+static inline int table(Engine *e, const cop *op, int64_t k, int64_t off, int64_t nb, int64_t w,
+                        int64_t W)
 {
-    word d[MAX_WORDS], df[MAX_WORDS], m[MAX_WORDS], ay[MAX_WORDS];
-    int64_t at = 0, step = 0, stride = 1;
-    Py_ssize_t free = -1;
+    word m[MAX_WORDS], ay[MAX_WORDS];
+    const word *df = NULL;
+    int64_t at = 0, step = 0, stride = 1, free = -1;
     for (int64_t r = op->arity - 1; r >= 0; r--, stride *= nb) {
-        const Py_ssize_t y = op->ends[r * op->n_inc + k] + off;
-        if (domain(e, y, d, w, nb))
-            return -1;
+        const int64_t y = op->ends[r * op->n_inc + k] + off;
+        const word *d = e->dom + y * W;
         if (is_fixed(d, w))
             at += top(d, w) * stride;
         else if (y == free)
             step += stride;
         else if (free < 0) {
             free = y, step = stride;
-            memcpy(df, d, w * sizeof(word));
+            df = d;
         } else
             return 1; /* two distinct free inputs: checked later */
     }
-    const Py_ssize_t o = op->ends[op->arity * op->n_inc + k] + off;
-    if (domain(e, o, d, w, nb))
-        return -1;
+    const int64_t o = op->ends[op->arity * op->n_inc + k] + off;
+    const word *d = e->dom + o * W;
     memset(m, 0, w * sizeof(word));
     if (free < 0) {
         if (has(d, op->tab[at]))
             put(m, op->tab[at]);
-        return keep(e, o, d, m, w);
+        return keep(e, o, m, w, W);
     }
     memset(ay, 0, w * sizeof(word));
     FOR_EACH(y, df, w) {
@@ -681,9 +690,9 @@ static inline int table(const engine *e, const cop *op, int64_t k, int64_t off, 
     }
     if (empty(ay, w))
         return 0;
-    if (!same(ay, df, w) && narrow(e, free, ay, w))
+    if (!same(ay, df, w) && narrow(e, free, ay, w, W))
         return -1;
-    return free == o ? 1 : keep(e, o, d, m, w);
+    return free == o ? 1 : keep(e, o, m, w, W);
 }
 
 /* Incidence k of the operation op, of a pair whose variables start at
@@ -693,36 +702,36 @@ static inline int table(const engine *e, const cop *op, int64_t k, int64_t off, 
  * o, j = x2), 2 x1 with o = x2 (i = x2), 3 and 4 the same for x2, 5 only
  * the output with x1 = x2 (i = x1), 6 only the output (i = x1, j = x2). */
 static inline __attribute__((always_inline)) int
-run_entry(const engine *e, const cop *op, int64_t k, int64_t off, int64_t nb, int64_t a,
-          int64_t w)
+run_entry(Engine *e, const cop *op, int64_t k, int64_t off, int64_t nb, int64_t a, int64_t w,
+          int64_t W)
 {
     if (op->arity >= 3)
-        return table(e, op, k, off, nb, w);
-    const Py_ssize_t i = op->ends[k] + off, j = op->ends[op->n_inc + k] + off;
+        return table(e, op, k, off, nb, w, W);
+    const int64_t i = op->ends[k] + off, j = op->ends[op->n_inc + k] + off;
     const int64_t *t = op->tab;
     if (op->arity == 1)
-        return op->slot[k] ? within_row(e, i, op->pre1 + a * w, nb, w)
-                           : within_one(e, i, t[a], nb, w);
+        return op->slot[k] ? within_row(e, i, op->pre1 + a * w, w, W)
+                           : within_one(e, i, t[a], w, W);
     switch (op->slot[k]) {
     case 0:
-        return within_one(e, i, t[a * nb + a], nb, w);
+        return within_one(e, i, t[a * nb + a], w, W);
     case 1:
-        return row(e, i, j, t + a * nb, 1, op->pre1 + a * nb * w, nb, w);
+        return row(e, i, j, t + a * nb, 1, op->pre1 + a * nb * w, w, W);
     case 2:
-        return within_row(e, i, op->fix1 + a * w, nb, w);
+        return within_row(e, i, op->fix1 + a * w, w, W);
     case 3:
-        return row(e, i, j, t + a, nb, op->pre2 + a * nb * w, nb, w);
+        return row(e, i, j, t + a, nb, op->pre2 + a * nb * w, w, W);
     case 4:
-        return within_row(e, i, op->fix2 + a * w, nb, w);
+        return within_row(e, i, op->fix2 + a * w, w, W);
     case 5:
-        return within_row(e, i, op->dpre + a * w, nb, w);
+        return within_row(e, i, op->dpre + a * w, w, W);
     default:
-        return pair(e, i, j, op, a, nb, w);
+        return pair(e, i, j, op, a, nb, w, W);
     }
 }
 
-/* v's side condition, v fixed to a, on masks of w words */
-static inline int run_side(const engine *e, const plan_t *p, Py_ssize_t v, int64_t a, int64_t w)
+/* v's side condition, v fixed to a, on rows of W words */
+static inline int run_side(Engine *e, const plan_t *p, int64_t v, int64_t a, int64_t W)
 {
     const int32_t *s = p->side + 3 * v;
     const int64_t r = s[0] + a, c = s[1] < 0 ? a : s[1];
@@ -731,27 +740,26 @@ static inline int run_side(const engine *e, const plan_t *p, Py_ssize_t v, int64
         return -1;
     }
     for (int64_t k = p->span[2 * r]; k < p->span[2 * r + 1]; k++) {
-        const Py_ssize_t x = p->members[k];
+        const int64_t x = p->members[k];
         word d[MAX_WORDS];
         if (x == v)
             continue;
-        if (as_mask(PyList_GET_ITEM(e->dom, x), d, w))
-            return -1;
+        memcpy(d, e->dom + x * W, W * sizeof(word));
         if (s[2]) { /* x keeps c alone */
             if (!has(d, c))
                 return 0;
-            if (is_fixed(d, w))
+            if (is_fixed(d, W))
                 continue;
-            memset(d, 0, w * sizeof(word));
+            memset(d, 0, W * sizeof(word));
             put(d, c);
         } else { /* x drops c */
             if (!has(d, c))
                 continue;
             drop(d, c);
-            if (empty(d, w))
+            if (empty(d, W))
                 return 0;
         }
-        if (narrow(e, x, d, w))
+        if (narrow(e, x, d, W, W))
             return -1;
     }
     return 1;
@@ -759,32 +767,19 @@ static inline int run_side(const engine *e, const plan_t *p, Py_ssize_t v, int64
 
 /* The loop over the queue: 1 at a fixpoint, 0 on a wipeout, -1 on an
  * error. Inlined twice, so that the code for one word is compiled with
- * w = 1 known. */
-static inline __attribute__((always_inline)) int run(const engine *e, const plan_t *p, int64_t w)
+ * W = 1 known. */
+static inline __attribute__((always_inline)) int run(Engine *e, int64_t W)
 {
-    Py_ssize_t n;
-    while ((n = PyList_GET_SIZE(e->queue))) {
-        const Py_ssize_t v = PyLong_AsSsize_t(PyList_GET_ITEM(e->queue, n - 1));
-        if (v < 0 || v >= p->n_vars) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_IndexError, "propagate popped a variable out of range");
-            return -1;
-        }
-        if (PyList_SetSlice(e->queue, n - 1, n, NULL))
-            return -1;
-        const cpair *q = p->pairs;
-        while (v >= q->offset + q->n)
-            q++;
-        const int64_t wq = w == 1 ? 1 : q->w, u = v - q->offset;
-        word dv[MAX_WORDS];
-        if (domain(e, v, dv, wq, q->nb))
-            return -1;
-        const int64_t a = top(dv, wq);
-        int go = v < p->n_side ? run_side(e, p, v, a, w) : 1;
+    const plan_t *p = e->p;
+    while (e->nq) {
+        const int64_t v = e->queue[--e->nq];
+        const cpair *q = pair_of(e, v);
+        const int64_t w = W == 1 ? 1 : q->w, u = v - q->offset, a = top(e->dom + v * W, w);
+        int go = v < p->n_side ? run_side(e, p, v, a, W) : 1;
         for (int64_t h = 0; h < q->n_ops && go > 0; h++) {
             const cop *op = q->ops + h;
             for (int64_t k = op->cut[u]; k < op->cut[u + 1] && go > 0; k++)
-                go = run_entry(e, op, k, q->offset, q->nb, a, wq);
+                go = run_entry(e, op, k, q->offset, q->nb, a, w, W);
         }
         if (go <= 0)
             return go;
@@ -792,26 +787,112 @@ static inline __attribute__((always_inline)) int run(const engine *e, const plan
     return 1;
 }
 
-static PyObject *py_propagate(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+static int propagate(Engine *e) { return e->W == 1 ? run(e, 1) : run(e, e->W); }
+
+/* Clear the queue, narrow x to its values in the W words m, and propagate:
+ * 1 at a fixpoint, 0 on a wipeout, -1 on an error. */
+static int restrict_to(Engine *e, int64_t x, const word *m)
 {
-    (void)self;
-    if (nargs != 4)
-        return PyErr_Format(PyExc_TypeError, "propagate takes 4 arguments, not %zd", nargs);
-    const engine e = {args[0], args[1], args[2]};
-    const plan_t *p = PyCapsule_GetPointer(args[3], PLAN);
-    if (!p)
-        return NULL;
-    if (!PyList_Check(e.dom) || !PyList_Check(e.trail) || !PyList_Check(e.queue)) {
-        PyErr_SetString(PyExc_TypeError, "propagate reads lists");
-        return NULL;
+    word d[MAX_WORDS];
+    const int64_t W = e->W;
+    memcpy(d, e->dom + x * W, W * sizeof(word));
+    meet(d, m, W);
+    e->nq = 0;
+    if (empty(d, W))
+        return 0;
+    if (!same(d, e->dom + x * W, W) && narrow(e, x, d, W, W))
+        return -1;
+    return propagate(e);
+}
+
+/* The next variable to branch on, among those with more than one value
+ * left; -1 when every variable is assigned. The pairs are branched in
+ * order: the variable comes from the first pair that still has an
+ * unassigned one. Within the pair, MRV picks the smallest domain, the
+ * first on ties; lexicographic order picks the first unassigned
+ * variable. */
+static int64_t pick(const Engine *e)
+{
+    const int64_t W = e->W;
+    if (e->lex) {
+        for (int64_t v = 0; v < e->n; v++)
+            if (!is_fixed(e->dom + v * W, W))
+                return v;
+        return -1;
     }
-    if (PyList_GET_SIZE(e.dom) != p->n_vars)
-        return PyErr_Format(PyExc_ValueError, "the plan has %lld variables, the domains %zd",
-                            (long long)p->n_vars, PyList_GET_SIZE(e.dom));
-    const int go = p->w == 1 ? run(&e, p, 1) : run(&e, p, p->w);
-    if (go < 0)
-        return NULL;
-    return PyBool_FromLong(go);
+    for (int64_t i = 0; i < e->p->n_pairs; i++) {
+        const cpair *q = e->p->pairs + i;
+        int64_t best = -1, size = 0;
+        for (int64_t v = q->offset; v < q->offset + q->n; v++) {
+            const word *d = e->dom + v * W;
+            if (!is_fixed(d, W)) {
+                const int64_t c = count(d, W);
+                if (best < 0 || c < size)
+                    best = v, size = c;
+            }
+        }
+        if (best >= 0)
+            return best;
+    }
+    return -1;
+}
+
+/* Depth first below the state, on the explicit stack of frames, one per
+ * branching level: each frame undoes its last value's changes before
+ * trying the next one, its values in ascending order. Returns 1 with every
+ * variable assigned (the search goes on past it at the next call), 0 once
+ * exhausted, 2 at the node past budget (budget < 0: no limit), -1 on an
+ * error; *used counts the nodes. */
+static int search(Engine *e, int64_t budget, int64_t *used)
+{
+    const int64_t W = e->W;
+    int resume = e->state == YIELDED;
+    if (e->state == DONE)
+        return 0;
+    for (;;) {
+        if (!resume) {
+            const int64_t var = pick(e);
+            if (var < 0) {
+                e->state = YIELDED;
+                return 1;
+            }
+            e->frames[e->depth] = (frame){var, -1};
+            memcpy(e->rest + e->depth++ * W, e->dom + var * W, W * sizeof(word));
+        }
+        resume = 0;
+        for (;;) {
+            if (!e->depth) {
+                e->state = DONE;
+                return 0;
+            }
+            frame *f = e->frames + e->depth - 1;
+            word *rest = e->rest + (e->depth - 1) * W, low[MAX_WORDS];
+            if (f->mark >= 0)
+                undo(e, f->mark);
+            int64_t k = 0;
+            while (k < W && !rest[k])
+                k++;
+            if (k == W) {
+                e->depth--;
+                continue;
+            }
+            memset(low, 0, W * sizeof(word));
+            low[k] = rest[k] & -rest[k];
+            rest[k] ^= low[k];
+            if (++*used > budget && budget >= 0) {
+                e->state = STOPPED;
+                return 2;
+            }
+            f->mark = e->nt;
+            const int go = restrict_to(e, f->var, low);
+            if (go < 0) {
+                e->state = STOPPED;
+                return -1;
+            }
+            if (go)
+                break;
+        }
+    }
 }
 
 /* Compiling a plan. Every array is held through the buffer protocol for the
@@ -1084,21 +1165,392 @@ done:
     return out;
 }
 
+/* The Engine's calls. Each one first checks the state that numpy may have
+ * written (check), so that the search reads within its tables whatever it
+ * is given: every row holds values of its own target only, and, past
+ * root, none is empty. The frames end with any call but search. */
+
+/* 0 when every row holds values of its target only and none is empty; 1
+ * when one is empty; -1, with ValueError, when one holds a value past its
+ * target */
+static int check(const Engine *e)
+{
+    int empty_row = 0;
+    for (int64_t i = 0; i < e->p->n_pairs; i++) {
+        const cpair *q = e->p->pairs + i;
+        const word past = q->nb % 64 ? ~(word)0 << q->nb % 64 : 0;
+        for (int64_t v = q->offset; v < q->offset + q->n; v++) {
+            const word *d = e->dom + v * e->W;
+            int64_t k = q->w;
+            while (k < e->W && !d[k])
+                k++;
+            if (k < e->W || d[q->w - 1] & past) {
+                PyErr_SetString(PyExc_ValueError, "a domain holds a value past its target");
+                return -1;
+            }
+            empty_row |= empty(d, q->w);
+        }
+    }
+    return empty_row;
+}
+
+/* check, where an empty row is an error too */
+static int readable(Engine *e)
+{
+    e->depth = 0;
+    e->state = DONE;
+    const int bad = check(e);
+    if (bad > 0)
+        PyErr_SetString(PyExc_ValueError, "a domain is empty");
+    return bad;
+}
+
+/* a variable from o, in [0, n) */
+static int64_t variable(const Engine *e, PyObject *o)
+{
+    const Py_ssize_t v = PyLong_AsSsize_t(o);
+    if ((v < 0 || v >= e->n) && !PyErr_Occurred())
+        PyErr_Format(PyExc_IndexError, "variable %zd out of range", v);
+    return PyErr_Occurred() ? -1 : v;
+}
+
+/* a budget from o: None (no limit, -1) or a count of nodes */
+static int64_t budget_of(PyObject *o)
+{
+    if (o == Py_None)
+        return -1;
+    const long long b = PyLong_AsLongLong(o);
+    if (b < 0 && !PyErr_Occurred())
+        PyErr_SetString(PyExc_ValueError, "a budget is a count of nodes, or None");
+    return PyErr_Occurred() ? -2 : b;
+}
+
+/* (used, the solution's values as a tuple, or None) */
+static PyObject *outcome(const Engine *e, int found, int64_t used)
+{
+    PyObject *sol = found ? PyTuple_New(e->n) : Py_NewRef(Py_None);
+    for (int64_t v = 0; found && sol && v < e->n; v++) {
+        PyObject *o = PyLong_FromLongLong(top(e->dom + v * e->W, e->W));
+        if (!o)
+            Py_CLEAR(sol);
+        else
+            PyTuple_SET_ITEM(sol, v, o);
+    }
+    return sol ? Py_BuildValue("(LN)", (long long)used, sol) : NULL;
+}
+
+static PyObject *engine_root(Engine *e, PyObject *unused)
+{
+    (void)unused;
+    e->depth = 0;
+    e->state = DONE;
+    const int bad = check(e);
+    if (bad)
+        return bad < 0 ? NULL : Py_NewRef(Py_False);
+    e->nq = 0;
+    for (int64_t v = 0; v < e->n; v++)
+        if (is_fixed(e->dom + v * e->W, e->W))
+            e->queue[e->nq++] = (int32_t)v;
+    const int go = propagate(e);
+    if (go < 0)
+        return NULL;
+    e->state = go ? READY : DONE;
+    return PyBool_FromLong(go);
+}
+
+static PyObject *engine_search(Engine *e, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 1)
+        return PyErr_Format(PyExc_TypeError, "search takes 1 argument, not %zd", nargs);
+    const int64_t budget = budget_of(args[0]);
+    if (budget < -1)
+        return NULL;
+    if (e->state == STOPPED) {
+        PyErr_SetString(PyExc_RuntimeError, "the search stopped at its budget or an error");
+        return NULL;
+    }
+    const int bad = e->state == DONE ? 0 : check(e);
+    if (bad) {
+        if (bad > 0)
+            PyErr_SetString(PyExc_ValueError, "a domain is empty");
+        e->state = STOPPED;
+        return NULL;
+    }
+    int64_t used = 0;
+    const int r = search(e, budget, &used);
+    return r < 0 ? NULL : outcome(e, r == 1, used);
+}
+
+static PyObject *engine_first_without(Engine *e, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "first_without takes 3 arguments, not %zd", nargs);
+    const int64_t var = variable(e, args[0]), budget = budget_of(args[2]);
+    if (var < 0 || budget < -1)
+        return NULL;
+    const Py_ssize_t val = PyLong_AsSsize_t(args[1]);
+    if (val < 0 || val >= pair_of(e, var)->nb)
+        return PyErr_Occurred() ? NULL
+                                : PyErr_Format(PyExc_ValueError, "value %zd past the target", val);
+    if (readable(e))
+        return NULL;
+    word m[MAX_WORDS];
+    memset(m, 0xff, e->W * sizeof(word));
+    drop(m, val);
+    const int64_t mark = e->nt;
+    int64_t used = 0;
+    int r = restrict_to(e, var, m);
+    if (r > 0) {
+        e->state = READY;
+        r = search(e, budget, &used);
+    }
+    PyObject *out = r < 0 ? NULL : outcome(e, r == 1, used);
+    undo(e, mark);
+    e->depth = 0;
+    e->state = DONE;
+    return out;
+}
+
+static PyObject *engine_settle(Engine *e, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError, "settle takes 2 arguments, not %zd", nargs);
+    const int64_t var = variable(e, args[0]);
+    if (var < 0 || readable(e))
+        return NULL;
+    Py_buffer b;
+    if (PyObject_GetBuffer(args[1], &b, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT))
+        return NULL;
+    const int64_t w = pair_of(e, var)->w;
+    word m[MAX_WORDS];
+    int r = -1;
+    if (!of_type(&b, 8, "LQ") || b.len != w * 8)
+        PyErr_Format(PyExc_ValueError, "settle needs %lld uint64 words", (long long)w);
+    else {
+        memset(m, 0, e->W * sizeof(word));
+        memcpy(m, b.buf, b.len);
+        r = restrict_to(e, var, m);
+    }
+    PyBuffer_Release(&b);
+    return r < 0 ? NULL : PyBool_FromLong(r);
+}
+
+static PyObject *engine_propagate(Engine *e, PyObject *queue)
+{
+    PyObject *list = PySequence_Fast(queue, "propagate takes a sequence of variables");
+    if (!list)
+        return NULL;
+    const Py_ssize_t nq = PySequence_Fast_GET_SIZE(list);
+    int r = -1;
+    if (nq > e->n)
+        PyErr_SetString(PyExc_ValueError, "propagate takes at most one entry per variable");
+    else if (!readable(e)) {
+        e->nq = 0;
+        for (Py_ssize_t i = 0; i < nq; i++) {
+            const int64_t v = variable(e, PySequence_Fast_GET_ITEM(list, i));
+            if (v < 0)
+                goto done;
+            e->queue[e->nq++] = (int32_t)v;
+        }
+        r = propagate(e);
+    }
+done:
+    Py_DECREF(list);
+    return r < 0 ? NULL : PyBool_FromLong(r);
+}
+
+/* the trail, as a list of (variable, row before the change as a tuple of
+ * W words) */
+static PyObject *engine_trail(Engine *e, void *unused)
+{
+    (void)unused;
+    PyObject *out = PyList_New(e->nt);
+    for (int64_t i = 0; out && i < e->nt; i++) {
+        PyObject *words = PyTuple_New(e->W), *rec = NULL;
+        for (int64_t k = 0; words && k < e->W; k++) {
+            PyObject *o = PyLong_FromUnsignedLongLong(e->told[i * e->W + k]);
+            if (!o)
+                Py_CLEAR(words);
+            else
+                PyTuple_SET_ITEM(words, k, o);
+        }
+        if (words)
+            rec = Py_BuildValue("(iN)", e->tvar[i], words);
+        if (!rec)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, rec);
+    }
+    return out;
+}
+
+static PyObject *engine_queue(Engine *e, void *unused)
+{
+    (void)unused;
+    PyObject *out = PyList_New(e->nq);
+    for (int64_t i = 0; out && i < e->nq; i++) {
+        PyObject *o = PyLong_FromLong(e->queue[i]);
+        if (!o)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, o);
+    }
+    return out;
+}
+
+static int engine_getbuffer(Engine *e, Py_buffer *view, int flags)
+{
+    view->obj = Py_NewRef(e);
+    view->buf = e->dom;
+    view->len = e->n * e->W * sizeof(word);
+    view->readonly = 0;
+    view->itemsize = sizeof(word);
+    view->format = flags & PyBUF_FORMAT ? "Q" : NULL;
+    view->ndim = 2;
+    view->shape = flags & PyBUF_ND ? e->shape : NULL;
+    view->strides = (flags & PyBUF_STRIDES) == PyBUF_STRIDES ? e->strides : NULL;
+    view->suboffsets = NULL;
+    view->internal = NULL;
+    return 0;
+}
+
+static void engine_dealloc(Engine *e)
+{
+    PyMem_Free(e->dom);
+    PyMem_Free(e->queue);
+    PyMem_Free(e->tvar);
+    PyMem_Free(e->told);
+    PyMem_Free(e->frames);
+    PyMem_Free(e->rest);
+    Py_XDECREF(e->capsule);
+    Py_TYPE(e)->tp_free((PyObject *)e);
+}
+
+static PyMethodDef engine_methods[] = {
+    {"root", (PyCFunction)engine_root, METH_NOARGS,
+     "root(): queue the singletons and propagate; False when the domains admit no solution. "
+     "A search starts here."},
+    {"search", (PyCFunction)(void (*)(void))engine_search, METH_FASTCALL,
+     "search(budget): (nodes used, the next solution as a tuple of values, or None once the "
+     "search is exhausted); it stops at the node past budget (None: no limit), so that used > "
+     "budget means the budget ran out."},
+    {"first_without", (PyCFunction)(void (*)(void))engine_first_without, METH_FASTCALL,
+     "first_without(var, val, budget): (nodes used, the first solution with val removed from "
+     "var's domain, or None); the state is restored either way."},
+    {"settle", (PyCFunction)(void (*)(void))engine_settle, METH_FASTCALL,
+     "settle(var, words): keep only the values of the uint64 words (as many as var's target "
+     "needs) in var's domain, and propagate, for good; False on a wipeout."},
+    {"propagate", (PyCFunction)engine_propagate, METH_O,
+     "propagate(queue): propagate with the queue set to these variables; False on a wipeout."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef engine_getset[] = {
+    {"trail", (getter)engine_trail, NULL, "the trail: (variable, row before the change)", NULL},
+    {"queue", (getter)engine_queue, NULL, "the variables queued and not yet propagated", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyBufferProcs engine_buffer = {(getbufferproc)engine_getbuffer, NULL};
+
+static PyTypeObject EngineType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "homfactor._native_ext.Engine",
+    .tp_basicsize = sizeof(Engine),
+    .tp_dealloc = (destructor)engine_dealloc,
+    .tp_as_buffer = &engine_buffer,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "One search engine: its domains (exported as n rows of W uint64 words), trail, "
+              "queue and frames, over a plan.",
+    .tp_methods = engine_methods,
+    .tp_getset = engine_getset,
+};
+
+/* engine(plan, domains, lexicographic): an Engine over plan, its domains
+ * copied from domains, one C-contiguous uint64 array per pair of n rows of
+ * the pair's w words; branching in lexicographic order when lexicographic
+ * is true, else MRV within each pair. */
+static PyObject *py_engine(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "engine takes 3 arguments, not %zd", nargs);
+    const plan_t *p = PyCapsule_GetPointer(args[0], PLAN);
+    const int lex = p ? PyObject_IsTrue(args[2]) : -1;
+    if (lex < 0)
+        return NULL;
+    PyObject *list = PySequence_Fast(args[1], "engine takes a sequence of domain arrays");
+    if (!list)
+        return NULL;
+    Engine *e = NULL;
+    if (PySequence_Fast_GET_SIZE(list) != p->n_pairs) {
+        PyErr_Format(PyExc_ValueError, "the plan has %lld pairs, the domains %zd",
+                     (long long)p->n_pairs, PySequence_Fast_GET_SIZE(list));
+        goto fail;
+    }
+    if (!(e = PyObject_New(Engine, &EngineType)))
+        goto fail;
+    const int64_t n = p->n_vars, W = p->w, rows = n ? n : 1;
+    e->capsule = Py_NewRef(args[0]);
+    e->p = p;
+    e->n = n, e->W = W, e->lex = lex, e->state = DONE;
+    e->nq = e->nt = e->depth = 0;
+    e->cap = rows;
+    e->shape[0] = n, e->shape[1] = W;
+    e->strides[0] = W * sizeof(word), e->strides[1] = sizeof(word);
+    e->dom = PyMem_Calloc(rows * W, sizeof(word));
+    e->queue = PyMem_Malloc(2 * rows * sizeof(int32_t));
+    e->tvar = PyMem_Malloc(rows * sizeof(int32_t));
+    e->told = PyMem_Malloc(rows * W * sizeof(word));
+    e->frames = PyMem_Malloc(rows * sizeof(frame));
+    e->rest = PyMem_Malloc(rows * W * sizeof(word));
+    if (!e->dom || !e->queue || !e->tvar || !e->told || !e->frames || !e->rest) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (int64_t i = 0; i < p->n_pairs; i++) {
+        const cpair *q = p->pairs + i;
+        Py_buffer b;
+        if (PyObject_GetBuffer(PySequence_Fast_GET_ITEM(list, i), &b,
+                               PyBUF_C_CONTIGUOUS | PyBUF_FORMAT))
+            goto fail;
+        const int fits = of_type(&b, 8, "LQ") && b.len == q->n * q->w * 8;
+        for (int64_t x = 0; fits && x < q->n; x++)
+            memcpy(e->dom + (q->offset + x) * W, (const word *)b.buf + x * q->w,
+                   q->w * sizeof(word));
+        PyBuffer_Release(&b);
+        if (!fits) {
+            PyErr_Format(PyExc_ValueError, "engine needs %lld rows of %lld uint64 words for pair "
+                         "%lld", (long long)q->n, (long long)q->w, (long long)i);
+            goto fail;
+        }
+    }
+    Py_DECREF(list);
+    return (PyObject *)e;
+fail:
+    Py_XDECREF(e);
+    Py_DECREF(list);
+    return NULL;
+}
+
 static PyMethodDef methods[] = {
     {"root", (PyCFunction)(void (*)(void))py_root, METH_FASTCALL,
      "root(nb, ops, d): root arc consistency on the uint64 domain words d, in place; "
      "the number of pairs removed, or -1 minus it on a wipeout."},
     {"plan", (PyCFunction)(void (*)(void))py_plan, METH_FASTCALL,
-     "plan(pairs, side): an engine's compiled constraints, for propagate."},
+     "plan(pairs, side): an engine's compiled constraints, for engine."},
+    {"engine", (PyCFunction)(void (*)(void))py_engine, METH_FASTCALL,
+     "engine(plan, domains, lexicographic): a search engine over plan, from one uint64 domain "
+     "array per pair."},
     {"preimages", (PyCFunction)(void (*)(void))py_preimages, METH_FASTCALL,
      "preimages(values, nb, pre): set bit y of pre[r][c] for each values[r][y] = c."},
-    {"propagate", (PyCFunction)(void (*)(void))py_propagate, METH_FASTCALL,
-     "propagate(dom, trail, queue, plan): the engine's propagation to a fixpoint on these "
-     "lists; False on a wipeout."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "homfactor._native_ext", NULL, -1,
                                     methods, NULL, NULL, NULL, NULL};
 
-PyMODINIT_FUNC PyInit__native_ext(void) { return PyModule_Create(&module); }
+PyMODINIT_FUNC PyInit__native_ext(void)
+{
+    return PyType_Ready(&EngineType) ? NULL : PyModule_Create(&module);
+}

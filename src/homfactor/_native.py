@@ -1,7 +1,8 @@
 """The C half of homfactor: _native.c, one CPython extension module built on
-first import, which does the root pass (root) and the search engine's
-propagation (propagate), for every engine, over the engine's compiled
-constraints (plan), which it reads in place.
+first import, which does the root pass (root) and the whole search: an
+engine (engine, an Engine over the compiled constraints of plan, which it
+reads in place) owns its domains as uint64 words, its trail, queue and
+branching frames, and propagates, branches and resumes in C.
 
 The module is built from the C source next to this file by the system C
 compiler (cc), run in a child process, against the running interpreter's
@@ -84,7 +85,7 @@ def _module():
 
 
 _ext = _module()
-plan, preimages, propagate = _ext.plan, _ext.preimages, _ext.propagate
+engine, plan, preimages = _ext.engine, _ext.plan, _ext.preimages
 
 
 def root(nb, ops, d):

@@ -67,6 +67,7 @@ from .solver import (
     _malformed,
     _search_hom,
     _solve_right_factor,
+    _words,
     verify_witness,
 )
 from .varieties import (
@@ -140,18 +141,22 @@ def _retractions(x, f, stats):
     eng = _hom_engine(x, x, stats, _fibers(f.values, f.values), side=_idempotent(x.size))
     if eng is None or not eng.root():
         return
-    image = (1 << x.size) - 1
+    image = np.ones(x.size, dtype=bool)
     for m in range(x.size):
-        if not image >> m & 1:
+        if not image[m]:
             continue
         sol = eng.first_without(m, m)
         if sol is None:
-            if not eng.settle(m, 1 << m):
+            only = np.zeros(-(-x.size // 64), dtype=np.uint64)  # the words of {m} (see _words)
+            only[m >> 6] = 1 << (m & 63)
+            if not eng.settle(m, only):
                 return
             continue
         yield Mapping(x.size, x.size, sol)
-        image = sum(1 << v for v in set(sol))
-        if not all(eng.settle(v, image) for v in range(x.size)):
+        image = np.zeros(x.size, dtype=bool)
+        image[list(sol)] = True
+        words = _words(image)
+        if not all(eng.settle(v, words) for v in range(x.size)):
             return
 
 

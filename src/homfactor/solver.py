@@ -6,47 +6,48 @@ source carrier(s), values are elements of the target carrier(s), and each
 operation table contributes functional constraints: once the arguments of a
 tuple are assigned, the image of the result collapses to a single value.
 Unary operations therefore propagate in chains, which the encodings rely on
-heavily. The two hot loops are C, in one extension module (_native.c,
-built on first import): the root pass and propagation. Before any
-branching, its root, behind _consistent_domains, prunes the domains to arc
-consistency in both directions (input support and output image): over
-unary operations for single-map searches, and unary and binary ones,
-joined by the channel h(g(x)) = f(x), for the combined g/h search. Over
-the same operations and the constants it first applies the diagonal rule:
-an x with op(x, …, x) = x can only go to a y with op(y, …, y) = y. The
-combined search first applies
-the cardinality bound: im f = h(im g) has at most |Y| elements, so
-|im f| > |Y| (for a retraction, |X| > |Y|) is an exhaustive "no" before any
-root pass or search. The one search budget is
-SearchStats: every search counts its nodes in the SearchStats it is given,
-and once they pass its node_limit it raises NodeLimitReached, an explicit
-"unknown" outcome, distinct from an exhaustive "no". Searches that share
-one SearchStats share its limit.
+heavily. The root pass and the whole search are C, in one extension module
+(_native.c, built on first import). Before any branching, its root, behind
+_consistent_domains, prunes the domains to arc consistency in both
+directions (input support and output image): over unary operations for
+single-map searches, and unary and binary ones, joined by the channel
+h(g(x)) = f(x), for the combined g/h search. Over the same operations and
+the constants it first applies the diagonal rule: an x with op(x, …, x) = x
+can only go to a y with op(y, …, y) = y. The combined search first applies
+the cardinality bound: im f = h(im g) has at most |Y| elements, so |im f| >
+|Y| (for a retraction, |X| > |Y|) is an exhaustive "no" before any root
+pass or search. The one search budget is SearchStats: every search counts
+its nodes in the SearchStats it is given, and once they pass its node_limit
+it raises NodeLimitReached, an explicit "unknown" outcome, distinct from an
+exhaustive "no". Searches that share one SearchStats share its limit.
 
 Every search is built one way: the root pass prunes the domains, rows of
 uint64 words over the target carrier, then _Engine takes the constraints of
-its (source, target) pairs, laid side by side, and converts the domains
-once to Python int bitmasks. The tables are compiled once per algebra, in
-two halves of flat numpy arrays, each kept in a bounded cache keyed by the
-algebra's content (label-free copies): what the source decides, each
-variable's incidences (variable, tuple) with the tuple's other variables,
-1,024 algebras kept, a whole working set; and what the target decides,
-its own table plus uint64 word rows of the pre-images and fixed points of
-its rows and columns, 32 algebras kept. Constants get no incidences,
-since the root pass settles them, and each half's memory is proportional
-to the table. A pair hands C its offset and the two cached halves; plan in
-_native.c holds them for the engine's life and propagate reads them in
-place, so that a binary table with one argument fixed becomes a row
-lookup. The search branches on the pairs in order, MRV within each, so the
-combined search assigns every g-variable before any h-variable. Searches
-differ only by a side condition, one more entry per variable, run first:
-injectivity for isomorphisms, the channel h(g(x)) = f(x) for the combined
-g/h search, idempotence for f-cores, each a few int32 arrays. propagate
-runs every entry inline, with a stack of newly fixed variables, which a
-variable enters once, when it becomes fixed; it reads each domain as
-uint64 words, as many as its target needs. The search itself holds an
-explicit stack of branching frames, not Python recursion, so its depth is
-bounded only by the number of variables.
+its (source, target) pairs, laid side by side, and hands the words to the
+Engine in _native.c, which copies them once into buffers of its own: the
+one domain representation, from the root pass to the leaf. The tables are
+compiled once per algebra, in two halves of flat numpy arrays, each kept in
+a bounded cache keyed by the algebra's content (its label-free copy,
+FiniteAlgebra.unlabelled): what the source decides, each variable's
+incidences (variable, tuple) with the tuple's other variables, 1,024
+algebras kept, a whole working set; and what the target decides, its own
+table plus uint64 word rows of the pre-images and fixed points of its rows
+and columns, 32 algebras kept. Constants get no incidences, since the root
+pass settles them, and each half's memory is proportional to the table. A
+pair hands C its offset and the two cached halves; plan in _native.c holds
+them for the engine's life and the engine reads them in place, so that a
+binary table with one argument fixed becomes a row lookup. The search
+branches on the pairs in order, MRV within each, so the combined search
+assigns every g-variable before any h-variable. Searches differ only by a
+side condition, one more entry per variable, run first: injectivity for
+isomorphisms, the channel h(g(x)) = f(x) for the combined g/h search,
+idempotence for f-cores, each a few int32 arrays. Propagation runs every
+entry inline, with a stack of newly fixed variables, which a variable
+enters once, when it becomes fixed; it reads and narrows each domain in
+place, as many uint64 words as its target needs. The search itself holds an
+explicit stack of branching frames, not recursion, so its depth is bounded
+only by the number of variables, and it resumes after each solution, for
+solutions() and enumerate_homomorphisms.
 
 What each instance kind means lives in one table, _KINDS: decide dispatches
 on it, full factors and retractions share one combined search over g-
@@ -259,17 +260,6 @@ def _bools(words, n):
     return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
 
 
-def _ints(words):
-    """Python int bitmasks from uint64 words (see _words), as nested lists:
-    the engine's domain representation."""
-    if words.shape[-1] == 1:
-        return words[..., 0].tolist()
-    width = 8 * words.shape[-1]
-    data = words.tobytes()
-    flat = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-    return np.array(flat, dtype=object).reshape(words.shape[:-1]).tolist()
-
-
 def _preimages(values, nb):
     """pre[..., c, :]: the words (see _words) of the positions y of the last
     axis with values[..., y] = c, set in one pass over values (preimages in
@@ -360,172 +350,83 @@ def _target_half(b):
     return tuple(out)
 
 
-def _key(a):
-    """a as a compile cache key. The caches keep their keys for long, so a
-    labelled algebra's key is a label-free copy."""
-    return a if a.labels is None else FiniteAlgebra(a.signature, a.size, a.tables)
-
-
 def _compile(pairs):
     """Every pair's compiled constraints, for homomorphisms a -> b of each
     (a, b) in pairs: value(op_A(x̄)) == op_B(values of x̄) for every tuple
     x̄ of a. Each pair's variables follow those of the pairs before it, so
     a pair is (offset, |A|, |B|, source half of a, target half of b), read
-    in place by plan and propagate in _native.c. The halves are cached by
-    content, equal algebras sharing one."""
+    in place by plan and the engine in _native.c. The halves are cached by
+    content, equal algebras sharing one, whatever their labels."""
     out = []
     offset = 0
     for a, b in pairs:
-        key = _key(a)
+        key = a.unlabelled()
         out.append((offset, a.size, b.size, _source_half(key),
-                    _target_half(key if b is a else _key(b))))
+                    _target_half(key if b is a else b.unlabelled())))
         offset += a.size
     return out
-
-
-def _restrict(dom, trail, queue, var, allowed) -> bool:
-    """Narrow var's domain in dom to the mask allowed, a subset of it, with
-    a trail record; False on a wipeout. var is queued when its domain
-    becomes a singleton."""
-    d = dom[var]
-    if not allowed:
-        return False
-    if allowed != d:
-        trail.append((var, d))
-        dom[var] = allowed
-        if not allowed & (allowed - 1):
-            queue.append(var)
-    return True
 
 
 class _Engine:
     """Backtracking over homomorphisms a -> b for each (a, b) in pairs, from
     the root pass's domain words, one array per pair (row v: the values v
-    may go to, see _words), with its own domains and trail. A domain is an
-    int bitmask over the target carrier. side, a side condition (see
-    _channel) or None, gives its variables one more entry each, run first.
-    After root(),
-    first_without and settle run searches from one shared base state:
-    first_without searches with one value removed and restores the state,
-    settle narrows a domain to a mask for good.
+    may go to, see _words). side, a side condition (see _channel) or None, gives
+    its variables one more entry each, run first. self.state, the Engine in
+    _native.c, owns the domains, as rows of uint64 words (a numpy view:
+    np.asarray(self.state)), the trail, the queue and the frames, and runs
+    propagation and the whole search. This wrapper keeps the one search
+    budget: each search is given what is left of stats.node_limit, its nodes
+    are counted in stats, and NodeLimitReached is raised at the node past
+    the limit. After root(), first_without and settle run searches from one
+    shared base state: first_without searches with one value removed and
+    restores the state, settle narrows a domain to a set of values for good.
 
-    propagate() runs the queued variables to a fixpoint, False on a
-    wipeout: propagate in _native.c, bound to this engine's lists and its
-    plan, the compiled pairs and side condition. A variable is queued once,
-    when its domain becomes a singleton, so after a fixpoint the variables
-    with more than one value left are exactly the unassigned ones. The
-    queue is a stack and a variable's entries run side condition first,
-    then in ascending constraint order: node counts depend on both (see
+    A variable is queued once, when its domain becomes a singleton, so
+    after a fixpoint the variables with more than one value left are
+    exactly the unassigned ones. The queue is a stack and a variable's
+    entries run side condition first, then in ascending constraint order;
+    the pairs are branched in order, MRV within each (the first on ties),
+    or in lexicographic order: node counts depend on all three (see
     test_node_counts_pinned)."""
 
     def __init__(self, pairs, domains, stats, *, order="mrv", side=None):
-        self.dom = [m for d in domains for m in _ints(d)]
-        ends = list(itertools.accumulate(a.size for a, _ in pairs))
-        self.spans = list(zip([0] + ends, ends))  # each pair's variables
-        self.order = order
+        self.state = _native.engine(_native.plan(_compile(pairs), side), domains,
+                                    order == "lexicographic")
         self.stats = SearchStats() if stats is None else stats
         self.stop = self.stats.node_limit  # stats.nodes may not pass it
-        self.trail = []  # (var, mask before the change)
-        self.queue = []  # variables whose domain became a singleton, not yet propagated
-        self.propagate = functools.partial(_native.propagate, self.dom, self.trail, self.queue,
-                                           _native.plan(_compile(pairs), side))
 
-    def _undo(self, mark):
-        trail, dom = self.trail, self.dom
-        for var, old in reversed(trail[mark:]):
-            dom[var] = old
-        del trail[mark:]
-
-    def _pick(self):
-        """The next variable to branch on, among those with more than one
-        value left; None when every variable is assigned. The pairs are
-        branched in order: the variable comes from the first pair that
-        still has an unassigned one, so the combined search assigns every
-        g-variable before any h-variable. Within the pair, MRV picks the
-        smallest domain, the first on ties; "lexicographic" picks the first
-        unassigned variable."""
-        dom = self.dom
-        if self.order == "lexicographic":
-            return next((v for v, d in enumerate(dom) if d & (d - 1)), None)
-        for lo, hi in self.spans:
-            best = None
-            size = 0
-            for v, d in enumerate(dom[lo:hi], lo):
-                if d & (d - 1):
-                    c = d.bit_count()
-                    if best is None or c < size:
-                        best, size = v, c
-            if best is not None:
-                return best
-        return None
+    def _counted(self, call, *args):
+        """call(*args, budget) with the budget left; its solution, once its
+        nodes are counted."""
+        stats, stop = self.stats, self.stop
+        used, sol = call(*args, None if stop is None else max(stop - stats.nodes, 0))
+        stats.nodes += used
+        if stop is not None and stats.nodes > stop:
+            raise NodeLimitReached("node limit exceeded")
+        return sol
 
     def root(self) -> bool:
         """Propagate the initial domains; False when they admit no solution."""
-        if not all(self.dom):  # _pick would read an empty domain as assigned
-            return False
-        self.queue[:] = [v for v, d in enumerate(self.dom) if not d & (d - 1)]
-        return self.propagate()
+        return self.state.root()
 
     def solutions(self):
-        """Yield complete assignments; with lexicographic order they arrive
-        in lexicographic order of the value vector."""
+        """Yield complete assignments, as tuples of values; with
+        lexicographic order they arrive in lexicographic order of the value
+        vector."""
         if self.root():
-            yield from self._solve()
+            while (sol := self._counted(self.state.search)) is not None:
+                yield sol
 
     def first_without(self, var, val):
         """First solution from the current state with val removed from
         var's domain, or None after an exhaustive search; the state is
         restored either way."""
-        mark = len(self.trail)
-        self.queue.clear()
-        sol = None
-        if (_restrict(self.dom, self.trail, self.queue, var, self.dom[var] & ~(1 << val))
-                and self.propagate()):
-            sol = next(self._solve(), None)
-        self._undo(mark)
-        return sol
+        return self._counted(self.state.first_without, var, val)
 
-    def settle(self, var, allowed) -> bool:
-        """Keep only the values in the mask allowed in var's domain, for
+    def settle(self, var, words) -> bool:
+        """Keep only the values of words (see _words) in var's domain, for
         every later search; False on a wipeout."""
-        self.queue.clear()
-        return (_restrict(self.dom, self.trail, self.queue, var, self.dom[var] & allowed)
-                and self.propagate())
-
-    def _solve(self):
-        """Yield the solutions below the current state, depth first. The
-        search is an explicit stack of [variable, untried values, mark]
-        frames, one per branching level, so its depth is not bounded by
-        Python's recursion limit; each frame undoes its last value's changes
-        before trying the next one."""
-        stats, stop = self.stats, self.stop
-        dom, trail, queue = self.dom, self.trail, self.queue
-        stack = []
-        while True:
-            var = self._pick()
-            if var is None:
-                yield tuple([d.bit_length() - 1 for d in dom])
-            else:
-                stack.append([var, dom[var], None])
-            while stack:
-                frame = stack[-1]
-                if frame[2] is not None:
-                    self._undo(frame[2])
-                rest = frame[1]
-                if not rest:
-                    stack.pop()
-                    continue
-                low = rest & -rest
-                frame[1] = rest ^ low
-                stats.nodes += 1
-                if stop is not None and stats.nodes > stop:
-                    raise NodeLimitReached("node limit exceeded")
-                frame[2] = len(trail)
-                queue.clear()
-                if _restrict(dom, trail, queue, frame[0], dom[frame[0]] & low) and self.propagate():
-                    break
-            else:
-                return
+        return self.state.settle(var, words)
 
 
 def _consistent_domains(a, b, d, max_arity, *, stats=None):

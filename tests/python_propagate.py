@@ -1,6 +1,7 @@
-"""The search engine's compiled constraints and propagation in Python, the
-reference that tests/test_native_propagate.py compares propagate in
-homfactor/_native.c with, state for state, as numpy_root.py is the root
+"""The search engine in Python: its compiled constraints, propagation and
+search loop, the reference that tests/test_native_propagate.py and
+tests/test_native_search.py compare the Engine in homfactor/_native.c
+with, state for state and node for node, as numpy_root.py is the root
 pass's reference.
 
 Here the constraints are compiled as they were before the solver kept them
@@ -11,15 +12,61 @@ side conditions, both halves and their zip per pair are the solver's from
 before, without the caches. tests/test_native_propagate.py also expands the
 solver's arrays back into these entries and compares the two.
 
-propagate(dom, trail, queue, props) runs on an engine's own lists, like
-the C function without its plan, since a Python int mask has any width: it
-pops the queued variables, runs each one's entries, and returns False on a
-wipeout; _check_table checks an entry of arity 3 or more.
+propagate(dom, trail, queue, props) runs on an engine's own lists, with
+domains as Python int masks, which have any width: it pops the queued
+variables, runs each one's entries, and returns False on a wipeout;
+_check_table checks an entry of arity 3 or more.
+
+Engine is the search loop as the solver ran it in Python over those lists
+(_pick, _solve, _undo, _restrict, first_without, settle), before the
+search moved into C, over the reference propagate, with settle taking
+uint64 words as the C engine's does. use(monkeypatch) makes the solver
+and fcore search with it.
 """
+
+import functools
+import itertools
 
 import numpy as np
 
-from homfactor.solver import _ENDS2, _ints, _restrict, _words
+from homfactor.solver import _ENDS2, NodeLimitReached, SearchStats, _words
+
+
+def _ints(words):
+    """Python int bitmasks from uint64 words (see _words), as nested lists:
+    the reference engine's domain representation."""
+    if words.shape[-1] == 1:
+        return words[..., 0].tolist()
+    width = 8 * words.shape[-1]
+    data = words.tobytes()
+    flat = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    return np.array(flat, dtype=object).reshape(words.shape[:-1]).tolist()
+
+
+def _word_rows(masks, w):
+    """Python int masks as rows of w uint64 words, the C engine's layout."""
+    return np.array([[m >> 64 * k & (1 << 64) - 1 for k in range(w)] for m in masks],
+                    dtype=np.uint64).reshape(len(masks), w)
+
+
+def _mask(words):
+    """The Python int mask of a sequence of uint64 words."""
+    return sum(int(x) << 64 * k for k, x in enumerate(words))
+
+
+def _restrict(dom, trail, queue, var, allowed) -> bool:
+    """Narrow var's domain in dom to the mask allowed, a subset of it, with
+    a trail record; False on a wipeout. var is queued when its domain
+    becomes a singleton."""
+    d = dom[var]
+    if not allowed:
+        return False
+    if allowed != d:
+        trail.append((var, d))
+        dom[var] = allowed
+        if not allowed & (allowed - 1):
+            queue.append(var)
+    return True
 
 # Propagator kinds. When variable v is fixed to a value a, each constraint
 # on v is checked through v's compiled entry (kind, i, j, tab, aux): the
@@ -33,6 +80,29 @@ _EACH = 4  # (-, -, group, masks): every w in group[a] other than v within masks
 
 
 # Side conditions: one _EACH entry per variable, put first in its list by compiled
+SIDES = ("_channel", "_injective", "_idempotent")
+
+
+def use(monkeypatch, engine=None):
+    """Make every search of homfactor.solver and homfactor.fcore run on
+    engine(pairs, domains, stats, order=..., side=(name, args)), by default
+    Engine over the side condition name(*args) built here: the solver's
+    side-condition builders return their name and arguments instead."""
+    from homfactor import fcore, solver
+
+    for name in SIDES:
+        tag = functools.partial(lambda name, *args: (name, args), name)
+        monkeypatch.setattr(solver, name, tag)
+        if hasattr(fcore, name):
+            monkeypatch.setattr(fcore, name, tag)
+
+    def reference(pairs, domains, stats, *, order="mrv", side=None):
+        entries = () if side is None else globals()[side[0]](*side[1])
+        return Engine(pairs, domains, stats, order=order, side=entries)
+
+    monkeypatch.setattr(solver, "_Engine", engine or reference)
+
+
 def _channel(n_x, n_y, n_z, f_values):
     """h(g(x)) = f(x) between g-variables [0, n_x) and h-variables [n_x,
     n_x + n_y): g(x) = y narrows h(y) to f(x), and h(y) = z removes y from
@@ -290,3 +360,127 @@ def propagate(dom, trail, queue, props) -> bool:
                 if not m & (m - 1):
                     queue.append(x)
     return True
+
+
+class Engine:
+    """Backtracking over homomorphisms a -> b for each (a, b) in pairs, from
+    the root pass's domain words, one array per pair, with its own domains
+    and trail. A domain is an int bitmask over the target carrier. side, a
+    list of side-condition entries (see _channel), goes first in its
+    variables' lists. After root(), first_without and settle run searches
+    from one shared base state: first_without searches with one value
+    removed and restores the state, settle narrows a domain to a mask for
+    good.
+
+    propagate() runs the queued variables to a fixpoint, False on a
+    wipeout: propagate above, bound to this engine's lists and entries."""
+
+    def __init__(self, pairs, domains, stats, *, order="mrv", side=()):
+        self.dom = [m for d in domains for m in _ints(d)]
+        ends = list(itertools.accumulate(a.size for a, _ in pairs))
+        self.spans = list(zip([0] + ends, ends))  # each pair's variables
+        self.order = order
+        self.stats = SearchStats() if stats is None else stats
+        self.stop = self.stats.node_limit  # stats.nodes may not pass it
+        self.trail = []  # (var, mask before the change)
+        self.queue = []  # variables whose domain became a singleton, not yet propagated
+        self.propagate = functools.partial(propagate, self.dom, self.trail, self.queue,
+                                           compiled(pairs, side))
+
+    def _undo(self, mark):
+        trail, dom = self.trail, self.dom
+        for var, old in reversed(trail[mark:]):
+            dom[var] = old
+        del trail[mark:]
+
+    def _pick(self):
+        """The next variable to branch on, among those with more than one
+        value left; None when every variable is assigned. The pairs are
+        branched in order: the variable comes from the first pair that
+        still has an unassigned one, so the combined search assigns every
+        g-variable before any h-variable. Within the pair, MRV picks the
+        smallest domain, the first on ties; "lexicographic" picks the first
+        unassigned variable."""
+        dom = self.dom
+        if self.order == "lexicographic":
+            return next((v for v, d in enumerate(dom) if d & (d - 1)), None)
+        for lo, hi in self.spans:
+            best = None
+            size = 0
+            for v, d in enumerate(dom[lo:hi], lo):
+                if d & (d - 1):
+                    c = d.bit_count()
+                    if best is None or c < size:
+                        best, size = v, c
+            if best is not None:
+                return best
+        return None
+
+    def root(self) -> bool:
+        """Propagate the initial domains; False when they admit no solution."""
+        if not all(self.dom):  # _pick would read an empty domain as assigned
+            return False
+        self.queue[:] = [v for v, d in enumerate(self.dom) if not d & (d - 1)]
+        return self.propagate()
+
+    def solutions(self):
+        """Yield complete assignments; with lexicographic order they arrive
+        in lexicographic order of the value vector."""
+        if self.root():
+            yield from self._solve()
+
+    def first_without(self, var, val):
+        """First solution from the current state with val removed from
+        var's domain, or None after an exhaustive search; the state is
+        restored either way."""
+        mark = len(self.trail)
+        self.queue.clear()
+        sol = None
+        if (_restrict(self.dom, self.trail, self.queue, var, self.dom[var] & ~(1 << val))
+                and self.propagate()):
+            sol = next(self._solve(), None)
+        self._undo(mark)
+        return sol
+
+    def settle(self, var, words) -> bool:
+        """Keep only the values of the uint64 words in var's domain, for
+        every later search; False on a wipeout."""
+        allowed = _ints(np.asarray(words)[None])[0]
+        self.queue.clear()
+        return (_restrict(self.dom, self.trail, self.queue, var, self.dom[var] & allowed)
+                and self.propagate())
+
+    def _solve(self):
+        """Yield the solutions below the current state, depth first. The
+        search is an explicit stack of [variable, untried values, mark]
+        frames, one per branching level, so its depth is not bounded by
+        Python's recursion limit; each frame undoes its last value's changes
+        before trying the next one."""
+        stats, stop = self.stats, self.stop
+        dom, trail, queue = self.dom, self.trail, self.queue
+        stack = []
+        while True:
+            var = self._pick()
+            if var is None:
+                yield tuple([d.bit_length() - 1 for d in dom])
+            else:
+                stack.append([var, dom[var], None])
+            while stack:
+                frame = stack[-1]
+                if frame[2] is not None:
+                    self._undo(frame[2])
+                rest = frame[1]
+                if not rest:
+                    stack.pop()
+                    continue
+                low = rest & -rest
+                frame[1] = rest ^ low
+                stats.nodes += 1
+                if stop is not None and stats.nodes > stop:
+                    raise NodeLimitReached("node limit exceeded")
+                frame[2] = len(trail)
+                queue.clear()
+                if _restrict(dom, trail, queue, frame[0], dom[frame[0]] & low) and self.propagate():
+                    break
+            else:
+                return

@@ -1,7 +1,8 @@
-"""The C propagate (_native.propagate over a _native.plan) against the Python
-reference (python_propagate.propagate over python_propagate.compiled) from
-the same random engine states, and the solver's compiled arrays expanded
-back into the reference's (kind, i, j, tab, aux) entries.
+"""The C propagate (Engine.propagate, an engine over a _native.plan) against
+the Python reference (python_propagate.propagate over
+python_propagate.compiled) from the same random engine states, written into
+the engine's domain words through a numpy view, and the solver's compiled
+arrays expanded back into the reference's (kind, i, j, tab, aux) entries.
 
 Every entry kind is covered: _ROW, _PRE and _PAIR from unary and binary
 operations, _TABLE from lift_nary(..., 3), and _EACH from the three side
@@ -9,13 +10,12 @@ conditions. The targets have 63 to 200 elements, so the masks take one to
 four uint64 words, and a full domain reaches the top bit of its last word
 at 64 and 128 elements."""
 
-import functools
 import random
 
 import numpy as np
 import pytest
 import python_propagate as reference
-from python_propagate import _EACH, _PAIR, _PRE, _ROW, _TABLE
+from python_propagate import _EACH, _PAIR, _PRE, _ROW, _TABLE, _ints, _mask, _word_rows
 
 from homfactor import _native, solver
 from homfactor.algebra import FiniteAlgebra
@@ -27,7 +27,7 @@ from homfactor.encodings import (
     make_fcore_instance,
 )
 from homfactor.graphs import Graph, complete_graph, cycle_graph, path_graph
-from homfactor.solver import _Engine, _ints, _words, find_homomorphism
+from homfactor.solver import SearchStats, _Engine, _words, find_homomorphism
 from homfactor.varieties import make_abelian, make_boolean, make_vspace, sample_fcore_instances
 
 UNARY_BINARY = (("u", 1), ("mul", 2))
@@ -53,11 +53,13 @@ def _random(rng, signature, n, inner=None):
 
 
 def _engine(pairs, side=None, *args):
-    """An engine over full domains and the reference's entries for it, with
-    the side condition side(*args) in both forms."""
-    full = [_words(np.ones((a.size, b.size), dtype=bool)) for a, b in pairs]
+    """An engine's plan over the pairs, the engine's domain words, one zero
+    array per pair, and the reference's entries for it, with the side
+    condition side(*args) in both forms."""
     arrays, entries = (None, ()) if side is None else (f(*args) for f in SIDES[side])
-    return _Engine(pairs, full, None, side=arrays), reference.compiled(pairs, entries)
+    zeros = [np.zeros((a.size, -(-b.size // 64)), dtype=np.uint64) for a, b in pairs]
+    plan = _native.plan(solver._compile(pairs), arrays)
+    return (plan, zeros), reference.compiled(pairs, entries)
 
 
 def _random_state(rng, widths, solution):
@@ -80,26 +82,33 @@ def _random_state(rng, widths, solution):
     return dom, queue
 
 
-def _run(eng, propagate, dom, queue):
-    eng.dom[:] = dom
-    eng.trail[:] = [(0, dom[0])]  # a record from before the call stays put
-    eng.queue[:] = queue
-    ok = propagate()
-    return ok, list(eng.dom), list(eng.trail), list(eng.queue)
+def _run_c(built, dom, queue):
+    """The C propagate from the state (dom, queue), on a fresh engine whose
+    domains are written through the numpy view of its words."""
+    plan, zeros = built
+    state = _native.engine(plan, zeros, False)
+    words = np.asarray(state)
+    words[:] = _word_rows(dom, words.shape[1])
+    ok = state.propagate(queue)
+    return ok, _ints(words), [(v, _mask(old)) for v, old in state.trail], state.queue
+
+
+def _run_python(entries, dom, queue):
+    dom, trail, queue = list(dom), [], list(queue)
+    ok = reference.propagate(dom, trail, queue, entries)
+    return ok, dom, trail, queue
 
 
 def _agree(built, widths, solution, seed, states=150):
     """Run both propagates from the same random states around a solution;
     return the kinds of entry the reference holds and the outcomes seen."""
-    eng, entries = built
-    assert eng.propagate.func is _native.propagate
-    python = functools.partial(reference.propagate, eng.dom, eng.trail, eng.queue, entries)
+    built, entries = built
     rng = random.Random(seed)
     outcomes = set()
     for _ in range(states):
         dom, queue = _random_state(rng, widths, solution)
-        expected = _run(eng, python, dom, queue)
-        assert _run(eng, eng.propagate, dom, queue) == expected
+        expected = _run_python(entries, dom, queue)
+        assert _run_c(built, dom, queue) == expected
         outcomes.add(expected[0])
     return {entry[0] for listed in entries for entry in listed}, outcomes
 
@@ -160,10 +169,10 @@ def test_channel_entries_agree(nb):
 def test_a_target_past_64_elements_runs_the_c_propagate():
     a = FiniteAlgebra((("u", 1),), 4, {"u": [1, 2, 3, 0]})
     b = _random(random.Random(65), (("u", 1),), 65, a)
-    (eng, _), (ref, entries) = _engine([(a, b)]), _engine([(a, b)])
-    assert eng.propagate.func is _native.propagate
-    assert eng.dom[0] == (1 << 65) - 1
-    ref.propagate = functools.partial(reference.propagate, ref.dom, ref.trail, ref.queue, entries)
+    full = [_words(np.ones((a.size, b.size), dtype=bool))]
+    eng, ref = _Engine([(a, b)], full, None), reference.Engine([(a, b)], full, SearchStats())
+    assert np.asarray(eng.state).shape == (a.size, 2)
+    assert _ints(np.asarray(eng.state))[0] == (1 << 65) - 1
     assert list(eng.solutions()) == list(ref.solutions())
     assert eng.stats.nodes == ref.stats.nodes
     assert find_homomorphism(a, b).values == (0, 1, 2, 3)
@@ -343,22 +352,58 @@ def test_an_unreadable_state_raises_instead_of_crashing():
         with pytest.raises(error):
             _native.plan(pairs, side)
     plan, side = _plan([(u, u)]), _plan([(u, u)], solver._idempotent(1))
-    states = [
-        ([1, 3], [-1], plan, IndexError),  # a negative variable
-        ([1, 3], [2], plan, IndexError),  # a variable past the domains
-        ([1, 3, 1], [0], plan, ValueError),  # more domains than the plan's variables
-        ([1, 4], [0], plan, ValueError),  # a value past the target
-        ([1, 0], [0], plan, ValueError),  # an empty domain
-        ([1, -3], [0], plan, OverflowError),  # a negative mask
-        ([1, 1 << 64], [0], plan, OverflowError),  # a mask wider than its words
-        ([2, 3], [0], side, IndexError),  # value 1 has no side group
-        ([1, 3], [0], (), ValueError),  # no plan
-    ]
-    for dom, queue, p, error in states:
+    zeros = [np.zeros((2, 1), dtype=np.uint64)]
+    for dom, error in [
+        ([np.zeros((2, 1), dtype=np.int64)], ValueError),  # words not uint64
+        ([np.zeros((2, 2), dtype=np.uint64)], ValueError),  # two words a row, the target needs one
+        ([np.zeros((1, 1), dtype=np.uint64)], ValueError),  # a row short
+        (zeros * 2, ValueError),  # two arrays for one pair
+    ]:
         with pytest.raises(error):
-            _native.propagate(dom, [], queue, p)
-    with pytest.raises(TypeError):
-        _native.propagate((1, 3), [], [0], plan)
+            _native.engine(plan, dom, False)
+    with pytest.raises(ValueError):
+        _native.engine((), zeros, False)  # no plan
+
+    def engine(rows, p=plan):
+        state = _native.engine(p, zeros, False)
+        np.asarray(state)[:] = np.array(rows, dtype=np.uint64)
+        return state
+
+    one, two = np.ones(1, dtype=np.uint64), np.ones(2, dtype=np.uint64)
+    states = [
+        ([[1], [3]], lambda e: e.propagate([-1]), IndexError),  # a negative variable
+        ([[1], [3]], lambda e: e.propagate([2]), IndexError),  # a variable past the domains
+        ([[1], [3]], lambda e: e.propagate([0, 1, 0]), ValueError),  # more entries than variables
+        ([[1], [4]], lambda e: e.propagate([0]), ValueError),  # a value past the target
+        ([[1], [1 << 63]], lambda e: e.root(), ValueError),  # in the padding of the word
+        ([[1], [0]], lambda e: e.propagate([0]), ValueError),  # an empty domain
+        ([[1], [0]], lambda e: e.settle(0, one), ValueError),
+        ([[3], [3]], lambda e: e.first_without(2, 0, None), IndexError),  # a variable past them
+        ([[3], [3]], lambda e: e.first_without(1, 2, None), ValueError),  # a value past the target
+        ([[3], [3]], lambda e: e.first_without(1, -1, None), ValueError),
+        ([[3], [3]], lambda e: e.first_without(1, 0, -1), ValueError),  # a negative budget
+        ([[3], [3]], lambda e: e.search(-1), ValueError),
+        ([[3], [3]], lambda e: e.settle(-1, one), IndexError),
+        ([[3], [3]], lambda e: e.settle(1, two), ValueError),  # two words, the target needs one
+        ([[3], [3]], lambda e: e.settle(1, one.view(np.int64)), ValueError),  # words not uint64
+        ([[3], [3]], lambda e: e.propagate(3), TypeError),  # not a sequence
+    ]
+    for rows, call, error in states:
+        with pytest.raises(error):
+            call(engine(rows))
+    with pytest.raises(IndexError):  # value 1 has no side group
+        engine([[2], [3]], side).propagate([0])
+    assert engine([[1], [0]]).root() is False  # an empty domain: no solution
+    # a budget of 0 stops at the first node, and the search cannot go on
+    state = engine([[3], [3]])
+    assert state.root() and state.search(0) == (1, None)
+    with pytest.raises(RuntimeError):
+        state.search(None)
+    state = engine([[3], [3]])
+    assert state.root() and [state.search(None) for _ in range(3)] == [
+        (1, (0, 1)), (1, (1, 0)), (0, None)]
+    # g(0) = 1 forces g(1) = 0 with no branching, and the state comes back
+    assert state.first_without(0, 0, 0) == (0, (1, 0)) and _ints(np.asarray(state)) == [3, 3]
     words = np.zeros((2, 1), dtype=np.uint64)
     for values, nb, pre in [(np.array([0, 2]), 2, words),  # a value past nb
                             (np.array([0, 1], dtype=np.int32), 2, words),

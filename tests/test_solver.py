@@ -5,9 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import python_propagate as reference
 
 from conftest import brute_homs
 from numpy_root import numpy_root, root
+from python_propagate import _ints
 
 from homfactor.algebra import (
     AlgebraError,
@@ -52,16 +54,14 @@ from homfactor.varieties import (
     sample_fcore_instances,
     sample_rf_instances,
 )
-from homfactor import _native
+from homfactor import _native, solver
 from homfactor.solver import (
     FactorizationInstance,
     InstanceError,
     NodeLimitReached,
     SearchStats,
-    _Engine,
     _bools,
     _compile,
-    _ints,
     _malformed,
     _preimages,
     _source_half,
@@ -773,9 +773,10 @@ def test_gset_full_factor_refuted_at_the_root():
 
 def test_combined_search_branches_on_g_before_h(monkeypatch):
     # the engine branches on its pairs in order: no h-variable is branched
-    # while a g-variable is unassigned
+    # while a g-variable is unassigned. Read from the reference search's
+    # picks; the C search must take the same nodes to the same witnesses
     picks, n_g = [], [0]
-    plain = _Engine._pick
+    plain = reference.Engine._pick
 
     def pick(self):
         var = plain(self)
@@ -784,12 +785,21 @@ def test_combined_search_branches_on_g_before_h(monkeypatch):
             picks.append((var >= n_g[0], g_open))
         return var
 
-    monkeypatch.setattr(_Engine, "_pick", pick)
     encs = [encode_semigroup(g)[0] for g in graph_catalog(2, 4)]
-    for x in encs:
-        for y in encs:
-            n_g[0] = x.size
-            decide_retraction(x, y)
+
+    def runs():
+        out = []
+        for x in encs:
+            for y in encs:
+                n_g[0] = x.size
+                stats = SearchStats()
+                out.append((decide_retraction(x, y, stats=stats), stats.nodes))
+        return out
+
+    searched = runs()
+    reference.use(monkeypatch)
+    monkeypatch.setattr(reference.Engine, "_pick", pick)
+    assert runs() == searched
     assert any(on_h for on_h, _ in picks) and any(not on_h for on_h, _ in picks)
     assert not any(on_h and g_open for on_h, g_open in picks)
 
@@ -970,6 +980,28 @@ def test_compile_cache_keys_by_content():
     assert find_homomorphism(point, cycle) is None
     assert find_homomorphism(point, fixed) == Mapping(1, 2, (1,))
     assert find_homomorphism(cycle, fixed) == Mapping(2, 2, (1, 1))
+
+
+def test_differently_labelled_algebras_share_one_cache_entry():
+    # equality ignores labels, so every labelling of one table shares the
+    # cache entry of the first; the label-free key is made once per algebra
+    # and shares its tables, and the hash is computed once
+    a = encode_semigroup(C4)[0]
+    plain = FiniteAlgebra(a.signature, a.size, a.tables)
+    named = [FiniteAlgebra(a.signature, a.size, a.tables,
+                           labels=[f"{p}{i}" for i in range(a.size)]) for p in "xy"]
+    _clear_compile_caches()
+    for b in (*named, plain, a, named[0]):
+        _compile([(b, b)])
+    assert _source_half.cache_info().currsize == _target_half.cache_info().currsize == 1
+    assert _hits() == (4, 4)
+    key = named[0].unlabelled()
+    assert key is named[0].unlabelled() and key.labels is None and key.tables is named[0].tables
+    assert plain.unlabelled() is plain
+    assert named[0] == named[1] == plain == key
+    assert len({hash(b) for b in (*named, plain, key)}) == 1
+    twin = copy.deepcopy(named[0])
+    assert twin == named[0] and hash(twin) == hash(named[0]) and twin.labels == named[0].labels
 
 
 def _unary5(k):
@@ -1320,30 +1352,49 @@ def test_each_variable_is_queued_once_per_propagate(monkeypatch):
     # so within one propagate call the trail makes no variable a singleton
     # twice, nor one that was queued before the call; after a fixpoint the
     # queue is empty, every queued variable popped, and after a wipeout it
-    # holds distinct variables queued in this call. Read from the trail and
-    # the queue, over searches with masks of one word and, into a
-    # 128-element target, of two
+    # holds distinct variables queued in this call. Read from the C
+    # engine's trail and queue, on each state the reference search
+    # propagates, written into a fresh engine's words through the numpy
+    # view, and the C outcome must be the reference's; over searches with
+    # masks of one word and, into a 128-element target, of two
     sizes, words = [], set()
-    plain = _native.propagate
+    arrays = {name: getattr(solver, name) for name in reference.SIDES}
 
-    def propagate(dom, trail, queue, plan):
-        queued, mark = list(queue), len(trail)
-        assert all(not dom[v] & (dom[v] - 1) for v in queued)
-        words.add(-(-max(d.bit_length() for d in dom) // 64))  # uint64 words per mask
-        ok = plain(dom, trail, queue, plan)
-        after = {}  # the mask each record's change left: the next record's, or dom's
-        for var, old in reversed(trail[mark:]):
-            new = after.get(var, dom[var])
-            if old & (old - 1) and not new & (new - 1):
-                queued.append(var)
-            after[var] = old
-        assert len(queued) == len(set(queued))
-        assert not queue if ok else len(queue) == len(set(queue)) <= len(queued)
-        assert set(queue) <= set(queued)
-        sizes.append(len(queued) - len(queue))
-        return ok
+    def engine(pairs, domains, stats, *, order="mrv", side=None):
+        entries = () if side is None else getattr(reference, side[0])(*side[1])
+        eng = reference.Engine(pairs, domains, stats, order=order, side=entries)
+        plan = _native.plan(_compile(pairs), None if side is None else arrays[side[0]](*side[1]))
+        zeros = [np.zeros_like(d) for d in domains]
+        plain = eng.propagate
 
-    monkeypatch.setattr(_native, "propagate", propagate)
+        def propagate():
+            queued, mark = list(eng.queue), len(eng.trail)
+            assert all(not eng.dom[v] & (eng.dom[v] - 1) for v in queued)
+            state = _native.engine(plan, zeros, False)
+            view = np.asarray(state)
+            view[:] = reference._word_rows(eng.dom, view.shape[1])
+            ok = state.propagate(queued)
+            dom = _ints(view)
+            trail = [(v, reference._mask(old)) for v, old in state.trail]
+            queue = state.queue
+            words.add(view.shape[1])  # uint64 words per mask
+            assert (plain(), eng.dom, eng.trail[mark:], eng.queue) == (ok, dom, trail, queue)
+            after = {}  # the mask each record's change left: the next record's, or dom's
+            for var, old in reversed(trail):
+                new = after.get(var, dom[var])
+                if old & (old - 1) and not new & (new - 1):
+                    queued.append(var)
+                after[var] = old
+            assert len(queued) == len(set(queued))
+            assert not queue if ok else len(queue) == len(set(queue)) <= len(queued)
+            assert set(queue) <= set(queued)
+            sizes.append(len(queued) - len(queue))
+            return ok
+
+        eng.propagate = propagate
+        return eng
+
+    reference.use(monkeypatch, engine)
     encs = [encode_semigroup(g)[0] for g in graph_catalog(2, 3)]
     retractions = [decide_retraction(x, y) for x in encs for y in encs]
     digraphs = graph_catalog(2, 4, directed=True, connected=True)[::15]
