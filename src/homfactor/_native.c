@@ -1,22 +1,23 @@
 /* The C half of homfactor.solver, one CPython extension module built on
- * first import by homfactor._native. It holds these functions:
+ * first import by homfactor._native. It holds two functions:
  *
  * root(nb, ops, d): root arc consistency for homomorphisms A -> B over
  * operation tables, behind homfactor.solver._consistent_domains;
- * plan(pairs, side): one search engine's compiled constraints, the
- * solver's cached arrays held in place, and preimages(values, nb, pre),
- * which fills the target half's pre-image rows;
- * engine(plan, domains, lexicographic): the search engine itself, an
- * Engine, whose state (domains, trail, queue and branching frames) lives
- * in buffers of its own: propagation to a fixpoint, branching, and the
- * root, search, first_without and settle calls of homfactor.solver._Engine.
+ * engine(pairs, side, domains, lexicographic): the search engine, an
+ * Engine that compiles its (source, target) pairs' tables into buffers of
+ * its own and whose state (domains, trail, queue and branching frames)
+ * lives in buffers of its own too: propagation to a fixpoint, branching,
+ * and the root, search, first_without and settle calls of
+ * homfactor.solver._Engine.
+ *
+ * Both read the operation tables one way, tables_read: the algebras' own
+ * flat int64 tables (row-major, n**k entries for arity k), read in place
+ * and checked once, so that nothing past them is read whatever they hold.
  *
  * Root arc consistency.
  *
  * A domain is a row of w = ceil(|B| / 64) uint64 words: value y is bit
- * y % 64 of word y / 64. Row x of d is the domain of element x of A. The
- * tables are the algebras' own flat int64 tables (row-major, n**k entries
- * for arity k), read in place and assumed valid.
+ * y % 64 of word y / 64. Row x of d is the domain of element x of A.
  *
  * root_pass applies the diagonal rule once, then sweeps the unary and binary
  * operations in order until a sweep changes nothing or leaves a domain
@@ -257,14 +258,101 @@ static void binary(const int64_t *ta, const int64_t *tb, int64_t na, int64_t nb,
     meet(d, acc, na * w);
 }
 
-/* b holds items of size bytes whose struct code is in codes ('b' int8, 'h'
- * int16, 'i' int32, "lq" int64, "LQ" uint64) */
+/* b holds items of size bytes whose struct code is in codes ('i' int32,
+ * "lq" int64, "LQ" uint64) */
 static int of_type(const Py_buffer *b, int size, const char *codes)
 {
     const char *f = b->format ? b->format : "";
     if (*f == '@' || *f == '=' || *f == '<')
         f++;
     return b->itemsize == size && *f && strchr(codes, *f) && !f[1];
+}
+
+/* One operation's tables, as tables_read holds them */
+typedef struct {
+    int64_t arity;
+    const int64_t *a, *b; /* the tables of A and B */
+} op_t;
+
+/* The n_ops operations of one (A, B) pair, their tables held through the
+ * buffer protocol until tables_release */
+typedef struct {
+    Py_ssize_t n_ops, held;
+    op_t *ops;
+    Py_buffer *bufs;
+} tables_t;
+
+static void tables_release(tables_t *t)
+{
+    while (t->held)
+        PyBuffer_Release(&t->bufs[--t->held]);
+    PyMem_Free(t->bufs);
+    PyMem_Free(t->ops);
+}
+
+/* Read seq, a sequence of (arity, table of A, table of B), into t: every
+ * arity in [0, 62], every table a flat C-contiguous int64 array of n**k
+ * values, each one in [0, n), for n = na in A's and nb in B's. 0, or -1
+ * with an exception set and nothing held. */
+static int tables_read(tables_t *t, PyObject *seq, Py_ssize_t na, Py_ssize_t nb)
+{
+    PyObject *list = PySequence_Fast(seq, "the operations are a sequence of (arity, table, table)");
+    if (!list)
+        return -1;
+    t->n_ops = PySequence_Fast_GET_SIZE(list);
+    t->held = 0;
+    t->ops = PyMem_Calloc(t->n_ops + 1, sizeof(op_t));
+    t->bufs = PyMem_Calloc(2 * t->n_ops + 1, sizeof(Py_buffer));
+    int ok = t->ops && t->bufs;
+    if (!ok)
+        PyErr_NoMemory();
+    for (Py_ssize_t i = 0; ok && i < t->n_ops; i++) {
+        PyObject *op = PySequence_Fast_GET_ITEM(list, i);
+        if (!PyTuple_Check(op) || PyTuple_GET_SIZE(op) != 3) {
+            PyErr_SetString(PyExc_TypeError, "each operation is (arity, table, table)");
+            ok = 0;
+            break;
+        }
+        const Py_ssize_t k = PyLong_AsSsize_t(PyTuple_GET_ITEM(op, 0));
+        if (k < 0 || k > 62) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "arity out of range");
+            ok = 0;
+            break;
+        }
+        t->ops[i].arity = k;
+        for (int side = 0; ok && side < 2; side++) {
+            const Py_ssize_t n = side ? nb : na;
+            Py_buffer *b = &t->bufs[t->held];
+            if (PyObject_GetBuffer(PyTuple_GET_ITEM(op, 1 + side), b,
+                                   PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)) {
+                ok = 0;
+                break;
+            }
+            t->held++;
+            Py_ssize_t need = 1; /* n**k */
+            for (Py_ssize_t j = 0; j < k && need <= b->len; j++)
+                need *= n;
+            const int64_t *v = b->buf;
+            if (!of_type(b, 8, "lq") || b->len / 8 != need) {
+                PyErr_SetString(PyExc_ValueError, "the tables are flat int64 arrays of n**k entries");
+                ok = 0;
+            }
+            for (Py_ssize_t j = 0; ok && j < need; j++)
+                if ((uint64_t)v[j] >= (uint64_t)n) {
+                    PyErr_SetString(PyExc_ValueError, "a table value lies outside the carrier");
+                    ok = 0;
+                }
+            if (side)
+                t->ops[i].b = v;
+            else
+                t->ops[i].a = v;
+        }
+    }
+    Py_DECREF(list);
+    if (!ok)
+        tables_release(t);
+    return ok ? 0 : -1;
 }
 
 /* Root arc consistency over the n_ops operations in ops, on the domains d
@@ -274,11 +362,6 @@ static int of_type(const Py_buffer *b, int size, const char *codes)
  * orders), O((|A| + |B|) * w) in all. Returns the number of (element,
  * value) pairs removed, or -1 minus that number when a domain is empty
  * after the last sweep. */
-typedef struct {
-    int64_t arity;
-    const int64_t *a, *b; /* the tables of A and B */
-} op_t;
-
 static int64_t root_pass(int64_t na, int64_t nb, int64_t n_ops, const op_t *ops, word *d,
                          word *work)
 {
@@ -308,110 +391,58 @@ static int64_t root_pass(int64_t na, int64_t nb, int64_t n_ops, const op_t *ops,
 }
 
 /* root(nb, ops, d): root_pass on d, a writable C-contiguous array of
- * uint64 words (na rows of w), for ops, a list of (arity, table of A,
- * table of B) with the tables flat int64 arrays, read through the buffer
- * protocol. The scratch comes from PyMem_Malloc, which tracemalloc sees.
- * Returns root_pass's count. */
+ * uint64 words (na rows of w), for ops (see tables_read). The scratch
+ * comes from PyMem_Malloc, which tracemalloc sees. Returns root_pass's
+ * count. */
 static PyObject *py_root(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
     if (nargs != 3)
         return PyErr_Format(PyExc_TypeError, "root takes 3 arguments, not %zd", nargs);
-    const Py_ssize_t nb = PyLong_AsSsize_t(args[0]);
+    const Py_ssize_t nb = PyLong_AsSsize_t(args[0]), w = (nb + 63) / 64;
     if (nb < 1)
         return PyErr_Occurred() ? NULL : PyErr_Format(PyExc_ValueError, "root needs nb >= 1");
-    PyObject *list = PySequence_Fast(args[1], "root takes a sequence of operations");
-    if (!list)
-        return NULL;
-    const Py_ssize_t n_ops = PySequence_Fast_GET_SIZE(list), w = (nb + 63) / 64;
-    Py_buffer dbuf, *bufs = PyMem_Calloc(2 * n_ops + 1, sizeof(Py_buffer));
-    op_t *ops = PyMem_Calloc(n_ops + 1, sizeof(op_t));
-    word *work = NULL;
-    Py_ssize_t held = 0, na = 0;
-    PyObject *out = NULL;
-    int have_d = 0;
-    if (!bufs || !ops) {
-        PyErr_NoMemory();
-        goto done;
-    }
+    Py_buffer dbuf;
     if (PyObject_GetBuffer(args[2], &dbuf, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT))
-        goto done;
-    have_d = 1;
-    if (dbuf.itemsize != 8 || (dbuf.len / 8) % w) {
+        return NULL;
+    const Py_ssize_t na = dbuf.len / 8 / w;
+    PyObject *out = NULL;
+    tables_t t;
+    if (dbuf.itemsize != 8 || (dbuf.len / 8) % w)
         PyErr_SetString(PyExc_ValueError, "root needs domains of uint64 words, w per row");
-        goto done;
+    else if (!tables_read(&t, args[1], na, nb)) {
+        word *work = PyMem_Malloc(((4 * na + nb + 2) * w + 3 * na) * sizeof(word));
+        if (work)
+            out = PyLong_FromLongLong(root_pass(na, nb, t.n_ops, t.ops, dbuf.buf, work));
+        else
+            PyErr_NoMemory();
+        PyMem_Free(work);
+        tables_release(&t);
     }
-    na = dbuf.len / 8 / w;
-    for (Py_ssize_t i = 0; i < n_ops; i++) {
-        PyObject *op = PySequence_Fast_GET_ITEM(list, i);
-        if (!PyTuple_Check(op) || PyTuple_GET_SIZE(op) != 3) {
-            PyErr_SetString(PyExc_TypeError, "each operation is (arity, table, table)");
-            goto done;
-        }
-        const Py_ssize_t k = PyLong_AsSsize_t(PyTuple_GET_ITEM(op, 0));
-        if (k < 0 || k > 62) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_ValueError, "arity out of range");
-            goto done;
-        }
-        ops[i].arity = k;
-        for (int side = 0; side < 2; side++) {
-            Py_buffer *b = &bufs[held];
-            if (PyObject_GetBuffer(PyTuple_GET_ITEM(op, 1 + side), b,
-                                   PyBUF_C_CONTIGUOUS | PyBUF_FORMAT))
-                goto done;
-            held++;
-            /* the table of a k-ary operation holds n**k entries */
-            Py_ssize_t need = 1;
-            for (Py_ssize_t j = 0; j < k && need <= b->len; j++)
-                need *= side ? nb : na;
-            if (!of_type(b, 8, "lq") || b->len / 8 != need) {
-                PyErr_SetString(PyExc_ValueError, "root needs flat int64 tables of n**k entries");
-                goto done;
-            }
-            if (side)
-                ops[i].b = b->buf;
-            else
-                ops[i].a = b->buf;
-        }
-    }
-    work = PyMem_Malloc(((4 * na + nb + 2) * w + 3 * na) * sizeof(word));
-    if (!work) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    out = PyLong_FromLongLong(root_pass(na, nb, n_ops, ops, dbuf.buf, work));
-done:
-    PyMem_Free(work);
-    while (held)
-        PyBuffer_Release(&bufs[--held]);
-    if (have_d)
-        PyBuffer_Release(&dbuf);
-    PyMem_Free(bufs);
-    PyMem_Free(ops);
-    Py_DECREF(list);
+    PyBuffer_Release(&dbuf);
     return out;
 }
 
 /* The search engine.
  *
- * plan(pairs, side) compiles one engine's constraints (see _Engine in
- * homfactor.solver), and engine(plan, domains, lexicographic) makes the
- * engine, an Engine that holds the plan for its life. The plan reads each
- * pair's compiled halves in place, as the solver caches them per algebra:
- * per non-constant operation, the source half's incidences (variable v's
- * run from cut[v] to cut[v + 1]: each one's slot, its place in the tuple,
- * and ends, the tuple's other variables) and the target half's table and
- * rows of uint64 words.
+ * engine(pairs, side, domains, lexicographic) makes an Engine (see _Engine
+ * in homfactor.solver), which first compiles its pairs: per non-constant
+ * operation of each (A, B) pair, from the tables tables_read checked, the
+ * incidences that A's table decides (variable v's run from cut[v] to
+ * cut[v + 1]: each one's slot, its place in the tuple, and ends, the
+ * tuple's other variables) and, from B's table, a copy of it and rows of
+ * uint64 words. Constants get no incidences, since the root pass settles
+ * them.
  *
  * The engine's state is its own, in buffers from PyMem_Malloc, which
- * tracemalloc sees: the domains, n rows of W uint64 words (value y of
- * variable x is bit y % 64 of word y / 64 of row x, as in the root pass;
- * W = ceil(|B| / 64) for the widest target B, a narrower target's rows
- * padded with zero words); the trail, one (variable, row before the
- * change) record per narrowing; the queue, the stack of variables newly
- * fixed; and the stack of branching frames. The domains are exported
- * through the buffer protocol, so numpy reads and writes them in place.
+ * tracemalloc sees: the compiled operations; the domains, n rows of W
+ * uint64 words (value y of variable x is bit y % 64 of word y / 64 of row
+ * x, as in the root pass; W = ceil(|B| / 64) for the widest target B, a
+ * narrower target's rows padded with zero words); the trail, one
+ * (variable, row before the change) record per narrowing; the queue, the
+ * stack of variables newly fixed; and the stack of branching frames. The
+ * domains are exported through the buffer protocol, so numpy reads and
+ * writes them in place.
  *
  * Propagation (run) pops the queue to a fixpoint. A variable is queued
  * once, when its domain becomes a singleton, so each popped variable is
@@ -421,7 +452,7 @@ done:
  * on both. Each narrowing appends a trail record, and queues the variable
  * if it is a singleton now. A pair's entries read w = ceil(|B| / 64) words
  * of each row, its own target's; a side condition, all W.
- * tests/python_propagate.py holds the same loop in Python over the same
+ * tests/python_propagate.py holds the same compile and loop in Python, over
  * entries expanded to tuples, the reference that it must match state for
  * state, and the search loop over Python int masks that search matches
  * node for node.
@@ -429,22 +460,20 @@ done:
 
 enum { MAX_WORDS = 64 }; /* 4,096 values, solver._MAX_CARRIER */
 
-static const char PLAN[] = "homfactor._native.plan";
-
-/* One non-constant operation of a pair, as compiled. The source half: the
- * n_inc incidences' slots and ends (rows of n_inc: one i row, then the j
- * row; at arity k >= 3 the k inputs, then the output) and cut. The target
- * half: the table t (nb**arity values) and rows of w words, unary pre1[c]
- * = {y : t(y) = c}; binary pre1[a][c] = {y : t(a, y) = c}, pre2[a][c] =
- * {y : t(y, a) = c}, fix1[a] = {y : t(a, y) = y}, fix2[a] = {y : t(y, a) =
- * y}, dpre[c] = {y : t(y, y) = c}. */
+/* One non-constant operation of a pair, compiled. From A's table: the n_inc
+ * incidences' slots and ends (rows of n_inc: one i row, then the j row; at
+ * arity k >= 3 the k inputs, then the output) and cut. From B's: its table
+ * tab (nb**arity values) and rows of w words, unary pre1[c] = {y : t(y) =
+ * c}; binary pre1[a][c] = {y : t(a, y) = c}, pre2[a][c] = {y : t(y, a) =
+ * c}, fix1[a] = {y : t(a, y) = y}, fix2[a] = {y : t(y, a) = y}, dpre[c] =
+ * {y : t(y, y) = c}. All of it lies in one block, mem. */
 typedef struct {
     int64_t arity, n_inc;
-    const int8_t *slot;
-    const int16_t *ends;
-    const int32_t *cut;
-    const int64_t *tab;
-    const word *pre1, *pre2, *fix1, *fix2, *dpre;
+    int8_t *slot;
+    int16_t *ends, *tab;
+    int32_t *cut;
+    word *pre1, *pre2, *fix1, *fix2, *dpre;
+    void *mem;
 } cop;
 
 /* a pair's variables, offset to offset + n, over nb values in w words */
@@ -452,18 +481,6 @@ typedef struct {
     int64_t offset, n, nb, w, n_ops;
     cop *ops;
 } cpair;
-
-/* The side condition of the first n_side variables, side[v] = (first, c,
- * keep): fixed to a, v narrows each variable of group first + a, from
- * members[span[r][0]] to members[span[r][1]] (v itself skipped), to the
- * value c (keep 1) or drops c from it (keep 0); c = -1 stands for a. */
-typedef struct {
-    int64_t n_vars, w, n_pairs, n_side, n_rows;
-    cpair *pairs;
-    const int32_t *side, *span, *members;
-    Py_ssize_t n_bufs;
-    Py_buffer *bufs;
-} plan_t;
 
 /* A branching frame: its variable, and the trail's length before its
  * current value, -1 before the first; its untried values are a row of
@@ -476,10 +493,17 @@ typedef struct {
  * solution it returned, return at once, or refuse (past its budget) */
 enum { READY, YIELDED, DONE, STOPPED };
 
+/* An engine: its compiled pairs, its side condition and its state. The
+ * side condition of the first n_side variables is side[v] = (first, c,
+ * keep): fixed to a, v narrows each variable of group r = first + a, from
+ * members[span[r][0]] to members[span[r][1]] (v itself skipped), to the
+ * value c (keep 1) or drops c from it (keep 0); c = -1 stands for a. */
 typedef struct {
     PyObject_HEAD
-    PyObject *capsule; /* the plan */
-    const plan_t *p;
+    int64_t n_pairs;
+    cpair *pairs;
+    int32_t *side, *span, *members; /* n_side rows of 3, n_rows of 2 */
+    int64_t n_side, n_rows;
     int64_t n, W; /* variables, words per row */
     int lex, state;
     word *dom;          /* n rows of W words */
@@ -519,7 +543,7 @@ static inline int64_t top(const word *s, int64_t w)
 /* the pair of variable v */
 static inline const cpair *pair_of(const Engine *e, int64_t v)
 {
-    const cpair *q = e->p->pairs;
+    const cpair *q = e->pairs;
     while (v >= q->offset + q->n)
         q++;
     return q;
@@ -594,7 +618,7 @@ static inline int within_row(Engine *e, int64_t x, const word *s, int64_t w, int
  * the output: vals[u * step] is the output for j = u, and pre[c] the u
  * with output c. j keeps the values whose output is in i's domain, then i
  * those outputs. */
-static inline int row(Engine *e, int64_t i, int64_t j, const int64_t *vals, int64_t step,
+static inline int row(Engine *e, int64_t i, int64_t j, const int16_t *vals, int64_t step,
                       const word *pre, int64_t w, int64_t W)
 {
     word m[MAX_WORDS], ay[MAX_WORDS];
@@ -708,7 +732,7 @@ run_entry(Engine *e, const cop *op, int64_t k, int64_t off, int64_t nb, int64_t 
     if (op->arity >= 3)
         return table(e, op, k, off, nb, w, W);
     const int64_t i = op->ends[k] + off, j = op->ends[op->n_inc + k] + off;
-    const int64_t *t = op->tab;
+    const int16_t *t = op->tab;
     if (op->arity == 1)
         return op->slot[k] ? within_row(e, i, op->pre1 + a * w, w, W)
                            : within_one(e, i, t[a], w, W);
@@ -731,16 +755,16 @@ run_entry(Engine *e, const cop *op, int64_t k, int64_t off, int64_t nb, int64_t 
 }
 
 /* v's side condition, v fixed to a, on rows of W words */
-static inline int run_side(Engine *e, const plan_t *p, int64_t v, int64_t a, int64_t W)
+static inline int run_side(Engine *e, int64_t v, int64_t a, int64_t W)
 {
-    const int32_t *s = p->side + 3 * v;
+    const int32_t *s = e->side + 3 * v;
     const int64_t r = s[0] + a, c = s[1] < 0 ? a : s[1];
-    if (r >= p->n_rows) {
+    if (r >= e->n_rows) {
         PyErr_SetString(PyExc_IndexError, "a side condition has no group for this value");
         return -1;
     }
-    for (int64_t k = p->span[2 * r]; k < p->span[2 * r + 1]; k++) {
-        const int64_t x = p->members[k];
+    for (int64_t k = e->span[2 * r]; k < e->span[2 * r + 1]; k++) {
+        const int64_t x = e->members[k];
         word d[MAX_WORDS];
         if (x == v)
             continue;
@@ -770,12 +794,11 @@ static inline int run_side(Engine *e, const plan_t *p, int64_t v, int64_t a, int
  * W = 1 known. */
 static inline __attribute__((always_inline)) int run(Engine *e, int64_t W)
 {
-    const plan_t *p = e->p;
     while (e->nq) {
         const int64_t v = e->queue[--e->nq];
         const cpair *q = pair_of(e, v);
         const int64_t w = W == 1 ? 1 : q->w, u = v - q->offset, a = top(e->dom + v * W, w);
-        int go = v < p->n_side ? run_side(e, p, v, a, W) : 1;
+        int go = v < e->n_side ? run_side(e, v, a, W) : 1;
         for (int64_t h = 0; h < q->n_ops && go > 0; h++) {
             const cop *op = q->ops + h;
             for (int64_t k = op->cut[u]; k < op->cut[u + 1] && go > 0; k++)
@@ -820,8 +843,8 @@ static int64_t pick(const Engine *e)
                 return v;
         return -1;
     }
-    for (int64_t i = 0; i < e->p->n_pairs; i++) {
-        const cpair *q = e->p->pairs + i;
+    for (int64_t i = 0; i < e->n_pairs; i++) {
+        const cpair *q = e->pairs + i;
         int64_t best = -1, size = 0;
         for (int64_t v = q->offset; v < q->offset + q->n; v++) {
             const word *d = e->dom + v * W;
@@ -895,125 +918,166 @@ static int search(Engine *e, int64_t budget, int64_t *used)
     }
 }
 
-/* Compiling a plan. Every array is held through the buffer protocol for the
- * plan's life and checked once here: its type and length, and every index
- * it holds, so that propagate reads within bounds whatever it is given. */
+/* Compiling, from the tables tables_read checked; the side condition is
+ * copied and checked here, so propagate reads within bounds whatever it gets. */
 
-static void plan_free(plan_t *p)
+/* Incidence (v, the tuple xs -> o) of the operation op (n_inc incidences,
+ * arity k): with fill 0, counted in cnt[v + 1]; with fill 1, filed at
+ * cnt[v], which moves on, with its slot and ends (see run_entry) */
+static inline __attribute__((always_inline)) void
+add(cop *op, int32_t *cnt, int64_t v, const int64_t *xs, int64_t o, int64_t k, int fill)
 {
-    if (!p)
+    if (!fill) {
+        cnt[v + 1]++;
         return;
-    while (p->n_bufs)
-        PyBuffer_Release(&p->bufs[--p->n_bufs]);
-    PyMem_Free(p->bufs);
-    for (int64_t i = 0; p->pairs && i < p->n_pairs; i++)
-        PyMem_Free(p->pairs[i].ops);
-    PyMem_Free(p->pairs);
-    PyMem_Free(p);
-}
-
-static void plan_destroy(PyObject *capsule) { plan_free(PyCapsule_GetPointer(capsule, PLAN)); }
-
-/* o's data, held by p: C-contiguous items of size bytes whose struct code
- * is in codes, *n of them, or any number when *n < 0, which it then sets */
-static const void *held(plan_t *p, PyObject *o, int size, const char *codes, Py_ssize_t *n,
-                        const char *what)
-{
-    Py_buffer *b = &p->bufs[p->n_bufs];
-    if (PyObject_GetBuffer(o, b, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT))
-        return NULL;
-    p->n_bufs++;
-    if (*n < 0)
-        *n = b->len / size;
-    if (!of_type(b, size, codes) || b->len != *n * size) {
-        PyErr_Format(PyExc_ValueError, "plan needs %s", what);
-        return NULL;
     }
-    return b->buf;
+    const int64_t n = op->n_inc, pos = cnt[v]++;
+    if (k >= 3) { /* one slot */
+        op->slot[pos] = 0;
+        for (int64_t r = 0; r < k; r++)
+            op->ends[r * n + pos] = (int16_t)xs[r];
+        op->ends[k * n + pos] = (int16_t)o;
+        return;
+    }
+    int64_t slot, i, j;
+    if (k == 1) { /* 0: v is the input; 1: v is only the output */
+        slot = xs[0] != v;
+        i = j = slot ? xs[0] : o;
+    } else {
+        /* v is: both inputs 0; x1 1 (2 if o = x2); x2 3 (4 if o = x1); o
+         * alone 5 (x1 = x2) or 6; i and j per slot, 0 o, 1 x1, 2 x2 */
+        static const int8_t ends2[2][7] = {{0, 0, 2, 0, 1, 1, 1}, {0, 2, 0, 1, 0, 0, 2}};
+        const int64_t x1 = xs[0], x2 = xs[1], end[3] = {o, x1, x2};
+        slot = x1 == v ? (x2 == v ? 0 : 1 + (o == x2)) : x2 == v ? 3 + (o == x1) : 5 + (x1 != x2);
+        i = end[ends2[0][slot]];
+        j = end[ends2[1][slot]];
+    }
+    op->slot[pos] = (int8_t)slot;
+    op->ends[pos] = (int16_t)i;
+    op->ends[n + pos] = (int16_t)j;
 }
 
-/* every one of the n values of s (int8, int16, int32 or int64 by size)
- * lies in [lo, hi) */
-static int in_range(const void *s, int size, Py_ssize_t n, int64_t lo, int64_t hi,
-                    const char *what)
+/* The incidences of the k-ary table ta over na elements, in order of
+ * variable, then tuple: each tuple's distinct elements, its inputs and its
+ * output, each one an incidence (element, tuple), by a counting sort (see
+ * add). */
+static void incidences(cop *op, const int64_t *ta, int64_t k, int64_t na, int64_t size,
+                       int32_t *cnt, int fill)
 {
-    for (Py_ssize_t i = 0; i < n; i++) {
-        const int64_t x = size == 1 ? ((const int8_t *)s)[i] : size == 2 ? ((const int16_t *)s)[i]
-                          : size == 4 ? ((const int32_t *)s)[i] : ((const int64_t *)s)[i];
-        if (x < lo || x >= hi) {
-            PyErr_Format(PyExc_ValueError, "plan needs %s", what);
-            return -1;
+    int64_t xs[63] = {0}; /* the tuple's inputs, the last fastest */
+    for (int64_t t = 0; t < size; t++) {
+        const int64_t o = ta[t];
+        if (k <= 2) { /* compared outright: the loop below takes twice as long */
+            xs[0] = k == 2 ? t / na : t, xs[1] = k == 2 ? t % na : t;
+            add(op, cnt, xs[0], xs, o, k, fill);
+            if (xs[1] != xs[0])
+                add(op, cnt, xs[1], xs, o, k, fill);
+            if (o != xs[0] && o != xs[1])
+                add(op, cnt, o, xs, o, k, fill);
+            continue;
         }
+        for (int64_t r = 0, s; r <= k; r++) { /* each element at its first place */
+            const int64_t e = r < k ? xs[r] : o;
+            for (s = 0; s < r && xs[s] != e; s++)
+                ;
+            if (s == r)
+                add(op, cnt, e, xs, o, k, fill);
+        }
+        for (int64_t r = k - 1; r >= 0 && ++xs[r] == na; r--)
+            xs[r] = 0;
     }
-    return 0;
 }
 
-static Py_ssize_t ssize_at(PyObject *tuple, Py_ssize_t i, Py_ssize_t lo, Py_ssize_t hi)
+/* Compile the operation t (arity k >= 1) of a pair of na source elements
+ * and nb target values in w words into op (see cop); cnt holds na + 1
+ * int32. 0, or -1 with an exception set. */
+static int compile_op(cop *op, const op_t *t, int64_t na, int64_t nb, int64_t w, int32_t *cnt)
 {
-    const Py_ssize_t x = PyLong_AsSsize_t(PyTuple_GET_ITEM(tuple, i));
-    if ((x < lo || x > hi) && !PyErr_Occurred())
-        PyErr_Format(PyExc_ValueError, "plan read %zd, out of range [%zd, %zd]", x, lo, hi);
-    return PyErr_Occurred() ? -1 : x;
-}
-
-/* One operation: src = (slot, ends, cut) over the pair's n source
- * elements, tgt = (arity, table, word rows...) over nb target values */
-static int plan_op(plan_t *p, cop *op, PyObject *src, PyObject *tgt, int64_t n, int64_t nb,
-                   int64_t w)
-{
-    if (!PyTuple_Check(src) || PyTuple_GET_SIZE(src) != 3 || !PyTuple_Check(tgt)
-        || PyTuple_GET_SIZE(tgt) < 2) {
-        PyErr_SetString(PyExc_TypeError, "an operation is (slot, ends, cut) and "
-                                         "(arity, table, rows...)");
+    const int64_t k = t->arity, n_words = (k == 1 ? nb : k == 2 ? 2 * nb * nb + 3 * nb : 0) * w;
+    int64_t size = 1, nbk = 1;
+    for (int64_t r = 0; r < k; r++)
+        size *= na, nbk *= nb;
+    if (size > INT32_MAX / (k + 1)) {
+        PyErr_SetString(PyExc_ValueError, "a table has more incidences than int32 counts");
         return -1;
     }
-    const Py_ssize_t k = ssize_at(tgt, 0, 1, 62);
-    if (k < 0)
-        return -1;
     op->arity = k;
-    const Py_ssize_t n_rows = k == 1 ? 1 : k == 2 ? 5 : 0;
-    if (PyTuple_GET_SIZE(tgt) != 2 + n_rows) {
-        PyErr_SetString(PyExc_TypeError, "a target operation has one row array at arity 1, "
-                                         "five at arity 2, none past");
+    memset(cnt, 0, (na + 1) * sizeof(int32_t));
+    incidences(op, t->a, k, na, size, cnt, 0);
+    for (int64_t v = 0; v < na; v++)
+        cnt[v + 1] += cnt[v];
+    op->n_inc = cnt[na];
+    const int64_t n_ends = (k >= 3 ? k + 1 : 2) * op->n_inc;
+    char *mem = op->mem = PyMem_Calloc(1, n_words * sizeof(word) + (na + 1) * sizeof(int32_t)
+                                              + (nbk + n_ends) * sizeof(int16_t) + op->n_inc);
+    if (!mem) {
+        PyErr_NoMemory();
         return -1;
     }
-    Py_ssize_t n_cut = n + 1;
-    if (!(op->cut = held(p, PyTuple_GET_ITEM(src, 2), 4, "i", &n_cut, "n + 1 int32 cut points")))
-        return -1;
-    op->n_inc = op->cut[n];
-    for (int64_t v = 0; v < n; v++)
-        if (op->cut[v] < 0 || op->cut[v] > op->cut[v + 1]) {
-            PyErr_SetString(PyExc_ValueError, "plan needs ascending cut points from 0");
-            return -1;
-        }
-    Py_ssize_t entries = 1, n_slot = op->n_inc, n_ends = (k >= 3 ? k + 1 : 2) * op->n_inc;
-    for (Py_ssize_t r = 0; r < k; r++) { /* nb**k */
-        if (entries > PY_SSIZE_T_MAX / 8 / nb) {
-            PyErr_SetString(PyExc_ValueError, "plan read a table past the address space");
-            return -1;
-        }
-        entries *= nb;
-    }
-    if (!(op->slot = held(p, PyTuple_GET_ITEM(src, 0), 1, "b", &n_slot, "an int8 slot each"))
-        || in_range(op->slot, 1, n_slot, 0, k == 1 ? 2 : k == 2 ? 7 : 1, "slots in range")
-        || !(op->ends = held(p, PyTuple_GET_ITEM(src, 1), 2, "h", &n_ends,
-                             "int16 ends, one row per end"))
-        || in_range(op->ends, 2, n_ends, 0, n, "ends among the elements")
-        || !(op->tab = held(p, PyTuple_GET_ITEM(tgt, 1), 8, "lq", &entries,
-                            "an int64 table of nb**k values"))
-        || in_range(op->tab, 8, entries, 0, nb, "table values in the target"))
-        return -1;
-    const word **rows[] = {&op->pre1, &op->pre2, &op->fix1, &op->fix2, &op->dpre};
-    for (Py_ssize_t r = 0; r < n_rows; r++) {
-        Py_ssize_t len = (k == 2 && r < 2 ? nb * nb : nb) * w;
-        if (!(*rows[r] = held(p, PyTuple_GET_ITEM(tgt, 2 + r), 8, "LQ", &len, "uint64 word rows")))
-            return -1;
+    word *rows = (word *)mem;
+    op->cut = (int32_t *)(rows + n_words);
+    op->tab = (int16_t *)(op->cut + na + 1);
+    op->ends = op->tab + nbk;
+    op->slot = (int8_t *)(op->ends + n_ends);
+    memcpy(op->cut, cnt, (na + 1) * sizeof(int32_t));
+    incidences(op, t->a, k, na, size, cnt, 1);
+    const int64_t *tb = t->b;
+    for (int64_t i = 0; i < nbk; i++)
+        op->tab[i] = (int16_t)tb[i];
+    if (k == 1) {
+        op->pre1 = rows;
+        for (int64_t y = 0; y < nb; y++)
+            put(op->pre1 + tb[y] * w, y);
+    } else if (k == 2) {
+        op->pre1 = rows, op->pre2 = rows + nb * nb * w, op->fix1 = op->pre2 + nb * nb * w;
+        op->fix2 = op->fix1 + nb * w, op->dpre = op->fix2 + nb * w;
+        for (int64_t a = 0; a < nb; a++)
+            for (int64_t y = 0; y < nb; y++) {
+                const int64_t c = tb[a * nb + y];
+                put(op->pre1 + (a * nb + c) * w, y);
+                put(op->pre2 + (y * nb + c) * w, a);
+                if (c == y)
+                    put(op->fix1 + a * w, y);
+                if (c == a)
+                    put(op->fix2 + y * w, a);
+                if (a == y)
+                    put(op->dpre + c * w, y);
+            }
     }
     return 0;
+}
+
+/* A copy of o's data, C-contiguous int32, in *n items; NULL with an
+ * exception set */
+static int32_t *int32_copy(PyObject *o, Py_ssize_t *n)
+{
+    Py_buffer b;
+    if (PyObject_GetBuffer(o, &b, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT))
+        return NULL;
+    int32_t *out = NULL;
+    if (!of_type(&b, 4, "i"))
+        PyErr_SetString(PyExc_ValueError, "a side condition is three int32 arrays");
+    else if (!(out = PyMem_Malloc(b.len + 1)))
+        PyErr_NoMemory();
+    else {
+        memcpy(out, b.buf, b.len);
+        *n = b.len / 4;
+    }
+    PyBuffer_Release(&b);
+    return out;
+}
+
+/* every one of the n values of s lies in [lo, hi) */
+static int in_range(const int32_t *s, Py_ssize_t n, int64_t lo, int64_t hi)
+{
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (s[i] < lo || s[i] >= hi)
+            return 0;
+    return 1;
 }
 
 /* The side condition (side, span, members), or None */
-static int plan_side(plan_t *p, PyObject *side)
+static int read_side(Engine *e, PyObject *side)
 {
     if (side == Py_None)
         return 0;
@@ -1021,148 +1085,26 @@ static int plan_side(plan_t *p, PyObject *side)
         PyErr_SetString(PyExc_TypeError, "a side condition is (side, span, members)");
         return -1;
     }
-    Py_ssize_t n_side = -1, n_span = -1, n_members = -1;
-    if (!(p->side = held(p, PyTuple_GET_ITEM(side, 0), 4, "i", &n_side, "int32 side rows"))
-        || !(p->span = held(p, PyTuple_GET_ITEM(side, 1), 4, "i", &n_span, "int32 spans"))
-        || !(p->members = held(p, PyTuple_GET_ITEM(side, 2), 4, "i", &n_members,
-                               "int32 members"))
-        || in_range(p->members, 4, n_members, 0, p->n_vars, "members among the variables")
-        || in_range(p->span, 4, n_span, 0, n_members + 1, "spans within the members"))
+    Py_ssize_t n_side = 0, n_span = 0, n_members = 0;
+    if (!(e->side = int32_copy(PyTuple_GET_ITEM(side, 0), &n_side))
+        || !(e->span = int32_copy(PyTuple_GET_ITEM(side, 1), &n_span))
+        || !(e->members = int32_copy(PyTuple_GET_ITEM(side, 2), &n_members)))
         return -1;
-    p->n_side = n_side / 3;
-    p->n_rows = n_span / 2;
-    if (n_side % 3 || n_span % 2 || p->n_side > p->n_vars) {
-        PyErr_SetString(PyExc_ValueError, "plan needs side rows of three, for some of the "
-                                          "variables, and spans of two");
-        return -1;
+    e->n_side = n_side / 3;
+    e->n_rows = n_span / 2;
+    int ok = n_side % 3 == 0 && n_span % 2 == 0 && e->n_side <= e->n
+             && in_range(e->members, n_members, 0, e->n) && in_range(e->span, n_span, 0, n_members + 1);
+    for (int64_t v = 0; ok && v < e->n_side; v++) {
+        const int32_t *s = e->side + 3 * v;
+        ok = s[0] >= 0 && s[1] >= -1 && s[1] < 64 * e->W && (s[2] == 0 || s[2] == 1);
     }
-    for (int64_t v = 0; v < p->n_side; v++) {
-        const int32_t *s = p->side + 3 * v;
-        if (s[0] < 0 || s[1] < -1 || s[1] >= 64 * p->w || (s[2] != 0 && s[2] != 1)) {
-            PyErr_SetString(PyExc_ValueError, "plan needs side rows (first, value, keep)");
-            return -1;
-        }
-    }
-    for (int64_t r = 0; r < p->n_rows; r++)
-        if (p->span[2 * r] > p->span[2 * r + 1]) {
-            PyErr_SetString(PyExc_ValueError, "plan needs spans that start before they end");
-            return -1;
-        }
-    return 0;
-}
-
-/* plan(pairs, side): pairs, a sequence of (offset, n, nb, source half,
- * target half), one per (source, target) pair laid side by side (offset,
- * the sum of the n before; nb, the target's size), the halves tuples of
- * one item per non-constant operation; side, the side condition or None. */
-static PyObject *py_plan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)self;
-    if (nargs != 2)
-        return PyErr_Format(PyExc_TypeError, "plan takes 2 arguments, not %zd", nargs);
-    PyObject *list = PySequence_Fast(args[0], "plan takes a sequence of pairs");
-    if (!list)
-        return NULL;
-    const Py_ssize_t n_pairs = PySequence_Fast_GET_SIZE(list);
-    plan_t *p = NULL;
-    Py_ssize_t n_ops = 0;
-    for (Py_ssize_t i = 0; i < n_pairs; i++) {
-        PyObject *t = PySequence_Fast_GET_ITEM(list, i);
-        if (!PyTuple_Check(t) || PyTuple_GET_SIZE(t) != 5 || !PyTuple_Check(PyTuple_GET_ITEM(t, 3))
-            || !PyTuple_Check(PyTuple_GET_ITEM(t, 4))
-            || PyTuple_GET_SIZE(PyTuple_GET_ITEM(t, 3)) != PyTuple_GET_SIZE(PyTuple_GET_ITEM(t, 4))) {
-            PyErr_SetString(PyExc_TypeError, "a pair is (offset, n, nb, source half, target "
-                                             "half), the halves tuples of one length");
-            goto fail;
-        }
-        n_ops += PyTuple_GET_SIZE(PyTuple_GET_ITEM(t, 3));
-    }
-    if (!(p = PyMem_Calloc(1, sizeof(plan_t))) || !(p->pairs = PyMem_Calloc(n_pairs + 1, sizeof(cpair)))
-        || !(p->bufs = PyMem_Calloc(9 * n_ops + 3, sizeof(Py_buffer)))) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    p->n_pairs = n_pairs;
-    p->w = 1;
-    for (Py_ssize_t i = 0; i < n_pairs; i++) {
-        PyObject *t = PySequence_Fast_GET_ITEM(list, i), *src = PyTuple_GET_ITEM(t, 3),
-                 *tgt = PyTuple_GET_ITEM(t, 4);
-        cpair *q = p->pairs + i;
-        q->offset = ssize_at(t, 0, p->n_vars, p->n_vars);
-        q->n = q->offset < 0 ? -1 : ssize_at(t, 1, 0, INT16_MAX);
-        q->nb = q->n < 0 ? -1 : ssize_at(t, 2, 1, 64 * MAX_WORDS);
-        if (q->nb < 0)
-            goto fail;
-        q->w = (q->nb + 63) / 64;
-        p->w = q->w > p->w ? q->w : p->w;
-        p->n_vars += q->n;
-        q->n_ops = PyTuple_GET_SIZE(src);
-        if (!(q->ops = PyMem_Calloc(q->n_ops + 1, sizeof(cop)))) {
-            PyErr_NoMemory();
-            goto fail;
-        }
-        for (Py_ssize_t h = 0; h < q->n_ops; h++)
-            if (plan_op(p, q->ops + h, PyTuple_GET_ITEM(src, h), PyTuple_GET_ITEM(tgt, h), q->n,
-                        q->nb, q->w))
-                goto fail;
-    }
-    if (plan_side(p, args[1]))
-        goto fail;
-    PyObject *capsule = PyCapsule_New(p, PLAN, plan_destroy);
-    if (!capsule)
-        goto fail;
-    Py_DECREF(list);
-    return capsule;
-fail:
-    plan_free(p);
-    Py_DECREF(list);
-    return NULL;
-}
-
-/* preimages(values, nb, pre): the target half's pre-image rows in one pass
- * over a table. values is a C-contiguous int64 array of values in [0, nb)
- * whose last axis has n positions, pre a writable zeroed uint64 array of
- * w = ceil(n / 64) words for each row r of values and each value c: each
- * position y with values[r][y] = c sets bit y of pre[r][c]. */
-static PyObject *py_preimages(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)self;
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError, "preimages takes 3 arguments, not %zd", nargs);
-    const Py_ssize_t nb = PyLong_AsSsize_t(args[1]);
-    if (nb < 1)
-        return PyErr_Occurred() ? NULL
-                                : PyErr_Format(PyExc_ValueError, "preimages needs nb >= 1");
-    Py_buffer v, p;
-    if (PyObject_GetBuffer(args[0], &v, PyBUF_ND | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT))
-        return NULL;
-    if (PyObject_GetBuffer(args[2], &p, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)) {
-        PyBuffer_Release(&v);
-        return NULL;
-    }
-    PyObject *out = NULL;
-    const Py_ssize_t n = v.ndim ? v.shape[v.ndim - 1] : 0, items = v.len / 8, w = (n + 63) / 64;
-    if (!of_type(&v, 8, "lq") || !of_type(&p, 8, "LQ") || n < 1
-        || p.len / 8 != items / n * nb * w) {
-        PyErr_SetString(PyExc_ValueError, "preimages needs int64 values and uint64 words for "
-                                          "each of their rows and each of nb values");
-        goto done;
-    }
-    const int64_t *values = v.buf;
-    word *pre = p.buf;
-    for (Py_ssize_t i = 0; i < items; i++) {
-        const int64_t c = values[i], y = i % n;
-        if (c < 0 || c >= nb) {
-            PyErr_SetString(PyExc_ValueError, "preimages read a value past nb");
-            goto done;
-        }
-        put(pre + (i / n * nb + c) * w, y);
-    }
-    out = Py_NewRef(Py_None);
-done:
-    PyBuffer_Release(&v);
-    PyBuffer_Release(&p);
-    return out;
+    for (int64_t r = 0; ok && r < e->n_rows; r++)
+        ok = e->span[2 * r] <= e->span[2 * r + 1];
+    if (!ok)
+        PyErr_SetString(PyExc_ValueError, "a side condition needs rows (first, value, keep) for "
+                                          "some of the variables, spans of two within the "
+                                          "members, and members among the variables");
+    return ok ? 0 : -1;
 }
 
 /* The Engine's calls. Each one first checks the state that numpy may have
@@ -1176,8 +1118,8 @@ done:
 static int check(const Engine *e)
 {
     int empty_row = 0;
-    for (int64_t i = 0; i < e->p->n_pairs; i++) {
-        const cpair *q = e->p->pairs + i;
+    for (int64_t i = 0; i < e->n_pairs; i++) {
+        const cpair *q = e->pairs + i;
         const word past = q->nb % 64 ? ~(word)0 << q->nb % 64 : 0;
         for (int64_t v = q->offset; v < q->offset + q->n; v++) {
             const word *d = e->dom + v * e->W;
@@ -1422,7 +1364,15 @@ static void engine_dealloc(Engine *e)
     PyMem_Free(e->told);
     PyMem_Free(e->frames);
     PyMem_Free(e->rest);
-    Py_XDECREF(e->capsule);
+    PyMem_Free(e->side);
+    PyMem_Free(e->span);
+    PyMem_Free(e->members);
+    for (int64_t i = 0; e->pairs && i < e->n_pairs; i++) {
+        for (int64_t h = 0; e->pairs[i].ops && h < e->pairs[i].n_ops; h++)
+            PyMem_Free(e->pairs[i].ops[h].mem);
+        PyMem_Free(e->pairs[i].ops);
+    }
+    PyMem_Free(e->pairs);
     Py_TYPE(e)->tp_free((PyObject *)e);
 }
 
@@ -1460,41 +1410,89 @@ static PyTypeObject EngineType = {
     .tp_dealloc = (destructor)engine_dealloc,
     .tp_as_buffer = &engine_buffer,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "One search engine: its domains (exported as n rows of W uint64 words), trail, "
-              "queue and frames, over a plan.",
+    .tp_doc = "One search engine: its compiled operations, domains (exported as n rows of W "
+              "uint64 words), trail, queue and frames.",
     .tp_methods = engine_methods,
     .tp_getset = engine_getset,
 };
 
-/* engine(plan, domains, lexicographic): an Engine over plan, its domains
- * copied from domains, one C-contiguous uint64 array per pair of n rows of
- * the pair's w words; branching in lexicographic order when lexicographic
- * is true, else MRV within each pair. */
+/* Compile pair i of the engine, (n, nb, ops) with ops as tables_read
+ * takes them, at the offset of the variables before it, into e->pairs[i];
+ * *cnt as compile_op needs it. 0, or -1 with an exception set. */
+static int compile_pair(Engine *e, Py_ssize_t i, PyObject *t, int32_t **cnt)
+{
+    if (!PyTuple_Check(t) || PyTuple_GET_SIZE(t) != 3) {
+        PyErr_SetString(PyExc_TypeError, "a pair is (|A|, |B|, operations)");
+        return -1;
+    }
+    cpair *q = e->pairs + i;
+    const Py_ssize_t n = PyLong_AsSsize_t(PyTuple_GET_ITEM(t, 0)),
+                     nb = PyLong_AsSsize_t(PyTuple_GET_ITEM(t, 1));
+    if (n < 0 || n > INT16_MAX || nb < 1 || nb > 64 * MAX_WORDS) {
+        if (!PyErr_Occurred())
+            PyErr_Format(PyExc_ValueError, "a pair needs |A| in [0, %d] and |B| in [1, %d]",
+                         INT16_MAX, 64 * MAX_WORDS);
+        return -1;
+    }
+    q->offset = e->n, q->n = n, q->nb = nb, q->w = (nb + 63) / 64;
+    e->n += n;
+    e->W = q->w > e->W ? q->w : e->W;
+    tables_t tables;
+    if (tables_read(&tables, PyTuple_GET_ITEM(t, 2), n, nb))
+        return -1;
+    int32_t *more = PyMem_Realloc(*cnt, (n + 1) * sizeof(int32_t));
+    int ok = more && (q->ops = PyMem_Calloc(tables.n_ops + 1, sizeof(cop)));
+    if (more)
+        *cnt = more;
+    if (!ok)
+        PyErr_NoMemory();
+    for (Py_ssize_t h = 0; ok && h < tables.n_ops; h++)
+        if (tables.ops[h].arity)
+            ok = !compile_op(q->ops + q->n_ops++, tables.ops + h, n, nb, q->w, *cnt);
+    tables_release(&tables);
+    return ok ? 0 : -1;
+}
+
+/* engine(pairs, side, domains, lexicographic): an Engine over pairs, a
+ * sequence of (|A|, |B|, operations), one per (A, B) pair laid side by
+ * side, with the side condition side or None; its domains copied from
+ * domains, one C-contiguous uint64 array per pair of |A| rows of the
+ * pair's w words; branching in lexicographic order when lexicographic is
+ * true, else MRV within each pair. */
 static PyObject *py_engine(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError, "engine takes 3 arguments, not %zd", nargs);
-    const plan_t *p = PyCapsule_GetPointer(args[0], PLAN);
-    const int lex = p ? PyObject_IsTrue(args[2]) : -1;
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError, "engine takes 4 arguments, not %zd", nargs);
+    const int lex = PyObject_IsTrue(args[3]);
     if (lex < 0)
         return NULL;
-    PyObject *list = PySequence_Fast(args[1], "engine takes a sequence of domain arrays");
-    if (!list)
+    PyObject *pairs = PySequence_Fast(args[0], "engine takes a sequence of pairs");
+    if (!pairs)
         return NULL;
-    Engine *e = NULL;
-    if (PySequence_Fast_GET_SIZE(list) != p->n_pairs) {
-        PyErr_Format(PyExc_ValueError, "the plan has %lld pairs, the domains %zd",
-                     (long long)p->n_pairs, PySequence_Fast_GET_SIZE(list));
+    PyObject *list = PySequence_Fast(args[2], "engine takes a sequence of domain arrays");
+    Engine *e = list ? (Engine *)EngineType.tp_alloc(&EngineType, 0) : NULL;
+    int32_t *cnt = NULL;
+    if (!e)
+        goto fail;
+    e->n_pairs = PySequence_Fast_GET_SIZE(pairs);
+    e->W = 1;
+    e->lex = lex, e->state = DONE;
+    if (!(e->pairs = PyMem_Calloc(e->n_pairs + 1, sizeof(cpair)))) {
+        PyErr_NoMemory();
         goto fail;
     }
-    if (!(e = PyObject_New(Engine, &EngineType)))
+    for (Py_ssize_t i = 0; i < e->n_pairs; i++)
+        if (compile_pair(e, i, PySequence_Fast_GET_ITEM(pairs, i), &cnt))
+            goto fail;
+    if (PySequence_Fast_GET_SIZE(list) != e->n_pairs) {
+        PyErr_Format(PyExc_ValueError, "%lld pairs, %zd domain arrays", (long long)e->n_pairs,
+                     PySequence_Fast_GET_SIZE(list));
         goto fail;
-    const int64_t n = p->n_vars, W = p->w, rows = n ? n : 1;
-    e->capsule = Py_NewRef(args[0]);
-    e->p = p;
-    e->n = n, e->W = W, e->lex = lex, e->state = DONE;
-    e->nq = e->nt = e->depth = 0;
+    }
+    if (read_side(e, args[1]))
+        goto fail;
+    const int64_t n = e->n, W = e->W, rows = n ? n : 1;
     e->cap = rows;
     e->shape[0] = n, e->shape[1] = W;
     e->strides[0] = W * sizeof(word), e->strides[1] = sizeof(word);
@@ -1508,8 +1506,8 @@ static PyObject *py_engine(PyObject *self, PyObject *const *args, Py_ssize_t nar
         PyErr_NoMemory();
         goto fail;
     }
-    for (int64_t i = 0; i < p->n_pairs; i++) {
-        const cpair *q = p->pairs + i;
+    for (int64_t i = 0; i < e->n_pairs; i++) {
+        const cpair *q = e->pairs + i;
         Py_buffer b;
         if (PyObject_GetBuffer(PySequence_Fast_GET_ITEM(list, i), &b,
                                PyBUF_C_CONTIGUOUS | PyBUF_FORMAT))
@@ -1525,11 +1523,15 @@ static PyObject *py_engine(PyObject *self, PyObject *const *args, Py_ssize_t nar
             goto fail;
         }
     }
+    PyMem_Free(cnt);
     Py_DECREF(list);
+    Py_DECREF(pairs);
     return (PyObject *)e;
 fail:
+    PyMem_Free(cnt);
     Py_XDECREF(e);
-    Py_DECREF(list);
+    Py_XDECREF(list);
+    Py_DECREF(pairs);
     return NULL;
 }
 
@@ -1537,13 +1539,9 @@ static PyMethodDef methods[] = {
     {"root", (PyCFunction)(void (*)(void))py_root, METH_FASTCALL,
      "root(nb, ops, d): root arc consistency on the uint64 domain words d, in place; "
      "the number of pairs removed, or -1 minus it on a wipeout."},
-    {"plan", (PyCFunction)(void (*)(void))py_plan, METH_FASTCALL,
-     "plan(pairs, side): an engine's compiled constraints, for engine."},
     {"engine", (PyCFunction)(void (*)(void))py_engine, METH_FASTCALL,
-     "engine(plan, domains, lexicographic): a search engine over plan, from one uint64 domain "
-     "array per pair."},
-    {"preimages", (PyCFunction)(void (*)(void))py_preimages, METH_FASTCALL,
-     "preimages(values, nb, pre): set bit y of pre[r][c] for each values[r][y] = c."},
+     "engine(pairs, side, domains, lexicographic): a search engine over the (|A|, |B|, "
+     "operations) pairs and the side condition, from one uint64 domain array per pair."},
     {NULL, NULL, 0, NULL},
 };
 

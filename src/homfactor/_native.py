@@ -1,8 +1,10 @@
 """The C half of homfactor: _native.c, one CPython extension module built on
 first import, which does the root pass (root) and the whole search: an
-engine (engine, an Engine over the compiled constraints of plan, which it
-reads in place) owns its domains as uint64 words, its trail, queue and
-branching frames, and propagates, branches and resumes in C.
+engine (engine, an Engine) compiles the operation tables of its pairs into
+buffers of its own, owns its domains as uint64 words, its trail, queue and
+branching frames, and propagates, branches and resumes in C. Both read the
+tables one way, and check each one once: its type, its length and every
+value.
 
 The module is built from the C source next to this file by the system C
 compiler (cc), run in a child process, against the running interpreter's
@@ -85,7 +87,7 @@ def _module():
 
 
 _ext = _module()
-engine, plan, preimages = _ext.engine, _ext.plan, _ext.preimages
+engine = _ext.engine
 
 
 def root(nb, ops, d):
@@ -93,7 +95,8 @@ def root(nb, ops, d):
     array of uint64 words over nb values, for the operations in ops:
     (arity, table of A, table of B) for each, the tables flat int64 arrays.
     Returns the narrowed domains, a new array, or None once one is empty,
-    and the number of (element, value) pairs removed."""
+    and the number of (element, value) pairs removed; ValueError for a
+    table that is not n**k int64 values within its carrier."""
     d = np.array(d, dtype=np.uint64, order="C")
     removed = _ext.root(nb, ops, d)
     if removed < 0:

@@ -77,12 +77,10 @@ class FiniteAlgebra:
     Equality is structural: same signature, size and tables. Labels are a
     presentation layer only and do not participate in equality. Construction
     does not validate; use :func:`validate_algebra` to get a report, so that
-    deliberately broken tables can be represented and diagnosed. The tables
-    are read-only, so the hash is computed once, and the label-free copy
-    (unlabelled) is made once and shares them.
+    deliberately broken tables can be represented and diagnosed.
     """
 
-    __slots__ = ("signature", "size", "tables", "labels", "_hash", "_unlabelled")
+    __slots__ = ("signature", "size", "tables", "labels")
 
     def __init__(self, signature, size, tables, labels=None):
         if not isinstance(signature, Signature):
@@ -96,7 +94,6 @@ class FiniteAlgebra:
             norm[name] = arr
         self.tables = norm
         self.labels = tuple(labels) if labels is not None else None
-        self._hash = self._unlabelled = None
 
     @classmethod
     def from_function(cls, signature, size, funcs, labels=None):
@@ -111,19 +108,6 @@ class FiniteAlgebra:
 
     def table(self, name: str) -> np.ndarray:
         return self.tables[name]
-
-    def unlabelled(self) -> "FiniteAlgebra":
-        """This algebra without labels, sharing its tables: itself when it
-        has none, else one copy made on the first call."""
-        if self.labels is None:
-            return self
-        if self._unlabelled is None:
-            plain = object.__new__(FiniteAlgebra)
-            plain.signature, plain.size, plain.tables = self.signature, self.size, self.tables
-            plain.labels = plain._unlabelled = None
-            plain._hash = self._hash
-            self._unlabelled = plain
-        return self._unlabelled
 
     def nd(self, name: str) -> np.ndarray:
         """Table reshaped to (n,)*arity; only meaningful on validated algebras."""
@@ -146,15 +130,9 @@ class FiniteAlgebra:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.signature, self.size,
-                               tuple(self.tables[k].tobytes() for k in sorted(self.tables))))
-        return self._hash
-
-    def __reduce__(self):
-        # a copy or unpickled algebra hashes afresh: str and bytes hashes
-        # differ between processes
-        return FiniteAlgebra, (self.signature, self.size, self.tables, self.labels)
+        return hash(
+            (self.signature, self.size, tuple(self.tables[k].tobytes() for k in sorted(self.tables)))
+        )
 
     def __repr__(self):
         ops = ", ".join(f"{n}/{a}" for n, a in self.signature.ops)

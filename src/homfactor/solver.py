@@ -22,32 +22,28 @@ it raises NodeLimitReached, an explicit "unknown" outcome, distinct from an
 exhaustive "no". Searches that share one SearchStats share its limit.
 
 Every search is built one way: the root pass prunes the domains, rows of
-uint64 words over the target carrier, then _Engine takes the constraints of
-its (source, target) pairs, laid side by side, and hands the words to the
-Engine in _native.c, which copies them once into buffers of its own: the
-one domain representation, from the root pass to the leaf. The tables are
-compiled once per algebra, in two halves of flat numpy arrays, each kept in
-a bounded cache keyed by the algebra's content (its label-free copy,
-FiniteAlgebra.unlabelled): what the source decides, each variable's
-incidences (variable, tuple) with the tuple's other variables, 1,024
-algebras kept, a whole working set; and what the target decides, its own
-table plus uint64 word rows of the pre-images and fixed points of its rows
-and columns, 32 algebras kept. Constants get no incidences, since the root
-pass settles them, and each half's memory is proportional to the table. A
-pair hands C its offset and the two cached halves; plan in _native.c holds
-them for the engine's life and the engine reads them in place, so that a
-binary table with one argument fixed becomes a row lookup. The search
-branches on the pairs in order, MRV within each, so the combined search
-assigns every g-variable before any h-variable. Searches differ only by a
-side condition, one more entry per variable, run first: injectivity for
-isomorphisms, the channel h(g(x)) = f(x) for the combined g/h search,
-idempotence for f-cores, each a few int32 arrays. Propagation runs every
-entry inline, with a stack of newly fixed variables, which a variable
-enters once, when it becomes fixed; it reads and narrows each domain in
-place, as many uint64 words as its target needs. The search itself holds an
-explicit stack of branching frames, not recursion, so its depth is bounded
-only by the number of variables, and it resumes after each solution, for
-solutions() and enumerate_homomorphisms.
+uint64 words over the target carrier, then _Engine hands the Engine in
+_native.c the tables of its (source, target) pairs, laid side by side, and
+the words, which it copies once into buffers of its own: the one domain
+representation, from the root pass to the leaf. The Engine compiles each
+pair itself, in C, into buffers it frees with itself: from the source's
+tables, each variable's incidences (variable, tuple) with the tuple's other
+variables, by a counting sort; from the target's, its table and uint64 word
+rows of the pre-images and fixed points of its rows and columns, so that a
+binary table with one argument fixed becomes a row lookup. Constants get no
+incidences, since the root pass settles them, and the compiled form's
+memory is proportional to the table. The search branches on the pairs in
+order, MRV within each, so the combined search assigns every g-variable
+before any h-variable. Searches differ only by a side condition, one more
+entry per variable, run first: injectivity for isomorphisms, the channel
+h(g(x)) = f(x) for the combined g/h search, idempotence for f-cores, each a
+few int32 arrays. Propagation runs every entry inline, with a stack of
+newly fixed variables, which a variable enters once, when it becomes fixed;
+it reads and narrows each domain in place, as many uint64 words as its
+target needs. The search itself holds an explicit stack of branching
+frames, not recursion, so its depth is bounded only by the number of
+variables, and it resumes after each solution, for solutions() and
+enumerate_homomorphisms.
 
 What each instance kind means lives in one table, _KINDS: decide dispatches
 on it, full factors and retractions share one combined search over g-
@@ -63,7 +59,6 @@ from checked parts may call them directly.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -260,111 +255,11 @@ def _bools(words, n):
     return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
 
 
-def _preimages(values, nb):
-    """pre[..., c, :]: the words (see _words) of the positions y of the last
-    axis with values[..., y] = c, set in one pass over values (preimages in
-    _native.c), so no temporary is larger than values or the result."""
-    pre = np.zeros(values.shape[:-1] + (nb, -(-values.shape[-1] // 64)), dtype=np.uint64)
-    _native.preimages(np.ascontiguousarray(values, dtype=np.int64), nb, pre)
-    return pre
-
-
-_ENDS2 = np.array([(0, 0, 2, 0, 1, 1, 1), (0, 2, 0, 1, 0, 0, 2)])  # i, j per slot: 0 o, 1 x1, 2 x2
-# Algebras kept by the compile caches. A source half is a few compact
-# arrays (a median 8 KB over the semigroup encodings of the graphs with 5-6
-# vertices), so its cache holds a whole working set, such as the 228
-# distinct algebras of bench fcore's 290 rows. A target half is about as
-# large, but keeping a second such working set would cost more memory than
-# its misses cost time, so its cache stays small.
-_CACHED_SOURCE = 1024
-_CACHED_TARGET = 32
-
-
-@functools.lru_cache(maxsize=_CACHED_SOURCE)
-def _source_half(a):
-    """The half of a's compiled entries that a's own tables decide: per
-    non-constant operation, (slot, ends, cut) over its incidences (variable,
-    tuple) in order of variable, then tuple. slot is the variable's place in
-    the tuple (see run_entry in _native.c); ends holds the entry's i and j
-    variables as rows, before any offset (arity 3 or more: the inputs'
-    rows, then the output's); cut[v] is where variable v's incidences
-    start."""
-    out = []
-    for name, arity in a.signature.ops:
-        if not arity:
-            continue
-        ta = a.table(name)
-        xs = np.indices((a.size,) * arity).reshape(arity, ta.size)
-        # the (element, tuple) keys of every input and the output, sorted, repeats dropped
-        keys = np.sort(np.vstack([xs, ta]) * ta.size + np.arange(ta.size), axis=None)
-        var, t = np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], ta.size)
-        xs, o = xs[:, t], ta[t]
-        if arity == 1:
-            slot = (xs[0] != var).view(np.int8)  # 0: v is the input; 1: v is only the output
-            ends = np.stack([np.where(slot, xs[0], o)] * 2)
-        elif arity == 2:
-            x1, x2 = xs
-            # v is: both inputs 0; x1 1 (2 if o = x2); x2 3 (4 if o = x1); o alone 5 (x1 = x2) or 6
-            slot = np.where(x1 == var, np.where(x2 == var, 0, 1 + (o == x2)),
-                            np.where(x2 == var, 3 + (o == x1), 5 + (x1 != x2))).astype(np.int8)
-            ends = np.stack([o, x1, x2])[_ENDS2[:, slot], np.arange(len(var))]
-        else:  # one slot
-            slot = np.zeros(len(var), dtype=np.int8)
-            ends = np.vstack([xs, o])
-        # narrow types, the cache holds the working set: _malformed bounds
-        # carriers at 4,096 elements, so every variable fits int16
-        ends = np.ascontiguousarray(ends, dtype=np.int16)
-        cut = np.searchsorted(var, np.arange(a.size + 1)).astype(np.int32)
-        for arr in (slot, ends, cut):
-            arr.setflags(write=False)
-        out.append((slot, ends, cut))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=_CACHED_TARGET)
-def _target_half(b):
-    """The half of the compiled entries that the target b decides: per
-    non-constant operation, (arity, table, word rows...), the table b's own
-    and the rows uint64 words over b's carrier (see _words): at arity 1 the
-    pre-images of each value; at arity 2 the pre-images within each row
-    and each column, the fixed points of each row and each column, and the
-    pre-images on the diagonal; past arity 2 none."""
-    out = []
-    nb = b.size
-    for name, arity in b.signature.ops:
-        if not arity:
-            continue
-        tb = b.table(name)
-        if arity == 1:
-            rows = (_preimages(tb, nb),)
-        elif arity == 2:
-            t = tb.reshape(nb, nb)
-            ids = np.arange(nb)
-            rows = (_preimages(t, nb), _preimages(t.T, nb), _words(t == ids), _words(t.T == ids),
-                    _preimages(np.diagonal(t), nb))
-        else:
-            rows = ()
-        for arr in rows:
-            arr.setflags(write=False)
-        out.append((arity, tb, *rows))
-    return tuple(out)
-
-
-def _compile(pairs):
-    """Every pair's compiled constraints, for homomorphisms a -> b of each
-    (a, b) in pairs: value(op_A(x̄)) == op_B(values of x̄) for every tuple
-    x̄ of a. Each pair's variables follow those of the pairs before it, so
-    a pair is (offset, |A|, |B|, source half of a, target half of b), read
-    in place by plan and the engine in _native.c. The halves are cached by
-    content, equal algebras sharing one, whatever their labels."""
-    out = []
-    offset = 0
-    for a, b in pairs:
-        key = a.unlabelled()
-        out.append((offset, a.size, b.size, _source_half(key),
-                    _target_half(key if b is a else b.unlabelled())))
-        offset += a.size
-    return out
+def _ops(a, b):
+    """(arity, table of a, table of b) for each operation of the signature:
+    the tables of homomorphisms a -> b as root and engine in _native.c read
+    them."""
+    return [(k, a.tables[name], b.tables[name]) for name, k in a.signature.ops]
 
 
 class _Engine:
@@ -372,7 +267,8 @@ class _Engine:
     the root pass's domain words, one array per pair (row v: the values v
     may go to, see _words). side, a side condition (see _channel) or None, gives
     its variables one more entry each, run first. self.state, the Engine in
-    _native.c, owns the domains, as rows of uint64 words (a numpy view:
+    _native.c, compiles the pairs' tables (see _ops) and owns what it
+    compiled, the domains, as rows of uint64 words (a numpy view:
     np.asarray(self.state)), the trail, the queue and the frames, and runs
     propagation and the whole search. This wrapper keeps the one search
     budget: each search is given what is left of stats.node_limit, its nodes
@@ -390,8 +286,8 @@ class _Engine:
     test_node_counts_pinned)."""
 
     def __init__(self, pairs, domains, stats, *, order="mrv", side=None):
-        self.state = _native.engine(_native.plan(_compile(pairs), side), domains,
-                                    order == "lexicographic")
+        self.state = _native.engine([(a.size, b.size, _ops(a, b)) for a, b in pairs], side,
+                                    domains, order == "lexicographic")
         self.stats = SearchStats() if stats is None else stats
         self.stop = self.stats.node_limit  # stats.nodes may not pass it
 
@@ -445,8 +341,7 @@ def _consistent_domains(a, b, d, max_arity, *, stats=None):
     to the search. One C function does it all, root in _native.c. Returns
     the pruned words, or None when a domain empties.
     """
-    ops = [(k, a.tables[name], b.tables[name]) for name, k in a.signature.ops if k <= max_arity]
-    d, removed = _native.root(b.size, ops, d)
+    d, removed = _native.root(b.size, [op for op in _ops(a, b) if op[0] <= max_arity], d)
     if stats is not None:
         stats.root_pruned += removed
     return d

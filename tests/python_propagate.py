@@ -4,13 +4,15 @@ tests/test_native_search.py compare the Engine in homfactor/_native.c
 with, state for state and node for node, as numpy_root.py is the root
 pass's reference.
 
-Here the constraints are compiled as they were before the solver kept them
-as flat arrays that C reads in place: every variable's list of entries
-(kind, i, j, tab, aux), the target tables as Python int masks, each list
-starting with the variable's side-condition entry, if any (compiled). The
-side conditions, both halves and their zip per pair are the solver's from
-before, without the caches. tests/test_native_propagate.py also expands the
-solver's arrays back into these entries and compares the two.
+Here the constraints are compiled with numpy, as the solver compiled them
+before the compile moved into the C engine, and share no compile code with
+it: every variable's list of entries (kind, i, j, tab, aux), the target
+tables as Python int masks, each list starting with the variable's
+side-condition entry, if any (compiled). The side conditions, both halves
+(what the source's tables decide and what the target's do) and their zip
+per pair are the solver's from before, without its caches.
+tests/test_native_propagate.py checks the C compile through them, by
+propagating from the same states with both.
 
 propagate(dom, trail, queue, props) runs on an engine's own lists, with
 domains as Python int masks, which have any width: it pops the queued
@@ -29,7 +31,7 @@ import itertools
 
 import numpy as np
 
-from homfactor.solver import _ENDS2, NodeLimitReached, SearchStats, _words
+from homfactor.solver import NodeLimitReached, SearchStats, _words
 
 
 def _ints(words):
@@ -136,6 +138,7 @@ def _preimages(values, nb):
 
 
 _KINDS2 = (_PRE, _ROW, _PRE, _ROW, _PRE, _PRE, _PAIR)
+_ENDS2 = np.array([(0, 0, 2, 0, 1, 1, 1), (0, 2, 0, 1, 0, 0, 2)])  # i, j per slot: 0 o, 1 x1, 2 x2
 
 
 def _source_half(a):
@@ -167,8 +170,8 @@ def _source_half(a):
         else:  # one slot, _TABLE
             slot = np.zeros(len(var), dtype=np.int8)
             ends = np.vstack([xs, o])
-        # narrow types, the cache holds the working set: _malformed bounds
-        # carriers at 4,096 elements, so every variable fits int16
+        # narrow types: _malformed bounds carriers at 4,096 elements, so
+        # every variable fits int16
         ends = ends.astype(np.int16)
         cut = np.searchsorted(var, np.arange(a.size + 1)).astype(np.int32)
         for arr in (slot, ends, cut):

@@ -10,7 +10,7 @@ from homfactor.algebra import (
     is_homomorphism,
     is_retraction_respecting,
 )
-from homfactor import algebra, fcore, solver, varieties
+from homfactor import _native, algebra, fcore, solver, varieties
 from homfactor.encodings import make_fcore_instance, make_rf_instance, make_semilattice_X
 from homfactor.fcore import (
     FCoreResult,
@@ -119,7 +119,7 @@ def test_retraction_loop_narrows_to_the_brute_image():
 
 
 def test_one_engine_per_fcore_call(monkeypatch):
-    counts = {"compile": 0, "induced": 0}
+    counts = {"engine": 0, "induced": 0}
 
     def counted(key, real):
         def wrapper(*args, **kwargs):
@@ -127,14 +127,14 @@ def test_one_engine_per_fcore_call(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(solver, "_compile", counted("compile", solver._compile))
+    monkeypatch.setattr(_native, "engine", counted("engine", _native.engine))
     monkeypatch.setattr(fcore, "induced_subalgebra",
                         counted("induced", fcore.induced_subalgebra))
     for x, z, f in _loop_instances():
         for call, induced in ((brute_fcore, 1), (is_fcore, 0)):
-            counts.update(compile=0, induced=0)
+            counts.update(engine=0, induced=0)
             call(x, f, z)
-            assert counts == {"compile": 1, "induced": induced}, call.__name__
+            assert counts == {"engine": 1, "induced": induced}, call.__name__
 
 
 def test_brute_deeper_than_the_recursion_limit():

@@ -1,14 +1,17 @@
-"""The C propagate (Engine.propagate, an engine over a _native.plan) against
-the Python reference (python_propagate.propagate over
-python_propagate.compiled) from the same random engine states, written into
-the engine's domain words through a numpy view, and the solver's compiled
-arrays expanded back into the reference's (kind, i, j, tab, aux) entries.
+"""The C propagate (Engine.propagate, an engine that compiled its own pairs
+in _native.engine) against the Python reference (python_propagate.propagate
+over python_propagate.compiled, which compiles the same tables with numpy)
+from the same random engine states, written into the engine's domain words
+through a numpy view: the C compile's incidences and word rows never leave
+the engine, so they are checked by what propagation does with them.
 
 Every entry kind is covered: _ROW, _PRE and _PAIR from unary and binary
 operations, _TABLE from lift_nary(..., 3), and _EACH from the three side
 conditions. The targets have 63 to 200 elements, so the masks take one to
 four uint64 words, and a full domain reaches the top bit of its last word
-at 64 and 128 elements."""
+at 64 and 128 elements. The compile's corpora are the catalog and fcore
+algebras, the wide-target pins' pairs, ternary lifts and every side
+condition."""
 
 import random
 
@@ -53,13 +56,13 @@ def _random(rng, signature, n, inner=None):
 
 
 def _engine(pairs, side=None, *args):
-    """An engine's plan over the pairs, the engine's domain words, one zero
+    """What _native.engine takes for the pairs, its domain words one zero
     array per pair, and the reference's entries for it, with the side
     condition side(*args) in both forms."""
     arrays, entries = (None, ()) if side is None else (f(*args) for f in SIDES[side])
     zeros = [np.zeros((a.size, -(-b.size // 64)), dtype=np.uint64) for a, b in pairs]
-    plan = _native.plan(solver._compile(pairs), arrays)
-    return (plan, zeros), reference.compiled(pairs, entries)
+    compiled = [(a.size, b.size, solver._ops(a, b)) for a, b in pairs]
+    return (compiled, arrays, zeros), reference.compiled(pairs, entries)
 
 
 def _random_state(rng, widths, solution):
@@ -85,8 +88,7 @@ def _random_state(rng, widths, solution):
 def _run_c(built, dom, queue):
     """The C propagate from the state (dom, queue), on a fresh engine whose
     domains are written through the numpy view of its words."""
-    plan, zeros = built
-    state = _native.engine(plan, zeros, False)
+    state = _native.engine(*built, False)
     words = np.asarray(state)
     words[:] = _word_rows(dom, words.shape[1])
     ok = state.propagate(queue)
@@ -178,71 +180,6 @@ def test_a_target_past_64_elements_runs_the_c_propagate():
     assert find_homomorphism(a, b).values == (0, 1, 2, 3)
 
 
-def _expanded(pairs, side=None):
-    """Every variable's (kind, i, j, tab, aux) entries, read back from the
-    solver's compiled arrays (its _compile and a side condition): what
-    propagate in _native.c runs, in the reference's form. Tables are built
-    once per operation and side group, so entries share them as the
-    reference's do."""
-    compiled = solver._compile(pairs)
-    out = [[] for _, n, _, _, _ in compiled for _ in range(n)]
-    for offset, n, nb, source, target in compiled:
-        for (slot, ends, cut), (arity, tab, *rows) in zip(source, target):
-            slots = _slots(arity, np.asarray(tab), [_ints(np.asarray(r)) for r in rows], nb)
-            ends = (ends.astype(np.int64) + offset).tolist()
-            for v in range(n):
-                for k in range(cut[v], cut[v + 1]):
-                    kind, t, aux = slots[slot[k]]
-                    i = tuple(e[k] for e in ends[:-1]) if arity >= 3 else ends[0][k]
-                    out[offset + v].append((kind, i, ends[-1][k], t, aux))
-    if side is not None:
-        first, span, members = (np.asarray(s).tolist() for s in side)
-        widths = [nb for _, n, nb, _, _ in compiled for _ in range(n)]
-        groups, masks = {}, {}
-        for v, (row, c, keep) in enumerate(first):
-            values = range(widths[v])
-            if row not in groups:
-                groups[row] = [members[span[row + a][0]:span[row + a][1]] for a in values]
-            # a dropped value leaves the rest of the narrowed variables' target
-            full = (1 << widths[next(x for g in groups[row] for x in g)]) - 1
-            key = c, keep, len(values), full
-            if key not in masks:
-                masks[key] = [1 << (a if c < 0 else c) if keep else full ^ 1 << (a if c < 0 else c)
-                              for a in values]
-            out[v].insert(0, (_EACH, None, None, groups[row], masks[key]))
-    return out
-
-
-def _slots(arity, tab, rows, nb):
-    """Per slot, (kind, tab, aux) as the reference's target half holds them,
-    from a target half's table and word rows (as Python int masks)."""
-    one = [1 << c for c in range(nb)]
-    if arity >= 3:
-        return [(_TABLE, [one[c] for c in tab.tolist()],
-                 tuple(nb ** (arity - 1 - i) for i in range(arity)))]
-    if arity == 1:
-        return [(_PRE, [one[c] for c in tab.tolist()], None), (_PRE, rows[0], None)]
-    t = tab.reshape(nb, nb)
-    pre1, pre2, fix1, fix2, dpre = rows
-    return [(_PRE, [one[c] for c in np.diagonal(t).tolist()], None),
-            (_ROW, [[one[c] for c in r] for r in t.tolist()], pre1), (_PRE, fix1, None),
-            (_ROW, [[one[c] for c in r] for r in t.T.tolist()], pre2), (_PRE, fix2, None),
-            (_PRE, dpre, None), (_PAIR, pre1, pre2)]
-
-
-def _assert_same_entries(expanded, entries):
-    """Entry for entry equal; a pair of shared tables is compared once."""
-    assert [len(x) for x in expanded] == [len(x) for x in entries]
-    equal = {}
-    for mine, theirs in zip(expanded, entries):
-        for (k1, i1, j1, t1, a1), (k2, i2, j2, t2, a2) in zip(mine, theirs):
-            assert (k1, i1, j1) == (k2, i2, j2)
-            key = id(t1), id(a1), id(t2), id(a2)
-            if key not in equal:
-                equal[key] = t1 == t2 and a1 == a2
-            assert equal[key]
-
-
 def _relabelled(a, seed):
     """a with its elements permuted, a different algebra of the same shape."""
     perm = np.random.default_rng(seed).permutation(a.size)
@@ -278,94 +215,104 @@ def _wide():
             (make_vspace(2, 7), make_vspace(2, 7)), (make_abelian([4, 4, 4]), z2)]
 
 
+def _agree_around_a_map(pairs, seed, states):
+    """_agree on the pairs' engine, the states around the first homomorphism
+    of each pair the search finds (all 0 where it finds none)."""
+    solution, widths = [], []
+    for a, b in pairs:
+        g = find_homomorphism(a, b)
+        solution += g.values if g is not None else [0] * a.size
+        widths += [b.size] * a.size
+    return _agree(_engine(pairs), widths, solution, seed, states)
+
+
+# The C compile's arrays, seen through propagation: from the same states,
+# the engine narrows every domain as the reference's entries do, over the
+# catalog and fcore algebras (three encodings, make_fcore_instance and the
+# four varieties, constants among their operations), one at a time and
+# three side by side.
 @pytest.mark.parametrize("pairs", [[p] for p in _catalog_and_fcore()] + [_catalog_and_fcore()[:3]],
                          ids=lambda pairs: "+".join(f"{a.size}-{b.size}" for a, b in pairs))
 def test_compiled_arrays_expand_to_the_reference_entries(pairs):
-    _assert_same_entries(_expanded(pairs), reference.compiled(pairs))
+    kinds, outcomes = _agree_around_a_map(pairs, len(pairs), 60)
+    assert kinds <= {_ROW, _PRE, _PAIR} and False in outcomes
 
 
+# the same over the wide-target pins' pairs, 64-200-element targets
 @pytest.mark.parametrize("pair", _wide(), ids=lambda p: f"{p[0].size}-{p[1].size}")
 def test_wide_target_arrays_expand_to_the_reference_entries(pair):
-    _assert_same_entries(_expanded([pair]), reference.compiled([pair]))
+    kinds, outcomes = _agree_around_a_map([pair], pair[1].size, 10)
+    assert kinds <= {_ROW, _PRE, _PAIR} and outcomes
 
 
+# the same over two lift_nary(·, 3) pairs side by side
 def test_ternary_lift_arrays_expand_to_the_reference_entries():
     rng = random.Random(3)
     small = _random(rng, (("mul", 2),), 4)
     pair = (lift_nary(small, 3), lift_nary(_random(rng, (("mul", 2),), 9, small), 3))
-    _assert_same_entries(_expanded([pair, pair]), reference.compiled([pair, pair]))
+    kinds, outcomes = _agree_around_a_map([pair, pair], 3, 60)
+    assert _TABLE in kinds and outcomes == {True, False}
 
 
+# the same with each side condition, into 1 to 130 elements
 @pytest.mark.parametrize("n", [1, 5, 64, 130])
 def test_side_condition_arrays_expand_to_the_reference_entries(n):
     a = _random(random.Random(n), UNARY_BINARY, n)
     for name in ("_injective", "_idempotent"):
-        mine, theirs = (f(n) for f in SIDES[name])
-        _assert_same_entries(_expanded([(a, a)], mine), reference.compiled([(a, a)], theirs))
+        kinds, _ = _agree(_engine([(a, a)], name, n), [n] * n, range(n), n, 20)
+        assert _EACH in kinds
     # a channel into a wider Z, with f = h∘g constant, so that f(x) has an
     # empty group of g-variables
     x = _random(random.Random(n), UNARY_BINARY, 3)
     z = _random(random.Random(n + 1), UNARY_BINARY, n + 3)
     f = [1, 1, 1]
-    pairs = [(x, a), (a, z)]
-    mine, theirs = (side(x.size, n, z.size, f) for side in SIDES["_channel"])
-    _assert_same_entries(_expanded(pairs, mine), reference.compiled(pairs, theirs))
-
-
-def _plan(pairs, side=None):
-    return _native.plan(solver._compile(pairs), side)
+    built = _engine([(x, a), (a, z)], "_channel", x.size, n, z.size, f)
+    kinds, _ = _agree(built, [n] * x.size + [z.size] * n, [0] * (x.size + n), n, 20)
+    assert _EACH in kinds
 
 
 def test_an_unreadable_state_raises_instead_of_crashing():
     u = FiniteAlgebra((("u", 1),), 2, {"u": [1, 0]})
-    ((_, n, nb, ((slot, ends, cut),), ((arity, tab, pre),)),) = solver._compile([(u, u)])
-
-    def pair(source=(slot, ends, cut), target=(arity, tab, pre), sizes=(0, n, nb)):
-        return [(*sizes, (source,), (target,))]
-
-    plans = [
-        ([(0, n, nb, (), ((arity, tab, pre),))], None, TypeError),  # halves of two lengths
-        (pair(sizes=(1, n, nb)), None, ValueError),  # an offset past the variables before
-        (pair(sizes=(0, n, 0)), None, ValueError),  # an empty target
-        (pair(sizes=(0, n, 4097)), None, ValueError),  # a target past 4,096 values
-        (pair(source=(slot, ends.astype(np.int32), cut)), None, ValueError),  # ends not int16
-        (pair(source=(slot, ends[:, :-1].copy(), cut)), None, ValueError),  # one end short
-        (pair(source=(slot, np.full_like(ends, 2), cut)), None, ValueError),  # ends past n
-        (pair(source=(np.full_like(slot, 2), ends, cut)), None, ValueError),  # unary slot 2
-        (pair(source=(slot, ends, cut[::-1].copy())), None, ValueError),  # descending cuts
-        (pair(source=(slot, ends, cut.astype(np.int64))), None, ValueError),
-        (pair(target=(arity, tab.astype(np.int32), pre)), None, ValueError),
-        (pair(target=(arity, np.array([1, 2]), pre)), None, ValueError),  # a value past nb
-        (pair(target=(arity, tab, pre[:1])), None, ValueError),  # rows short
-        (pair(target=(arity, tab, pre.view(np.int64))), None, ValueError),  # rows not uint64
-        (pair(target=(arity, tab)), None, TypeError),  # no rows at arity 1
-        (pair(target=(2, tab, pre)), None, TypeError),  # five rows at arity 2
-        (pair(target=(0, tab, pre)), None, ValueError),  # arity 0
-        (pair(), solver._injective(3), ValueError),  # members past the variables
-        (pair(), solver._injective(2)[:2], TypeError),  # not (side, span, members)
-        (pair(), (np.array([[0, 64, 1]], np.int32),) + solver._injective(2)[1:], ValueError),
-        (pair(), (np.array([[0, -1, 2]], np.int32),) + solver._injective(2)[1:], ValueError),
-        (pair(), solver._injective(2)[:1] + (np.array([[1, 0]], np.int32),
-                                             solver._injective(2)[2]), ValueError),
-    ]
-    for pairs, side, error in plans:
-        with pytest.raises(error):
-            _native.plan(pairs, side)
-    plan, side = _plan([(u, u)]), _plan([(u, u)], solver._idempotent(1))
+    t = u.table("u")
     zeros = [np.zeros((2, 1), dtype=np.uint64)]
-    for dom, error in [
-        ([np.zeros((2, 1), dtype=np.int64)], ValueError),  # words not uint64
-        ([np.zeros((2, 2), dtype=np.uint64)], ValueError),  # two words a row, the target needs one
-        ([np.zeros((1, 1), dtype=np.uint64)], ValueError),  # a row short
-        (zeros * 2, ValueError),  # two arrays for one pair
+
+    def ops(k=1, ta=t, tb=t):
+        return [(k, ta, tb)]
+
+    for pairs, side, dom, error in [
+        ([(2, 2, ops(ta=t.astype(np.int32)))], None, zeros, ValueError),  # A's table not int64
+        ([(2, 2, ops(tb=t.astype(float)))], None, zeros, ValueError),  # B's table not int64
+        ([(2, 2, ops(tb=t[:1]))], None, zeros, ValueError),  # not n**k entries
+        ([(2, 2, ops(2))], None, zeros, ValueError),
+        ([(2, 2, ops(ta=np.array([1, -1])))], None, zeros, ValueError),  # a negative value
+        ([(2, 2, ops(tb=np.array([0, 2])))], None, zeros, ValueError),  # a value past |B|
+        ([(2, 3, ops(ta=np.array([0, 2]), tb=np.array([0, 1, 2])))], None,
+         zeros, ValueError),  # a value past |A| in A's table, within |B|
+        ([(2, 2, ops(63))], None, zeros, ValueError),  # an arity of 63
+        ([(2, 2, [(1, t)])], None, zeros, TypeError),  # not (arity, table, table)
+        ([(2, 0, [])], None, zeros, ValueError),  # an empty target
+        ([(2, 4097, [])], None, [np.zeros((2, 65), dtype=np.uint64)], ValueError),
+        ([(1 << 15, 2, [])], None, [np.zeros((1 << 15, 1), dtype=np.uint64)], ValueError),
+        ([(2, 2)], None, zeros, TypeError),  # not (|A|, |B|, operations)
+        ([(2, 2, ops())], solver._injective(3), zeros, ValueError),  # members past the variables
+        ([(2, 2, ops())], solver._injective(2)[:2], zeros, TypeError),  # not (side, span, members)
+        ([(2, 2, ops())], (np.array([[0, 64, 1]], np.int32),) + solver._injective(2)[1:], zeros,
+         ValueError),
+        ([(2, 2, ops())], (np.array([[0, -1, 2]], np.int32),) + solver._injective(2)[1:], zeros,
+         ValueError),
+        ([(2, 2, ops())], solver._injective(2)[:1] + (np.array([[1, 0]], np.int32),
+                                                      solver._injective(2)[2]), zeros, ValueError),
+        ([(2, 2, ops())], None, [np.zeros((2, 1), dtype=np.int64)], ValueError),  # words not uint64
+        ([(2, 2, ops())], None, [np.zeros((2, 2), dtype=np.uint64)], ValueError),  # two words a row
+        ([(2, 2, ops())], None, [np.zeros((1, 1), dtype=np.uint64)], ValueError),  # a row short
+        ([(2, 2, ops())], None, zeros * 2, ValueError),  # two arrays for one pair
+        ([], None, zeros, ValueError),  # no pairs
     ]:
         with pytest.raises(error):
-            _native.engine(plan, dom, False)
-    with pytest.raises(ValueError):
-        _native.engine((), zeros, False)  # no plan
+            _native.engine(pairs, side, dom, False)
 
-    def engine(rows, p=plan):
-        state = _native.engine(p, zeros, False)
+    def engine(rows, side=None):
+        state = _native.engine([(2, 2, ops())], side, zeros, False)
         np.asarray(state)[:] = np.array(rows, dtype=np.uint64)
         return state
 
@@ -392,7 +339,7 @@ def test_an_unreadable_state_raises_instead_of_crashing():
         with pytest.raises(error):
             call(engine(rows))
     with pytest.raises(IndexError):  # value 1 has no side group
-        engine([[2], [3]], side).propagate([0])
+        engine([[2], [3]], solver._idempotent(1)).propagate([0])
     assert engine([[1], [0]]).root() is False  # an empty domain: no solution
     # a budget of 0 stops at the first node, and the search cannot go on
     state = engine([[3], [3]])
@@ -404,13 +351,3 @@ def test_an_unreadable_state_raises_instead_of_crashing():
         (1, (0, 1)), (1, (1, 0)), (0, None)]
     # g(0) = 1 forces g(1) = 0 with no branching, and the state comes back
     assert state.first_without(0, 0, 0) == (0, (1, 0)) and _ints(np.asarray(state)) == [3, 3]
-    words = np.zeros((2, 1), dtype=np.uint64)
-    for values, nb, pre in [(np.array([0, 2]), 2, words),  # a value past nb
-                            (np.array([0, 1], dtype=np.int32), 2, words),
-                            (np.array([0, 1]), 2, words[:1]),  # too few words
-                            (np.array([0, 1]), 2, words.view(np.int64))]:
-        with pytest.raises(ValueError):
-            _native.preimages(values, nb, pre)
-    pre = np.zeros((2, 1), dtype=np.uint64)
-    _native.preimages(np.array([1, 0, 1]), 2, pre)
-    assert pre.tolist() == [[0b010], [0b101]]

@@ -4,9 +4,11 @@ Python int masks before it moved into C), through the same entry points:
 the same answers and witnesses, node counts, root_pruned counts,
 enumeration sequences, the node at which NodeLimitReached fires, and the
 maps fcore._retractions yields through first_without and settle. The
-instances are seeded random algebras (hypothesis, derandomized), targets of
-65 to 200 elements (masks of two to four words), ternary lifts
-(lift_nary(·, 3)), and the corpora of the propagate comparison."""
+instances are seeded random algebras (hypothesis, derandomized), one
+signature among them mixing a constant with unary, binary and ternary
+operations, targets of 65 to 200 elements (masks of two to four words),
+ternary lifts (lift_nary(·, 3)), and the corpora of the propagate
+comparison."""
 
 import random
 
@@ -35,6 +37,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 SETTINGS = hypothesis.settings(derandomize=True, deadline=None, max_examples=25)
 CAP = 3000  # node limit of every comparison: both searches stop at the same node past it
+MIXED = (("c", 0), ("u", 1), ("mul", 2), ("t", 3))
 
 
 def _outcome(call, limit):
@@ -93,6 +96,18 @@ def test_random_searches_match_the_reference(seed, n, nb, cut):
     rng = random.Random(seed)
     a = _random(rng, UNARY_BINARY, n)
     b = _random(rng, UNARY_BINARY, nb, a if nb >= n and rng.random() < 0.5 else None)
+    _agree_all(_calls(a, b), lambda nodes: 1 + int(cut * (nodes - 2)))
+
+
+@SETTINGS
+@hypothesis.given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), nb=st.integers(1, 6),
+                  cut=st.floats(0, 1))
+def test_mixed_signature_searches_match_the_reference(seed, n, nb, cut):
+    # a constant beside operations of arity 1, 2 and 3 in one signature, so
+    # that one engine runs every branch of the C compile
+    rng = random.Random(seed)
+    a = _random(rng, MIXED, n)
+    b = _random(rng, MIXED, nb, a if nb >= n and rng.random() < 0.5 else None)
     _agree_all(_calls(a, b), lambda nodes: 1 + int(cut * (nodes - 2)))
 
 

@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import itertools
 import tracemalloc
@@ -61,11 +60,8 @@ from homfactor.solver import (
     NodeLimitReached,
     SearchStats,
     _bools,
-    _compile,
+    _Engine,
     _malformed,
-    _preimages,
-    _source_half,
-    _target_half,
     _words,
     decide,
     decide_isomorphism,
@@ -737,6 +733,17 @@ def test_root_refuses_arrays_it_cannot_read():
             _native._ext.root(2, ops, dom)
 
 
+def test_root_refuses_table_values_outside_the_carrier():
+    # each table value indexes a row of the domains or the scratch, so one
+    # past its carrier, in B's table or in A's, is refused before it is read
+    d = np.full((2, 1), 3, dtype=np.uint64)
+    for ops in ([(1, np.array([0, 1]), np.array([0, 9]))],
+                [(1, np.array([0, 7]), np.array([0, 1]))],
+                [(1, np.array([0, -1]), np.array([0, 1]))]):
+        with pytest.raises(ValueError, match="outside the carrier"):
+            _native.root(2, ops, d)
+
+
 def test_root_keeps_fixed_points_on_fixed_points():
     # x = u(x) needs y = u(y): the revision alone keeps every value of the
     # fixed point 1 here, since each is the image of some value
@@ -885,10 +892,6 @@ def test_bitmask_conversion_matches_reference():
         assert np.array_equal(_bools(_words(rows), width), rows)
         for i, j in np.ndindex(2, 3):
             assert masks[i][j] == sum(1 << int(y) for y in np.flatnonzero(rows[i, j]))
-        values = rng.integers(0, 5, (3, width))
-        pre = _ints(_preimages(values, 5))
-        for i, c in np.ndindex(3, 5):
-            assert pre[i][c] == sum(1 << int(y) for y in np.flatnonzero(values[i] == c))
 
 
 def test_search_over_a_wide_target():
@@ -898,189 +901,49 @@ def test_search_over_a_wide_target():
     assert find_homomorphism(make_abelian([4]), b) is not None
 
 
-def _clear_compile_caches():
-    _source_half.cache_clear()
-    _target_half.cache_clear()
+def _engine_peak(a, b):
+    """Peak bytes that tracemalloc sees while one engine over (a, b) is
+    built from full domains: its compile and its state."""
+    d = _words(np.ones((a.size, b.size), dtype=bool))
+    tracemalloc.start()
+    try:
+        _Engine([(a, b)], [d], None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-def _hits():
-    return _source_half.cache_info().hits, _target_half.cache_info().hits
-
-
-def _plain(obj):
-    """Nested lists of a cached half, comparable with ==."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (tuple, list)):
-        return [_plain(o) for o in obj]
-    return obj
-
-
-def _vspace_and_lifted():
-    """A vector-space sample (operations of arity 0, 1 and 2) and two
-    ternary lifts of semigroup encodings."""
-    x, z, f = sample_fcore_instances("vspace", 1, 16, seed=3)[0]
-    assert {arity for _, arity in x.signature.ops} == {0, 1, 2}
-    s, t = (lift_nary(encode_semigroup(g)[0], 3) for g in (K2, P4))
-    return x, z, f, s, t
-
-
-def test_compile_warm_cache_matches_cold():
-    x, z, _, s, t = _vspace_and_lifted()
-    # the constant zero gets no entries: the root pass settles it
-    compiled = sum(1 for _, arity in x.signature.ops if arity)
-    assert len(_source_half(x)) == len(_target_half(z)) == compiled
-    # one pair at offset 0; two pairs, the second at offset |X|
-    for pairs in ([(x, z)], [(x, x), (x, z)], [(s, t)], [(s, t), (t, t)]):
-        _clear_compile_caches()
-        cold = _plain(_compile(pairs))
-        hits = _hits()
-        warm = _plain(_compile(pairs))
-        assert warm == cold
-        assert _hits() == (hits[0] + len(pairs), hits[1] + len(pairs))
-
-
-def test_search_leaves_cached_halves_unchanged():
-    x, z, f, s, t = _vspace_and_lifted()
-    _clear_compile_caches()
-
-    def halves():
-        return (_source_half(x), _target_half(x), _target_half(z),
-                _source_half(s), _target_half(t))
-
-    before = copy.deepcopy(_plain(halves()))
-    assert find_factorization(FactorizationInstance("full-factor", x, x, z, f=f)) is not None
-    enumerate_homomorphisms(s, t, 50)
-    assert _plain(halves()) == before
-
-
-def test_compile_cache_keys_by_content():
-    a = encode_semigroup(C4)[0]
-    relabelled = FiniteAlgebra(a.signature, a.size, a.tables,
-                               labels=[f"e{i}" for i in range(a.size)])
-    _clear_compile_caches()
-    _compile([(a, a)])
-    hits = _hits()
-    _compile([(relabelled, relabelled)])
-    assert _hits() == (hits[0] + 1, hits[1] + 1)
-    assert _source_half.cache_info().currsize == _target_half.cache_info().currsize == 1
-    # one table entry apart: the 2-cycle u = (1 0) has no fixed point, u = (1 1) has one
-    cycle = FiniteAlgebra([("u", 1)], 2, {"u": [1, 0]})
-    fixed = FiniteAlgebra([("u", 1)], 2, {"u": [1, 1]})
-    point = FiniteAlgebra([("u", 1)], 1, {"u": [0]})
-    _clear_compile_caches()
-    for pair in ((cycle, cycle), (fixed, cycle), (point, cycle), (point, fixed), (cycle, fixed)):
-        _compile([pair])
-    assert _source_half.cache_info().currsize == 3  # cycle, fixed, point
-    assert _target_half.cache_info().currsize == 2  # cycle, fixed
-    # the searches read those cached halves (fixed -> cycle and point ->
-    # cycle are refuted at the root: a fixed point has no fixed image)
-    assert find_homomorphism(cycle, cycle) == Mapping.identity(2)
-    assert find_homomorphism(fixed, cycle) is None
-    assert find_homomorphism(point, cycle) is None
-    assert find_homomorphism(point, fixed) == Mapping(1, 2, (1,))
-    assert find_homomorphism(cycle, fixed) == Mapping(2, 2, (1, 1))
-
-
-def test_differently_labelled_algebras_share_one_cache_entry():
-    # equality ignores labels, so every labelling of one table shares the
-    # cache entry of the first; the label-free key is made once per algebra
-    # and shares its tables, and the hash is computed once
-    a = encode_semigroup(C4)[0]
-    plain = FiniteAlgebra(a.signature, a.size, a.tables)
-    named = [FiniteAlgebra(a.signature, a.size, a.tables,
-                           labels=[f"{p}{i}" for i in range(a.size)]) for p in "xy"]
-    _clear_compile_caches()
-    for b in (*named, plain, a, named[0]):
-        _compile([(b, b)])
-    assert _source_half.cache_info().currsize == _target_half.cache_info().currsize == 1
-    assert _hits() == (4, 4)
-    key = named[0].unlabelled()
-    assert key is named[0].unlabelled() and key.labels is None and key.tables is named[0].tables
-    assert plain.unlabelled() is plain
-    assert named[0] == named[1] == plain == key
-    assert len({hash(b) for b in (*named, plain, key)}) == 1
-    twin = copy.deepcopy(named[0])
-    assert twin == named[0] and hash(twin) == hash(named[0]) and twin.labels == named[0].labels
-
-
-def _unary5(k):
-    """The k-th of the 5**5 unary algebras on 5 elements: u(v) is digit v of
-    k in base 5."""
-    return FiniteAlgebra([("u", 1)], 5, {"u": [k // 5**v % 5 for v in range(5)]})
-
-
-def test_compile_cache_is_bounded():
-    caches = (_source_half, _target_half)
-    count = sum(cache.cache_info().maxsize for cache in caches)
-    _clear_compile_caches()
-    for k in range(count):
-        _compile([(_unary5(k), _unary5(k))])
-    for cache in caches:
-        info = cache.cache_info()
-        assert (info.misses, info.currsize) == (count, info.maxsize)
-
-
-def test_source_cache_holds_a_cyclic_scan():
-    # a workload that walks the same few hundred algebras in order, as bench
-    # fcore does: every source half stays cached, while the small target
-    # cache has evicted each target before its turn comes round again
-    algebras = [_unary5(k) for k in range(300)]
-    _clear_compile_caches()
-    for a in algebras:
-        _compile([(a, a)])
-    hits = _hits()
-    for a in algebras:
-        _compile([(a, a)])
-    assert _hits() == (hits[0] + 300, hits[1])
+def _random_binary(n):
+    return FiniteAlgebra([("mul", 2)], n, {"mul": np.random.default_rng(n).integers(0, n, n * n)})
 
 
 def test_source_half_memory_is_proportional_to_the_table():
-    # the compile step holds a fixed multiple of the table's bytes; a dense
-    # incidence matrix, |A| bools per tuple, read 67x at 200 elements, 92x at 400
+    # the incidences that the source's table decides, built by an engine
+    # into a one-element target: an int8 slot and two int16 ends each, a
+    # fixed multiple of the table's bytes; the numpy compile this replaced
+    # peaked at 42.4x and 42.3x the table's bytes at 200 and 400 elements
+    point = FiniteAlgebra([("mul", 2)], 1, {"mul": [0]})
     ratios = []
-    for n in (200, 400):
-        a = FiniteAlgebra([("mul", 2)], n, {"mul": np.random.default_rng(n).integers(0, n, n * n)})
-        tracemalloc.start()
-        try:
-            _source_half.__wrapped__(a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        ratios.append(peak / a.table("mul").nbytes)
+    for n, bound in ((200, 42.4), (400, 42.3)):
+        a = _random_binary(n)
+        ratios.append(_engine_peak(a, point) / a.table("mul").nbytes)
+        assert ratios[-1] <= bound, ratios
     assert ratios[1] <= 1.1 * ratios[0], ratios
 
 
 def test_target_half_memory_is_proportional_to_the_table():
-    # pre-images as uint64 word rows: |B|**2 rows of w words, built without
-    # a |B|**3 temporary, whose share of the peak would grow with |B|
+    # the word rows that the target's table decides, built by an engine
+    # from a one-element source: |B|**2 pre-image rows of w words in each
+    # direction, with no |B|**3 temporary, whose share would grow with |B|;
+    # the numpy compile this replaced peaked at 2.25x and 2.14x the table's
+    # bytes times w at 200 and 400 elements
+    point = FiniteAlgebra([("mul", 2)], 1, {"mul": [0]})
     ratios = []
-    for n in (200, 400):
-        b = FiniteAlgebra([("mul", 2)], n, {"mul": np.random.default_rng(n).integers(0, n, n * n)})
-        words = -(-n // 64)
-        tracemalloc.start()
-        try:
-            half = _target_half.__wrapped__(b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        ((arity, table, *rows),) = half
-        assert arity == 2 and table is b.table("mul")
-        assert all(r.dtype == np.uint64 for r in rows)
-        ratios.append(peak / (b.table("mul").nbytes * words))
+    for n, bound in ((200, 2.25), (400, 2.14)):
+        b = _random_binary(n)
+        ratios.append(_engine_peak(point, b) / (b.table("mul").nbytes * -(-n // 64)))
+        assert ratios[-1] <= bound, ratios
     assert ratios[1] <= 1.1 * ratios[0], ratios
-
-
-def test_compiled_halves_hold_no_python_ints():
-    # every cached array is numeric and read-only: no object array, no Python int
-    x, z, _, s, t = _vspace_and_lifted()
-    u, v = (encode_unary(g)[0] for g in graph_catalog(3, 3, directed=True, connected=True)[:2])
-    for a, b in ((x, z), (s, t), (u, v)):
-        for offset, n, nb, source, target in _compile([(a, b)]):
-            for arr in (*(arr for op in source for arr in op),
-                        *(arr for op in target for arr in op[1:])):
-                assert isinstance(arr, np.ndarray) and arr.dtype != object
-                assert arr.dtype.kind in "iu" and not arr.flags.writeable
 
 
 def _digest(witnesses):
@@ -1363,14 +1226,15 @@ def test_each_variable_is_queued_once_per_propagate(monkeypatch):
     def engine(pairs, domains, stats, *, order="mrv", side=None):
         entries = () if side is None else getattr(reference, side[0])(*side[1])
         eng = reference.Engine(pairs, domains, stats, order=order, side=entries)
-        plan = _native.plan(_compile(pairs), None if side is None else arrays[side[0]](*side[1]))
+        compiled = [(a.size, b.size, solver._ops(a, b)) for a, b in pairs]
+        side_arrays = None if side is None else arrays[side[0]](*side[1])
         zeros = [np.zeros_like(d) for d in domains]
         plain = eng.propagate
 
         def propagate():
             queued, mark = list(eng.queue), len(eng.trail)
             assert all(not eng.dom[v] & (eng.dom[v] - 1) for v in queued)
-            state = _native.engine(plan, zeros, False)
+            state = _native.engine(compiled, side_arrays, zeros, False)
             view = np.asarray(state)
             view[:] = reference._word_rows(eng.dom, view.shape[1])
             ok = state.propagate(queued)
