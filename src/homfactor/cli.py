@@ -3,7 +3,10 @@
 Exit codes are a stable contract: 0 yes, 1 no, 2 error, 3 unknown (node
 limit hit). Witness and report files contain no timing data, so identical
 invocations on identical files produce byte-identical output files; the
-bench TSV's ms column is the one timing-bearing output.
+bench TSV's ms column is the one timing-bearing output. It times the whole
+row, not the solver alone: in the reductions suite, the graphs' encoding,
+the decision and the graph oracle (see _bench_reductions); in the fcores
+suite, the f-core method and brute_fcore.
 """
 
 from __future__ import annotations

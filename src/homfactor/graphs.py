@@ -1,9 +1,16 @@
 """Finite graphs and exhaustive graph-level oracles.
 
-Undirected graphs store both orientations of every edge. All searches use
-deterministic lexicographic branching, so returned witnesses are the
-lexicographically least ones; these oracles validate every reduction and
-are intended for desk-scale inputs only.
+Undirected graphs store both orientations of every edge. These oracles
+validate every reduction and are intended for desk-scale inputs only; they
+share no code with the solver.
+
+One backtracking search, _homs, serves every oracle. Each vertex's
+candidates are one int bit mask over h's vertices, narrowed with h's out-
+and in-neighbour masks and its loop mask. Vertices are assigned in index
+order and candidates taken lowest bit first, so the maps come in
+lexicographic order, and every witness returned (graph_hom,
+strong_graph_hom, subgraph_embedding, graph_retract, graph_core's retract)
+is the lexicographically least one.
 """
 
 from __future__ import annotations
@@ -135,6 +142,19 @@ def is_strong_graph_hom(phi, g: Graph, h: Graph) -> bool:
     return True
 
 
+def _masks(h: Graph):
+    """Out-neighbour and in-neighbour masks of h's vertices, and its loop mask."""
+    out = [0] * h.n
+    inn = [0] * h.n
+    loops = 0
+    for u, v in h.edges:
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+        if u == v:
+            loops |= 1 << u
+    return out, inn, loops
+
+
 def _homs(g: Graph, h: Graph, *, strong=False, injective=False, induced=False,
           seed=None, allowed=None):
     """Yield all edge-preserving maps in lexicographic order.
@@ -142,50 +162,76 @@ def _homs(g: Graph, h: Graph, *, strong=False, injective=False, induced=False,
     strong: both directions of the edge condition; induced (with injective):
     non-edges must map to non-edges; seed: dict of pinned values; allowed:
     the vertices of h that unpinned vertices may map to (default: all).
+
+    Each vertex v's candidates are one bit mask over h's vertices: its seed
+    or allowed mask, narrowed by h's loop mask, by the images used so far
+    (injective), and by one AND per direction for each earlier vertex u with
+    image x: x's out-neighbour mask if u → v is an arc of g, x's
+    in-neighbour mask if v → u is, and under the strict rule (strong, or
+    induced with injective) the complemented mask where g has no such arc.
+    Vertices are assigned in index order and values lowest bit first, so the
+    maps come in lexicographic order.
     """
-    phi = [-1] * g.n
-    used = [False] * h.n
-    seed = seed or {}
-    values = range(h.n) if allowed is None else sorted(allowed)
-
-    def consistent(v, w):
-        for u in range(g.n):
-            x = phi[u]
-            if x < 0:
-                continue
-            for a, b, fa, fb in ((u, v, x, w), (v, u, w, x)):
-                ge = (a, b) in g.edges
-                he = (fa, fb) in h.edges
-                if ge and not he:
-                    return False
-                if (strong or (induced and injective)) and he and not ge:
-                    return False
-        ge = (v, v) in g.edges
-        he = (w, w) in h.edges
-        if ge and not he:
-            return False
-        if (strong or (induced and injective)) and he and not ge:
-            return False
-        return True
-
-    def rec(v):
-        if v == g.n:
-            yield tuple(phi)
-            return
-        for w in [seed[v]] if v in seed else values:
-            if injective and used[w]:
-                continue
-            if consistent(v, w):
-                phi[v] = w
-                used[w] = True
-                yield from rec(v + 1)
-                used[w] = False
-                phi[v] = -1
-
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         yield ()
         return
-    yield from rec(0)
+    seed = seed or {}
+    strict = strong or (induced and injective)
+    out, inn, loops = _masks(h)
+    if strict:
+        not_out = [~o for o in out]
+        not_in = [~i for i in inn]
+    arcs = g.edges
+    free = (1 << h.n) - 1 if allowed is None else sum(1 << w for w in set(allowed))
+    base = []
+    cons = []
+    for v in range(n):
+        m = 1 << seed[v] if v in seed else free
+        if (v, v) in arcs:
+            m &= loops
+        elif strict:
+            m &= ~loops
+        base.append(m)
+        links = []
+        for u in range(v):
+            if (u, v) in arcs:
+                links.append((u, out))
+            elif strict:
+                links.append((u, not_out))
+            if (v, u) in arcs:
+                links.append((u, inn))
+            elif strict:
+                links.append((u, not_in))
+        cons.append(links)
+
+    phi = [0] * n
+    rest = [0] * n  # the candidates of each assigned vertex not yet tried
+    used = [0] * n  # the images of the vertices before each one
+    last = n - 1
+    v = 0
+    m = base[0]
+    while True:
+        if m:
+            low = m & -m
+            rest[v] = m ^ low
+            phi[v] = low.bit_length() - 1
+            if v == last:
+                yield tuple(phi)
+                m = rest[v]
+                continue
+            v += 1
+            m = base[v]
+            if injective:
+                used[v] = used[v - 1] | low
+                m &= ~used[v]
+            for u, tab in cons[v]:
+                m &= tab[phi[u]]
+        else:
+            v -= 1
+            if v < 0:
+                return
+            m = rest[v]
 
 
 def graph_hom(g: Graph, h: Graph):
@@ -207,9 +253,18 @@ def subgraph_embedding(g: Graph, h: Graph, induced: bool = False):
 
 
 def graph_retract(g: Graph, h: Graph):
-    """Pair (into, back) of homs with back∘into = id_G, or None."""
+    """Pair (into, back) of homs with back∘into = id_G, or None.
+
+    The pair returned has the lexicographically least `into` that some `back`
+    completes, and the least such `back`. Only induced embeddings are tried
+    as `into`, which skips no pair: back∘into = id_G makes back, restricted
+    to into's image, the inverse of into and a homomorphism from the
+    subgraph of h that the image induces to g. So into is an isomorphism
+    onto that induced subgraph, loops included, and every `into` that a
+    `back` completes is an induced embedding.
+    """
     _check_directedness(g, h)
-    for into in _homs(g, h, injective=True):
+    for into in _homs(g, h, injective=True, induced=True):
         seed = {into[v]: v for v in range(g.n)}
         back = next(_homs(h, g, seed=seed), None)
         if back is not None:

@@ -1,9 +1,13 @@
 import itertools
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
+import reference_graphs as reference
 
 from homfactor.graphs import (
     Graph,
+    _homs,
     complete_graph,
     cycle_graph,
     enumerate_graphs,
@@ -156,3 +160,106 @@ def test_as_directed_and_isolated_vertex():
     assert d.directed and d.has_edge(0, 1) and d.has_edge(1, 0)
     aug, w = K2.with_isolated_vertex()
     assert aug.n == 3 and w == 2 and not aug.is_connected()
+
+
+# ------------------------------------------------ the bit-mask search against the reference
+
+_FLAGS = {
+    "plain": {},
+    "strong": {"strong": True},
+    "injective": {"injective": True},
+    "induced": {"injective": True, "induced": True},
+}
+
+
+@st.composite
+def _graph_pair(draw):
+    """Two random graphs of one directedness with up to 5 vertices each, loops
+    allowed, with a random seed and allowed set for a search from the first
+    to the second."""
+    directed = draw(st.booleans())
+
+    def graph():
+        n = draw(st.integers(0, 5))
+        arcs = [(u, v) for u in range(n) for v in range(n) if directed or u <= v]
+        edges = draw(st.lists(st.sampled_from(arcs), unique=True)) if arcs else []
+        return Graph.digraph(n, edges) if directed else Graph.undirected(n, edges)
+
+    g, h = graph(), graph()
+    seed, allowed = {}, None
+    if h.n:
+        pinned = draw(st.lists(st.integers(0, g.n - 1), unique=True)) if g.n else []
+        seed = {v: draw(st.integers(0, h.n - 1)) for v in pinned}
+        allowed = draw(st.none() | st.frozensets(st.integers(0, h.n - 1)))
+    return g, h, seed, allowed
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, deadline=None)
+@hypothesis.given(_graph_pair())
+def test_homs_yield_the_reference_sequence(case):
+    g, h, seed, allowed = case
+    for name, flags in _FLAGS.items():
+        got = list(_homs(g, h, seed=seed, allowed=allowed, **flags))
+        want = list(reference._homs(g, h, seed=seed, allowed=allowed, **flags))
+        assert got == want, name
+
+
+def test_retract_and_core_match_the_reference_on_the_catalogs():
+    for cat in (graph_catalog(1, 4), graph_catalog(1, 3, directed=True)):
+        for g in cat:
+            assert graph_core(g) == reference.graph_core(g)
+            for h in cat:
+                assert graph_retract(g, h) == reference.graph_retract(g, h)
+
+
+# ------------------------------------------------ graph_retract by brute force
+
+def _small_graphs_with_loops(directed):
+    """One graph per isomorphism class with at most 3 vertices, loops allowed."""
+    out = []
+    for n in range(4):
+        arcs = [(u, v) for u in range(n) for v in range(n) if directed or u <= v]
+        seen = set()
+        for mask in range(1 << len(arcs)):
+            edges = [a for i, a in enumerate(arcs) if mask >> i & 1]
+            g = Graph.digraph(n, edges) if directed else Graph.undirected(n, edges)
+            forms = {
+                frozenset((p[u], p[v]) for u, v in g.edges)
+                for p in itertools.permutations(range(n))
+            }
+            if not forms & seen:
+                seen |= forms
+                out.append(g)
+    return out
+
+
+def _all_homs(g, h):
+    """Every edge-preserving map from g to h, in lexicographic order."""
+    return [
+        phi for phi in itertools.product(range(h.n), repeat=g.n)
+        if all((phi[u], phi[v]) in h.edges for u, v in g.edges)
+    ]
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_graph_retract_is_the_least_retraction_pair(directed):
+    graphs = _small_graphs_with_loops(directed)
+    assert len(graphs) == (117 if directed else 29)
+    homs = {(i, j): _all_homs(g, h) for i, g in enumerate(graphs) for j, h in enumerate(graphs)}
+    for i, g in enumerate(graphs):
+        for j, h in enumerate(graphs):
+            least = next((
+                (into, back)
+                for into in homs[i, j]
+                for back in homs[j, i]
+                if all(back[into[v]] == v for v in range(g.n))
+            ), None)
+            got = graph_retract(g, h)
+            assert got == least, (g, h)
+            if got is not None:
+                into = got[0]
+                assert len(set(into)) == g.n
+                assert all(
+                    ((u, v) in g.edges) == ((into[u], into[v]) in h.edges)
+                    for u in range(g.n) for v in range(g.n)
+                )
