@@ -1,5 +1,6 @@
-/* The C half of homfactor.solver, one CPython extension module built on
- * first import by homfactor._native. It holds two functions:
+/* The C half of homfactor.solver and of homfactor.algebra's table checks,
+ * one CPython extension module built on first import by homfactor._native.
+ * It holds five functions:
  *
  * root(nb, ops, d): root arc consistency for homomorphisms A -> B over
  * operation tables, behind homfactor.solver._consistent_domains;
@@ -8,11 +9,16 @@
  * its own and whose state (domains, trail, queue and branching frames)
  * lives in buffers of its own too: propagation to a fixpoint, branching,
  * and the root, search, first_without and settle calls of
- * homfactor.solver._Engine.
+ * homfactor.solver._Engine;
+ * hom(values, nb, ops), outside(table, n) and restrict(n, subset, ops):
+ * is_homomorphism, validate_algebra's value test and induced_subalgebra's
+ * restriction, in homfactor.algebra.
  *
- * Both read the operation tables one way, tables_read: the algebras' own
- * flat int64 tables (row-major, n**k entries for arity k), read in place
- * and checked once, so that nothing past them is read whatever they hold.
+ * All of them read the operation tables one way, through table_hold and
+ * in_carrier (tables_read for (A, B) pairs): the algebras' own flat int64
+ * tables (row-major, n**k entries for arity k), read in place and checked
+ * once, so that nothing past them is read whatever they hold; outside
+ * checks the values of a table of any length.
  *
  * Root arc consistency.
  *
@@ -290,6 +296,44 @@ static void tables_release(tables_t *t)
     PyMem_Free(t->ops);
 }
 
+/* The arity in o, or -1 with an exception set when it is not an int in
+ * [0, 62]: past 62, n**k overflows int64 at every n > 1. */
+static int64_t arity_read(PyObject *o)
+{
+    const Py_ssize_t k = PyLong_AsSsize_t(o);
+    if (k < 0 || k > 62) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "arity out of range");
+        return -1;
+    }
+    return k;
+}
+
+/* Hold o's buffer in b: a flat C-contiguous int64 array of n**k entries.
+ * 0, or -1 with an exception set and nothing held. */
+static int table_hold(Py_buffer *b, PyObject *o, int64_t k, Py_ssize_t n)
+{
+    if (PyObject_GetBuffer(o, b, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT))
+        return -1;
+    Py_ssize_t need = 1; /* n**k, or past b->len once it is */
+    for (int64_t j = 0; j < k && need <= b->len; j++)
+        need = n && need > b->len / n ? b->len + 1 : need * n;
+    if (of_type(b, 8, "lq") && b->len / 8 == need)
+        return 0;
+    PyBuffer_Release(b);
+    PyErr_SetString(PyExc_ValueError, "the tables are flat int64 arrays of n**k entries");
+    return -1;
+}
+
+/* Whether each of the len values at v lies in [0, n) */
+static int in_carrier(const int64_t *v, Py_ssize_t len, int64_t n)
+{
+    uint64_t top = 0; /* the largest value, a negative one read as past every n */
+    for (Py_ssize_t j = 0; j < len; j++)
+        top = (uint64_t)v[j] > top ? (uint64_t)v[j] : top;
+    return !len || top < (uint64_t)n;
+}
+
 /* Read seq, a sequence of (arity, table of A, table of B), into t: every
  * arity in [0, 62], every table a flat C-contiguous int64 array of n**k
  * values, each one in [0, n), for n = na in A's and nb in B's. 0, or -1
@@ -313,40 +357,25 @@ static int tables_read(tables_t *t, PyObject *seq, Py_ssize_t na, Py_ssize_t nb)
             ok = 0;
             break;
         }
-        const Py_ssize_t k = PyLong_AsSsize_t(PyTuple_GET_ITEM(op, 0));
-        if (k < 0 || k > 62) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_ValueError, "arity out of range");
-            ok = 0;
-            break;
-        }
+        const int64_t k = arity_read(PyTuple_GET_ITEM(op, 0));
+        ok = k >= 0;
         t->ops[i].arity = k;
         for (int side = 0; ok && side < 2; side++) {
             const Py_ssize_t n = side ? nb : na;
             Py_buffer *b = &t->bufs[t->held];
-            if (PyObject_GetBuffer(PyTuple_GET_ITEM(op, 1 + side), b,
-                                   PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)) {
+            if (table_hold(b, PyTuple_GET_ITEM(op, 1 + side), k, n)) {
                 ok = 0;
                 break;
             }
             t->held++;
-            Py_ssize_t need = 1; /* n**k */
-            for (Py_ssize_t j = 0; j < k && need <= b->len; j++)
-                need *= n;
-            const int64_t *v = b->buf;
-            if (!of_type(b, 8, "lq") || b->len / 8 != need) {
-                PyErr_SetString(PyExc_ValueError, "the tables are flat int64 arrays of n**k entries");
+            if (!in_carrier(b->buf, b->len / 8, n)) {
+                PyErr_SetString(PyExc_ValueError, "a table value lies outside the carrier");
                 ok = 0;
             }
-            for (Py_ssize_t j = 0; ok && j < need; j++)
-                if ((uint64_t)v[j] >= (uint64_t)n) {
-                    PyErr_SetString(PyExc_ValueError, "a table value lies outside the carrier");
-                    ok = 0;
-                }
             if (side)
-                t->ops[i].b = v;
+                t->ops[i].b = b->buf;
             else
-                t->ops[i].a = v;
+                t->ops[i].a = b->buf;
         }
     }
     Py_DECREF(list);
@@ -420,6 +449,237 @@ static PyObject *py_root(PyObject *self, PyObject *const *args, Py_ssize_t nargs
         tables_release(&t);
     }
     PyBuffer_Release(&dbuf);
+    return out;
+}
+
+/* The checks of homfactor.algebra.
+ *
+ * hom(values, nb, ops): is_homomorphism, over the operations in ops, read
+ * as tables_read reads them; outside(table, n): validate_algebra's value
+ * test; restrict(n, subset, ops): induced_subalgebra's tables.
+ *
+ * hom and restrict walk a table of arity k >= 1 row by row: a row is the
+ * entries whose argument tuples differ in the last argument only, and an
+ * odometer d over the first k - 1 arguments moves from row to row. The
+ * tuples they read elsewhere, at p[d[0]], ..., p[d[k-2]], p[x] for a map
+ * p, lie at base + p[x] in a table of n**k entries, with base the sum of
+ * p[d[j]] * n**(k-1-j); base moves with the odometer. */
+
+/* The row count len**(k-1) and the first row's base for p over len
+ * arguments into a table over n, with pw[j] = n**(k-1-j); len >= 1. */
+static int64_t rows_start(int64_t k, const int64_t *p, int64_t len, int64_t n, int64_t *pw,
+                          int64_t *base)
+{
+    int64_t rows = 1, step = n;
+    *base = 0;
+    for (int64_t j = k - 2; j >= 0; j--, step *= n) {
+        pw[j] = step;
+        *base += p[0] * step;
+        rows *= len;
+    }
+    return rows;
+}
+
+/* The odometer's next row */
+static inline void rows_next(int64_t k, int64_t *d, const int64_t *p, int64_t len,
+                             const int64_t *pw, int64_t *base)
+{
+    for (int64_t j = k - 2; j >= 0; j--) {
+        if (++d[j] < len) {
+            *base += (p[d[j]] - p[d[j] - 1]) * pw[j];
+            return;
+        }
+        *base += (p[0] - p[len - 1]) * pw[j];
+        d[j] = 0;
+    }
+}
+
+/* Whether v (na values in [0, nb)) sends op's table of A to its table of
+ * B: v(op_A(x)) = op_B(v(x)) at every tuple x */
+static int hom_op(const op_t *op, const int64_t *v, int64_t na, int64_t nb)
+{
+    const int64_t k = op->arity, *ta = op->a, *tb = op->b;
+    if (k == 0)
+        return v[ta[0]] == tb[0];
+    if (na == 0)
+        return 1;
+    int64_t d[62] = {0}, pw[62], base;
+    const int64_t rows = rows_start(k, v, na, nb, pw, &base);
+    for (int64_t r = 0; r < rows; r++, ta += na) {
+        for (int64_t x = 0; x < na; x++)
+            if (v[ta[x]] != tb[base + v[x]])
+                return 0;
+        rows_next(k, d, v, na, pw, &base);
+    }
+    return 1;
+}
+
+/* The len ints of seq into v, each in [0, n). 0, or -1 with an exception
+ * set. */
+static int values_read(int64_t *v, PyObject *seq, Py_ssize_t len, int64_t n)
+{
+    for (Py_ssize_t j = 0; j < len; j++) {
+        const long long x = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, j));
+        if (x < 0 || x >= n) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "a value lies outside the carrier");
+            return -1;
+        }
+        v[j] = x;
+    }
+    return 0;
+}
+
+/* hom(values, nb, ops): whether the map values, a sequence of |A| ints in
+ * [0, nb), is a homomorphism for ops (see tables_read), |A| = len(values). */
+static PyObject *py_hom(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "hom takes 3 arguments, not %zd", nargs);
+    const Py_ssize_t nb = PyLong_AsSsize_t(args[1]);
+    if (nb < 1)
+        return PyErr_Occurred() ? NULL : PyErr_Format(PyExc_ValueError, "hom needs nb >= 1");
+    PyObject *seq = PySequence_Fast(args[0], "hom takes a sequence of values");
+    if (!seq)
+        return NULL;
+    const Py_ssize_t na = PySequence_Fast_GET_SIZE(seq);
+    int64_t *v = PyMem_Malloc((na + 1) * sizeof(int64_t));
+    PyObject *out = NULL;
+    tables_t t;
+    if (!v)
+        PyErr_NoMemory();
+    else if (!values_read(v, seq, na, nb) && !tables_read(&t, args[2], na, nb)) {
+        int same = 1;
+        for (Py_ssize_t i = 0; same && i < t.n_ops; i++)
+            same = hom_op(t.ops + i, v, na, nb);
+        tables_release(&t);
+        out = PyBool_FromLong(same);
+    }
+    PyMem_Free(v);
+    Py_DECREF(seq);
+    return out;
+}
+
+/* outside(table, n): whether some entry of table, a flat C-contiguous int64
+ * array of any length, lies outside [0, n). */
+static PyObject *py_outside(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError, "outside takes 2 arguments, not %zd", nargs);
+    const Py_ssize_t n = PyLong_AsSsize_t(args[1]);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    Py_buffer b;
+    if (PyObject_GetBuffer(args[0], &b, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT))
+        return NULL;
+    PyObject *out = NULL;
+    if (!of_type(&b, 8, "lq"))
+        PyErr_SetString(PyExc_ValueError, "outside takes a flat int64 array");
+    else
+        out = PyBool_FromLong(!in_carrier(b.buf, b.len / 8, n));
+    PyBuffer_Release(&b);
+    return out;
+}
+
+/* Restrict ta, a table of arity k over n elements, to the m elements at
+ * elems, into out (m**k entries): the entry of a tuple of the subset is
+ * at[its value], at[e] the index of e in the subset or -1. Returns -1, or
+ * the index in out of the first tuple whose value lies outside the
+ * subset. */
+static int64_t restrict_op(int64_t k, const int64_t *ta, int64_t *out, const int64_t *at,
+                           const int64_t *elems, int64_t m, int64_t n)
+{
+    if (k == 0)
+        return (out[0] = at[ta[0]]) < 0 ? 0 : -1;
+    int64_t d[62] = {0}, pw[62], base;
+    const int64_t rows = rows_start(k, elems, m, n, pw, &base);
+    for (int64_t r = 0; r < rows; r++, out += m) {
+        for (int64_t x = 0; x < m; x++)
+            if ((out[x] = at[ta[base + elems[x]]]) < 0)
+                return r * m + x;
+        rows_next(k, d, elems, m, pw, &base);
+    }
+    return -1;
+}
+
+/* restrict(n, subset, ops): the tables of an algebra over n elements
+ * restricted to subset, increasing ints in [0, n), for ops, a sequence of
+ * (arity, table) with each table as tables_read reads A's. Returns a list
+ * of one bytes object per operation, its flat int64 table over the subset
+ * (an element is its index in subset), or (i, t) at the first operation i
+ * with a tuple of the subset whose value lies outside it, t the index of
+ * the lexicographically first such tuple among the subset's. */
+static PyObject *py_restrict(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "restrict takes 3 arguments, not %zd", nargs);
+    const Py_ssize_t n = PyLong_AsSsize_t(args[0]);
+    if (n < 1)
+        return PyErr_Occurred() ? NULL : PyErr_Format(PyExc_ValueError, "restrict needs n >= 1");
+    PyObject *seq = PySequence_Fast(args[1], "restrict takes a sequence of elements");
+    if (!seq)
+        return NULL;
+    const Py_ssize_t m = PySequence_Fast_GET_SIZE(seq);
+    PyObject *ops = PySequence_Fast(args[2], "the operations are a sequence of (arity, table)");
+    PyObject *out = ops ? PyList_New(0) : NULL;
+    int64_t *at = out ? PyMem_Malloc((n + m) * sizeof(int64_t)) : NULL, *elems;
+    if (!at) {
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
+        goto fail;
+    }
+    elems = at + n; /* at[e]: the index of e in the subset, or -1 */
+    if (m < 1 || values_read(elems, seq, m, n))
+        goto bad_subset;
+    for (Py_ssize_t i = 1; i < m; i++)
+        if (elems[i] <= elems[i - 1])
+            goto bad_subset;
+    for (Py_ssize_t e = 0; e < n; e++)
+        at[e] = -1;
+    for (Py_ssize_t i = 0; i < m; i++)
+        at[elems[i]] = i;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(ops); i++) {
+        PyObject *op = PySequence_Fast_GET_ITEM(ops, i);
+        if (!PyTuple_Check(op) || PyTuple_GET_SIZE(op) != 2) {
+            PyErr_SetString(PyExc_TypeError, "each operation is (arity, table)");
+            goto fail;
+        }
+        const int64_t k = arity_read(PyTuple_GET_ITEM(op, 0));
+        Py_buffer tb;
+        if (k < 0 || table_hold(&tb, PyTuple_GET_ITEM(op, 1), k, n))
+            goto fail;
+        const int64_t *ta = tb.buf;
+        int64_t entries = 1, t = -1;
+        for (int64_t j = 0; j < k; j++)
+            entries *= m; /* m**k <= n**k, the length of ta */
+        PyObject *table = NULL;
+        if (!in_carrier(ta, tb.len / 8, n))
+            PyErr_SetString(PyExc_ValueError, "a table value lies outside the carrier");
+        else if ((table = PyBytes_FromStringAndSize(NULL, entries * 8)) &&
+                 !PyList_Append(out, table))
+            t = restrict_op(k, ta, (int64_t *)PyBytes_AS_STRING(table), at, elems, m, n);
+        Py_XDECREF(table);
+        if (t >= 0)
+            Py_SETREF(out, Py_BuildValue("(nL)", i, (long long)t));
+        PyBuffer_Release(&tb);
+        if (t >= 0)
+            goto done;
+        if (PyErr_Occurred())
+            goto fail;
+    }
+    goto done;
+bad_subset:
+    if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_ValueError, "the subset is increasing elements of the carrier");
+fail:
+    Py_CLEAR(out);
+done:
+    PyMem_Free(at);
+    Py_XDECREF(ops);
+    Py_DECREF(seq);
     return out;
 }
 
@@ -1539,6 +1799,14 @@ static PyMethodDef methods[] = {
     {"root", (PyCFunction)(void (*)(void))py_root, METH_FASTCALL,
      "root(nb, ops, d): root arc consistency on the uint64 domain words d, in place; "
      "the number of pairs removed, or -1 minus it on a wipeout."},
+    {"hom", (PyCFunction)(void (*)(void))py_hom, METH_FASTCALL,
+     "hom(values, nb, ops): whether the map values is a homomorphism for the (arity, table "
+     "of A, table of B) operations."},
+    {"outside", (PyCFunction)(void (*)(void))py_outside, METH_FASTCALL,
+     "outside(table, n): whether some entry of the flat int64 table lies outside [0, n)."},
+    {"restrict", (PyCFunction)(void (*)(void))py_restrict, METH_FASTCALL,
+     "restrict(n, subset, ops): the (arity, table) operations' tables restricted to subset, "
+     "one bytes object each, or (operation, tuple index) at the first value outside it."},
     {"engine", (PyCFunction)(void (*)(void))py_engine, METH_FASTCALL,
      "engine(pairs, side, domains, lexicographic): a search engine over the (|A|, |B|, "
      "operations) pairs and the side condition, from one uint64 domain array per pair."},

@@ -1,10 +1,13 @@
 """The C half of homfactor: _native.c, one CPython extension module built on
-first import, which does the root pass (root) and the whole search: an
-engine (engine, an Engine) compiles the operation tables of its pairs into
-buffers of its own, owns its domains as uint64 words, its trail, queue and
-branching frames, and propagates, branches and resumes in C. Both read the
-tables one way, and check each one once: its type, its length and every
-value.
+first import, which does the root pass (root), the whole search and the
+table checks of homfactor.algebra. An engine (engine, an Engine) compiles
+the operation tables of its pairs into buffers of its own, owns its domains
+as uint64 words, its trail, queue and branching frames, and propagates,
+branches and resumes in C. hom(values, nb, ops) is is_homomorphism,
+outside(table, n) validate_algebra's value test and restrict(n, subset,
+ops) induced_subalgebra's restriction (see _native.c). All of them read
+the tables one way, and check each one once: its type, its length and
+every value.
 
 The module is built from the C source next to this file by the system C
 compiler (cc), run in a child process, against the running interpreter's
@@ -87,7 +90,7 @@ def _module():
 
 
 _ext = _module()
-engine = _ext.engine
+engine, hom, outside, restrict = _ext.engine, _ext.hom, _ext.outside, _ext.restrict
 
 
 def root(nb, ops, d):

@@ -4,6 +4,12 @@ Tables are flat integer sequences in row-major order: the table of a k-ary
 operation has n**k entries, indexed lexicographically by argument tuple.
 Nullary operations are 1-entry tables. All values are immutable after
 construction and safe to share across workers.
+
+The checks that read tables run in C (_native.c): is_homomorphism,
+validate_algebra's value test and induced_subalgebra's restriction. As the
+solver's do, they read a table only after checking its length and every
+value, so a malformed table raises AlgebraError naming it, never a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _native
 
 __all__ = [
     "AlgebraError",
@@ -33,6 +41,9 @@ __all__ = [
 # table entries of one algebra: lift_nary and make_semilattice_X build no
 # more, and every solver and f-core entry point takes no more
 _MAX_TABLE_ENTRIES = 1 << 20
+# arity of an operation: the C table reader's bound, past which n**k
+# overflows int64 at every n > 1
+_MAX_ARITY = 62
 
 
 class AlgebraError(ValueError):
@@ -188,6 +199,8 @@ def validate_algebra(alg: FiniteAlgebra) -> list[str]:
         seen.add(name)
         if arity < 0:
             problems.append(f"operation {name!r} has negative arity")
+        elif arity > _MAX_ARITY:
+            problems.append(f"operation {name!r} has arity {arity}, more than {_MAX_ARITY}")
     if alg.size < 1:
         problems.append(f"carrier size {alg.size} is not positive")
         return problems
@@ -201,8 +214,7 @@ def validate_algebra(alg: FiniteAlgebra) -> list[str]:
             problems.append(
                 f"table for {name!r} has {t.size} entries, expected {expected}"
             )
-        # tables are int64, so a negative entry reads as a huge unsigned one
-        if t.size and t.view(np.uint64).max() >= alg.size:
+        if _native.outside(t, alg.size):
             problems.append(f"table for {name!r} has entries outside [0, {alg.size})")
     names = alg.signature.names
     for name in alg.tables:
@@ -214,6 +226,13 @@ def validate_algebra(alg: FiniteAlgebra) -> list[str]:
         if len(set(alg.labels)) != len(alg.labels):
             problems.append("labels are not pairwise distinct")
     return problems
+
+
+def _refused(err: ValueError, *algs: FiniteAlgebra) -> AlgebraError:
+    """The error for tables that a C check refused with err: what
+    validate_algebra reports on algs, or else err's own message."""
+    problems = dict.fromkeys(p for alg in algs for p in validate_algebra(alg))
+    return AlgebraError("; ".join(problems) or str(err))
 
 
 def _require_signatures(a: FiniteAlgebra, b: FiniteAlgebra):
@@ -230,20 +249,11 @@ def is_homomorphism(m: Mapping, a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
         raise SizeMismatch(
             f"mapping is {m.dom_size}->{m.cod_size}, algebras are {a.size}, {b.size}"
         )
-    vals = np.asarray(m.values, dtype=np.int64)
-    for name, arity in a.signature.ops:
-        tb = b.nd(name)
-        if arity == 0:
-            rhs = tb
-        elif arity == 1:
-            rhs = tb[vals]
-        elif arity == 2:
-            rhs = tb[vals[:, None], vals]
-        else:
-            rhs = tb[np.ix_(*([vals] * arity))]
-        if not np.array_equal(vals[a.nd(name)], rhs):
-            return False
-    return True
+    ops = [(arity, a.tables[name], b.tables[name]) for name, arity in a.signature.ops]
+    try:
+        return _native.hom(m.values, b.size, ops)
+    except ValueError as err:
+        raise _refused(err, a, b) from err
 
 
 def compose(outer: Mapping, inner: Mapping) -> Mapping:
@@ -266,9 +276,8 @@ def is_retraction_respecting(r: Mapping, x: FiniteAlgebra, f: Mapping) -> bool:
         raise SizeMismatch(f"f has domain {f.dom_size}, algebra has size {x.size}")
     if not is_homomorphism(r, x, x):
         return False
-    if compose(r, r) != r:
-        return False
-    return compose(f, r) == f
+    rv, fv = r.values, f.values
+    return all(rv[w] == w and fv[w] == fv[v] for v, w in enumerate(rv))
 
 
 def induced_subalgebra(a: FiniteAlgebra, subset) -> tuple[FiniteAlgebra, dict[int, int]]:
@@ -284,18 +293,17 @@ def induced_subalgebra(a: FiniteAlgebra, subset) -> tuple[FiniteAlgebra, dict[in
     if elems[0] < 0 or elems[-1] >= a.size:
         raise AlgebraError("subset element out of range")
     index = {old: new for new, old in enumerate(elems)}
-    lookup = np.full(a.size, -1, dtype=np.int64)  # new index, -1 outside the subset
-    lookup[elems] = np.arange(len(elems))
-    tables = {}
-    for name, arity in a.signature.ops:
-        values = a.nd(name)[np.ix_(*[elems] * arity)]
-        new = lookup[values]
-        first = int(new.argmin())  # the first -1: the lexicographically first violating tuple
-        if new.flat[first] < 0:
-            tup = tuple(elems[i] for i in np.unravel_index(first, values.shape))
-            v = int(values.flat[first])
-            raise ClosureError(f"not closed: {name}{tup} = {v} is outside the subset")
-        tables[name] = new
+    ops = a.signature.ops
+    try:
+        out = _native.restrict(a.size, elems, [(arity, a.tables[name]) for name, arity in ops])
+    except ValueError as err:
+        raise _refused(err, a) from err
+    if isinstance(out, tuple):  # the first violating operation and tuple
+        name, arity = ops[out[0]]
+        tup = tuple(elems[i] for i in np.unravel_index(out[1], (len(elems),) * arity))
+        v = a.apply(name, *tup)
+        raise ClosureError(f"not closed: {name}{tup} = {v} is outside the subset")
+    tables = {name: np.frombuffer(t, dtype=np.int64) for (name, _), t in zip(ops, out)}
     labels = tuple(a.labels[e] for e in elems) if a.labels else None
     return FiniteAlgebra(a.signature, len(elems), tables, labels), index
 
